@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.baselines.cache import Cache, CacheHierarchy, TLB
+from repro.baselines.cache import TLB
 from repro.baselines.dram import DRAMModel
-from repro.baselines.gpu import GPUEstimate, WorkloadProfile
+from repro.baselines.gpu import GPUEstimate, WorkloadProfile, shared_locality
 from repro.errors import ConfigurationError
 from repro.units import PJ, US
 
@@ -74,34 +74,19 @@ class CPUModel:
 
     def __init__(self, config: CPUConfig | None = None) -> None:
         self.config = config or CPUConfig()
-        self._measured: dict[str, tuple[float, float, float]] = {}
+        self._measured: dict[tuple[str, int], tuple[float, float, float]] = {}
 
     def measure_locality(
         self, profile: WorkloadProfile, tile_elements: int | None = None
     ) -> tuple[float, float, float]:
-        """Per-access (l1, l2, dram) service fractions, memoised by name."""
-        if profile.name in self._measured:
-            return self._measured[profile.name]
-        cfg = self.config
-        hierarchy = CacheHierarchy(
-            Cache(cfg.l1_bytes, cfg.line_bytes, ways=8, name="l1"),
-            Cache(cfg.l2_bytes, cfg.line_bytes, ways=16, name="l2"),
-        )
-        counts = {"l1": 0, "l2": 0, "dram": 0}
-        total = 0
-        for addr, is_write in profile.trace(
-            tile_elements or self.DEFAULT_TILE_ELEMENTS
-        ):
-            counts[hierarchy.access(addr, is_write)] += 1
-            total += 1
-        if total == 0:
-            raise ConfigurationError(f"profile {profile.name} emitted no trace")
-        fractions = (
-            counts["l1"] / total,
-            counts["l2"] / total,
-            counts["dram"] / total,
-        )
-        self._measured[profile.name] = fractions
+        """Per-access (l1, l2, dram) service fractions, memoised by
+        ``(name, tile)`` over the process-wide memo (as the GPU model)."""
+        key = (profile.name, tile_elements or self.DEFAULT_TILE_ELEMENTS)
+        fractions = self._measured.get(key)
+        if fractions is None:
+            fractions = self._measured[key] = shared_locality(
+                self.config, profile, key[1], "cpu"
+            )
         return fractions
 
     def _walk_cost(self, footprint: float) -> float:

@@ -31,15 +31,24 @@ All constants carry their derivation in :class:`GPUConfig`.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Hashable, Iterable
 
 from repro.baselines.cache import Cache, CacheHierarchy, TLB
 from repro.baselines.dram import DRAMModel
 from repro.errors import ConfigurationError
+from repro.observability.instruments import record_baseline_locality
+from repro.observability.tracing import trace_event
 from repro.units import PJ, US
 
-__all__ = ["GPUConfig", "GPUModel", "WorkloadProfile", "GPUEstimate"]
+__all__ = [
+    "GPUConfig",
+    "GPUModel",
+    "WorkloadProfile",
+    "GPUEstimate",
+    "shared_locality",
+]
 
 
 @dataclass(frozen=True)
@@ -121,6 +130,49 @@ class GPUConfig:
             raise ConfigurationError("energies must be non-negative")
 
 
+#: Process-wide locality memo: ``(config, profile name, tile) -> (l1, l2,
+#: dram)``.  Every model instance with an equal config reuses one
+#: simulation per profile and tile.
+_LOCALITY_MEMO: dict[tuple, tuple[float, float, float]] = {}
+
+
+def shared_locality(
+    config: Hashable, profile: WorkloadProfile, tile: int, model: str
+) -> tuple[float, float, float]:
+    """Per-access service fractions ``(l1, l2, dram)`` of a profile's tile
+    trace through ``config``'s L1 (8-way) / L2 (16-way) stack.
+
+    The process-wide memo answers repeats; a miss simulates the trace with
+    :meth:`CacheHierarchy.run`.  Concurrent misses may both simulate: the
+    results are identical and the first write wins.  Each call is one
+    model memo miss, so each is counted (``model`` labels it) and traced.
+    """
+    start = time.perf_counter()
+    key = (config, profile.name, tile)
+    fractions = _LOCALITY_MEMO.get(key)
+    shared = fractions is not None
+    if not shared:
+        hierarchy = CacheHierarchy(
+            Cache(config.l1_bytes, config.line_bytes, ways=8, name="l1"),
+            Cache(config.l2_bytes, config.line_bytes, ways=16, name="l2"),
+        )
+        l1, l2, dram = hierarchy.run(profile.trace(tile))
+        total = l1 + l2 + dram
+        if total == 0:
+            raise ConfigurationError(f"profile {profile.name} emitted no trace")
+        fractions = _LOCALITY_MEMO.setdefault(
+            key, (l1 / total, l2 / total, dram / total)
+        )
+    seconds = time.perf_counter() - start
+    source = "shared" if shared else "simulated"
+    record_baseline_locality(model, source, seconds)
+    trace_event(
+        "locality", "measure", profile.name, model=model, tile=tile,
+        shared=shared, seconds=round(seconds, 6),
+    )
+    return fractions
+
+
 @dataclass(frozen=True)
 class GPUEstimate:
     """Time/energy estimate with a per-component breakdown."""
@@ -144,7 +196,7 @@ class GPUModel:
 
     def __init__(self, config: GPUConfig | None = None) -> None:
         self.config = config or GPUConfig()
-        self._measured: dict[str, tuple[float, float, float]] = {}
+        self._measured: dict[tuple[str, int], tuple[float, float, float]] = {}
 
     # -- trace measurement ------------------------------------------------
 
@@ -154,29 +206,16 @@ class GPUModel:
         """Per-access service fractions ``(l1, l2, dram)`` for a profile.
 
         Runs the profile's address trace over a tile through the L1/L2
-        simulators.  Results are memoised by profile name.
+        simulators.  Results are memoised by ``(profile name, tile)``: per
+        model (the warm path, one dict lookup) over the process-wide
+        :func:`shared_locality` memo.
         """
-        if profile.name in self._measured:
-            return self._measured[profile.name]
-        tile = tile_elements or self.DEFAULT_TILE_ELEMENTS
-        cfg = self.config
-        hierarchy = CacheHierarchy(
-            Cache(cfg.l1_bytes, cfg.line_bytes, ways=8, name="l1"),
-            Cache(cfg.l2_bytes, cfg.line_bytes, ways=16, name="l2"),
-        )
-        counts = {"l1": 0, "l2": 0, "dram": 0}
-        total = 0
-        for addr, is_write in profile.trace(tile):
-            counts[hierarchy.access(addr, is_write)] += 1
-            total += 1
-        if total == 0:
-            raise ConfigurationError(f"profile {profile.name} emitted no trace")
-        fractions = (
-            counts["l1"] / total,
-            counts["l2"] / total,
-            counts["dram"] / total,
-        )
-        self._measured[profile.name] = fractions
+        key = (profile.name, tile_elements or self.DEFAULT_TILE_ELEMENTS)
+        fractions = self._measured.get(key)
+        if fractions is None:
+            fractions = self._measured[key] = shared_locality(
+                self.config, profile, key[1], "gpu"
+            )
         return fractions
 
     # -- translation model ---------------------------------------------------

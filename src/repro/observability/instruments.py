@@ -28,6 +28,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "record_backoff",
+    "record_baseline_locality",
     "record_bist_scan",
     "record_breaker_transition",
     "record_campaign_point",
@@ -120,6 +121,19 @@ class _Instruments:
             "Simulated tile energy per execution.",
             ("workload",),
             DEFAULT_ENERGY_BUCKETS,
+        )
+        # -- baselines -------------------------------------------------------
+        self.locality_runs = registry.counter(
+            "repro_baseline_locality_simulations_total",
+            "Baseline locality measurements on a model's memo miss, by "
+            "source (simulated / shared from the process-wide memo).",
+            ("model", "source"),
+        )
+        self.locality_seconds = registry.histogram(
+            "repro_baseline_locality_seconds",
+            "Wall-clock cost of one baseline locality memo miss.",
+            ("model", "source"),
+            DEFAULT_LATENCY_BUCKETS,
         )
         # -- supervisor ------------------------------------------------------
         self.supervisor_events = registry.counter(
@@ -424,6 +438,19 @@ def record_execution(result: "ExecutionResult") -> None:
     ):
         if count:
             inst.executor_faults.labels(workload=w, kind=kind).inc(count)
+
+
+# -- baselines ----------------------------------------------------------------
+
+
+def record_baseline_locality(model: str, source: str, seconds: float) -> None:
+    """Count one locality memo miss of a baseline model (``gpu``/``cpu``)
+    and observe its cost; ``source`` is ``simulated`` or ``shared``."""
+    inst = _instruments()
+    if inst is None:
+        return
+    inst.locality_runs.labels(model=model, source=source).inc()
+    inst.locality_seconds.labels(model=model, source=source).observe(seconds)
 
 
 # -- supervisor ---------------------------------------------------------------

@@ -4,15 +4,21 @@ The set-associative LRU cache is validated against an independent
 brute-force implementation (dict of lists, linear scans) on random access
 traces — the strongest form of correctness evidence for stateful
 simulators: two implementations, one specification, arbitrary inputs.
+The chunked batch path (:meth:`CacheHierarchy.run`) is held to both: the
+per-access :meth:`Cache.access` hierarchy and a brute-force one.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.cache import Cache
+from repro.baselines import cache as cache_module
+from repro.baselines.cache import Cache, CacheHierarchy
+from repro.errors import ConfigurationError
 
 
 class BruteForceLRU:
@@ -26,6 +32,7 @@ class BruteForceLRU:
         self.sets: dict[int, list[list]] = {}
         self.hits = 0
         self.misses = 0
+        self.evictions = 0
         self.writebacks = 0
 
     def access(self, addr: int, write: bool = False) -> bool:
@@ -43,6 +50,7 @@ class BruteForceLRU:
         self.misses += 1
         if len(entries) >= self.ways:
             victim = entries.pop(0)  # least recently used
+            self.evictions += 1
             if victim[1]:
                 self.writebacks += 1
         entries.append([tag, write])
@@ -107,3 +115,88 @@ class TestAgainstReferenceModel:
         assert cache.stats.accesses == len(trace)
         assert 0.0 <= cache.stats.miss_rate <= 1.0
         assert cache.stats.writebacks <= cache.stats.evictions
+
+
+#: Small geometries (1-4 sets, 1-4 ways) so evictions and dirty
+#: writebacks are dense: (line bytes, sets, ways).
+LEVEL = st.tuples(
+    st.sampled_from([16, 32, 64]),
+    st.sampled_from([1, 2, 4]),
+    st.integers(min_value=1, max_value=4),
+)
+
+
+def _cache(line, sets, ways, name):
+    return Cache(line * sets * ways, line_bytes=line, ways=ways, name=name)
+
+
+def _stats(cache):
+    s = cache.stats
+    return s.hits, s.misses, s.evictions, s.writebacks
+
+
+class TestBatchPath:
+    @settings(max_examples=200, deadline=None)
+    @given(LEVEL, LEVEL, TRACE, st.data())
+    def test_run_matches_per_access_and_brute_force(
+        self, l1_geometry, l2_geometry, trace, data
+    ):
+        """Per-level counts, final stats and a following flush agree
+        whatever the chunk size and however the trace is split into
+        :meth:`run` calls (state carries across both kinds of boundary)."""
+        # Both levels share a line size, as every modelled stack does.
+        line = l1_geometry[0]
+        l2_geometry = (line,) + l2_geometry[1:]
+        batch = CacheHierarchy(
+            _cache(*l1_geometry, "l1"), _cache(*l2_geometry, "l2")
+        )
+        stepped = CacheHierarchy(
+            _cache(*l1_geometry, "l1"), _cache(*l2_geometry, "l2")
+        )
+        brute = [
+            BruteForceLRU(line * sets * ways, line, ways)
+            for line, sets, ways in (l1_geometry, l2_geometry)
+        ]
+
+        expected = {"l1": 0, "l2": 0, "dram": 0}
+        brute_served = [0, 0, 0]
+        for addr, write in trace:
+            expected[stepped.access(addr, write)] += 1
+            level = next(
+                (i for i, cache in enumerate(brute)
+                 if cache.access(addr, write)),
+                2,
+            )
+            brute_served[level] += 1
+
+        cuts = sorted(data.draw(
+            st.lists(st.integers(0, len(trace)), max_size=4), label="cuts"
+        ))
+        served = [0, 0, 0]
+        chunk = data.draw(st.integers(1, 64), label="chunk")
+        with mock.patch.object(cache_module, "CHUNK_ACCESSES", chunk):
+            for low, high in zip([0, *cuts], [*cuts, len(trace)]):
+                counts = batch.run(iter(trace[low:high]))
+                served = [a + b for a, b in zip(served, counts)]
+
+        assert served == [expected["l1"], expected["l2"], expected["dram"]]
+        assert served == brute_served
+        assert batch.dram_accesses == stepped.dram_accesses
+        for mine, theirs, oracle in zip(
+            (batch.l1, batch.l2), (stepped.l1, stepped.l2), brute
+        ):
+            assert _stats(mine) == _stats(theirs) == (
+                oracle.hits, oracle.misses, oracle.evictions,
+                oracle.writebacks,
+            )
+            dirty = sum(
+                entry[1] for entries in oracle.sets.values()
+                for entry in entries
+            )
+            assert mine.flush() == theirs.flush() == dirty
+            assert _stats(mine) == _stats(theirs)
+
+    def test_negative_address_rejected(self):
+        stack = CacheHierarchy(_cache(64, 2, 2, "l1"), _cache(64, 4, 2, "l2"))
+        with pytest.raises(ConfigurationError):
+            stack.run([(0, False), (-64, True)])

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines import gpu as gpu_module
 from repro.baselines.cpu import CPUConfig, CPUModel
-from repro.baselines.gpu import GPUModel
+from repro.baselines.gpu import GPUModel, WorkloadProfile
 from repro.errors import ConfigurationError
 from repro.units import GIB, MIB
 from repro.workloads import workload_by_name
@@ -31,10 +32,21 @@ class TestCPUModel:
         large = cpu.estimate(sobel_profile, GIB)
         assert large.time / GIB > small.time / (32 * MIB)
 
-    def test_locality_memoised(self, cpu, sobel_profile):
-        first = cpu.measure_locality(sobel_profile, 1 << 12)
-        second = cpu.measure_locality(sobel_profile, 1 << 14)
-        assert first == second
+    def test_locality_memoised(self, sobel_profile, monkeypatch):
+        monkeypatch.setattr(gpu_module, "_LOCALITY_MEMO", {})
+        traced = []
+
+        def trace(elements):
+            traced.append(elements)
+            return sobel_profile.trace(elements)
+
+        profile = WorkloadProfile(**{**vars(sobel_profile), "trace": trace})
+        cpu = CPUModel()
+        first = cpu.measure_locality(profile, 1 << 12)
+        assert cpu.measure_locality(profile, 1 << 12) == first
+        assert traced == [1 << 12]  # same tile: served from the memo
+        cpu.measure_locality(profile, 1 << 10)
+        assert traced == [1 << 12, 1 << 10]  # another tile: measured afresh
 
     def test_fractions_sum_to_one(self, cpu, sobel_profile):
         l1, l2, dram = cpu.measure_locality(sobel_profile, 1 << 13)

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines import gpu as gpu_module
 from repro.baselines.gpu import GPUConfig, GPUModel, WorkloadProfile
 from repro.errors import ConfigurationError
+from repro.observability import MetricsRegistry, set_default_registry
+from repro.observability.tracing import TraceStore, use_trace
 from repro.units import GIB, MIB
 
 
@@ -52,10 +55,68 @@ class TestLocalityMeasurement:
         assert l1 > 0.8
         assert dram < 0.2
 
-    def test_memoised_by_name(self, gpu):
-        first = gpu.measure_locality(_simple_profile(name="memo"), 1024)
-        second = gpu.measure_locality(_simple_profile(name="memo"), 2048)
-        assert first == second  # second call served from the memo
+    def test_memoised_by_name(self, gpu, monkeypatch):
+        monkeypatch.setattr(gpu_module, "_LOCALITY_MEMO", {})
+        base = _simple_profile(name="memo")
+        traced = []
+
+        def trace(elements):
+            traced.append(elements)
+            return base.trace(elements)
+
+        profile = WorkloadProfile(**{**vars(base), "trace": trace})
+        first = gpu.measure_locality(profile, 1024)
+        assert gpu.measure_locality(profile, 1024) == first
+        assert traced == [1024]  # same tile: served from the memo
+        gpu.measure_locality(profile, 2048)
+        assert traced == [1024, 2048]  # another tile is measured afresh
+
+    def test_shared_across_models(self, monkeypatch):
+        monkeypatch.setattr(gpu_module, "_LOCALITY_MEMO", {})
+        built = []
+        original = gpu_module.CacheHierarchy
+
+        def hierarchy(*levels):
+            built.append(levels)
+            return original(*levels)
+
+        monkeypatch.setattr(gpu_module, "CacheHierarchy", hierarchy)
+        profile = _simple_profile(name="shared")
+        first, second = GPUModel(), GPUModel()
+        assert first.measure_locality(profile, 512) == (
+            second.measure_locality(profile, 512)
+        )
+        assert len(built) == 1  # one simulation per process
+        assert list(second._measured) == [("shared", 512)]
+        GPUModel(GPUConfig(l2_bytes=2 << 20)).measure_locality(profile, 512)
+        assert len(built) == 2  # another config simulates afresh
+
+    def test_memo_misses_counted_and_traced(self, monkeypatch):
+        """Cold work is visible: each model memo miss counts once by source
+        and lands in the ambient trace; a warm hit adds nothing."""
+        monkeypatch.setattr(gpu_module, "_LOCALITY_MEMO", {})
+        registry = MetricsRegistry()
+        previous = set_default_registry(registry)
+        store = TraceStore(id_prefix="t")
+        ctx = store.new_trace()
+        try:
+            with use_trace(ctx):
+                profile = _simple_profile(name="visible")
+                first, second = GPUModel(), GPUModel()
+                first.measure_locality(profile, 256)
+                second.measure_locality(profile, 256)
+                first.measure_locality(profile, 256)  # warm hit
+        finally:
+            set_default_registry(previous)
+        runs = registry.get("repro_baseline_locality_simulations_total")
+        assert runs.labels(model="gpu", source="simulated").value == 1
+        assert runs.labels(model="gpu", source="shared").value == 1
+        seconds = registry.get("repro_baseline_locality_seconds")
+        assert seconds.labels(model="gpu", source="simulated").count == 1
+        events = [e for e in store.get(ctx.trace_id).events
+                  if e.layer == "locality"]
+        assert [e.attrs["shared"] for e in events] == [False, True]
+        assert {e.detail for e in events} == {"visible"}
 
     def test_empty_trace_rejected(self, gpu):
         profile = WorkloadProfile(
