@@ -23,7 +23,6 @@ server-kill arm:
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import signal
@@ -32,10 +31,9 @@ import sys
 import tempfile
 import threading
 import time
-import urllib.error
-import urllib.request
 
 from repro.errors import ServingError
+from repro.serving.frontend import _http_json
 from repro.serving.journal import load_request_journal
 from repro.units import MIB
 
@@ -175,38 +173,14 @@ class ServerProcess:
 
     # -- the HTTP client side -------------------------------------------------
 
-    def request(
-        self,
-        path: str,
-        payload: dict | None = None,
-        timeout: float = 10.0,
-    ) -> tuple[int, dict]:
-        """One urllib round trip; returns (status, decoded JSON body)."""
-        url = f"{self.url}{path}"
-        if payload is None:
-            http_request = urllib.request.Request(url)
-        else:
-            http_request = urllib.request.Request(
-                url,
-                data=json.dumps(payload).encode("utf-8"),
-                headers={"Content-Type": "application/json"},
-            )
-        try:
-            with urllib.request.urlopen(
-                http_request, timeout=timeout
-            ) as response:
-                return response.status, json.loads(response.read())
-        except urllib.error.HTTPError as exc:
-            return exc.code, json.loads(exc.read() or b"{}")
-
     def submit(self, payload: dict) -> tuple[int, dict]:
-        return self.request("/submit", payload)
+        return _http_json(f"{self.url}/submit", payload)
 
     def result(self, request_id: str) -> tuple[int, dict]:
-        return self.request(f"/result/{request_id}")
+        return _http_json(f"{self.url}/result/{request_id}")
 
     def stats(self) -> dict:
-        status, body = self.request("/stats")
+        status, body = _http_json(f"{self.url}/stats")
         if status != 200:
             raise ServingError(f"/stats returned {status}")
         return body

@@ -5,20 +5,23 @@ Endpoints (all JSON unless noted):
 - ``POST /submit`` — body ``{"workload": "Sobel", "relax_bits": 16,
   "dataset_bytes": 67108864, "tenant": "alice", "priority": 1,
   "deadline_s": 2.5, "idempotency_key": "job-42"}`` (only ``workload``
-  required).  Replies ``202 {"id": ..., "status": "queued"}``; a repeat
-  submit under the same ``idempotency_key`` with the identical payload
-  is ``200 {"status": "duplicate"}`` carrying the *original* id, a
-  different payload under a used key is ``409``; admission rejection is
-  ``429`` with a ``Retry-After`` header, an unknown workload or bad
-  field is ``400``, no healthy shard is ``503``.
+  required).
 - ``POST /search`` — body ``{"query": [0, 1, ...], "k": 10,
   "relax_bits": 0, "tenant": ..., "priority": ..., "deadline_s": ...,
   "idempotency_key": ...}`` (only ``query`` — a dim-length 0/1 vector —
   required).  Admits one similarity search against the pool's seeded
-  binary codebook; same reply/ error contract as ``/submit`` (202
-  queued, 200 duplicate, 409 conflict, 400 on a malformed query or
-  ``k``).  The terminal result's ``search`` field carries the top-k ids,
-  (possibly quantized) Hamming distances and the relax rung's shift.
+  binary codebook; the terminal result's ``search`` field carries the
+  top-k ids, (possibly quantized) Hamming distances and the relax
+  rung's shift.
+
+  Both admission endpoints reply alike: ``202 {"id", "status":
+  "queued", "trace_id"}``; ``200 {"status": "duplicate"}`` with the
+  *original* id for a keyed repeat of the identical payload; ``409``
+  for a used key with a different payload; ``429`` + ``Retry-After``
+  on admission rejection; ``503`` while draining (with
+  ``Retry-After``) or with every shard breaker open (without); ``500``
+  when the journal cannot make the admission durable; ``400`` for any
+  malformed body or field.
 - ``GET /result/<id>`` — ``200`` with the terminal
   :class:`~repro.serving.scheduler.ServeResult` once done, ``202
   {"status": "pending"}`` while queued/executing, ``404`` for unknown
@@ -81,46 +84,72 @@ __all__ = [
     "search_quick_selftest",
 ]
 
-_SUBMIT_FIELDS = {
-    "workload", "relax_bits", "dataset_bytes", "tenant", "priority",
-    "deadline_s", "idempotency_key",
-}
-
-_SEARCH_FIELDS = {
-    "query", "k", "relax_bits", "tenant", "priority", "deadline_s",
-    "idempotency_key",
+#: The body fields every admission endpoint accepts.
+_SHARED_FIELDS = {
+    "relax_bits", "tenant", "priority", "deadline_s", "idempotency_key",
 }
 
 
-def _submit_handler(pool: CrossbarPool):
+def _shared_fields(body: dict) -> dict:
+    """The shared fields of an admission body as pool keyword arguments."""
+
+    def optional(name, cast):
+        return None if body.get(name) is None else cast(body[name])
+
+    return {
+        "relax_bits": int(body.get("relax_bits", 0)),
+        "tenant": str(body.get("tenant", "default")),
+        "priority": optional("priority", int),
+        "deadline_s": optional("deadline_s", float),
+        "idempotency_key": optional("idempotency_key", str),
+    }
+
+
+def _admit_submit(pool: CrossbarPool, body: dict):
+    return pool.admit(
+        str(body["workload"]),
+        dataset_bytes=float(body.get("dataset_bytes", 64 * MIB)),
+        **_shared_fields(body),
+    )
+
+
+def _admit_search(pool: CrossbarPool, body: dict):
+    query = body["query"]
+    if not isinstance(query, list):
+        raise SearchError('"query" must be a list of 0/1 bits')
+    return pool.admit_search(
+        query, k=int(body.get("k", 10)), **_shared_fields(body)
+    )
+
+
+#: Per admission endpoint: its required key, its own fields beyond the
+#: shared ones, and the call into the pool.
+_ADMISSION_ENDPOINTS = {
+    "submit": ("workload", {"workload", "dataset_bytes"}, _admit_submit),
+    "search": ("query", {"query", "k"}, _admit_search),
+}
+
+
+def _retry_later(status: int, exc) -> tuple:
+    return (
+        status,
+        {"error": str(exc), "retry_after_s": exc.retry_after_s},
+        {"Retry-After": f"{exc.retry_after_s:.3f}"},
+    )
+
+
+def _admission_handler(pool: CrossbarPool, endpoint: str):
+    required, own_fields, admit = _ADMISSION_ENDPOINTS[endpoint]
+    fields = _SHARED_FIELDS | own_fields
+
     def handle(_match, body):
-        if not isinstance(body, dict) or "workload" not in body:
-            return 400, {"error": 'body must be JSON with a "workload" key'}
-        unknown = set(body) - _SUBMIT_FIELDS
+        if not isinstance(body, dict) or required not in body:
+            return 400, {"error": f'body must be JSON with a "{required}" key'}
+        unknown = set(body) - fields
         if unknown:
             return 400, {"error": f"unknown fields {sorted(unknown)}"}
         try:
-            request_id, duplicate = pool.admit(
-                workload=str(body["workload"]),
-                relax_bits=int(body.get("relax_bits", 0)),
-                dataset_bytes=float(body.get("dataset_bytes", 64 * MIB)),
-                tenant=str(body.get("tenant", "default")),
-                priority=(
-                    None
-                    if body.get("priority") is None
-                    else int(body["priority"])
-                ),
-                deadline_s=(
-                    None
-                    if body.get("deadline_s") is None
-                    else float(body["deadline_s"])
-                ),
-                idempotency_key=(
-                    None
-                    if body.get("idempotency_key") is None
-                    else str(body["idempotency_key"])
-                ),
-            )
+            request_id, duplicate = admit(pool, body)
         except DuplicateRequestError as exc:
             return 409, {
                 "error": str(exc),
@@ -133,101 +162,24 @@ def _submit_handler(pool: CrossbarPool):
             # (500 via the server's handler-exception path), not a 400.
             raise
         except AdmissionRejectedError as exc:
-            return (
-                429,
-                {"error": str(exc), "retry_after_s": exc.retry_after_s},
-                {"Retry-After": f"{exc.retry_after_s:.3f}"},
-            )
+            return _retry_later(429, exc)
         except ShardUnavailableError as exc:
             # A draining pool says when to come back; a breaker-dark pool
             # has no estimate, so no Retry-After header in that case.
-            if exc.retry_after_s is not None:
-                return (
-                    503,
-                    {"error": str(exc), "retry_after_s": exc.retry_after_s},
-                    {"Retry-After": f"{exc.retry_after_s:.3f}"},
-                )
-            return 503, {"error": str(exc)}
-        except (ServingError, ValueError, TypeError) as exc:
-            return 400, {"error": str(exc)}
-        except ReproError as exc:
-            return 400, {"error": f"{type(exc).__name__}: {exc}"}
-        trace_id = pool.trace_id_for(request_id) or ""
-        # A duplicate submit is answered 200, not 202: nothing new was
-        # queued — the id points at the original request.
-        return (200 if duplicate else 202), {
-            "id": request_id,
-            "status": "duplicate" if duplicate else "queued",
-            "trace_id": trace_id,
-        }
-
-    return handle
-
-
-def _search_handler(pool: CrossbarPool):
-    def handle(_match, body):
-        if not isinstance(body, dict) or "query" not in body:
-            return 400, {"error": 'body must be JSON with a "query" key'}
-        unknown = set(body) - _SEARCH_FIELDS
-        if unknown:
-            return 400, {"error": f"unknown fields {sorted(unknown)}"}
-        query = body["query"]
-        if not isinstance(query, list):
-            return 400, {"error": '"query" must be a list of 0/1 bits'}
-        try:
-            request_id, duplicate = pool.admit_search(
-                query,
-                k=int(body.get("k", 10)),
-                relax_bits=int(body.get("relax_bits", 0)),
-                tenant=str(body.get("tenant", "default")),
-                priority=(
-                    None
-                    if body.get("priority") is None
-                    else int(body["priority"])
-                ),
-                deadline_s=(
-                    None
-                    if body.get("deadline_s") is None
-                    else float(body["deadline_s"])
-                ),
-                idempotency_key=(
-                    None
-                    if body.get("idempotency_key") is None
-                    else str(body["idempotency_key"])
-                ),
-            )
-        except DuplicateRequestError as exc:
-            return 409, {
-                "error": str(exc),
-                "idempotency_key": exc.idempotency_key,
-                "id": exc.request_id,
-            }
-        except JournalError:
-            raise  # durability outage: a server fault, not a 400
-        except AdmissionRejectedError as exc:
-            return (
-                429,
-                {"error": str(exc), "retry_after_s": exc.retry_after_s},
-                {"Retry-After": f"{exc.retry_after_s:.3f}"},
-            )
-        except ShardUnavailableError as exc:
-            if exc.retry_after_s is not None:
-                return (
-                    503,
-                    {"error": str(exc), "retry_after_s": exc.retry_after_s},
-                    {"Retry-After": f"{exc.retry_after_s:.3f}"},
-                )
-            return 503, {"error": str(exc)}
+            if exc.retry_after_s is None:
+                return 503, {"error": str(exc)}
+            return _retry_later(503, exc)
         except (SearchError, ServingError, ValueError, TypeError) as exc:
-            # A malformed query/k is the client's fault: self-correcting 400.
+            # A malformed field is the client's fault: self-correcting 400.
             return 400, {"error": str(exc)}
         except ReproError as exc:
             return 400, {"error": f"{type(exc).__name__}: {exc}"}
-        trace_id = pool.trace_id_for(request_id) or ""
+        # A duplicate is answered 200, not 202: nothing new was queued —
+        # the id points at the original request.
         return (200 if duplicate else 202), {
             "id": request_id,
             "status": "duplicate" if duplicate else "queued",
-            "trace_id": trace_id,
+            "trace_id": pool.trace_id_for(request_id) or "",
         }
 
     return handle
@@ -353,8 +305,8 @@ def _metrics_handler():
 def build_routes(pool: CrossbarPool):
     """The frontend route table over one pool."""
     return [
-        ("POST", re.compile(r"/submit/?$"), _submit_handler(pool)),
-        ("POST", re.compile(r"/search/?$"), _search_handler(pool)),
+        ("POST", re.compile(r"/submit/?$"), _admission_handler(pool, "submit")),
+        ("POST", re.compile(r"/search/?$"), _admission_handler(pool, "search")),
         (
             "GET",
             re.compile(r"/result/(?P<id>[A-Za-z0-9._:-]+)/?$"),
@@ -405,6 +357,17 @@ def _http_json(url: str, payload: dict | None = None, timeout: float = 10.0):
         return exc.code, json.loads(exc.read() or b"{}")
 
 
+def _poll_result(base: str, request_id: str):
+    """Poll ``/result/<id>`` for up to ~30 s; returns the last
+    ``(status, body)`` — status 200 once the request is terminal."""
+    for _ in range(600):
+        status, body = _http_json(f"{base}/result/{request_id}")
+        if status == 200:
+            break
+        time.sleep(0.05)
+    return status, body
+
+
 def quick_selftest(
     shards: int = 2,
     workload: str = "Robert",
@@ -452,11 +415,7 @@ def quick_selftest(
             request_id = reply["id"]
         result = None
         if request_id is not None:
-            for _ in range(600):
-                status, result = _http_json(f"{base}/result/{request_id}")
-                if status == 200:
-                    break
-                time.sleep(0.05)
+            status, result = _poll_result(base, request_id)
             if status != 200:
                 failures.append(f"result never completed: {status} {result}")
         if result is not None and status == 200:
@@ -552,11 +511,7 @@ def _selftest_idempotency(base: str, workload: str) -> list[str]:
         failures.append(
             f"conflicting payload should 409, got {status} {conflict}"
         )
-    for _ in range(600):
-        status, _ = _http_json(f"{base}/result/{first['id']}")
-        if status == 200:
-            break
-        time.sleep(0.05)
+    status, _ = _poll_result(base, first["id"])
     if status != 200:
         failures.append(f"keyed request never completed: {status}")
     return failures
@@ -616,12 +571,7 @@ def _selftest_journal_restart(
                     failures.append(
                         f"restored speedup {served} != first life {original}"
                     )
-        status = None
-        for _ in range(600):
-            status, _ = _http_json(f"{base}/result/{crash_id}")
-            if status == 200:
-                break
-            time.sleep(0.05)
+        status, _ = _poll_result(base, crash_id)
         if status != 200:
             failures.append(f"replayed request never completed: {status}")
         status, again = _http_json(
@@ -670,13 +620,7 @@ def search_quick_selftest(shards: int = 2, runtime: str = "thread") -> int:
             failures.append(f"search submit: {status} {reply}")
             result = None
         else:
-            request_id = reply["id"]
-            result = None
-            for _ in range(600):
-                status, result = _http_json(f"{base}/result/{request_id}")
-                if status == 200:
-                    break
-                time.sleep(0.05)
+            status, result = _poll_result(base, reply["id"])
             if status != 200:
                 failures.append(f"search never completed: {status} {result}")
                 result = None
@@ -801,11 +745,7 @@ def fleet_quick_selftest(workload: str = "Sobel") -> int:
         if status != 202:
             failures.append(f"submit: {status} {reply}")
         else:
-            for _ in range(600):
-                status, result = _http_json(f"{base}/result/{reply['id']}")
-                if status == 200:
-                    break
-                time.sleep(0.05)
+            status, _ = _poll_result(base, reply["id"])
             if status != 200:
                 failures.append(f"result never completed: {status}")
         pool.wait_drained(timeout=10.0)

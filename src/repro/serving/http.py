@@ -116,6 +116,9 @@ class JsonHttpServer:
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            # Headers and body are separate writes; without TCP_NODELAY a
+            # kept-alive client waits out Nagle plus delayed ACK per reply.
+            disable_nagle_algorithm = True
 
             def log_message(self, *args):  # noqa: D102 - stdlib hook
                 if not quiet:  # pragma: no cover - manual debugging aid

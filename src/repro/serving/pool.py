@@ -648,61 +648,10 @@ class CrossbarPool:
             # The registry's message enumerates every registered name;
             # forward it so the frontend's 400 is self-correcting.
             raise ServingError(str(exc)) from exc
-        if relax_bits < 0:
-            raise ServingError(f"relax_bits must be non-negative: {relax_bits}")
-        if dataset_bytes <= 0:
-            raise ServingError(f"dataset_bytes must be positive: {dataset_bytes}")
-        if deadline_s is not None and deadline_s <= 0:
-            raise ServingError(f"deadline_s must be positive: {deadline_s}")
-        resolved_priority = (
-            self.serving_config.default_priority
-            if priority is None
-            else int(priority)
+        return self._admit(
+            workload, relax_bits, dataset_bytes, tenant, priority,
+            deadline_s, block, idempotency_key,
         )
-        if idempotency_key is None:
-            return (
-                self._admit_new(
-                    workload, int(relax_bits), int(dataset_bytes), tenant,
-                    resolved_priority, deadline_s, block, None, None,
-                ),
-                False,
-            )
-        idempotency_key = str(idempotency_key)
-        if not idempotency_key or len(idempotency_key) > 256:
-            raise ServingError(
-                "idempotency_key must be a non-empty string of at most "
-                "256 characters"
-            )
-        fingerprint = payload_fingerprint(
-            workload, int(relax_bits), int(dataset_bytes), tenant,
-            resolved_priority,
-        )
-        # The key->id reservation is held across admission so two racing
-        # submits of the same key cannot both queue work.  Admission
-        # itself is fast (block=False on the HTTP path), and nothing in
-        # _admit_new takes this lock.
-        with self._idem_lock:
-            known = self._idempotency.get(idempotency_key)
-            if known is not None:
-                known_id, known_fp = known
-                if known_fp != fingerprint:
-                    record_idempotency("conflict")
-                    raise DuplicateRequestError(
-                        f"idempotency key {idempotency_key!r} was already "
-                        f"used by request {known_id!r} with a different "
-                        "payload",
-                        idempotency_key=idempotency_key,
-                        request_id=known_id,
-                    )
-                record_idempotency("hit")
-                return known_id, True
-            request_id = self._admit_new(
-                workload, int(relax_bits), int(dataset_bytes), tenant,
-                resolved_priority, deadline_s, block,
-                idempotency_key, fingerprint,
-            )
-            self._idempotency[idempotency_key] = (request_id, fingerprint)
-            return request_id, False
 
     # -- similarity search ----------------------------------------------------
 
@@ -744,46 +693,70 @@ class CrossbarPool:
         query_bits = np.asarray(query)
         index.codebook.pack_query(query_bits)  # validates shape/values
         k = index.validate_k(k)
-        if relax_bits < 0:
-            raise ServingError(
-                f"relax_bits must be non-negative: {relax_bits}"
-            )
-        if deadline_s is not None and deadline_s <= 0:
-            raise ServingError(f"deadline_s must be positive: {deadline_s}")
-        resolved_priority = (
-            self.serving_config.default_priority
-            if priority is None
-            else int(priority)
-        )
         # The journaled payload: enough to replay the identical retrieval
         # after a crash (the index itself is reconstructed from the seed).
         search = {
             "query": [int(b) for b in query_bits.ravel()],
             "k": k,
         }
+        query_digest = hashlib.sha256(
+            np.ascontiguousarray(query_bits.astype(np.uint8)).tobytes()
+        ).hexdigest()[:16]
         dataset_bytes = index.entries * index.codebook.words_per_code * 8
+        return self._admit(
+            SEARCH_WORKLOAD, relax_bits, dataset_bytes, tenant, priority,
+            deadline_s, block, idempotency_key,
+            search=search, extra={"k": k, "query": query_digest},
+        )
+
+    def _admit(
+        self,
+        workload: str,
+        relax_bits: int,
+        dataset_bytes: float,
+        tenant: str,
+        priority: int | None,
+        deadline_s: float | None,
+        block: bool,
+        idempotency_key: str | None,
+        search: dict | None = None,
+        extra: dict | None = None,
+    ) -> tuple[str, bool]:
+        """The admission both request kinds share: field checks, priority
+        resolution and the idempotency-key reservation.  ``extra`` folds
+        kind-specific content into the key's payload fingerprint."""
+        if relax_bits < 0:
+            raise ServingError(f"relax_bits must be non-negative: {relax_bits}")
+        if dataset_bytes <= 0:
+            raise ServingError(f"dataset_bytes must be positive: {dataset_bytes}")
+        if deadline_s is not None and deadline_s <= 0:
+            raise ServingError(f"deadline_s must be positive: {deadline_s}")
+        relax_bits, dataset_bytes = int(relax_bits), int(dataset_bytes)
+        priority = (
+            self.serving_config.default_priority
+            if priority is None
+            else int(priority)
+        )
         if idempotency_key is None:
-            return (
-                self._admit_new(
-                    SEARCH_WORKLOAD, int(relax_bits), int(dataset_bytes),
-                    tenant, resolved_priority, deadline_s, block, None, None,
-                    search=search,
-                ),
-                False,
+            request_id = self._admit_new(
+                workload, relax_bits, dataset_bytes, tenant, priority,
+                deadline_s, block, None, None, search,
             )
+            return request_id, False
         idempotency_key = str(idempotency_key)
         if not idempotency_key or len(idempotency_key) > 256:
             raise ServingError(
                 "idempotency_key must be a non-empty string of at most "
                 "256 characters"
             )
-        query_digest = hashlib.sha256(
-            np.ascontiguousarray(query_bits.astype(np.uint8)).tobytes()
-        ).hexdigest()[:16]
         fingerprint = payload_fingerprint(
-            SEARCH_WORKLOAD, int(relax_bits), int(dataset_bytes), tenant,
-            resolved_priority, extra={"k": k, "query": query_digest},
+            workload, relax_bits, dataset_bytes, tenant, priority,
+            extra=extra,
         )
+        # The key->id reservation is held across admission so two racing
+        # submits of the same key cannot both queue work.  Admission
+        # itself is fast (block=False on the HTTP path), and nothing in
+        # _admit_new takes this lock.
         with self._idem_lock:
             known = self._idempotency.get(idempotency_key)
             if known is not None:
@@ -800,9 +773,8 @@ class CrossbarPool:
                 record_idempotency("hit")
                 return known_id, True
             request_id = self._admit_new(
-                SEARCH_WORKLOAD, int(relax_bits), int(dataset_bytes),
-                tenant, resolved_priority, deadline_s, block,
-                idempotency_key, fingerprint, search=search,
+                workload, relax_bits, dataset_bytes, tenant, priority,
+                deadline_s, block, idempotency_key, fingerprint, search,
             )
             self._idempotency[idempotency_key] = (request_id, fingerprint)
             return request_id, False

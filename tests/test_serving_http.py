@@ -9,8 +9,12 @@ against direct pricing) backs these in CI.
 
 from __future__ import annotations
 
+import http.client
 import json
 import re
+import statistics
+import time
+from contextlib import contextmanager
 import urllib.error
 import urllib.request
 
@@ -127,6 +131,26 @@ class TestJsonHttpServer:
         _, _, body = fetch(f"{echo_server.url}/nonfinite")
         assert body == {"bad": None, "worse": None, "ok": 1.5}
 
+    def test_keep_alive_round_trips_do_not_stall(self, echo_server):
+        # Headers and body leave in separate writes; with Nagle on, a
+        # kept-alive client waits out the peer's delayed ACK (~40 ms)
+        # on every request.
+        connection = http.client.HTTPConnection(
+            echo_server.host, echo_server.port, timeout=10.0
+        )
+        elapsed = []
+        try:
+            for _ in range(20):
+                start = time.perf_counter()
+                connection.request("GET", "/greet/keepalive")
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+                elapsed.append(time.perf_counter() - start)
+        finally:
+            connection.close()
+        assert statistics.median(elapsed) < 0.010, elapsed
+
     def test_close_is_idempotent(self):
         server = JsonHttpServer([]).start()
         server.close()
@@ -220,3 +244,124 @@ class TestFrontend:
         assert status == 200
         assert info["Content-Type"] == PROMETHEUS_CONTENT_TYPE
         assert "repro_serving_admission_total" in text
+
+
+#: Per endpoint: a valid body, the same body changed in one field, the
+#: body without its required key, and the body with a field of the wrong
+#: type.  The search query is a dim-256 bit-vector, the default codebook.
+_QUERY = [0, 1] * 128
+ADMISSION_BODIES = {
+    "/submit": (
+        {"workload": "Sobel"},
+        {"workload": "Sobel", "relax_bits": 8},
+        {"relax_bits": 8},
+        {"workload": "Sobel", "relax_bits": "many"},
+    ),
+    "/search": (
+        {"query": _QUERY},
+        {"query": _QUERY, "k": 5},
+        {"k": 5},
+        {"query": _QUERY, "k": "many"},
+    ),
+}
+
+
+@contextmanager
+def idle_frontend(**pool_kwargs):
+    """A frontend over a pool whose workers never run: admissions stay
+    queued, so every reply is admission's alone."""
+    pool = CrossbarPool(
+        shards=2, tile_elements=TILE, shard_cooldown_s=60.0, **pool_kwargs
+    )
+    pool._started = True  # keep admission from starting workers
+    try:
+        with build_server(pool) as server:
+            yield pool, server
+    finally:
+        if pool.journal is not None:
+            pool.journal.close()
+
+
+@pytest.mark.parametrize("endpoint", sorted(ADMISSION_BODIES))
+class TestAdmissionContract:
+    """The reply ladder `/submit` and `/search` share, pinned per status."""
+
+    def test_accepted_is_202_with_trace_id(self, endpoint):
+        body = ADMISSION_BODIES[endpoint][0]
+        with idle_frontend() as (_, server):
+            status, _, reply = fetch(f"{server.url}{endpoint}", body)
+        assert status == 202
+        assert reply["status"] == "queued" and reply["id"]
+        assert reply["trace_id"]
+
+    def test_keyed_repeat_is_duplicate_and_conflict_is_409(self, endpoint):
+        body, changed, _, _ = ADMISSION_BODIES[endpoint]
+        key = {"idempotency_key": "contract-key"}
+        with idle_frontend() as (_, server):
+            url = f"{server.url}{endpoint}"
+            status, _, first = fetch(url, {**body, **key})
+            assert status == 202
+            status, _, again = fetch(url, {**body, **key})
+            assert status == 200
+            assert again["status"] == "duplicate"
+            assert again["id"] == first["id"]
+            status, _, conflict = fetch(url, {**changed, **key})
+        assert status == 409
+        assert conflict["idempotency_key"] == "contract-key"
+        assert conflict["id"] == first["id"]
+
+    def test_full_queue_is_429_with_retry_after(self, endpoint):
+        from repro.serving import ServingConfig
+
+        body = ADMISSION_BODIES[endpoint][0]
+        config = ServingConfig(queue_capacity=1, max_wait_s=0.0)
+        with idle_frontend(serving_config=config) as (_, server):
+            assert fetch(f"{server.url}{endpoint}", body)[0] == 202
+            status, info, reply = fetch(f"{server.url}{endpoint}", body)
+        assert status == 429
+        assert float(info["Retry-After"]) > 0
+        assert reply["retry_after_s"] > 0
+
+    def test_draining_is_503_with_retry_after(self, endpoint):
+        body = ADMISSION_BODIES[endpoint][0]
+        with idle_frontend() as (pool, server):
+            pool.begin_drain()
+            status, info, reply = fetch(f"{server.url}{endpoint}", body)
+        assert status == 503
+        assert float(info["Retry-After"]) > 0
+        assert reply["retry_after_s"] > 0
+
+    def test_every_breaker_open_is_503_without_retry_after(self, endpoint):
+        body = ADMISSION_BODIES[endpoint][0]
+        with idle_frontend() as (pool, server):
+            for shard in pool.shards:
+                for _ in range(shard.breaker.failure_threshold):
+                    shard.breaker.record_failure(shard.key)
+            status, info, reply = fetch(f"{server.url}{endpoint}", body)
+        assert status == 503
+        assert "Retry-After" not in info
+        assert "retry_after_s" not in reply
+
+    def test_malformed_bodies_are_400(self, endpoint):
+        body, _, missing, bad_type = ADMISSION_BODIES[endpoint]
+        with idle_frontend() as (_, server):
+            url = f"{server.url}{endpoint}"
+            for payload in (missing, {**body, "surprise": 1}, bad_type):
+                status, _, reply = fetch(url, payload)
+                assert status == 400, (payload, reply)
+                assert "error" in reply
+
+    def test_journal_failure_is_500(self, endpoint, tmp_path, monkeypatch):
+        from repro.errors import JournalError
+
+        body = ADMISSION_BODIES[endpoint][0]
+        journal = str(tmp_path / "requests.jsonl")
+        with idle_frontend(journal=journal) as (pool, server):
+
+            def refuse(*_args, **_kwargs):
+                raise JournalError("disk full")
+
+            monkeypatch.setattr(pool.journal, "admitted", refuse)
+            status, _, reply = fetch(f"{server.url}{endpoint}", body)
+        assert status == 500
+        assert "JournalError" in reply["error"]

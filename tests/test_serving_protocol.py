@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from io import BytesIO
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,9 +31,7 @@ from repro.errors import ProtocolError
 from repro.serving.runtime.protocol import (
     _HEADER,
     encode_frame,
-    pack_ndarrays,
     read_frame,
-    unpack_ndarrays,
     write_frame,
 )
 
@@ -164,28 +161,3 @@ class TestOversize:
         with pytest.raises(ProtocolError, match="not JSON-able"):
             encode_frame({"x": object()})
 
-
-class TestNdarrayTransport:
-    @given(
-        shape=st.tuples(st.integers(1, 8), st.integers(1, 8)),
-        seed=st.integers(0, 2**16),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_pack_unpack_round_trips(self, shape, seed):
-        rng = np.random.default_rng(seed)
-        arrays = {
-            "a": rng.integers(-1000, 1000, size=shape, dtype=np.int64),
-            "b": rng.normal(size=shape[0]),
-        }
-        out = unpack_ndarrays(pack_ndarrays(arrays))
-        for name, array in arrays.items():
-            np.testing.assert_array_equal(out[name], array)
-            assert out[name].dtype == array.dtype
-
-    def test_unpack_malformed_raises_protocol_error(self):
-        with pytest.raises(ProtocolError, match="malformed"):
-            unpack_ndarrays({"x": {"dtype": "int64"}})  # no data/shape
-        with pytest.raises(ProtocolError, match="malformed"):
-            unpack_ndarrays(
-                {"x": {"dtype": "no-such", "shape": [1], "data": "AA=="}}
-            )
