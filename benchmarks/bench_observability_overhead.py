@@ -50,8 +50,9 @@ def _measure_arms() -> dict[str, float]:
     instead of masquerading as overhead in whichever arm ran last.
 
     Arms: ``disabled`` (observability off), ``enabled`` (metrics +
-    spans), ``traced`` (metrics + spans + an ambient per-request trace,
-    a fresh context per run as the serving pool creates one).
+    timed events), ``traced`` (metrics + timed events + an ambient
+    per-request trace, a fresh context per run as the serving pool
+    creates one).
     """
     workload = workload_by_name(WORKLOAD)
     data = workload.generate(ELEMENTS, np.random.default_rng(5))
@@ -86,8 +87,8 @@ def _measure_arms() -> dict[str, float]:
 
 
 def test_instrumentation_overhead_under_five_percent(benchmark, bench_rounds):
-    """The tentpole guarantee: metrics + spans cost <5% on the end-to-end
-    workload execution path."""
+    """The tentpole guarantee: metrics + timed events cost <5% on the
+    end-to-end workload execution path."""
     arms = benchmark.pedantic(
         _measure_arms, rounds=bench_rounds, iterations=1
     )

@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--trace", default=None,
-        help="stream span timings to a Chrome trace file",
+        help="stream the run's events to a Chrome trace file",
     )
     p.add_argument(
         "--quick", action="store_true",
@@ -666,12 +666,13 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.observability import (
         JsonlSnapshotSink,
         MetricsRegistry,
-        default_profiler,
         set_default_registry,
         to_prometheus,
+        use_trace,
     )
     from repro.runtime.campaign import run_campaign
     from repro.runtime.supervisor import RetryPolicy, Supervisor
+    from repro.runtime.trace import ChromeTraceWriter
 
     levels = [0] if args.quick else list(args.levels)
     tile = (1 << 8) if args.quick else args.tile
@@ -680,24 +681,20 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     # whatever executed earlier in the process.
     registry = MetricsRegistry()
     previous = set_default_registry(registry)
-    profiler = default_profiler()
-    trace = None
+    trace = ChromeTraceWriter(args.trace) if args.trace else None
     try:
-        if args.trace:
-            from repro.runtime.trace import ChromeTraceWriter
-
-            trace = profiler.trace = ChromeTraceWriter(args.trace)
         supervisor = Supervisor(
             retry=RetryPolicy(
                 max_attempts=args.retries, jitter_seed=args.seed
             ),
         )
-        result = run_campaign(
-            [args.workload], levels,
-            tile_elements=tile,
-            supervisor=supervisor,
-            seed=args.seed,
-        )
+        with use_trace(trace):
+            result = run_campaign(
+                [args.workload], levels,
+                tile_elements=tile,
+                supervisor=supervisor,
+                seed=args.seed,
+            )
         text = to_prometheus(registry)
         if args.jsonl:
             with JsonlSnapshotSink(args.jsonl) as sink:
@@ -716,7 +713,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             _serve_metrics(registry, args.serve)
     finally:
         if trace is not None:
-            profiler.trace = None
             trace.close()
         set_default_registry(previous)
     return 0

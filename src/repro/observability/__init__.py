@@ -1,16 +1,16 @@
-"""Observability: metrics, spans, tracing, tail analytics and SLOs.
+"""Observability: metrics, event tracing, tail analytics and SLOs.
 
 The subsystem's parts:
 
 - :mod:`repro.observability.registry` — labelled counters, gauges and
   fixed-bucket histograms (with per-bucket exemplars) in a process-wide
   :class:`MetricsRegistry`;
-- :mod:`repro.observability.spans` — the :func:`span` context manager:
-  hierarchical wall-clock profiling feeding both the registry and the
-  Chrome trace writer from one instrumentation point;
-- :mod:`repro.observability.tracing` — per-request :class:`TraceContext`
-  propagation across the serving stack, with a bounded
-  :class:`TraceStore` (JSONL spill) behind ``GET /trace/<id>``;
+- :mod:`repro.observability.tracing` — the one event record:
+  :func:`trace_event` (and :func:`timed_event`, the same event carrying
+  its ``duration_s``) emits into the thread's ambient trace, which is a
+  per-request :class:`TraceContext` in a bounded :class:`TraceStore`
+  (JSONL spill, ``GET /trace/<id>``), a subprocess worker's buffer, or a
+  :class:`~repro.runtime.trace.ChromeTraceWriter` file;
 - :mod:`repro.observability.sketch` — mergeable streaming quantile
   sketches (:class:`QuantileSketch`, :class:`LatencyAnalytics`) for
   p50/p95/p99/p999 tail reporting;
@@ -64,12 +64,6 @@ from repro.observability.timeseries import (
     series_key,
     slope,
 )
-from repro.observability.spans import (
-    SpanProfiler,
-    SpanRecord,
-    default_profiler,
-    span,
-)
 from repro.observability.tracing import (
     TraceContext,
     TraceEvent,
@@ -79,6 +73,7 @@ from repro.observability.tracing import (
     default_trace_store,
     format_timeline,
     set_default_trace_store,
+    timed_event,
     trace_event,
     use_trace,
 )
@@ -97,8 +92,6 @@ __all__ = [
     "RingSeries",
     "SLOPolicy",
     "SlopeVerdictSource",
-    "SpanProfiler",
-    "SpanRecord",
     "TelemetryPipeline",
     "TimeSeriesStore",
     "TraceContext",
@@ -111,7 +104,6 @@ __all__ = [
     "active_registry",
     "counter_rate",
     "current_trace",
-    "default_profiler",
     "default_registry",
     "default_trace_store",
     "disable",
@@ -126,7 +118,7 @@ __all__ = [
     "set_default_trace_store",
     "slope",
     "snapshot",
-    "span",
+    "timed_event",
     "to_prometheus",
     "trace_event",
     "use_trace",

@@ -58,6 +58,7 @@ __all__ = [
     "record_resilience_retry",
     "record_served",
     "record_shard_health",
+    "record_span_duration",
     "record_supervision_event",
     "record_telemetry_tick",
     "record_worker_death",
@@ -335,6 +336,12 @@ class _Instruments:
             "Most recent recall@k measured against the exact ranking, by "
             "relax rung.",
             ("relax_bits",),
+        )
+        self.span_duration = registry.histogram(
+            "repro_span_duration_seconds",
+            "Wall-clock duration of timed regions, by <layer>.<kind>.",
+            ("name",),
+            DEFAULT_LATENCY_BUCKETS,
         )
         self.request_duration = registry.histogram(
             "repro_request_duration_seconds",
@@ -742,6 +749,13 @@ def record_search_recall(relax_bits: int, recall: float) -> None:
     inst = _instruments()
     if inst is not None:
         inst.search_recall.labels(relax_bits=relax_bits).set(float(recall))
+
+
+def record_span_duration(name: str, seconds: float) -> None:
+    """Observe one timed region (a ``timed_event`` named ``name``)."""
+    inst = _instruments()
+    if inst is not None:
+        inst.span_duration.labels(name=name).observe(seconds)
 
 
 def record_request_duration(seconds: float, trace_id: str | None = None) -> None:

@@ -16,7 +16,14 @@ layers (supervisor, executor, controller) emit through
 installed by :func:`use_trace`.  A layer with no active trace pays one
 thread-local attribute read and nothing else, which is what keeps the
 tracing-enabled arm of ``bench_observability_overhead`` under its 5%
-ceiling.
+ceiling.  A timed region is the same event: :func:`timed_event` emits
+one record carrying ``duration_s`` when the block exits.
+
+The ambient trace is anything with ``.event(layer, kind, detail,
+**attrs)``.  Three sinks implement it: a :class:`TraceContext` (lands in
+a :class:`TraceStore`), a :class:`BufferedTraceContext` (a subprocess
+worker's buffer, replayed by the parent) and
+:class:`~repro.runtime.trace.ChromeTraceWriter` (a Chrome trace file).
 
 Storage is a bounded in-memory :class:`TraceStore` (LRU by admission
 order) with optional JSONL spill: evicted traces are appended to a spill
@@ -34,10 +41,13 @@ import os
 import threading
 import time
 from collections import OrderedDict
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from repro.errors import TracingError
+from repro.observability.instruments import record_span_duration
+from repro.observability.registry import active_registry
 
 __all__ = [
     "BufferedTraceContext",
@@ -50,6 +60,7 @@ __all__ = [
     "format_timeline",
     "replay_events",
     "set_default_trace_store",
+    "timed_event",
     "trace_event",
     "use_trace",
 ]
@@ -89,6 +100,9 @@ class TraceRecord:
     baggage: dict = field(default_factory=dict)
     events: list[TraceEvent] = field(default_factory=list)
     dropped_events: int = 0
+    #: request ids bound to this trace (the store's reverse alias index;
+    #: not serialised)
+    aliases: list[str] = field(default_factory=list, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -98,6 +112,27 @@ class TraceRecord:
             "events": [event.to_dict() for event in self.events],
             "dropped_events": self.dropped_events,
         }
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "TraceRecord":
+        """Decode :meth:`to_dict` output (a timeline or a spill line)."""
+        return cls(
+            trace_id=payload["trace_id"],
+            created_ts=payload.get("created_ts", 0.0),
+            baggage=payload.get("baggage", {}),
+            events=[
+                TraceEvent(
+                    ts=e["ts"],
+                    layer=e["layer"],
+                    kind=e["kind"],
+                    span_id=e.get("span_id", ""),
+                    detail=e.get("detail", ""),
+                    attrs=e.get("attrs", {}),
+                )
+                for e in payload.get("events", [])
+            ],
+            dropped_events=payload.get("dropped_events", 0),
+        )
 
 
 class TraceStore:
@@ -162,16 +197,14 @@ class TraceStore:
             while len(self._records) > self.capacity:
                 evicted_id, evicted = self._records.popitem(last=False)
                 self.evicted += 1
-                self._aliases = {
-                    alias: tid
-                    for alias, tid in self._aliases.items()
-                    if tid != evicted_id
-                }
+                for alias in evicted.aliases:
+                    # A re-bound alias now names a newer trace; keep it.
+                    if self._aliases.get(alias) == evicted_id:
+                        del self._aliases[alias]
                 self._spill(evicted)
         return TraceContext(
             trace_id=trace_id,
             span_id=self._next_span_id(),
-            parent_id=None,
             baggage=dict(baggage),
             store=self,
         )
@@ -256,9 +289,17 @@ class TraceStore:
             )
 
     def bind(self, alias: str, trace_id: str) -> None:
-        """Also make the trace findable by ``alias`` (the request id)."""
+        """Also make the trace findable by ``alias`` (the request id).
+
+        The alias lives exactly as long as the trace: evicting the trace
+        forgets it.  Binding to a trace that is not resident is a no-op.
+        """
         with self._lock:
+            record = self._records.get(trace_id)
+            if record is None:
+                return
             self._aliases[alias] = trace_id
+            record.aliases.append(alias)
 
     # -- reads ----------------------------------------------------------------
 
@@ -288,14 +329,13 @@ class TraceStore:
 class TraceContext:
     """The propagated identity of one traced request.
 
-    Carries the trace id, the current span id, the parent span (None at
-    the root) and a baggage dict (tenant, workload, ...).  The context is
-    what crosses layer boundaries; events go to the owning store.
+    Carries the trace id, the span id its events are stamped with and a
+    baggage dict (tenant, workload, ...).  The context is what crosses
+    layer boundaries; events go to the owning store.
     """
 
     trace_id: str
     span_id: str
-    parent_id: str | None
     baggage: dict
     store: TraceStore
 
@@ -304,22 +344,6 @@ class TraceContext:
         self.store.append(
             self.trace_id, layer, kind, self.span_id, detail, **attrs
         )
-
-    def child(self, layer: str) -> "TraceContext":
-        """A sub-span context (new span id, this span as parent); records
-        a ``span_start`` event so the timeline shows the handoff."""
-        ctx = TraceContext(
-            trace_id=self.trace_id,
-            span_id=self.store._next_span_id(),
-            parent_id=self.span_id,
-            baggage=self.baggage,
-            store=self.store,
-        )
-        self.store.append(
-            ctx.trace_id, layer, "span_start", ctx.span_id,
-            parent=self.span_id,
-        )
-        return ctx
 
 
 class BufferedTraceContext:
@@ -354,11 +378,6 @@ class BufferedTraceContext:
         if attrs:
             entry["attrs"] = attrs
         self._events.append(entry)
-
-    def child(self, layer: str) -> "BufferedTraceContext":
-        """Buffered contexts are flat: sub-spans share the one buffer."""
-        self.event(layer, "span_start")
-        return self
 
     def drain(self) -> list[dict]:
         """Take the buffered events (the buffer resets to empty)."""
@@ -467,6 +486,35 @@ def trace_event(layer: str, kind: str, detail: str = "", **attrs) -> None:
         ctx.event(layer, kind, detail, **attrs)
 
 
+_NULL_EVENT = nullcontext()
+
+
+def timed_event(layer: str, kind: str, **attrs):
+    """Time a ``with`` block as one event that carries its own duration.
+
+    On exit — also when the body raises — one :func:`trace_event` lands
+    on the thread's current trace with ``duration_s`` among its attrs,
+    and the same measurement is observed into
+    ``repro_span_duration_seconds{name="<layer>.<kind>"}``.  With
+    observability disabled and no trace installed it returns a shared
+    null context, so a region nobody watches costs two lookups.
+    """
+    if getattr(_local, "trace", None) is None and active_registry() is None:
+        return _NULL_EVENT
+    return _timed(layer, kind, attrs)
+
+
+@contextmanager
+def _timed(layer: str, kind: str, attrs: dict) -> Iterator[None]:
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        duration_s = time.perf_counter() - start
+        record_span_duration(f"{layer}.{kind}", duration_s)
+        trace_event(layer, kind, duration_s=duration_s, **attrs)
+
+
 # -- rendering ----------------------------------------------------------------
 
 def _iter_rows(record: TraceRecord) -> Iterator[tuple[float, str, str, str]]:
@@ -482,23 +530,7 @@ def _iter_rows(record: TraceRecord) -> Iterator[tuple[float, str, str, str]]:
 def format_timeline(record: TraceRecord | dict) -> str:
     """A human-readable timeline (the ``repro trace`` rendering)."""
     if isinstance(record, dict):
-        record = TraceRecord(
-            trace_id=record["trace_id"],
-            created_ts=record.get("created_ts", 0.0),
-            baggage=record.get("baggage", {}),
-            events=[
-                TraceEvent(
-                    ts=e["ts"],
-                    layer=e["layer"],
-                    kind=e["kind"],
-                    span_id=e.get("span_id", ""),
-                    detail=e.get("detail", ""),
-                    attrs=e.get("attrs", {}),
-                )
-                for e in record.get("events", [])
-            ],
-            dropped_events=record.get("dropped_events", 0),
-        )
+        record = TraceRecord.from_dict(record)
     baggage = " ".join(
         f"{key}={value}" for key, value in sorted(record.baggage.items())
     )
@@ -532,23 +564,5 @@ def load_spilled(path: str) -> list[TraceRecord]:
                 payload = json.loads(line)
             except ValueError:
                 continue  # torn tail
-            records.append(
-                TraceRecord(
-                    trace_id=payload["trace_id"],
-                    created_ts=payload.get("created_ts", 0.0),
-                    baggage=payload.get("baggage", {}),
-                    events=[
-                        TraceEvent(
-                            ts=e["ts"],
-                            layer=e["layer"],
-                            kind=e["kind"],
-                            span_id=e.get("span_id", ""),
-                            detail=e.get("detail", ""),
-                            attrs=e.get("attrs", {}),
-                        )
-                        for e in payload.get("events", [])
-                    ],
-                    dropped_events=payload.get("dropped_events", 0),
-                )
-            )
+            records.append(TraceRecord.from_dict(payload))
     return records

@@ -36,9 +36,8 @@ from typing import TYPE_CHECKING
 from repro.core.approximation import EXACT, ApproxSpec
 from repro.core.config import APIMConfig
 from repro.errors import CircuitOpenError, ConfigurationError, ReproError
-from repro.observability import span
 from repro.observability.instruments import record_campaign_point
-from repro.observability.tracing import use_trace
+from repro.observability.tracing import current_trace, timed_event, use_trace
 from repro.quality.qos import QoSPolicy
 from repro.runtime.checkpoint import CheckpointJournal, load_journal
 from repro.runtime.comparison import ComparisonHarness
@@ -226,11 +225,12 @@ def run_point(
     never raises a lost point.  ``key_prefix`` namespaces the supervision
     key (retry jitter, breaker state) per caller, e.g. per shard.
 
-    ``trace`` (a :class:`~repro.observability.tracing.TraceContext`) is
-    installed as the thread's ambient context for the whole rescue
-    ladder, so supervisor attempts, executor runs and controller commands
-    land on the owning request's timeline; degradation rungs and fallback
-    transitions are recorded explicitly.
+    ``trace`` (any sink with ``.event(...)``: a request's
+    :class:`~repro.observability.tracing.TraceContext`, a worker buffer or
+    a Chrome trace writer) is installed as the thread's ambient context
+    for the whole rescue ladder, so supervisor attempts, executor runs and
+    controller commands land on the owning timeline; degradation rungs
+    and fallback transitions are recorded explicitly.
     """
     with use_trace(trace):
         return _run_point_traced(
@@ -511,10 +511,11 @@ def run_campaign(
                     continue
                 if journal is not None:
                     journal.begin(key)
-                with span("campaign.point", key=key):
+                with timed_event("campaign", "point", key=key):
                     point = run_point(
                         workload, level, dataset_bytes, harness, supervisor,
                         chaos, qos, max_relax_bits, degradation_step,
+                        trace=current_trace(),
                     )
                 record_campaign_point(point.status)
                 if journal is not None:

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
 from repro.errors import ConfigurationError, FaultError, TransientError
+from repro.observability.tracing import use_trace
 from repro.runtime.campaign import CampaignResult, run_campaign
 from repro.runtime.supervisor import (
     CircuitBreaker,
@@ -263,9 +264,10 @@ def run_chaos_campaign(
 
     Wires the manual clock through the supervisor, breaker and injector
     so latency spikes, backoff sleeps and breaker cooldowns all tick the
-    same simulated time.  With ``trace_path`` the supervision timeline is
-    streamed to a crash-safe Chrome trace
-    (:class:`~repro.runtime.trace.ChromeTraceWriter`).
+    same simulated time.  With ``trace_path`` the campaign's event stream
+    (supervision, executor and campaign events) is written to a
+    crash-safe Chrome trace (:class:`~repro.runtime.trace.ChromeTraceWriter`)
+    stamped on the same manual clock.
     """
     from repro.runtime.trace import ChromeTraceWriter
 
@@ -275,13 +277,9 @@ def run_chaos_campaign(
     clock = ManualClock()
     chaos = ChaosInjector(policy, clock=clock)
     writer = (
-        ChromeTraceWriter(trace_path) if trace_path is not None else None
+        ChromeTraceWriter(trace_path, clock=clock)
+        if trace_path is not None else None
     )
-
-    def observer(kind: str, key: str, t: float, detail: str) -> None:
-        if writer is not None:
-            writer.instant(f"{kind}:{key}", t * 1e6, detail=detail)
-
     supervisor = Supervisor(
         retry=RetryPolicy(
             max_attempts=max_attempts,
@@ -291,20 +289,20 @@ def run_chaos_campaign(
         deadline_s=deadline_s,
         breaker=CircuitBreaker(clock=clock),
         clock=clock,
-        observer=observer,
     )
     try:
-        result = run_campaign(
-            workloads,
-            relax_levels,
-            dataset_bytes=dataset_bytes,
-            tile_elements=tile_elements,
-            supervisor=supervisor,
-            chaos=chaos,
-            seed=policy.seed,
-            checkpoint=checkpoint,
-            resume=resume,
-        )
+        with use_trace(writer):
+            result = run_campaign(
+                workloads,
+                relax_levels,
+                dataset_bytes=dataset_bytes,
+                tile_elements=tile_elements,
+                supervisor=supervisor,
+                chaos=chaos,
+                seed=policy.seed,
+                checkpoint=checkpoint,
+                resume=resume,
+            )
     finally:
         if writer is not None:
             writer.close()

@@ -20,9 +20,8 @@ from repro.core.config import APIMConfig, default_config
 from repro.core.cost import Cost
 from repro.core.engine import APIMEngine
 from repro.errors import KernelExecutionError, ReproError, WorkloadError
-from repro.observability import span
 from repro.observability.instruments import record_execution
-from repro.observability.tracing import trace_event
+from repro.observability.tracing import timed_event, trace_event
 from repro.quality.metrics import quality_loss_percent
 from repro.quality.qos import QoSPolicy
 from repro.workloads.base import Workload, WorkloadData
@@ -119,7 +118,7 @@ class APIMExecutor:
             relax_bits=spec.relax_bits, elements=data.elements,
         )
         try:
-            with span("executor.kernel", workload=workload.name):
+            with timed_event("executor", "kernel", workload=workload.name):
                 output = workload.run(engine, data)
             reference = workload.reference(data)
         except ReproError as exc:

@@ -198,10 +198,10 @@ class RunReport:
 class Supervisor:
     """Runs callables under retry, deadline and circuit-breaker policy.
 
-    ``observer(kind, key, t, detail)`` — if given — is called on every
-    supervision event (``attempt``/``retry``/``success``/``failure``)
-    with the clock reading, so callers can stream a timeline (e.g. into a
-    :class:`~repro.runtime.trace.ChromeTraceWriter`).
+    Every supervision event (``attempt``/``retry``/``success``/``failure``)
+    is a ``trace_event("supervisor", kind, detail, key=key)`` on the
+    thread's ambient trace, so installing a sink with
+    :func:`~repro.observability.tracing.use_trace` streams the timeline.
     """
 
     def __init__(
@@ -211,7 +211,6 @@ class Supervisor:
         breaker: CircuitBreaker | None = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] | None = None,
-        observer: Callable[[str, str, float, str], None] | None = None,
     ) -> None:
         if deadline_s is not None and deadline_s <= 0:
             raise ConfigurationError("deadline_s must be positive")
@@ -222,13 +221,10 @@ class Supervisor:
         if sleep is None:
             sleep = clock.advance if isinstance(clock, ManualClock) else time.sleep
         self.sleep = sleep
-        self.observer = observer
 
     def _emit(self, kind: str, key: str, detail: str) -> None:
         record_supervision_event(kind)
         trace_event("supervisor", kind, detail, key=key)
-        if self.observer is not None:
-            self.observer(kind, key, self.clock(), detail)
 
     def _expired(self, start: float, headroom: float = 0.0) -> bool:
         if self.deadline_s is None:

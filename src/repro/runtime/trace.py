@@ -8,14 +8,16 @@ of timeline visualisation; this module serialises
 - an engine :class:`~repro.core.cost.CostLedger` (one slice per phase),
 - a resilience event log (one instant event per detection/repair), so
   reliability incidents can be lined up against the execution timeline,
-- and a live supervision timeline through :class:`ChromeTraceWriter`,
-  whose every flush leaves a complete, loadable document on disk — a
-  campaign killed or crashed mid-grid still produces an inspectable
+- and the live event stream through :class:`ChromeTraceWriter`, a sink
+  for the ambient :func:`~repro.observability.tracing.trace_event`
+  stream whose every flush leaves a complete, loadable document on disk
+  — a campaign killed or crashed mid-grid still produces an inspectable
   trace,
 
-so simulator runs can be inspected in any trace viewer.  Timestamps are
-in microseconds of simulated time (cycles x cycle time), as the format
-expects.
+so simulator runs can be inspected in any trace viewer.  The one-shot
+exporters' timestamps are in microseconds of simulated time (cycles x
+cycle time), as the format expects; the writer stamps microseconds of
+its clock since it was opened.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import json
 import os
 import tempfile
 import threading
-from typing import TYPE_CHECKING, Sequence
+import time
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.compiler.ir import Kernel
 from repro.compiler.scheduler import Schedule
@@ -51,6 +54,15 @@ def _cycles_to_us(cycles: float, config: APIMConfig) -> float:
 class ChromeTraceWriter:
     """An incrementally-flushed Chrome trace file that survives crashes.
 
+    The writer is an ambient trace sink: ``with use_trace(writer):``
+    routes every :func:`~repro.observability.tracing.trace_event` on the
+    thread into :meth:`event`.  Chrome's ``cat`` is the event's layer,
+    ``name`` its kind and ``args`` its attrs (plus the detail); an event
+    carrying ``duration_s`` (a ``timed_event``) becomes an ``"X"`` slice
+    ending now, any other an ``"i"`` instant.  Timestamps come from
+    ``clock`` (``time.perf_counter`` by default; pass a manual clock to
+    lay events out on simulated time).
+
     The one-shot exporters below serialise after the run succeeds, which
     loses the trace exactly when it is most wanted — on a failure.  This
     writer buffers events and, on every flush, atomically replaces the
@@ -61,11 +73,18 @@ class ChromeTraceWriter:
     while an exception is propagating, and never swallows it.
     """
 
-    def __init__(self, path: str, flush_every: int = 1) -> None:
+    def __init__(
+        self,
+        path: str,
+        flush_every: int = 1,
+        clock: Callable[[], float] = time.perf_counter,
+    ) -> None:
         if flush_every < 1:
             raise ConfigurationError("flush_every must be at least 1")
         self.path = path
         self.flush_every = flush_every
+        self.clock = clock
+        self._epoch = clock()
         self._events: list[dict] = []
         self._pending = 0
         self._closed = False
@@ -76,10 +95,10 @@ class ChromeTraceWriter:
     def add(self, event: dict) -> None:
         """Buffer one raw trace event, flushing per policy.
 
-        Thread-safe: spans emitted from several executor threads interleave
-        without tearing the buffer or racing a flush.  Events missing
-        ``pid``/``tid`` are stamped with the real process and thread ids so
-        concurrent tracks render separately in the viewer.
+        Thread-safe: events emitted from several executor threads
+        interleave without tearing the buffer or racing a flush.  Events
+        missing ``pid``/``tid`` are stamped with the real process and
+        thread ids so concurrent tracks render separately in the viewer.
         """
         event.setdefault("pid", os.getpid())
         event.setdefault("tid", threading.get_ident())
@@ -93,38 +112,27 @@ class ChromeTraceWriter:
             if self._pending >= self.flush_every:
                 self.flush()
 
-    def instant(
-        self, name: str, ts_us: float, tid: int | None = None, **args
-    ) -> None:
-        """An instant event (``ph: "i"``) at a timestamp in microseconds.
+    def event(self, layer: str, kind: str, detail: str = "", **attrs) -> None:
+        """Record one ambient trace event (the trace-sink protocol)."""
+        ts_us = (self.clock() - self._epoch) * 1e6
+        if detail:
+            attrs["detail"] = detail
+        record: dict = {"name": kind, "cat": layer, "args": attrs}
+        duration_s = attrs.get("duration_s")
+        if duration_s is None:
+            record.update(ph="i", ts=ts_us, s="t")
+        else:
+            dur_us = duration_s * 1e6
+            record.update(ph="X", ts=ts_us - dur_us, dur=dur_us)
+        self.add(record)
 
-        ``tid`` defaults to the calling thread's id (stamped by
-        :meth:`add`), so concurrent emitters separate into tracks.
-        """
-        event: dict = {
-            "name": name, "ph": "i", "ts": ts_us, "s": "t", "args": args,
-        }
-        if tid is not None:
-            event["tid"] = tid
-        self.add(event)
-
-    def slice(
-        self,
-        name: str,
-        ts_us: float,
-        dur_us: float,
-        tid: int | None = None,
-        **args,
-    ) -> None:
-        """A complete-duration event (``ph: "X"``); ``tid`` as in
-        :meth:`instant`."""
-        event: dict = {
+    def slice(self, name: str, ts_us: float, dur_us: float, **args) -> None:
+        """A complete-duration event (``ph: "X"``) at explicit
+        timestamps, for callers that measured the region themselves."""
+        self.add({
             "name": name, "ph": "X", "ts": ts_us, "dur": dur_us,
             "args": args,
-        }
-        if tid is not None:
-            event["tid"] = tid
-        self.add(event)
+        })
 
     def flush(self) -> None:
         """Atomically rewrite the target as a complete, loadable trace."""

@@ -221,6 +221,26 @@ class TestCliMetrics:
         assert record["points"] == 1
         assert "repro_executor_ops_total" in record["metrics"]
 
+    def test_chrome_trace_export(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "spans.json"
+        scrape = tmp_path / "scrape.prom"
+        assert main([
+            "metrics", "--quick", "--trace", str(path), "-o", str(scrape),
+        ]) == 0
+        events = json.loads(path.read_text())["traceEvents"]
+        kinds = {(e["cat"], e["name"], e["ph"]) for e in events}
+        assert ("executor", "kernel", "X") in kinds
+        assert ("campaign", "point", "X") in kinds
+        assert ("supervisor", "attempt", "i") in kinds
+        assert ("supervisor", "success", "i") in kinds
+        # The slice and the histogram are one measurement.
+        (point,) = [e for e in events if e["name"] == "point"]
+        assert point["args"]["key"].startswith("Sobel/")
+        assert 'repro_span_duration_seconds_count{name="campaign.point"} 1' \
+            in scrape.read_text()
+
 
 class TestTraceWriterConcurrency:
     def test_concurrent_adds_tear_nothing(self, tmp_path):

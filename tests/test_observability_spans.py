@@ -1,4 +1,9 @@
-"""Unit tests for span profiling (repro.observability.spans)."""
+"""Unit tests for timed regions (repro.observability.tracing.timed_event).
+
+A timed region is one trace event that carries its own ``duration_s``,
+plus one ``repro_span_duration_seconds{name="<layer>.<kind>"}``
+observation of the same measurement.
+"""
 
 from __future__ import annotations
 
@@ -8,227 +13,90 @@ import pytest
 
 from repro.observability import (
     MetricsRegistry,
-    SpanProfiler,
     disable,
     enable,
     set_default_registry,
-    span,
+    timed_event,
+    use_trace,
 )
-from repro.observability.spans import SPAN_HISTOGRAM
-from repro.runtime.supervisor import ManualClock
+from repro.observability.tracing import BufferedTraceContext
 from repro.runtime.trace import ChromeTraceWriter
 
-
-def _profiler(**kwargs):
-    clock = ManualClock()
-    return SpanProfiler(clock=clock, **kwargs), clock
+SPAN_HISTOGRAM = "repro_span_duration_seconds"
 
 
-class TestHierarchy:
-    def test_nesting_builds_a_tree(self):
-        profiler, clock = _profiler(registry=MetricsRegistry())
-        with profiler.span("outer"):
-            clock.advance(1.0)
-            with profiler.span("inner"):
-                clock.advance(0.25)
-            with profiler.span("sibling"):
-                clock.advance(0.5)
-        (root,) = profiler.roots
-        assert root.name == "outer"
-        assert [c.name for c in root.children] == ["inner", "sibling"]
-        assert root.duration_s == 1.75
-        assert root.children[0].duration_s == 0.25
-
-    def test_walk_is_depth_first(self):
-        profiler, clock = _profiler(registry=MetricsRegistry())
-        with profiler.span("a"):
-            with profiler.span("b"):
-                with profiler.span("c"):
-                    clock.advance(0.1)
-        (root,) = profiler.roots
-        assert [s.name for s in root.walk()] == ["a", "b", "c"]
-
-    def test_span_survives_exceptions(self):
-        profiler, clock = _profiler(registry=MetricsRegistry())
-        try:
-            with profiler.span("doomed"):
-                clock.advance(2.0)
-                raise RuntimeError("kernel died")
-        except RuntimeError:
-            pass
-        (root,) = profiler.roots
-        assert root.duration_s == 2.0
-
-    def test_attrs_attachable_mid_flight(self):
-        profiler, _ = _profiler(registry=MetricsRegistry())
-        with profiler.span("run", workload="Sobel") as record:
-            record.attrs["status"] = "ok"
-        (root,) = profiler.roots
-        assert root.attrs == {"workload": "Sobel", "status": "ok"}
-
-    def test_threads_keep_separate_stacks(self):
-        profiler, _ = _profiler(registry=MetricsRegistry())
-        # Hold all four threads open at once so the OS cannot recycle
-        # thread ids between workers.
-        barrier = threading.Barrier(4)
-
-        def work(name: str):
-            with profiler.span(name):
-                barrier.wait(timeout=10)
-
-        threads = [
-            threading.Thread(target=work, args=(f"t{i}",)) for i in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        # All four are roots (none nested under another thread's span).
-        assert sorted(r.name for r in profiler.roots) == [
-            "t0", "t1", "t2", "t3",
-        ]
-        assert len({r.thread_id for r in profiler.roots}) == 4
-
-    def test_reset_forgets_roots(self):
-        profiler, _ = _profiler(registry=MetricsRegistry())
-        with profiler.span("once"):
-            pass
-        profiler.reset()
-        assert profiler.roots == ()
-
-
-class TestStackHygiene:
-    """Regressions for per-thread stack leaks: however a span exits —
-    exception, nested exception, out-of-order generator close — the
-    thread's stack must end empty and no span may adopt the wrong
-    parent."""
-
-    def test_exception_through_nested_spans_leaves_stack_empty(self):
-        from repro.errors import KernelExecutionError
-
-        profiler, clock = _profiler(registry=MetricsRegistry())
-        with pytest.raises(KernelExecutionError):
-            with profiler.span("outer"):
-                with profiler.span("middle"):
-                    with profiler.span("inner"):
-                        clock.advance(0.1)
-                        raise KernelExecutionError("kernel died mid-span")
-        assert profiler._stack() == []
-        (root,) = profiler.roots
-        assert root.name == "outer"
-        (middle,) = root.children
-        assert [c.name for c in middle.children] == ["inner"]
-
-    def test_partial_unwind_keeps_later_spans_correctly_parented(self):
-        profiler, clock = _profiler(registry=MetricsRegistry())
-        try:
-            with profiler.span("outer"):
-                try:
-                    with profiler.span("doomed"):
-                        raise RuntimeError("recovered")
-                except RuntimeError:
-                    pass
-                with profiler.span("sibling"):
-                    clock.advance(0.1)
-        finally:
-            pass
-        assert profiler._stack() == []
-        (root,) = profiler.roots
-        assert [c.name for c in root.children] == ["doomed", "sibling"]
-
-    def test_out_of_order_generator_close_does_not_misparent(self):
-        """Two spans held open as raw context managers, closed in the
-        wrong order: identity-based removal must unwind both without
-        making the survivor a child of the first-closed span (the old
-        blind ``stack.pop()`` popped the wrong record)."""
-        profiler, clock = _profiler(registry=MetricsRegistry())
-        first = profiler.span("first")
-        second = profiler.span("second")
-        first.__enter__()
-        second.__enter__()
-        clock.advance(0.5)
-        first.__exit__(None, None, None)   # out of order
-        with profiler.span("after"):       # stack is [second] here
-            clock.advance(0.25)
-        second.__exit__(None, None, None)
-        assert profiler._stack() == []
-        roots = {r.name: r for r in profiler.roots}
-        assert set(roots) == {"first", "second"}
-        assert [c.name for c in roots["second"].children] == ["after"]
-        assert roots["first"].children == []
-
-    def test_worker_thread_stack_empty_after_exception(self):
-        profiler, _ = _profiler(registry=MetricsRegistry())
-        leftovers = []
-
-        def work():
-            try:
-                with profiler.span("worker"):
-                    raise ValueError("thread-local unwind")
-            except ValueError:
-                pass
-            leftovers.append(list(profiler._stack()))
-
-        thread = threading.Thread(target=work)
-        thread.start()
-        thread.join(timeout=10.0)
-        assert leftovers == [[]]
+@pytest.fixture
+def registry():
+    """A fresh default registry for the duration of one test."""
+    mine = MetricsRegistry()
+    previous = set_default_registry(mine)
+    yield mine
+    set_default_registry(previous)
 
 
 class TestPublishing:
-    def test_durations_land_in_registry_histogram(self):
-        registry = MetricsRegistry()
-        profiler, clock = _profiler(registry=registry)
-        with profiler.span("step"):
-            clock.advance(0.001)
-        family = registry.get(SPAN_HISTOGRAM)
-        child = family.labels(name="step")
+    def test_span_survives_exceptions(self, registry):
+        """The event and the observation land even when the body raises."""
+        sink = BufferedTraceContext()
+        with pytest.raises(RuntimeError):
+            with use_trace(sink), timed_event("executor", "kernel", n=1):
+                raise RuntimeError("kernel died")
+        (event,) = sink.drain()
+        assert (event["layer"], event["kind"]) == ("executor", "kernel")
+        assert event["attrs"]["n"] == 1
+        assert event["attrs"]["duration_s"] >= 0.0
+        assert registry.get(SPAN_HISTOGRAM).labels(
+            name="executor.kernel"
+        ).count == 1
+
+    def test_durations_land_in_registry_histogram(self, registry):
+        sink = BufferedTraceContext()
+        with use_trace(sink), timed_event("campaign", "point"):
+            pass
+        child = registry.get(SPAN_HISTOGRAM).labels(name="campaign.point")
         assert child.count == 1
-        assert child.sum == 0.001
+        # One measurement, two outputs: the histogram and the event agree.
+        (event,) = sink.drain()
+        assert child.sum == event["attrs"]["duration_s"]
 
     def test_trace_writer_gets_slices_with_thread_ids(self, tmp_path):
         writer = ChromeTraceWriter(str(tmp_path / "spans.json"))
-        profiler, clock = _profiler(registry=MetricsRegistry(), trace=writer)
-        with profiler.span("traced", workload="Sobel"):
-            clock.advance(0.5)
+        with use_trace(writer), timed_event("executor", "kernel",
+                                            workload="Sobel"):
+            pass
         (event,) = writer.events
-        assert event["name"] == "traced"
+        assert (event["cat"], event["name"]) == ("executor", "kernel")
         assert event["ph"] == "X"
-        assert event["dur"] == 5e5  # 0.5 s in us
+        assert event["dur"] == event["args"]["duration_s"] * 1e6
         assert event["tid"] == threading.get_ident()
         assert event["args"]["workload"] == "Sobel"
 
-    def test_module_level_span_feeds_default_registry(self):
-        registry = MetricsRegistry()
-        previous = set_default_registry(registry)
-        try:
-            with span("module.level"):
-                pass
-        finally:
-            set_default_registry(previous)
+    def test_module_level_span_feeds_default_registry(self, registry):
+        with timed_event("module", "level"):
+            pass
         assert registry.get(SPAN_HISTOGRAM).labels(
             name="module.level"
         ).count == 1
 
-    def test_disabled_module_span_is_null_and_free(self):
-        registry = MetricsRegistry()
-        previous = set_default_registry(registry)
+    def test_disabled_module_span_is_null_and_free(self, registry):
         disable()
         try:
-            with span("invisible") as record:
+            with timed_event("invisible", "region") as record:
                 assert record is None
+            assert timed_event("a", "b") is timed_event("c", "d")
         finally:
             enable()
-            set_default_registry(previous)
         assert registry.get(SPAN_HISTOGRAM) is None
 
-    def test_unpinned_profiler_honours_registry_swap(self):
-        profiler, clock = _profiler()  # registry=None: resolve at publish
-        registry = MetricsRegistry()
-        previous = set_default_registry(registry)
+    def test_honours_registry_swap(self):
+        first, second = MetricsRegistry(), MetricsRegistry()
+        previous = set_default_registry(first)
         try:
-            with profiler.span("dynamic"):
-                clock.advance(0.1)
+            with timed_event("dynamic", "region"):
+                set_default_registry(second)  # resolved at exit
         finally:
             set_default_registry(previous)
-        assert registry.get(SPAN_HISTOGRAM).labels(name="dynamic").count == 1
+        assert second.get(SPAN_HISTOGRAM).labels(
+            name="dynamic.region"
+        ).count == 1
+        assert first.get(SPAN_HISTOGRAM) is None

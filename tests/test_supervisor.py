@@ -14,6 +14,7 @@ from repro.errors import (
     TransientError,
     WorkloadError,
 )
+from repro.observability.tracing import BufferedTraceContext, use_trace
 from repro.runtime.supervisor import (
     CircuitBreaker,
     ManualClock,
@@ -244,11 +245,9 @@ class TestSupervisor:
             sup.supervise("k", dying)
         assert calls["n"] == 2  # the open breaker never invoked fn
 
-    def test_observer_sees_the_timeline(self):
-        events = []
-        sup, _ = self._supervisor(
-            observer=lambda kind, key, t, detail: events.append(kind)
-        )
+    def test_ambient_trace_sees_the_timeline(self):
+        sink = BufferedTraceContext()
+        sup, _ = self._supervisor()
         calls = {"n": 0}
 
         def flaky():
@@ -257,7 +256,9 @@ class TestSupervisor:
                 raise TransientError("glitch")
             return True
 
-        sup.supervise("k", flaky)
+        with use_trace(sink):
+            sup.supervise("k", flaky)
+        events = [e["kind"] for e in sink.drain() if e["layer"] == "supervisor"]
         assert events == ["attempt", "retry", "attempt", "success"]
 
     def test_bad_deadline_rejected(self):

@@ -139,16 +139,30 @@ class TestTraceStore:
         with pytest.raises(TracingError):
             load_spilled(str(tmp_path / "absent.jsonl"))
 
-    def test_child_spans_record_handoff(self):
-        store = _store()
-        root = store.new_trace()
-        child = root.child("pool")
-        assert child.trace_id == root.trace_id
-        assert child.parent_id == root.span_id
-        assert child.span_id != root.span_id
-        (event,) = store.get(root.trace_id).events
-        assert event.kind == "span_start"
-        assert event.attrs == {"parent": root.span_id}
+    def test_aliases_stay_bounded_under_eviction(self):
+        capacity = 8
+        store = _store(capacity=capacity)
+        bound = []
+        for n in range(10 * capacity):
+            ctx = store.new_trace()
+            store.bind(f"req-{n}", ctx.trace_id)
+            bound.append((f"req-{n}", ctx.trace_id))
+        assert len(store._aliases) <= capacity
+        evicted, resident = bound[:-capacity], bound[-capacity:]
+        for alias, _ in evicted:
+            assert store.trace_id_for(alias) is None
+            assert store.get(alias) is None
+        for alias, trace_id in resident:
+            assert store.trace_id_for(alias) == trace_id
+
+    def test_rebound_alias_survives_the_old_traces_eviction(self):
+        store = _store(capacity=2)
+        old = store.new_trace()
+        store.bind("req", old.trace_id)
+        new = store.new_trace()
+        store.bind("req", new.trace_id)
+        store.new_trace()  # evicts ``old``
+        assert store.trace_id_for("req") == new.trace_id
 
 
 class TestAmbientPropagation:
