@@ -69,6 +69,14 @@ from repro.analysis.tables import (
     render_table1,
 )
 from repro.core.approximation import ApproxSpec
+from repro.observability.instruments import (
+    PROCESS_CPU_SYSTEM,
+    PROCESS_CPU_USER,
+    PROCESS_GAUGES,
+    PROCESS_OPEN_FDS,
+    PROCESS_RSS,
+    PROCESS_THREADS,
+)
 from repro.runtime.executor import APIMExecutor
 from repro.units import format_si
 from repro.workloads import all_workloads, extension_workloads, workload_by_name
@@ -942,14 +950,14 @@ def _render_top(stats: dict, alerts: dict | None, process: dict) -> str:
         + (f"FIRING: {', '.join(firing)}" if firing else "alerts: none firing")
     ]
     if process:
-        rss = process.get("repro_process_rss_bytes")
+        rss = process.get(PROCESS_RSS.name)
         lines.append(
             "process: "
             f"rss={format_si(rss, 'B') if rss is not None else '?'} "
-            f"cpu={process.get('repro_process_cpu_user_seconds', 0):.1f}s/"
-            f"{process.get('repro_process_cpu_system_seconds', 0):.1f}s "
-            f"threads={process.get('repro_process_threads', 0):.0f} "
-            f"fds={process.get('repro_process_open_fds', 0):.0f}"
+            f"cpu={process.get(PROCESS_CPU_USER.name, 0):.1f}s/"
+            f"{process.get(PROCESS_CPU_SYSTEM.name, 0):.1f}s "
+            f"threads={process.get(PROCESS_THREADS.name, 0):.0f} "
+            f"fds={process.get(PROCESS_OPEN_FDS.name, 0):.0f}"
         )
     lines.append(
         f"  {'shard':<8} {'healthy':>7} {'served':>8} {'failures':>8} "
@@ -1005,11 +1013,11 @@ def _render_top(stats: dict, alerts: dict | None, process: dict) -> str:
 def _top_process_values(pipeline) -> dict:
     """Newest ``repro_process_*`` samples out of a local pipeline."""
     process = {}
-    for key in pipeline.store.keys():
-        if key.startswith("repro_process_"):
-            latest = pipeline.store.get(key).latest()
-            if latest is not None:
-                process[key] = latest[1]
+    for gauge in PROCESS_GAUGES:
+        series = pipeline.store.get(gauge.name)
+        latest = series.latest() if series is not None else None
+        if latest is not None:
+            process[gauge.name] = latest[1]
     return process
 
 
@@ -1034,13 +1042,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
                 alerts = None  # telemetry not enabled on that server
             process = {}
             if (stats.get("telemetry") or {}).get("ticks"):
-                for name in (
-                    "repro_process_rss_bytes",
-                    "repro_process_cpu_user_seconds",
-                    "repro_process_cpu_system_seconds",
-                    "repro_process_threads",
-                    "repro_process_open_fds",
-                ):
+                for name in (gauge.name for gauge in PROCESS_GAUGES):
                     status, payload = _http_json(
                         f"{base}/query?series={name}&fn=value"
                     )

@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 
 from repro.errors import FleetError, ScaleRejectedError
 from repro.observability.instruments import (
-    record_fleet_decision,
-    record_fleet_shed,
+    FLEET_DECISION_SECONDS,
+    FLEET_SHED_TENANTS,
 )
 
 __all__ = ["Autoscaler", "FleetPolicy"]
@@ -169,7 +169,7 @@ class Autoscaler:
         decision["signal"] = signal
         self._act(decision)
         self.decisions.append(decision)
-        record_fleet_decision(time.monotonic() - started)
+        FLEET_DECISION_SECONDS.observe(time.monotonic() - started)
         self._trace(decision)
         return decision
 
@@ -261,7 +261,7 @@ class Autoscaler:
             elif action == "shed":
                 self.pool.shed_tenants.add(decision["tenant"])
                 self.sheds += 1
-                record_fleet_shed()
+                FLEET_SHED_TENANTS.inc()
             elif action == "restore":
                 self.pool.shed_tenants.clear()
         except ScaleRejectedError as exc:

@@ -23,9 +23,10 @@ The subsystem's parts:
   pipeline: bounded :class:`RingSeries` history of the registry and
   sketch quantiles, derived signals (rates, EWMA, slope), declarative
   alert/recording rules and the fleet's :class:`SlopeVerdictSource`;
-- :mod:`repro.observability.instruments` — the domain metric families the
-  executor, supervisor, campaign, checkpoint, resilience, serving and
-  controller layers emit into.
+- :mod:`repro.observability.instruments` — the declared metric families:
+  one table row (kind, name, help, labels, buckets) per family, each a
+  module-level handle the executor, supervisor, campaign, checkpoint,
+  resilience, serving, fleet and controller layers write through.
 
 See ``docs/observability.md`` for naming conventions and usage.
 """

@@ -20,10 +20,11 @@ The registry's clock is injectable (it stamps snapshots, see
 :mod:`repro.observability.export`), so tests and the chaos harness run on
 :class:`~repro.runtime.supervisor.ManualClock` time and stay deterministic.
 
-A module-level default registry backs the zero-setup path: instrumentation
-helpers write through :func:`active_registry`, which returns ``None`` while
-observability is :func:`disable`-d — the overhead benchmark uses exactly
-this switch to price the instrumentation layer.
+A module-level default registry backs the zero-setup path: the declared
+families of :mod:`repro.observability.instruments` write through
+:func:`active_registry`, which returns ``None`` while observability is
+:func:`disable`-d — the overhead benchmark uses exactly this switch to
+price the instrumentation layer.
 """
 
 from __future__ import annotations
@@ -109,6 +110,7 @@ class _Family:
         self.name = _validate_name(name)
         self.help = help
         self.labelnames = _validate_labels(labelnames)
+        self._labelset = frozenset(self.labelnames)
         self._children: dict[tuple[str, ...], object] = {}
         self._lock = threading.Lock()
 
@@ -118,12 +120,12 @@ class _Family:
     def labels(self, **labels):
         """The child time series for these label values (created on first
         use, cached forever after — the hot path is one dict hit)."""
-        if set(labels) != set(self.labelnames):
+        if labels.keys() != self._labelset:
             raise ObservabilityError(
                 f"{self.name}: got labels {sorted(labels)}, "
                 f"schema is {sorted(self.labelnames)}"
             )
-        key = tuple(str(labels[name]) for name in self.labelnames)
+        key = tuple([str(labels[name]) for name in self.labelnames])
         child = self._children.get(key)
         if child is None:
             with self._lock:
@@ -407,8 +409,9 @@ def enable() -> None:
 
 def disable() -> None:
     """Turn instrumentation off: :func:`active_registry` returns ``None``
-    and every helper in :mod:`repro.observability.instruments` becomes a
-    no-op — this is the baseline arm of the overhead benchmark."""
+    and every write through a declared family of
+    :mod:`repro.observability.instruments` returns at once — this is the
+    baseline arm of the overhead benchmark."""
     global _enabled
     _enabled = False
 

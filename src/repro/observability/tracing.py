@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from repro.errors import TracingError
-from repro.observability.instruments import record_span_duration
+from repro.observability.instruments import SPAN_DURATION
 from repro.observability.registry import active_registry
 
 __all__ = [
@@ -511,7 +511,7 @@ def _timed(layer: str, kind: str, attrs: dict) -> Iterator[None]:
         yield
     finally:
         duration_s = time.perf_counter() - start
-        record_span_duration(f"{layer}.{kind}", duration_s)
+        SPAN_DURATION.observe(duration_s, name=f"{layer}.{kind}")
         trace_event(layer, kind, duration_s=duration_s, **attrs)
 
 

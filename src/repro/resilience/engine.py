@@ -37,11 +37,11 @@ from repro.crossbar.block import BlockedCrossbar
 from repro.device.endurance import RotatingAllocator
 from repro.errors import DeviceError, FaultError, RecoveryError
 from repro.observability.instruments import (
+    RESIDUE_MISMATCHES,
+    RESILIENCE_DEGRADED,
+    RESILIENCE_REPAIRS,
+    RESILIENCE_RETRIES,
     record_bist_scan,
-    record_residue_mismatch,
-    record_resilience_degraded,
-    record_resilience_repair,
-    record_resilience_retry,
 )
 from repro.resilience.bist import MarchTester
 from repro.resilience.manager import ReliabilityEvent
@@ -348,7 +348,7 @@ class ResilientEngine(APIMEngine):
                 if bad.size == 0:
                     break
                 self.faults_detected += int(bad.size)
-                record_residue_mismatch(int(bad.size))
+                RESIDUE_MISMATCHES.inc(int(bad.size))
                 self._record(
                     "fault_detected",
                     f"residue flagged {bad.size} element(s)",
@@ -356,7 +356,7 @@ class ResilientEngine(APIMEngine):
                 if attempts >= self.policy.max_retries:
                     if self.policy.on_unrecoverable == "degrade":
                         self.degraded += int(bad.size)
-                        record_resilience_degraded(int(bad.size))
+                        RESILIENCE_DEGRADED.inc(int(bad.size))
                         self._record(
                             "degraded",
                             f"{bad.size} element(s) kept corrupted after "
@@ -371,7 +371,7 @@ class ResilientEngine(APIMEngine):
                 if not any(healed):
                     if self.policy.on_unrecoverable == "degrade":
                         self.degraded += int(bad.size)
-                        record_resilience_degraded(int(bad.size))
+                        RESILIENCE_DEGRADED.inc(int(bad.size))
                         self._record(
                             "degraded",
                             f"no stuck cells found under {bad.size} "
@@ -384,7 +384,7 @@ class ResilientEngine(APIMEngine):
                     )
                 attempts += 1
                 self.retries += 1
-                record_resilience_retry(int(bad.size))
+                RESILIENCE_RETRIES.inc()
                 self._record("retry", f"re-executing {bad.size} element(s)")
                 redone = np.atleast_1d(
                     np.asarray(redo(bad), dtype=np.int64)
@@ -409,8 +409,8 @@ class ResilientEngine(APIMEngine):
             return False
         health.faulty[block].update(site[0] for site in scan.faults)
         mechanism = health.retire_row(block, row)
-        record_resilience_repair(
-            "spare" if mechanism == "repair" else "relocate"
+        RESILIENCE_REPAIRS.inc(
+            mechanism="spare" if mechanism == "repair" else "relocate"
         )
         self.ledger.charge(
             "repair", Cost(cycles=2, cell_writes=health.fabric.cols)

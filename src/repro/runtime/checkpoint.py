@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 from repro.errors import CheckpointError
 from repro.observability.instruments import (
+    CHECKPOINT_RECOVERED,
     record_checkpoint_append,
-    record_checkpoint_recovery,
 )
 from repro.runtime.recordlog import (
     FORMAT_VERSION,
@@ -101,7 +101,8 @@ def recover(path: str) -> int:
     if not os.path.exists(path):
         return 0
     dropped = recover_log(path, CheckpointError)
-    record_checkpoint_recovery(dropped)
+    if dropped:
+        CHECKPOINT_RECOVERED.inc(dropped)
     return dropped
 
 

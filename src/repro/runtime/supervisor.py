@@ -35,8 +35,8 @@ from repro.errors import (
     TransientError,
 )
 from repro.observability.instruments import (
-    record_backoff,
-    record_breaker_transition,
+    BREAKER_TRANSITIONS,
+    SUPERVISOR_BACKOFF,
     record_supervision_event,
 )
 from repro.observability.tracing import trace_event
@@ -166,11 +166,11 @@ class CircuitBreaker:
         # so a failing probe re-trips instantly.
         del self._opened_at[key]
         self._failures[key] = self.failure_threshold - 1
-        record_breaker_transition("half_open")
+        BREAKER_TRANSITIONS.inc(state="half_open")
 
     def record_success(self, key: str) -> None:
         if key in self._failures or key in self._opened_at:
-            record_breaker_transition("closed")
+            BREAKER_TRANSITIONS.inc(state="closed")
         self._failures.pop(key, None)
         self._opened_at.pop(key, None)
 
@@ -179,7 +179,7 @@ class CircuitBreaker:
         self._failures[key] = count
         if count >= self.failure_threshold:
             if key not in self._opened_at:
-                record_breaker_transition("open")
+                BREAKER_TRANSITIONS.inc(state="open")
             self._opened_at[key] = self.clock()
 
 
@@ -271,7 +271,7 @@ class Supervisor:
                     ) from exc
                 delays.append(delay)
                 self._emit("retry", key, errors[-1])
-                record_backoff(delay)
+                SUPERVISOR_BACKOFF.observe(delay)
                 self.sleep(delay)
                 continue
             except CircuitOpenError:

@@ -126,14 +126,6 @@ class ChromeTraceWriter:
             record.update(ph="X", ts=ts_us - dur_us, dur=dur_us)
         self.add(record)
 
-    def slice(self, name: str, ts_us: float, dur_us: float, **args) -> None:
-        """A complete-duration event (``ph: "X"``) at explicit
-        timestamps, for callers that measured the region themselves."""
-        self.add({
-            "name": name, "ph": "X", "ts": ts_us, "dur": dur_us,
-            "args": args,
-        })
-
     def flush(self) -> None:
         """Atomically rewrite the target as a complete, loadable trace."""
         with self._lock:

@@ -44,7 +44,7 @@ import threading
 from dataclasses import dataclass, replace
 
 from repro.errors import JournalError
-from repro.observability.instruments import record_journal_append
+from repro.observability.instruments import JOURNAL_APPENDS
 from repro.runtime.campaign import CampaignPoint
 from repro.runtime.recordlog import RecordLog, load_records
 from repro.serving.scheduler import ServeRequest, ServeResult
@@ -288,7 +288,7 @@ class RequestJournal:
         kind = payload.get("type", "unknown")
         with self._count_lock:
             self.appends[kind] = self.appends.get(kind, 0) + 1
-        record_journal_append(kind)
+        JOURNAL_APPENDS.inc(type=kind)
 
     def describe(self, meta: dict) -> None:
         """Record the pool descriptor for this boot."""

@@ -56,18 +56,19 @@ from repro.errors import (
     WorkloadError,
 )
 from repro.observability.instruments import (
-    record_fleet_scale_event,
-    record_idempotency,
+    FLEET_SCALE_EVENTS,
+    FLEET_SHARDS,
+    SEARCH_CODEBOOK_ENTRIES,
+    SEARCH_RECALL,
+    SEARCH_REQUESTS,
+    SEARCH_TOPK,
+    SERVING_IDEMPOTENCY,
+    SERVING_REQUESTS,
+    SERVING_REROUTES,
+    SERVING_SHARD_HEALTHY,
     record_journal_recovery,
     record_request_duration,
-    record_reroute,
-    record_search_recall,
-    record_search_request,
-    record_search_topk,
     record_served,
-    record_shard_health,
-    set_codebook_size,
-    set_fleet_shards,
 )
 from repro.observability.sketch import LatencyAnalytics
 from repro.observability.slo import BurnRateEvaluator, SLOPolicy
@@ -315,7 +316,7 @@ class CrossbarPool:
             shard = self._build_shard(self._next_shard_index)
             self._next_shard_index += 1
             self.shards.append(shard)
-            record_shard_health(shard.index, True)
+            SERVING_SHARD_HEALTHY.set(1, shard=shard.index)
             if self._started:
                 try:
                     self.runtime.shard_added(shard)
@@ -328,8 +329,8 @@ class CrossbarPool:
                         f"runtime failed to drive new {shard.key}: "
                         f"{type(exc).__name__}: {exc}"
                     ) from exc
-            record_fleet_scale_event("grow")
-            set_fleet_shards(len(self.shards))
+            FLEET_SCALE_EVENTS.inc(direction="grow")
+            FLEET_SHARDS.set(len(self.shards))
             return shard
 
     def remove_shard(
@@ -383,9 +384,9 @@ class CrossbarPool:
                         f"runtime failed to drain {victim.key}: "
                         f"{type(exc).__name__}: {exc}"
                     ) from exc
-            record_shard_health(victim.index, False)
-            record_fleet_scale_event("shrink")
-            set_fleet_shards(len(self.shards))
+            SERVING_SHARD_HEALTHY.set(0, shard=victim.index)
+            FLEET_SCALE_EVENTS.inc(direction="shrink")
+            FLEET_SHARDS.set(len(self.shards))
             return victim
 
     def fleet_status(self) -> dict:
@@ -415,8 +416,8 @@ class CrossbarPool:
                 raise ServingError("pool already started")
             self._draining = False
             for shard in self.shards:
-                record_shard_health(shard.index, True)
-            set_fleet_shards(len(self.shards))
+                SERVING_SHARD_HEALTHY.set(1, shard=shard.index)
+            FLEET_SHARDS.set(len(self.shards))
             self.runtime.start()
             self._started = True
             if self.journal is not None and not self._recovered:
@@ -665,7 +666,7 @@ class CrossbarPool:
         with self._search_lock:
             if self._search_index is None:
                 self._search_index = default_search_index(seed=self.seed)
-            set_codebook_size(self._search_index.entries)
+            SEARCH_CODEBOOK_ENTRIES.set(self._search_index.entries)
             return self._search_index
 
     def admit_search(
@@ -762,7 +763,7 @@ class CrossbarPool:
             if known is not None:
                 known_id, known_fp = known
                 if known_fp != fingerprint:
-                    record_idempotency("conflict")
+                    SERVING_IDEMPOTENCY.inc(outcome="conflict")
                     raise DuplicateRequestError(
                         f"idempotency key {idempotency_key!r} was already "
                         f"used by request {known_id!r} with a different "
@@ -770,7 +771,7 @@ class CrossbarPool:
                         idempotency_key=idempotency_key,
                         request_id=known_id,
                     )
-                record_idempotency("hit")
+                SERVING_IDEMPOTENCY.inc(outcome="hit")
                 return known_id, True
             request_id = self._admit_new(
                 workload, relax_bits, dataset_bytes, tenant, priority,
@@ -962,7 +963,7 @@ class CrossbarPool:
 
         registry = active_registry()
         family = None if registry is None else registry.get(
-            "repro_serving_requests_total"
+            SERVING_REQUESTS.name
         )
         if family is None or family.kind != "counter":
             return {}
@@ -984,7 +985,7 @@ class CrossbarPool:
                     continue
                 entry["rate_per_s"] = evaluate_expr(
                     self.telemetry.store,
-                    f'rate(repro_serving_requests_total{{tenant="{tenant}"}}, 60)',
+                    f'rate({SERVING_REQUESTS.name}{{tenant="{tenant}"}}, 60)',
                 )
         return tenants
 
@@ -1024,7 +1025,7 @@ class CrossbarPool:
                             shard=shard.index, reroutes=held.reroutes,
                         )
                     self.scheduler.requeue(rerouted)
-                    record_reroute(len(rerouted))
+                    SERVING_REROUTES.inc(len(rerouted))
                     return
                 self._run_request(shard, request, len(batch), execute=execute)
                 done += 1
@@ -1093,12 +1094,12 @@ class CrossbarPool:
         except SearchError as exc:
             # A journaled payload this index cannot serve (foreign dim,
             # oversized k): terminal error, never a crash loop.
-            record_search_request("error")
+            SEARCH_REQUESTS.inc(status="error")
             return None, "error", 1, f"SearchError: {exc}"
         elapsed = time.monotonic() - started
-        record_search_request("ok")
-        record_search_topk(elapsed)
-        record_search_recall(request.relax_bits, recall)
+        SEARCH_REQUESTS.inc(status="ok")
+        SEARCH_TOPK.observe(elapsed)
+        SEARCH_RECALL.set(recall, relax_bits=request.relax_bits)
         search_out = {
             **top.to_dict(),
             "k": k,
@@ -1172,7 +1173,7 @@ class CrossbarPool:
         if status in ("failed", "error"):
             shard.failures += 1
             shard.breaker.record_failure(shard.key)
-            record_shard_health(shard.index, shard.healthy)
+            SERVING_SHARD_HEALTHY.set(int(shard.healthy), shard=shard.index)
         else:
             shard.breaker.record_success(shard.key)
         self.scheduler.note_service_time(service_s)

@@ -41,11 +41,11 @@ import time
 
 from repro.errors import ProtocolError, ServingError, WorkerCrashedError
 from repro.observability.instruments import (
-    record_shard_health,
-    record_worker_death,
-    record_worker_redrive,
-    record_worker_respawn,
-    record_worker_spawn,
+    SERVING_SHARD_HEALTHY,
+    WORKER_DEATHS,
+    WORKER_REDRIVES,
+    WORKER_RESPAWNS,
+    WORKER_SPAWNS,
 )
 from repro.observability.registry import active_registry, apply_counter_deltas
 from repro.observability.tracing import replay_events
@@ -374,9 +374,9 @@ class SubprocessRuntime(ShardRuntime):
         self._handles[shard.index] = None
         self._streaks[shard.index] = self._streaks.get(shard.index, 0) + 1
         self._count("deaths")
-        record_worker_death(shard.index, reason)
+        WORKER_DEATHS.inc(shard=shard.index, reason=reason)
         shard.breaker.record_failure(shard.key)
-        record_shard_health(shard.index, shard.healthy)
+        SERVING_SHARD_HEALTHY.set(int(shard.healthy), shard=shard.index)
         handle.kill()  # reap the zombie; idempotent if already gone
 
     def _ensure_worker(self, shard) -> WorkerHandle:
@@ -417,10 +417,10 @@ class SubprocessRuntime(ShardRuntime):
                 ) from exc
             self._handles[shard.index] = handle
             self._count("spawned")
-            record_worker_spawn(shard.index)
+            WORKER_SPAWNS.inc(shard=shard.index)
             if respawn:
                 self._count("respawns")
-                record_worker_respawn(shard.index)
+                WORKER_RESPAWNS.inc(shard=shard.index)
             return handle
 
     # -- the driver loop ------------------------------------------------------
@@ -430,10 +430,10 @@ class SubprocessRuntime(ShardRuntime):
         while not self._stop.is_set() and not shard_stop.is_set():
             self._reap(shard)
             if not shard.healthy:
-                record_shard_health(shard.index, False)
+                SERVING_SHARD_HEALTHY.set(0, shard=shard.index)
                 time.sleep(min(pool.idle_poll_s, 0.05))
                 continue
-            record_shard_health(shard.index, True)
+            SERVING_SHARD_HEALTHY.set(1, shard=shard.index)
             batch = pool.scheduler.next_batch(timeout=pool.idle_poll_s)
             if not batch:
                 continue
@@ -509,7 +509,7 @@ class SubprocessRuntime(ShardRuntime):
                 if redrives < self.max_redrives:
                     redrives += 1
                     self._count("redriven")
-                    record_worker_redrive(shard.index)
+                    WORKER_REDRIVES.inc(shard=shard.index)
                     request.trace_event(
                         "runtime", "redrive",
                         shard=shard.index, attempt=redrives,

@@ -6,7 +6,7 @@ import threading
 import time
 
 from repro.errors import FleetError
-from repro.observability.instruments import record_shard_health
+from repro.observability.instruments import SERVING_SHARD_HEALTHY
 from repro.serving.runtime.base import ShardRuntime
 
 __all__ = ["ThreadRuntime"]
@@ -78,10 +78,10 @@ class ThreadRuntime(ShardRuntime):
         pool = self.pool
         while not self._stop.is_set() and not shard_stop.is_set():
             if not shard.healthy:
-                record_shard_health(shard.index, False)
+                SERVING_SHARD_HEALTHY.set(0, shard=shard.index)
                 time.sleep(min(pool.idle_poll_s, 0.05))
                 continue
-            record_shard_health(shard.index, True)
+            SERVING_SHARD_HEALTHY.set(1, shard=shard.index)
             batch = pool.scheduler.next_batch(timeout=pool.idle_poll_s)
             if not batch:
                 continue

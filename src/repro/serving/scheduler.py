@@ -37,11 +37,11 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.errors import AdmissionRejectedError, ConfigurationError, ServingError
 from repro.observability.instruments import (
-    record_admission,
-    record_batch,
-    record_queue_wait,
-    record_result_eviction,
-    set_queue_depth,
+    RESULT_EVICTIONS,
+    SERVING_ADMISSION,
+    SERVING_BATCH_SIZE,
+    SERVING_QUEUE_DEPTH,
+    SERVING_QUEUE_WAIT,
 )
 from repro.units import MIB
 
@@ -341,13 +341,13 @@ class BatchingScheduler:
         with self._lock:
             if self._closed:
                 self.rejected["closed"] += 1
-                record_admission("rejected_closed")
+                SERVING_ADMISSION.inc(outcome="rejected_closed")
                 raise ServingError("scheduler is closed to new requests")
             ring = self._classes[priority]
             while ring.size >= self.config.queue_capacity:
                 if not block:
                     self.rejected["queue_full"] += 1
-                    record_admission("rejected_queue_full")
+                    SERVING_ADMISSION.inc(outcome="rejected_queue_full")
                     request.trace_event(
                         "scheduler", "rejected", "queue_full",
                         priority=priority, depth=ring.size,
@@ -361,14 +361,14 @@ class BatchingScheduler:
                 self._space.wait(timeout=0.1)
                 if self._closed:
                     self.rejected["closed"] += 1
-                    record_admission("rejected_closed")
+                    SERVING_ADMISSION.inc(outcome="rejected_closed")
                     raise ServingError("scheduler closed while waiting")
             now = self.clock()
             if request.deadline_at is not None:
                 slack = request.deadline_at - now
                 if slack <= self._estimated_delay_locked():
                     self.rejected["deadline"] += 1
-                    record_admission("rejected_deadline")
+                    SERVING_ADMISSION.inc(outcome="rejected_deadline")
                     request.trace_event(
                         "scheduler", "rejected", "deadline",
                         slack_s=round(slack, 6),
@@ -382,8 +382,8 @@ class BatchingScheduler:
             request.submitted_at = now
             ring.push(request)
             self.admitted += 1
-            record_admission("admitted")
-            set_queue_depth(priority, ring.size)
+            SERVING_ADMISSION.inc(outcome="admitted")
+            SERVING_QUEUE_DEPTH.set(ring.size, priority=priority)
             request.trace_event(
                 "scheduler", "queue_enter",
                 priority=priority, depth=ring.size,
@@ -400,7 +400,7 @@ class BatchingScheduler:
                 request.reroutes += 1
                 ring = self._classes[request.priority]
                 ring.push_front(request)
-                set_queue_depth(request.priority, ring.size)
+                SERVING_QUEUE_DEPTH.set(ring.size, priority=request.priority)
                 request.trace_event(
                     "scheduler", "reroute_requeue",
                     reroutes=request.reroutes,
@@ -457,7 +457,7 @@ class BatchingScheduler:
             now = self.clock()
             head_trace = head.trace.trace_id if head.trace else ""
             for position, request in enumerate(batch):
-                record_queue_wait(max(0.0, now - request.submitted_at))
+                SERVING_QUEUE_WAIT.observe(max(0.0, now - request.submitted_at))
                 request.trace_event(
                     "scheduler", "queue_exit",
                     wait_s=round(max(0.0, now - request.submitted_at), 6),
@@ -474,9 +474,11 @@ class BatchingScheduler:
                         head_trace=head_trace, position=position,
                         size=len(batch),
                     )
-            record_batch(len(batch))
+            SERVING_BATCH_SIZE.observe(len(batch))
             for priority in {request.priority for request in batch}:
-                set_queue_depth(priority, self._classes[priority].size)
+                SERVING_QUEUE_DEPTH.set(
+                    self._classes[priority].size, priority=priority
+                )
             self._space.notify_all()
             return batch
 
@@ -558,7 +560,7 @@ class ResultStore:
                 self._tombstones.popitem(last=False)
         self.evicted += 1
         self.evicted_by_reason[reason] += 1
-        record_result_eviction(reason)
+        RESULT_EVICTIONS.inc(reason=reason)
 
     def _prune_locked(self) -> None:
         if self.ttl_s is None:

@@ -250,7 +250,7 @@ class TestTraceWriterConcurrency:
 
         def emit(tag: int):
             for i in range(per_thread):
-                writer.slice(f"t{tag}.{i}", ts_us=float(i), dur_us=1.0)
+                writer.event("test", f"t{tag}.{i}", duration_s=1e-6)
 
         workers = [
             threading.Thread(target=emit, args=(t,)) for t in range(threads)

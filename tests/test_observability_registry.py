@@ -147,6 +147,21 @@ class TestRegistry:
         registry.clear()
         assert registry.families() == ()
 
+    def test_instrumented_write_after_clear_redeclares(self, registry):
+        from repro.observability import to_prometheus
+        from repro.observability.instruments import record_campaign_point
+
+        previous = set_default_registry(registry)
+        try:
+            record_campaign_point("ok")
+            registry.clear()
+            record_campaign_point("ok")
+        finally:
+            set_default_registry(previous)
+        text = to_prometheus(registry)
+        assert 'repro_campaign_points_total{status="ok"} 1' in text
+        assert "# TYPE repro_executor_runs_total counter" in text
+
     def test_concurrent_updates_are_consistent(self, registry):
         c = registry.counter("repro_t_total", "", ("worker",))
         h = registry.histogram("repro_h", "", ("worker",), buckets=(0.5,))
