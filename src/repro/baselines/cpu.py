@@ -19,7 +19,12 @@ from dataclasses import dataclass, field
 
 from repro.baselines.cache import TLB
 from repro.baselines.dram import DRAMModel
-from repro.baselines.gpu import GPUEstimate, WorkloadProfile, shared_locality
+from repro.baselines.gpu import (
+    GPUEstimate,
+    WorkloadProfile,
+    seed_locality,
+    shared_locality,
+)
 from repro.errors import ConfigurationError
 from repro.units import PJ, US
 
@@ -147,3 +152,6 @@ class CPUModel:
                 "e_static": e_static,
             },
         )
+
+
+seed_locality(CPUConfig(), "cpu")

@@ -31,8 +31,10 @@ All constants carry their derivation in :class:`GPUConfig`.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field
+from importlib import resources
 from typing import Callable, Hashable, Iterable
 
 from repro.baselines.cache import Cache, CacheHierarchy, TLB
@@ -47,7 +49,9 @@ __all__ = [
     "GPUModel",
     "WorkloadProfile",
     "GPUEstimate",
+    "seed_locality",
     "shared_locality",
+    "simulate_locality",
 ]
 
 
@@ -132,43 +136,82 @@ class GPUConfig:
 
 #: Process-wide locality memo: ``(config, profile name, tile) -> (l1, l2,
 #: dram)``.  Every model instance with an equal config reuses one
-#: simulation per profile and tile.
+#: simulation per profile and tile.  At import each baseline module seeds
+#: it from the shipped table (:func:`seed_locality`).
 _LOCALITY_MEMO: dict[tuple, tuple[float, float, float]] = {}
+
+#: The memo entries that came from the shipped table, so a memo hit on one
+#: is reported as ``source="table"``.
+_TABLE_ENTRIES: dict[tuple, tuple[float, float, float]] = {}
+
+#: Package data: the fractions of every registered workload at the default
+#: tile, by model, for the cache geometry recorded beside them.  Pinned
+#: against the simulator, and regenerated, by tests/test_locality_golden.py.
+LOCALITY_TABLE = "locality_table.json"
+
+#: The config fields a locality simulation reads (the ways are fixed).
+LOCALITY_FIELDS = ("l1_bytes", "l2_bytes", "line_bytes")
+
+
+def seed_locality(config: Hashable, model: str) -> None:
+    """Seed the memo with the shipped table's ``model`` entries, keyed by
+    ``config``, when the table was generated for ``config``'s cache
+    geometry; otherwise leave the memo alone, so every key simulates."""
+    text = resources.files(__package__).joinpath(LOCALITY_TABLE).read_text()
+    table = json.loads(text)[model]
+    if table["config"] != {f: getattr(config, f) for f in LOCALITY_FIELDS}:
+        return
+    for tile, by_name in table["tiles"].items():
+        for name, fractions in by_name.items():
+            key = (config, name, int(tile))
+            _TABLE_ENTRIES[key] = _LOCALITY_MEMO.setdefault(key, tuple(fractions))
+
+
+def simulate_locality(
+    config: Hashable, profile: WorkloadProfile, tile: int
+) -> tuple[float, float, float]:
+    """Simulate a profile's tile trace through ``config``'s L1 (8-way) /
+    L2 (16-way) stack; returns the ``(l1, l2, dram)`` service fractions."""
+    hierarchy = CacheHierarchy(
+        Cache(config.l1_bytes, config.line_bytes, ways=8, name="l1"),
+        Cache(config.l2_bytes, config.line_bytes, ways=16, name="l2"),
+    )
+    l1, l2, dram = hierarchy.run(profile.trace(tile))
+    total = l1 + l2 + dram
+    if total == 0:
+        raise ConfigurationError(f"profile {profile.name} emitted no trace")
+    return l1 / total, l2 / total, dram / total
 
 
 def shared_locality(
     config: Hashable, profile: WorkloadProfile, tile: int, model: str
 ) -> tuple[float, float, float]:
     """Per-access service fractions ``(l1, l2, dram)`` of a profile's tile
-    trace through ``config``'s L1 (8-way) / L2 (16-way) stack.
+    trace through ``config``'s caches.
 
-    The process-wide memo answers repeats; a miss simulates the trace with
-    :meth:`CacheHierarchy.run`.  Concurrent misses may both simulate: the
+    The process-wide memo answers repeats and table keys; a miss runs
+    :func:`simulate_locality`.  Concurrent misses may both simulate: the
     results are identical and the first write wins.  Each call is one
-    model memo miss, so each is counted (``model`` labels it) and traced.
+    model memo miss, so each is counted (``model`` labels it) and traced,
+    by source: ``simulated``, ``table`` or ``shared``.
     """
     start = time.perf_counter()
     key = (config, profile.name, tile)
     fractions = _LOCALITY_MEMO.get(key)
-    shared = fractions is not None
-    if not shared:
-        hierarchy = CacheHierarchy(
-            Cache(config.l1_bytes, config.line_bytes, ways=8, name="l1"),
-            Cache(config.l2_bytes, config.line_bytes, ways=16, name="l2"),
-        )
-        l1, l2, dram = hierarchy.run(profile.trace(tile))
-        total = l1 + l2 + dram
-        if total == 0:
-            raise ConfigurationError(f"profile {profile.name} emitted no trace")
+    if fractions is None:
+        source = "simulated"
         fractions = _LOCALITY_MEMO.setdefault(
-            key, (l1 / total, l2 / total, dram / total)
+            key, simulate_locality(config, profile, tile)
         )
+    elif fractions is _TABLE_ENTRIES.get(key):
+        source = "table"
+    else:
+        source = "shared"
     seconds = time.perf_counter() - start
-    source = "shared" if shared else "simulated"
     record_baseline_locality(model, source, seconds)
     trace_event(
         "locality", "measure", profile.name, model=model, tile=tile,
-        shared=shared, seconds=round(seconds, 6),
+        source=source, seconds=round(seconds, 6),
     )
     return fractions
 
@@ -305,3 +348,6 @@ class GPUModel:
                 "e_static": e_static,
             },
         )
+
+
+seed_locality(GPUConfig(), "gpu")

@@ -116,11 +116,17 @@ EXECUTOR_ENERGY_HIST = Instrument(
 BASELINE_LOCALITY_RUNS = Instrument(
     "counter", "repro_baseline_locality_simulations_total",
     "Baseline locality measurements on a model's memo miss, by source "
-    "(simulated / shared from the process-wide memo).", ("model", "source"))
+    "(simulated / table from the shipped locality table / shared from the "
+    "process-wide memo).", ("model", "source"))
 BASELINE_LOCALITY_SECONDS = Instrument(
     "histogram", "repro_baseline_locality_seconds",
     "Wall-clock cost of one baseline locality memo miss.",
     ("model", "source"))
+# comparison harness
+COMPARISON_TILE_MISSES = Instrument(
+    "counter", "repro_comparison_tile_misses_total",
+    "APIM tile lookups that missed a harness's own tile cache, by source "
+    "(executed / shared from the process-wide tile memo).", ("source",))
 # supervisor
 SUPERVISOR_EVENTS = Instrument(
     "counter", "repro_supervisor_events_total",
@@ -345,7 +351,8 @@ def record_execution(result: "ExecutionResult") -> None:
 
 def record_baseline_locality(model: str, source: str, seconds: float) -> None:
     """Count one locality memo miss of a baseline model (``gpu``/``cpu``)
-    and observe its cost; ``source`` is ``simulated`` or ``shared``."""
+    and observe its cost; ``source`` is ``simulated``, ``table`` or
+    ``shared``."""
     BASELINE_LOCALITY_RUNS.inc(model=model, source=source)
     BASELINE_LOCALITY_SECONDS.observe(seconds, model=model, source=source)
 

@@ -11,6 +11,7 @@ the analytic model fed by the trace-driven cache simulator.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +20,18 @@ from repro.baselines.gpu import GPUEstimate, GPUModel
 from repro.core.approximation import EXACT, ApproxSpec
 from repro.core.config import APIMConfig, default_config
 from repro.errors import ConfigurationError
+from repro.observability.instruments import COMPARISON_TILE_MISSES
+from repro.observability.tracing import trace_event
 from repro.runtime.executor import APIMExecutor, ExecutionResult
 
 __all__ = ["ComparisonHarness", "ComparisonResult"]
+
+#: Process-wide APIM tile memo: ``(config, workload name, spec, tile
+#: elements, rng seed) -> ExecutionResult``.  A tile execution is a pure
+#: function of its key, so every harness in the process (every in-process
+#: shard) reuses one execution per key; the stored result's arrays are
+#: read-only.
+_TILE_MEMO: dict[tuple, ExecutionResult] = {}
 
 
 @dataclass(frozen=True)
@@ -73,32 +83,49 @@ class ComparisonHarness:
         self.executor = APIMExecutor(self.config)
         self.tile_elements = tile_elements
         self.rng_seed = rng_seed
+        #: Per-harness front of the process-wide :data:`_TILE_MEMO`, keyed
+        #: ``(workload name, spec)``: the warm path is one dict lookup.
         self._tile_cache: dict[tuple[str, ApproxSpec], ExecutionResult] = {}
         self._cpu = None  # lazy CPUModel, built on first cpu_fallback
-        # The serving pool gives every shard a private harness, but the
-        # cache and lazy CPU model are still guarded so one harness shared
-        # across threads (a misconfiguration, or deliberate reuse) stays
-        # correct rather than racing dict mutations.
+        # Guards the lazy CPU model, so one harness shared across threads
+        # builds it once.  The tile caches need no lock: ``get`` and
+        # ``setdefault`` are atomic, and racing misses compute identical
+        # results (seeded RNG), so the first write wins.
         self._lock = threading.Lock()
 
     # -- APIM side ----------------------------------------------------------
 
     def _tile_result(self, workload, spec: ApproxSpec) -> ExecutionResult:
         key = (workload.name, spec)
-        with self._lock:
-            cached = self._tile_cache.get(key)
+        cached = self._tile_cache.get(key)
         if cached is not None:
             return cached
-        result = self.executor.run(
-            workload,
-            spec=spec,
-            elements=self.tile_elements,
-            rng=np.random.default_rng(self.rng_seed),
+        start = time.perf_counter()
+        shared_key = (
+            self.config, workload.name, spec, self.tile_elements, self.rng_seed
         )
-        with self._lock:
-            # Two threads may race to compute the same tile; both results
-            # are identical (seeded RNG), so first-write-wins is safe.
-            return self._tile_cache.setdefault(key, result)
+        result = _TILE_MEMO.get(shared_key)
+        source = "shared"
+        if result is None:
+            source = "executed"
+            result = self.executor.run(
+                workload,
+                spec=spec,
+                elements=self.tile_elements,
+                rng=np.random.default_rng(self.rng_seed),
+            )
+            # Every harness in the process reads this one result.
+            result.output.flags.writeable = False
+            result.reference.flags.writeable = False
+            result = _TILE_MEMO.setdefault(shared_key, result)
+        seconds = time.perf_counter() - start
+        COMPARISON_TILE_MISSES.inc(source=source)
+        trace_event(
+            "comparison", "tile", workload.name,
+            masked_bits=spec.masked_bits, relax_bits=spec.relax_bits,
+            tile=self.tile_elements, source=source, seconds=round(seconds, 6),
+        )
+        return self._tile_cache.setdefault(key, result)
 
     def apim_estimate(
         self, workload, dataset_bytes: float, spec: ApproxSpec = EXACT

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -45,3 +47,31 @@ def multiplier8(config8) -> APIMMultiplier:
 def vteam() -> VTEAMModel:
     """The default VTEAM device model."""
     return VTEAMModel()
+
+
+@contextmanager
+def emptied_memos():
+    """Run a block with the process-wide locality and tile memos empty.
+
+    Both memos outlive every harness and model, so without this whether a
+    lookup is ``simulated``/``executed`` or ``shared`` (and how many
+    executor runs a scenario makes) would depend on which tests ran
+    before.  The shipped locality table's entries are emptied too; the
+    saved memos come back afterwards.
+    """
+    from repro.baselines import gpu
+    from repro.runtime import comparison
+
+    saved = gpu._LOCALITY_MEMO, comparison._TILE_MEMO
+    gpu._LOCALITY_MEMO, comparison._TILE_MEMO = {}, {}
+    try:
+        yield
+    finally:
+        gpu._LOCALITY_MEMO, comparison._TILE_MEMO = saved
+
+
+@pytest.fixture
+def cold_memos():
+    """Empty process-wide memos for one test (see :func:`emptied_memos`)."""
+    with emptied_memos():
+        yield

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import gpu as gpu_module
 from repro.baselines.cpu import CPUConfig, CPUModel
 from repro.baselines.gpu import GPUModel, WorkloadProfile
 from repro.errors import ConfigurationError
@@ -32,8 +31,7 @@ class TestCPUModel:
         large = cpu.estimate(sobel_profile, GIB)
         assert large.time / GIB > small.time / (32 * MIB)
 
-    def test_locality_memoised(self, sobel_profile, monkeypatch):
-        monkeypatch.setattr(gpu_module, "_LOCALITY_MEMO", {})
+    def test_locality_memoised(self, sobel_profile, cold_memos):
         traced = []
 
         def trace(elements):

@@ -55,8 +55,7 @@ class TestLocalityMeasurement:
         assert l1 > 0.8
         assert dram < 0.2
 
-    def test_memoised_by_name(self, gpu, monkeypatch):
-        monkeypatch.setattr(gpu_module, "_LOCALITY_MEMO", {})
+    def test_memoised_by_name(self, gpu, cold_memos):
         base = _simple_profile(name="memo")
         traced = []
 
@@ -71,8 +70,7 @@ class TestLocalityMeasurement:
         gpu.measure_locality(profile, 2048)
         assert traced == [1024, 2048]  # another tile is measured afresh
 
-    def test_shared_across_models(self, monkeypatch):
-        monkeypatch.setattr(gpu_module, "_LOCALITY_MEMO", {})
+    def test_shared_across_models(self, monkeypatch, cold_memos):
         built = []
         original = gpu_module.CacheHierarchy
 
@@ -91,10 +89,9 @@ class TestLocalityMeasurement:
         GPUModel(GPUConfig(l2_bytes=2 << 20)).measure_locality(profile, 512)
         assert len(built) == 2  # another config simulates afresh
 
-    def test_memo_misses_counted_and_traced(self, monkeypatch):
+    def test_memo_misses_counted_and_traced(self, cold_memos):
         """Cold work is visible: each model memo miss counts once by source
         and lands in the ambient trace; a warm hit adds nothing."""
-        monkeypatch.setattr(gpu_module, "_LOCALITY_MEMO", {})
         registry = MetricsRegistry()
         previous = set_default_registry(registry)
         store = TraceStore(id_prefix="t")
@@ -115,7 +112,7 @@ class TestLocalityMeasurement:
         assert seconds.labels(model="gpu", source="simulated").count == 1
         events = [e for e in store.get(ctx.trace_id).events
                   if e.layer == "locality"]
-        assert [e.attrs["shared"] for e in events] == [False, True]
+        assert [e.attrs["source"] for e in events] == ["simulated", "shared"]
         assert {e.detail for e in events} == {"visible"}
 
     def test_empty_trace_rejected(self, gpu):

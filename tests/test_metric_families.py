@@ -25,7 +25,6 @@ import os
 import numpy as np
 import pytest
 
-from repro.baselines import gpu as gpu_module
 from repro.errors import DuplicateRequestError, ObservabilityError
 from repro.observability import MetricsRegistry, set_default_registry
 from repro.observability.instruments import set_build_info
@@ -38,6 +37,7 @@ from repro.runtime.supervisor import (
     Supervisor,
 )
 from repro.serving import CrossbarPool
+from tests.conftest import emptied_memos
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 FAMILIES_GOLDEN = os.path.join(DATA, "instrument_families.json")
@@ -115,14 +115,11 @@ def _scenario(journal_dir: str) -> None:
 def series_keys(journal_dir: str) -> list[list]:
     """Sorted ``[family, [[label, value], ...]]`` keys of the scenario.
 
-    The process-wide locality memo is emptied for the run: whether a
-    baseline miss is ``simulated`` or ``shared`` depends on it.
+    The process-wide locality and tile memos are emptied for the run:
+    each miss's ``source`` and the executor series depend on them.
     """
-    memo, gpu_module._LOCALITY_MEMO = gpu_module._LOCALITY_MEMO, {}
-    try:
+    with emptied_memos():
         registry = _with_fresh_registry(lambda: _scenario(journal_dir))
-    finally:
-        gpu_module._LOCALITY_MEMO = memo
     return sorted(
         [family.name, sorted([k, v] for k, v in labels.items())]
         for family in registry.families()

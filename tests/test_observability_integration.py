@@ -196,7 +196,7 @@ class TestResilienceMetrics:
 
 
 class TestCliMetrics:
-    def test_quick_scrape_has_required_families(self, capsys):
+    def test_quick_scrape_has_required_families(self, capsys, cold_memos):
         from repro.cli import main
 
         assert main(["metrics", "--quick"]) == 0
@@ -221,7 +221,7 @@ class TestCliMetrics:
         assert record["points"] == 1
         assert "repro_executor_ops_total" in record["metrics"]
 
-    def test_chrome_trace_export(self, tmp_path, capsys):
+    def test_chrome_trace_export(self, tmp_path, capsys, cold_memos):
         from repro.cli import main
 
         path = tmp_path / "spans.json"

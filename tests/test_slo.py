@@ -223,7 +223,7 @@ class TestCLI:
         assert "verdict=" in out
         assert "p999" in out
 
-    def test_trace_quick_exits_zero(self, capsys):
+    def test_trace_quick_exits_zero(self, capsys, cold_memos):
         from repro.cli import main
 
         assert main(["trace", "--quick"]) == 0

@@ -250,7 +250,7 @@ REQUIRED_LAYERS = {"frontend", "scheduler", "pool", "supervisor", "executor"}
 
 
 class TestPoolTracing:
-    def test_clean_request_covers_all_layers(self):
+    def test_clean_request_covers_all_layers(self, cold_memos):
         store = TraceStore(id_prefix="t")
         with CrossbarPool(
             shards=1, tile_elements=TILE, trace_store=store
