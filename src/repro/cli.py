@@ -86,6 +86,8 @@ __all__ = ["main", "build_parser"]
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser (exposed for testing)."""
+    from repro.serving.scheduler import ServingConfig
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="APIM (DAC 2017) reproduction toolkit",
@@ -227,12 +229,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="listen port (0 picks an ephemeral port)",
     )
     p.add_argument("--tile", type=int, default=1 << 10)
-    p.add_argument("--batch-size", type=int, default=8)
     p.add_argument(
-        "--max-wait", type=float, default=0.002,
-        help="seconds a batch head waits for same-workload stragglers",
+        "--batch-size", type=int, default=ServingConfig.max_batch_size,
     )
-    p.add_argument("--queue-capacity", type=int, default=64)
+    p.add_argument(
+        "--max-wait", type=float, default=ServingConfig.max_wait_s,
+        help="seconds a batch head waits for same-workload stragglers "
+        "(default %(default)s: join only requests already queued)",
+    )
+    p.add_argument(
+        "--queue-capacity", type=int, default=ServingConfig.queue_capacity,
+    )
     p.add_argument("--seed", type=int, default=2017)
     p.add_argument(
         "--runtime", choices=("inline", "thread", "subprocess"),

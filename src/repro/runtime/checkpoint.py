@@ -125,6 +125,7 @@ class CheckpointJournal:
     def append(self, record: dict) -> None:
         """Atomically append one record (single write + fsync)."""
         payload = self._log.append(record)
+        self._log.sync()
         record_checkpoint_append(payload.get("type", "unknown"))
 
     def describe(self, meta: dict) -> None:

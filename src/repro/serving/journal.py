@@ -1,32 +1,47 @@
 """Durable write-ahead journal of the serving request lifecycle.
 
 The serving tier's promise is "acknowledged means terminal, exactly
-once".  Worker crashes are survived by the runtime supervision (PR 6);
-this module survives the *serving process itself* dying: every request
-transition is appended to an fsync'd JSONL log (the shared
+once".  Worker crashes are survived by the runtime supervision; this
+module survives the *serving process itself* dying: every request
+transition is appended to a JSONL log (the shared
 :class:`~repro.runtime.recordlog.RecordLog` primitive, same torn-tail
-discipline as the campaign checkpoint) **before** the effect becomes
-visible to the client, so a SIGKILL at any byte leaves a log from which
-the pool reconstructs exactly what it had promised:
+discipline as the campaign checkpoint), and the one transition the
+client is promised — ``admitted`` — is fsync'd **before** the id is
+returned, so a crash at any byte leaves a log from which the pool
+reconstructs exactly what it had promised:
 
-- ``{"type": "serve", "meta": {...}}`` — pool descriptor, once per boot;
+- ``{"type": "serve", "meta": {...}}`` — pool descriptor, once per boot
+  (synced);
 - ``{"type": "admitted", "id", "workload", "relax_bits",
   "dataset_bytes", "tenant", "priority", "deadline_s",
   "idempotency_key", "fingerprint", "trace_id"[, "search"]}`` — written
-  *after* the
-  scheduler accepted the request and *before* the id is returned to the
-  client (the write-ahead part: an acknowledged id is always on disk);
+  *after* the scheduler accepted the request; the pool calls
+  :meth:`RequestJournal.sync` before the id reaches the client (the
+  write-ahead part: an acknowledged id is always on disk);
 - ``{"type": "dispatched", "id", "shard"}`` — a shard picked it up;
 - ``{"type": "completed", "id", "status", "digest", "result": {...}}``
   — the full terminal :class:`~repro.serving.scheduler.ServeResult`
   payload plus a content digest, written *before* the result store
   publishes it.
 
+``dispatched`` and ``completed`` are written without a barrier.  They
+survive a process SIGKILL (the page cache holds them) and become durable
+at the next group commit or at close.  A host crash can lose them, which
+costs only a re-execution: their ``admitted`` record is durable, so the
+id replays, and pricing is deterministic, so the replay reproduces the
+lost record's digest.
+
+Records of one id need not appear in lifecycle order: the HTTP thread
+writes ``admitted`` after handing the request to the scheduler, so a
+fast worker's ``dispatched``/``completed`` can land first.  The fold is
+order-independent.
+
 :func:`load_request_journal` folds a (possibly torn) log into a
 :class:`RequestJournalState`: completed results to restore, acknowledged
 -but-incomplete ids to re-admit, the idempotency-key index, and the
-highest id sequence number (so a restarted scheduler never mints a
-colliding id — which would trip the double-completion tripwire falsely).
+highest id sequence number of any record (so a restarted scheduler never
+mints a colliding id — which would trip the double-completion tripwire
+falsely).
 
 Replayed requests deliberately drop their original deadline: wall-clock
 deadlines are meaningless across a restart, and a replay that *expires*
@@ -181,8 +196,8 @@ class RequestJournalState:
     #: terminal records for an already-terminal id (should be zero — the
     #: on-disk shadow of the double-completion tripwire).
     duplicate_completions: int
-    #: highest numeric id suffix seen (-1 when none): the restarted
-    #: scheduler's sequence must start above this.
+    #: highest numeric id suffix of any record (-1 when none): the
+    #: restarted scheduler's sequence must start above this.
     max_seq: int
 
 
@@ -204,10 +219,15 @@ def load_request_journal(path: str) -> RequestJournalState:
     max_seq = -1
     for record in records:
         kind = record["type"]
+        request_id = record.get("id")
+        if isinstance(request_id, str):
+            # Any record's id, not only ``admitted``'s: a ``completed``
+            # that landed before its ``admitted`` is restored, so its id
+            # must never be minted again.
+            max_seq = max(max_seq, _id_sequence(request_id))
         if kind == "serve":
             meta.append(record.get("meta", {}))
         elif kind == "admitted":
-            request_id = record.get("id")
             if not isinstance(request_id, str):
                 continue
             entry = JournalEntry(
@@ -224,18 +244,15 @@ def load_request_journal(path: str) -> RequestJournalState:
                 search=record.get("search"),
             )
             entries[request_id] = entry
-            max_seq = max(max_seq, _id_sequence(request_id))
             if entry.idempotency_key:
                 idempotency[entry.idempotency_key] = (
                     request_id,
                     entry.fingerprint or "",
                 )
         elif kind == "dispatched":
-            request_id = record.get("id")
             if isinstance(request_id, str):
                 dispatches[request_id] = dispatches.get(request_id, 0) + 1
         elif kind == "completed":
-            request_id = record.get("id")
             if not isinstance(request_id, str):
                 continue
             if request_id in completed:
@@ -269,9 +286,10 @@ class RequestJournal:
     Opening always *resumes*: the prior state is loaded (exposed as
     :attr:`recovered`), the torn tail truncated, and new records append
     after the clean prefix.  Appends are thread-safe (worker threads
-    journal dispatch/terminal records concurrently) and fsync'd — the
-    pool acknowledges a request only after its ``admitted`` record is on
-    disk.  Usable as a context manager; :meth:`close` is idempotent.
+    journal dispatch/terminal records concurrently) and write without a
+    barrier; :meth:`sync` is the group commit the pool calls before it
+    acknowledges an id.  Usable as a context manager; :meth:`close` syncs
+    the tail and is idempotent.
     """
 
     def __init__(self, path: str) -> None:
@@ -290,9 +308,19 @@ class RequestJournal:
             self.appends[kind] = self.appends.get(kind, 0) + 1
         JOURNAL_APPENDS.inc(type=kind)
 
+    def sync(self) -> None:
+        """Make every record written so far durable (group commit)."""
+        self._log.sync()
+
+    @property
+    def syncs(self) -> int:
+        """fsync barriers this handle paid."""
+        return self._log.syncs
+
     def describe(self, meta: dict) -> None:
-        """Record the pool descriptor for this boot."""
+        """Record (durably) the pool descriptor for this boot."""
         self._append({"type": "serve", "meta": meta})
+        self.sync()
 
     def admitted(
         self,
@@ -301,7 +329,10 @@ class RequestJournal:
         fingerprint: str | None = None,
         deadline_s: float | None = None,
     ) -> None:
-        """Write-ahead marker: this id is about to be acknowledged."""
+        """Write-ahead marker: this id is about to be acknowledged.
+
+        Written without a barrier; the caller syncs before it hands the
+        id out."""
         self._append(
             {
                 "type": "admitted",

@@ -415,12 +415,22 @@ class CrossbarPool:
             if self._started:
                 raise ServingError("pool already started")
             self._draining = False
+            boot = self.journal is not None and not self._recovered
+            if boot:
+                # Before anything starts: a journal that cannot take this
+                # durable record fails the boot, not a later admission.
+                self.journal.describe({
+                    "shards": len(self.shards),
+                    "runtime": self.runtime.name,
+                    "tile_elements": self.tile_elements,
+                    "seed": self.seed,
+                })
             for shard in self.shards:
                 SERVING_SHARD_HEALTHY.set(1, shard=shard.index)
             FLEET_SHARDS.set(len(self.shards))
             self.runtime.start()
             self._started = True
-            if self.journal is not None and not self._recovered:
+            if boot:
                 self._recover_from_journal()
         return self
 
@@ -743,7 +753,7 @@ class CrossbarPool:
                 workload, relax_bits, dataset_bytes, tenant, priority,
                 deadline_s, block, None, None, search,
             )
-            return request_id, False
+            return self._acknowledge(request_id, False)
         idempotency_key = str(idempotency_key)
         if not idempotency_key or len(idempotency_key) > 256:
             raise ServingError(
@@ -756,8 +766,8 @@ class CrossbarPool:
         )
         # The key->id reservation is held across admission so two racing
         # submits of the same key cannot both queue work.  Admission
-        # itself is fast (block=False on the HTTP path), and nothing in
-        # _admit_new takes this lock.
+        # itself is fast (block=False on the HTTP path, and the journal
+        # write has no barrier), and nothing in _admit_new takes this lock.
         with self._idem_lock:
             known = self._idempotency.get(idempotency_key)
             if known is not None:
@@ -772,13 +782,31 @@ class CrossbarPool:
                         request_id=known_id,
                     )
                 SERVING_IDEMPOTENCY.inc(outcome="hit")
-                return known_id, True
-            request_id = self._admit_new(
-                workload, relax_bits, dataset_bytes, tenant, priority,
-                deadline_s, block, idempotency_key, fingerprint, search,
-            )
-            self._idempotency[idempotency_key] = (request_id, fingerprint)
-            return request_id, False
+                request_id, duplicate = known_id, True
+            else:
+                request_id = self._admit_new(
+                    workload, relax_bits, dataset_bytes, tenant, priority,
+                    deadline_s, block, idempotency_key, fingerprint, search,
+                )
+                self._idempotency[idempotency_key] = (
+                    request_id, fingerprint,
+                )
+                duplicate = False
+        return self._acknowledge(request_id, duplicate)
+
+    def _acknowledge(
+        self, request_id: str, duplicate: bool
+    ) -> tuple[str, bool]:
+        """Make the id's ``admitted`` record durable, then hand it out.
+
+        One group commit outside ``_idem_lock``: concurrent submitters
+        share fsyncs, and a duplicate hit waits for the original's record
+        too (it may still be in flight on another thread).  A
+        JournalError here is the client's 500 — the id was never promised.
+        """
+        if self.journal is not None:
+            self.journal.sync()
+        return request_id, duplicate
 
     def _admit_new(
         self,
@@ -848,9 +876,10 @@ class CrossbarPool:
             self.results.discard(request.id)
             raise
         if self.journal is not None:
-            # Fsync the admitted record *before* the id is acknowledged:
-            # a JournalError here bubbles to the client as a 500 — the
-            # request may run, but the id was never promised durable.
+            # Write the admitted record *before* the id is acknowledged
+            # (_acknowledge syncs it): a JournalError here bubbles to the
+            # client as a 500 — the request may run, but the id was never
+            # promised durable.
             self.journal.admitted(
                 request,
                 idempotency_key=idempotency_key,
@@ -921,6 +950,7 @@ class CrossbarPool:
                 else {
                     "path": self.journal.path,
                     "appends": dict(self.journal.appends),
+                    "syncs": self.journal.syncs,
                     "append_failures": self._journal_failures,
                     "recovery": dict(self.recovery),
                 }

@@ -6,9 +6,10 @@ kept per tenant and dispatched round-robin across tenants (fair share) and
 FIFO within a tenant.  Shard workers pull :meth:`next_batch`, which
 coalesces queued requests that share a *batch key* — identical
 ``(workload, relax_bits, dataset_bytes)`` — up to ``max_batch_size``,
-waiting at most ``max_wait_s`` for stragglers: same-key requests priced
-back to back hit the shard harness's warm tile cache, so a batch of B
-costs one tile execution plus B-1 cache hits.
+optionally waiting up to ``max_wait_s`` for stragglers (default 0: no
+wait).  Coalescing used to buy tile-cache locality; now that every shard
+front sits over one process-wide tile memo, a batch mostly saves
+per-batch dispatch work, so only requests already queued are joined.
 
 Admission control runs at :meth:`submit` time and never over-admits:
 
@@ -73,7 +74,9 @@ class ServingConfig:
     #: Coalescing ceiling: a dispatched batch never exceeds this.
     max_batch_size: int = 8
     #: How long a partially filled batch waits for same-key stragglers.
-    max_wait_s: float = 0.002
+    #: 0 joins only requests already queued: the process-wide tile memo
+    #: makes every key warm on every shard, so a wait buys no locality.
+    max_wait_s: float = 0.0
     #: Bounded capacity of each priority class (across its tenants).
     queue_capacity: int = 64
     #: Number of priority classes; 0 is served first.

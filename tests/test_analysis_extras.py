@@ -109,6 +109,15 @@ class TestCLI:
             parsed = parser.parse_args(args)
             assert parsed.command == command
 
+    def test_serve_defaults_are_the_library_defaults(self):
+        from repro.serving import ServingConfig
+
+        parsed = build_parser().parse_args(["serve"])
+        config = ServingConfig()
+        assert parsed.max_wait == config.max_wait_s
+        assert parsed.batch_size == config.max_batch_size
+        assert parsed.queue_capacity == config.queue_capacity
+
     def test_workloads_command(self, capsys):
         assert main(["workloads"]) == 0
         out = capsys.readouterr().out

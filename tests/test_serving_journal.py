@@ -17,14 +17,23 @@ tests pin one by one:
   answer HTTP 410 instead of an ambiguous 404;
 - **crash-safe spill** — the trace store's JSONL spill goes through
   write-to-temp + fsync + atomic rename, so readers can never observe a
-  torn line.
+  torn line;
+- **group commit** — only ``admitted`` needs a barrier before the id is
+  acknowledged; one fsync covers every record written before it, so a
+  host crash loses at most the unsynced ``dispatched``/``completed``
+  tail, which deterministic replay reproduces digest for digest.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
+import sys
+import threading
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,7 +46,9 @@ from repro.errors import (
 )
 from repro.observability.tracing import TraceStore, load_spilled
 from repro.runtime.campaign import CampaignPoint
-from repro.runtime.recordlog import recover_log
+from repro.runtime import recordlog
+from repro.runtime.checkpoint import CheckpointJournal
+from repro.runtime.recordlog import RecordLog, load_records, recover_log
 from repro.serving.frontend import _result_handler
 from repro.serving.journal import (
     RequestJournal,
@@ -227,6 +238,344 @@ class TestKillAtAnyByte:
         assert after.truncated == 0
         assert sorted(after.entries) == sorted(state.entries)
         assert sorted(after.completed) == sorted(state.completed)
+
+    def _write_reordered_journal(self, path) -> bytes:
+        """The worker-wins order: a shard journals ``dispatched`` and
+        ``completed`` before the admitting thread's ``admitted`` lands."""
+        with RequestJournal(str(path)) as journal:
+            for index in range(1, 4):
+                request_id = f"t-{index:08d}"
+                request = ServeRequest(
+                    id=request_id, workload=WORKLOAD,
+                    relax_bits=8, dataset_bytes=DATASET, tenant="t",
+                )
+                journal.dispatched(request_id, shard=0)
+                if index < 3:
+                    journal.completed(_result(request_id))
+                journal.admitted(request, idempotency_key=f"k{index}",
+                                 fingerprint=f"f{index}")
+        return path.read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(cut=st.integers(min_value=0, max_value=4000))
+    def test_reordered_records_recover_at_any_byte(
+        self, tmp_path_factory, cut
+    ):
+        path = tmp_path_factory.mktemp("journal") / "requests.jsonl"
+        raw = self._write_reordered_journal(path)
+        path.write_bytes(raw[: min(cut, len(raw))])
+        state = load_request_journal(str(path))
+        for request_id in state.completed:
+            assert request_id not in state.replayable
+        for request_id in state.entries:
+            assert (
+                request_id in state.completed
+                or request_id in state.replayable
+            )
+            entry = state.entries[request_id]
+            assert state.idempotency[entry.idempotency_key][0] == request_id
+        # A restored result whose admitted record was cut still reserves
+        # its id: the restarted scheduler must mint above it.
+        for request_id in (*state.entries, *state.completed):
+            assert int(request_id.rpartition("-")[2]) <= state.max_seq
+        assert state.duplicate_completions == 0
+        recover_log(str(path))
+        after = load_request_journal(str(path))
+        assert after.truncated == 0
+        assert sorted(after.entries) == sorted(state.entries)
+        assert sorted(after.completed) == sorted(state.completed)
+
+
+class TestRecordOrder:
+    """With no straggler wait, a worker often journals ``dispatched`` and
+    ``completed`` before the admitting thread's ``admitted`` lands."""
+
+    def _request(self, request_id):
+        return ServeRequest(
+            id=request_id, workload=WORKLOAD, relax_bits=8,
+            dataset_bytes=DATASET, tenant="t",
+        )
+
+    def test_completed_before_admitted_is_restored(self, tmp_path):
+        path = tmp_path / "requests.jsonl"
+        with RequestJournal(str(path)) as journal:
+            journal.dispatched("t-00000007", shard=1)
+            journal.completed(_result("t-00000007"))
+            journal.admitted(
+                self._request("t-00000007"),
+                idempotency_key="k7", fingerprint="f7",
+            )
+        state = load_request_journal(str(path))
+        assert sorted(state.completed) == ["t-00000007"]
+        assert state.replayable == ()
+        assert state.entries["t-00000007"].dispatches == 1
+        assert state.idempotency == {"k7": ("t-00000007", "f7")}
+        assert state.max_seq == 7
+
+    def test_completed_without_admitted_still_reserves_its_id(
+        self, tmp_path
+    ):
+        # SIGKILL between the worker's completed and the admitting
+        # thread's admitted: the id was never acknowledged, but the
+        # result is restored, so the id must never be minted again.
+        path = tmp_path / "requests.jsonl"
+        with RequestJournal(str(path)) as journal:
+            journal.admitted(self._request("t-00000001"))
+            journal.completed(_result("t-00000002"))
+        state = load_request_journal(str(path))
+        assert sorted(state.completed) == ["t-00000002"]
+        assert state.max_seq == 2
+        with _pool(path) as pool:
+            assert pool.stats()["journal"]["recovery"]["restored"] == 1
+            fresh = pool.submit(WORKLOAD, dataset_bytes=DATASET, tenant="t")
+            assert int(fresh.rpartition("-")[2]) > 2
+            assert pool.result(fresh, timeout=60.0).status == "ok"
+
+
+def _record_fsyncs(monkeypatch, path, delay_s=0.0) -> list[int]:
+    """Log each record-log fsync of ``path`` as the byte offset it covers.
+
+    The offset is the file size when the barrier starts (a lower bound on
+    what it made durable), appended once the barrier returns — so a
+    caller that reads ``len(offsets)`` after ``sync()`` sees every fsync
+    that could have covered its record.  ``delay_s`` slows each barrier
+    to make concurrent callers overlap.
+    """
+    offsets: list[int] = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        covered = os.fstat(fd)
+        if delay_s:
+            time.sleep(delay_s)
+        real_fsync(fd)
+        if os.path.samestat(covered, os.stat(path)):
+            offsets.append(covered.st_size)
+
+    monkeypatch.setattr(recordlog.os, "fsync", fsync)
+    return offsets
+
+
+def _record_ends(path, kind) -> dict[str, int]:
+    """id -> end byte offset of each ``kind`` record in the log."""
+    ends: dict[str, int] = {}
+    offset = 0
+    for line in path.read_bytes().split(b"\n")[:-1]:
+        offset += len(line) + 1
+        record = json.loads(line)
+        if record["type"] == kind:
+            ends[record["id"]] = offset
+    return ends
+
+
+class TestGroupCommit:
+    def test_sync_is_free_when_covered_and_close_syncs_the_tail(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "log.jsonl"
+        offsets = _record_fsyncs(monkeypatch, str(path))
+        log = RecordLog(str(path))
+        log.append({"type": "a"})
+        log.append({"type": "b"})
+        assert offsets == []  # appends write, never fsync
+        assert log.sync() is True
+        assert log.sync() is False  # nothing new since the barrier
+        synced = path.stat().st_size
+        log.append({"type": "c"})
+        log.close()
+        assert offsets == [synced, path.stat().st_size]
+        assert log.syncs == 2
+        resumed = RecordLog(str(path), resume=True)
+        assert resumed.sync() is False  # a reopened log starts synced
+        resumed.close()
+        assert [r["type"] for r in load_records(str(path))[0]] == [
+            "a", "b", "c",
+        ]
+
+    def test_checkpoint_keeps_one_fsync_per_record(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "campaign.jsonl"
+        offsets = _record_fsyncs(monkeypatch, str(path))
+        with CheckpointJournal(str(path)) as journal:
+            journal.describe({"n": 1})
+            journal.begin("a")
+            journal.complete("a", {"ok": True})
+        ends, offset = [], 0
+        for line in path.read_bytes().split(b"\n")[:-1]:
+            offset += len(line) + 1
+            ends.append(offset)
+        assert offsets == ends
+
+    def test_each_sync_returns_after_a_barrier_covering_its_record(
+        self, tmp_path, monkeypatch
+    ):
+        threads, rounds = 8, 5
+        path = tmp_path / "log.jsonl"
+        offsets = _record_fsyncs(monkeypatch, str(path), delay_s=0.005)
+        log = RecordLog(str(path))
+        barrier = threading.Barrier(threads)
+        seen: dict[str, int] = {}
+
+        def writer(index):
+            barrier.wait()
+            for round_ in range(rounds):
+                record_id = f"w{index}-{round_}"
+                log.append({"type": "r", "id": record_id})
+                log.sync()
+                seen[record_id] = len(offsets)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=writer, args=(index,))
+                for index in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60.0)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        log.close()
+        ends = _record_ends(path, "r")
+        assert len(ends) == len(seen) == threads * rounds
+        for record_id, count in seen.items():
+            assert max(offsets[:count], default=-1) >= ends[record_id]
+        assert log.syncs == len(offsets) < threads * rounds
+
+    def test_sequential_session_pays_one_fsync_per_request(self, tmp_path):
+        requests = 5
+        with _pool(tmp_path / "requests.jsonl", runtime="thread") as pool:
+            for index in range(requests):
+                # Keyed and unkeyed admissions take different paths.
+                request_id = pool.submit(
+                    WORKLOAD, relax_bits=index, dataset_bytes=DATASET,
+                    idempotency_key=f"k{index}" if index % 2 else None,
+                )
+                pool.result(request_id, timeout=60.0)
+            journal = pool.stats()["journal"]
+        assert journal["appends"]["admitted"] == requests
+        assert journal["appends"]["completed"] == requests
+        # One barrier per acknowledged id plus the boot's serve record;
+        # dispatched/completed ride the next admission's group commit.
+        assert journal["syncs"] == requests + 1
+
+    @pytest.mark.parametrize("shared_key", [False, True])
+    def test_concurrent_keyed_submitters_share_fsyncs(
+        self, tmp_path, monkeypatch, shared_key
+    ):
+        submitters = 8
+        path = tmp_path / "requests.jsonl"
+        with _pool(path, runtime="thread") as pool:
+            offsets = _record_fsyncs(monkeypatch, str(path), delay_s=0.02)
+            before = pool.journal.syncs
+            barrier = threading.Barrier(submitters)
+            acked: dict[int, tuple[str, int]] = {}
+
+            def submit(index):
+                key = "shared" if shared_key else f"k{index}"
+                barrier.wait()
+                request_id, _ = pool.admit(
+                    WORKLOAD, relax_bits=8, dataset_bytes=DATASET,
+                    idempotency_key=key,
+                )
+                acked[index] = (request_id, len(offsets))
+
+            workers = [
+                threading.Thread(target=submit, args=(index,))
+                for index in range(submitters)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60.0)
+                assert not worker.is_alive()
+            paid = pool.journal.syncs - before
+            for request_id, _ in acked.values():
+                assert pool.result(request_id, timeout=60.0).status == "ok"
+        assert len(acked) == submitters
+        assert paid < submitters
+        # Nobody — duplicate hits included — got an id back before a
+        # barrier covered that id's admitted record.
+        ends = _record_ends(path, "admitted")
+        for request_id, count in acked.values():
+            assert max(offsets[:count], default=-1) >= ends[request_id]
+        distinct = {request_id for request_id, _ in acked.values()}
+        assert len(distinct) == (1 if shared_key else submitters)
+
+
+class TestCrashModel:
+    """The host dies and loses every byte no fsync covered."""
+
+    def test_truncating_to_the_last_barrier_loses_no_acknowledged_id(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "requests.jsonl"
+        offsets = _record_fsyncs(monkeypatch, str(path))
+        first_life = {}
+        with _pool(path, shards=2) as pool:
+            for index in range(3):
+                request_id = pool.submit(
+                    WORKLOAD, relax_bits=4 * index, dataset_bytes=DATASET,
+                    idempotency_key=f"early{index}",
+                )
+                first_life[request_id] = pool.result(request_id, 60.0)
+            # The worker runs *after* the acknowledgements below, as a
+            # shard thread does: their dispatched/completed records follow
+            # the last barrier.
+            monkeypatch.setattr(pool.runtime, "after_submit", lambda: None)
+            late = [
+                pool.submit(
+                    WORKLOAD, relax_bits=8, dataset_bytes=DATASET,
+                    idempotency_key="late",
+                ),
+                pool.submit("Sobel", relax_bits=16, dataset_bytes=DATASET),
+                pool.admit_search(
+                    np.random.default_rng(5).integers(
+                        0, 2, pool.search_index().codebook.dim
+                    ),
+                    k=5, idempotency_key="late-search",
+                )[0],
+            ]
+            pool.runtime.pump()
+            for request_id in late:
+                first_life[request_id] = pool.result(request_id, 60.0)
+            raw = path.read_bytes()
+            synced = offsets[-1]
+        path.write_bytes(raw[:synced])  # the host crash
+        lost = {
+            record["id"]: record["digest"]
+            for record in map(json.loads, raw[synced:].split(b"\n")[:-1])
+            if record["type"] == "completed"
+        }
+        assert sorted(lost) == sorted(late)
+        state = load_request_journal(str(path))
+        for request_id in first_life:
+            assert (
+                request_id in state.completed
+                or request_id in state.replayable
+            )
+        with _pool(path, shards=2) as pool:
+            recovery = pool.stats()["journal"]["recovery"]
+            assert recovery["replayed"] == len(late)
+            assert recovery["restored"] == len(first_life) - len(late)
+            assert recovery["dropped"] == 0
+            for request_id, original in first_life.items():
+                result = pool.result(request_id, timeout=60.0)
+                if request_id in lost:
+                    assert (
+                        result_digest(result.to_dict()) == lost[request_id]
+                    )
+                else:
+                    assert result == original
+            again, duplicate = pool.admit(
+                WORKLOAD, relax_bits=8, dataset_bytes=DATASET,
+                idempotency_key="late",
+            )
+            assert (again, duplicate) == (late[0], True)
 
 
 class TestIdempotentSubmission:
