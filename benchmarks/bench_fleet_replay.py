@@ -35,7 +35,6 @@ from repro.fleet import Autoscaler, FleetPolicy, generate_trace, replay
 from repro.runtime.chaos import ChaosPolicy
 from repro.runtime.comparison import ComparisonHarness
 from repro.serving import CrossbarPool, ServingConfig
-from repro.serving.scheduler import BatchingScheduler
 from repro.workloads import workload_by_name
 
 ARTIFACT = "BENCH_fleet.json"
@@ -61,7 +60,6 @@ def _arm(rate_rps: float, duration_s: float) -> dict:
         tile_elements=TILE,
         seed=SEED,
         serving_config=config,
-        scheduler=BatchingScheduler(config),
         chaos_policy=CHAOS,
         runtime="thread",
     )

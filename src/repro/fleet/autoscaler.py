@@ -136,7 +136,7 @@ class Autoscaler:
     def _shed_victim(self) -> str | None:
         """The lowest-priority tenant not already shed (None when all
         known tenants are shed — nothing left to protect the SLO with)."""
-        default = self.pool.serving_config.default_priority
+        default = self.pool.scheduler.config.default_priority
         candidates = set(self.tenant_priorities)
         candidates.update(self.pool.scheduler.stats()["tenants"])
         candidates -= self.pool.shed_tenants

@@ -694,25 +694,25 @@ def fleet_quick_selftest(workload: str = "Sobel") -> int:
     ``/fleet`` reflects both.
 
     The pool runs on a :class:`~repro.runtime.supervisor.ManualClock`
-    (injected through the scheduler, which the autoscaler inherits), so
-    the grow → cooldown → shrink sequence is fully deterministic: one
-    forced ``slow_burn`` verdict grows 1→2 shards, a clock advance past
-    the cooldown plus one forced ``ok`` verdict shrinks 2→1.  Between the
-    resizes a real request round-trips over HTTP through the resized
-    pool.  The CI smoke behind ``repro fleet --quick``; returns a process
-    exit code.
+    (``CrossbarPool(clock=...)``; the autoscaler inherits it from the
+    scheduler), so the grow → cooldown → shrink sequence is fully
+    deterministic: one forced ``slow_burn`` verdict grows 1→2 shards, a
+    clock advance past the cooldown plus one forced ``ok`` verdict shrinks
+    2→1.  Between the resizes a real request round-trips over HTTP through
+    the resized pool, and its reported queue wait may not exceed the
+    manual time that passed meanwhile.  The CI smoke behind ``repro fleet
+    --quick``; returns a process exit code.
     """
     from repro.fleet import Autoscaler, FleetPolicy
     from repro.runtime.supervisor import ManualClock
-    from repro.serving.scheduler import BatchingScheduler, ServingConfig
+    from repro.serving.scheduler import ServingConfig
 
     clock = ManualClock()
-    serving_config = ServingConfig(max_wait_s=0.0)
     pool = CrossbarPool(
         shards=1,
         tile_elements=1 << 9,
-        serving_config=serving_config,
-        scheduler=BatchingScheduler(serving_config, clock=clock),
+        serving_config=ServingConfig(max_wait_s=0.0),
+        clock=clock,
         runtime="thread",
     )
     policy = FleetPolicy(
@@ -739,15 +739,22 @@ def fleet_quick_selftest(workload: str = "Sobel") -> int:
         ):
             failures.append(f"/fleet after grow: {status} {fleet}")
         # A real request through the grown pool, over HTTP.
+        submitted_at = clock()
         status, reply = _http_json(
             f"{base}/submit", {"workload": workload, "relax_bits": 8}
         )
         if status != 202:
             failures.append(f"submit: {status} {reply}")
         else:
-            status, _ = _poll_result(base, reply["id"])
+            status, result = _poll_result(base, reply["id"])
+            elapsed = clock() - submitted_at
             if status != 200:
                 failures.append(f"result never completed: {status}")
+            elif result["queue_wait_s"] > elapsed:
+                failures.append(
+                    f"queue_wait_s {result['queue_wait_s']} exceeds the "
+                    f"{elapsed}s the manual clock advanced"
+                )
         pool.wait_drained(timeout=10.0)
         # Past the cooldown, one quiet verdict trips the shrink.
         clock.advance(policy.cooldown_s + 0.1)

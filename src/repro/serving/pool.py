@@ -40,7 +40,8 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -73,8 +74,8 @@ from repro.observability.instruments import (
 from repro.observability.sketch import LatencyAnalytics
 from repro.observability.slo import BurnRateEvaluator, SLOPolicy
 from repro.observability.tracing import TraceStore, use_trace
-from repro.quality.qos import QoSPolicy
-from repro.runtime.campaign import run_point
+from repro.runtime.campaign import CampaignPoint, run_point
+from repro.runtime.chaos import ChaosInjector, ChaosPolicy
 from repro.runtime.comparison import ComparisonHarness
 from repro.runtime.supervisor import CircuitBreaker, RetryPolicy, Supervisor
 from repro.serving.journal import (
@@ -94,7 +95,9 @@ from repro.serving.scheduler import (
 from repro.units import MIB
 from repro.workloads import workload_by_name
 
-__all__ = ["Client", "CrossbarPool", "PoolShard", "SEARCH_WORKLOAD"]
+__all__ = [
+    "Client", "CrossbarPool", "PoolShard", "SEARCH_WORKLOAD", "build_shard",
+]
 
 #: The workload name `/search` requests are accounted under — the
 #: Similarity workload is the campaign-grid face of the same retrieval
@@ -109,8 +112,8 @@ class PoolShard:
     index: int
     harness: ComparisonHarness
     supervisor: Supervisor
-    breaker: CircuitBreaker
-    chaos: object | None = None
+    breaker: CircuitBreaker = field(default_factory=CircuitBreaker)
+    chaos: ChaosInjector | None = None
     served: int = 0
     failures: int = 0
     busy_s: float = 0.0
@@ -134,6 +137,60 @@ class PoolShard:
             instance = self._workloads[name] = workload_by_name(name)
         return instance
 
+    def price(
+        self, workload: str, relax_bits: int, dataset_bytes: float, trace
+    ) -> CampaignPoint:
+        """One request through the rescue ladder on this shard's stack,
+        under :func:`~repro.runtime.campaign.run_point`'s own QoS and
+        degradation defaults — the one call every runtime prices with."""
+        return run_point(
+            self.workload(workload),
+            relax_bits,
+            float(dataset_bytes),
+            self.harness,
+            supervisor=self.supervisor,
+            chaos=self.chaos,
+            key_prefix=f"{self.key}/",
+            trace=trace,
+        )
+
+
+def build_shard(
+    index: int,
+    seed: int,
+    tile_elements: int,
+    apim_config: APIMConfig | None = None,
+    chaos: ChaosPolicy | None = None,
+) -> PoolShard:
+    """The one shard recipe: a seeded harness, a supervisor whose retry
+    jitter is keyed by ``seed + index``, and a chaos injector on stream
+    ``chaos.seed + index``.
+
+    The pool builds every shard with it (at boot and on live growth, so a
+    resized pool prices like a fixed one) and a subprocess worker rebuilds
+    its shard with it from the init frame, so all three runtimes draw the
+    same retry and fault streams and price bit-identically.
+    """
+    return PoolShard(
+        index=index,
+        harness=ComparisonHarness(
+            config=apim_config, tile_elements=tile_elements, rng_seed=seed
+        ),
+        supervisor=Supervisor(
+            retry=RetryPolicy(
+                max_attempts=3,
+                base_delay=0.002,
+                max_delay=0.05,
+                jitter_seed=seed + index,
+            )
+        ),
+        chaos=(
+            None
+            if chaos is None
+            else ChaosInjector(replace(chaos, seed=chaos.seed + index))
+        ),
+    )
+
 
 class CrossbarPool:
     """Shards + workers + queue + results: the in-process serving core."""
@@ -145,57 +202,37 @@ class CrossbarPool:
         apim_config: APIMConfig | None = None,
         tile_elements: int = 1 << 10,
         seed: int = 2017,
-        retry: RetryPolicy | None = None,
-        deadline_s: float | None = None,
-        qos: QoSPolicy | None = None,
-        max_relax_bits: int = 32,
-        degradation_step: int = 4,
-        chaos_policy=None,
+        chaos_policy: ChaosPolicy | None = None,
         shard_failure_threshold: int = 3,
         shard_cooldown_s: float = 0.25,
-        max_reroutes: int | None = None,
-        idle_poll_s: float = 0.02,
-        scheduler: BatchingScheduler | None = None,
-        results: ResultStore | None = None,
+        clock: Callable[[], float] = time.monotonic,
         trace_store: TraceStore | None = None,
         slo_policy: SLOPolicy | None = None,
         runtime: "str | ShardRuntime" = "thread",
         journal: "RequestJournal | str | None" = None,
         result_capacity: int = 8192,
         result_ttl_s: float | None = None,
-        search_index: "SearchIndex | None" = None,
     ) -> None:
         if shards < 1:
             raise ServingError("pool needs at least one shard")
-        self.serving_config = serving_config or ServingConfig()
-        self.scheduler = scheduler or BatchingScheduler(self.serving_config)
-        self.results = results or ResultStore(
+        # ``clock`` drives admission, queue wait, deadlines and the SLO
+        # windows, so a ManualClock-driven test controls them all.
+        self.scheduler = BatchingScheduler(serving_config, clock=clock)
+        self.results = ResultStore(
             capacity=result_capacity, ttl_s=result_ttl_s
         )
         # Explicit None test: an empty TraceStore is falsy (len 0), and
         # ``or`` would silently discard a caller-provided store.
         self.traces = trace_store if trace_store is not None else TraceStore()
         self.latency = LatencyAnalytics()
-        # Burn rates run on the scheduler's clock so a ManualClock-driven
-        # test controls both admission and SLO windows from one place.
-        self.slo = BurnRateEvaluator(
-            slo_policy or SLOPolicy(), clock=self.scheduler.clock
-        )
-        self.qos = qos or QoSPolicy()
-        self.max_relax_bits = max_relax_bits
-        self.degradation_step = degradation_step
-        self.max_reroutes = (
-            max_reroutes if max_reroutes is not None else max(1, shards - 1)
-        )
-        self.idle_poll_s = idle_poll_s
-        # Construction inputs, kept verbatim: the subprocess runtime
-        # stages each worker's environment from these.
+        self.slo = BurnRateEvaluator(slo_policy or SLOPolicy(), clock=clock)
+        self.max_reroutes = max(1, shards - 1)
+        # The shard recipe's inputs, kept verbatim: live growth builds
+        # from them, and the subprocess runtime ships them to workers.
         self.apim_config = apim_config
         self.tile_elements = tile_elements
         self.seed = seed
-        self._retry = retry
-        self._deadline_s = deadline_s
-        self._chaos_policy = chaos_policy
+        self.chaos_policy = chaos_policy
         self._shard_failure_threshold = shard_failure_threshold
         self._shard_cooldown_s = shard_cooldown_s
         self.shards: list[PoolShard] = [
@@ -238,55 +275,24 @@ class CrossbarPool:
         # `/search` serves against one read-only index, built lazily on
         # first use (seeded by the pool's seed, so every restart — and
         # any client that knows the seed — reconstructs it exactly).
-        self._search_index = search_index
+        self._search_index: SearchIndex | None = None
         self._search_lock = threading.Lock()
 
     def _build_shard(self, index: int) -> PoolShard:
-        """One shard from the pool's kept-verbatim construction inputs.
-
-        Used at construction and by :meth:`add_shard` — a shard added
-        live is indistinguishable from one built at boot (same seeded
-        harness, per-index retry jitter and chaos stream), which is what
-        keeps resized-pool pricing bit-identical to a fixed pool's.
-        """
-        harness = ComparisonHarness(
-            config=self.apim_config,
-            tile_elements=self.tile_elements,
-            rng_seed=self.seed,
+        """Shard ``index`` from :func:`build_shard`, plus this pool's
+        health breaker (used at boot and by :meth:`add_shard`)."""
+        shard = build_shard(
+            index,
+            self.seed,
+            self.tile_elements,
+            self.apim_config,
+            self.chaos_policy,
         )
-        breaker = CircuitBreaker(
+        shard.breaker = CircuitBreaker(
             failure_threshold=self._shard_failure_threshold,
             cooldown_s=self._shard_cooldown_s,
         )
-        supervisor = Supervisor(
-            retry=self._retry
-            or RetryPolicy(
-                max_attempts=3,
-                base_delay=0.002,
-                max_delay=0.05,
-                jitter_seed=self.seed + index,
-            ),
-            deadline_s=self._deadline_s,
-        )
-        chaos = None
-        if self._chaos_policy is not None:
-            from dataclasses import replace
-
-            from repro.runtime.chaos import ChaosInjector
-
-            chaos = ChaosInjector(
-                replace(
-                    self._chaos_policy,
-                    seed=self._chaos_policy.seed + index,
-                )
-            )
-        return PoolShard(
-            index=index,
-            harness=harness,
-            supervisor=supervisor,
-            breaker=breaker,
-            chaos=chaos,
-        )
+        return shard
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -670,8 +676,7 @@ class CrossbarPool:
         """The pool's serving index, built lazily on first use.
 
         Deterministic in ``self.seed`` (see
-        :func:`~repro.search.index.default_search_index`) unless a
-        pre-built index was injected at construction.
+        :func:`~repro.search.index.default_search_index`).
         """
         with self._search_lock:
             if self._search_index is None:
@@ -744,7 +749,7 @@ class CrossbarPool:
             raise ServingError(f"deadline_s must be positive: {deadline_s}")
         relax_bits, dataset_bytes = int(relax_bits), int(dataset_bytes)
         priority = (
-            self.serving_config.default_priority
+            self.scheduler.config.default_priority
             if priority is None
             else int(priority)
         )
@@ -825,7 +830,7 @@ class CrossbarPool:
         if self._draining:
             raise ShardUnavailableError(
                 "pool is draining for shutdown; resubmit elsewhere",
-                retry_after_s=self.serving_config.retry_after_s,
+                retry_after_s=self.scheduler.config.retry_after_s,
             )
         if tenant in self.shed_tenants:
             # The autoscaler shed this tenant under fast burn: refuse
@@ -834,7 +839,7 @@ class CrossbarPool:
 
             raise AdmissionRejectedError(
                 f"tenant {tenant!r} is shed under fast burn; retry later",
-                retry_after_s=self.serving_config.retry_after_s,
+                retry_after_s=self.scheduler.config.retry_after_s,
             )
         self.ensure_started()
         trace = self.traces.new_trace(
@@ -1072,19 +1077,15 @@ class CrossbarPool:
         once a request's worker re-drive budget is spent.  Returns the
         executor contract tuple ``(point, status, attempts, error)``.
         """
+        # run_point installs the trace itself; holding it until price()
+        # returns is what lets a wrapper around run_point (perfbench's
+        # span recorder) attribute the call to its request.
         with use_trace(request.trace):
-            point = run_point(
-                shard.workload(request.workload),
+            point = shard.price(
+                request.workload,
                 request.relax_bits,
-                float(request.dataset_bytes),
-                shard.harness,
-                supervisor=shard.supervisor,
-                chaos=shard.chaos,
-                qos=self.qos,
-                max_relax_bits=self.max_relax_bits,
-                degradation_step=self.degradation_step,
-                key_prefix=f"{shard.key}/",
-                trace=request.trace,
+                request.dataset_bytes,
+                request.trace,
             )
         return point, point.status, point.attempts, None
 
@@ -1147,7 +1148,9 @@ class CrossbarPool:
         batch_size: int,
         execute=None,
     ) -> None:
-        now = time.monotonic()
+        # Queue wait and expiry on the clock that stamped the request;
+        # service time (below) is always real time.
+        now = self.scheduler.clock()
         queue_wait = max(0.0, now - request.submitted_at)
         trace_id = request.trace.trace_id if request.trace else ""
         if self._expired(request, now):

@@ -31,7 +31,11 @@ from repro.errors import ServingError
 if TYPE_CHECKING:
     from repro.serving.pool import CrossbarPool
 
-__all__ = ["ShardRuntime"]
+__all__ = ["IDLE_POLL_S", "ShardRuntime"]
+
+#: How long an idle shard driver blocks on the queue per poll; also caps
+#: the back-off of a shard whose breaker is open.
+IDLE_POLL_S = 0.02
 
 
 class ShardRuntime(ABC):

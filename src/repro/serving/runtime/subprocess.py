@@ -8,7 +8,7 @@ process of its own, so four shards use four cores instead of fighting
 over one GIL.
 
 The supervision ladder, on worker death (pipe EOF after SIGKILL / segfault
-/ OOM, or a hang past ``hang_timeout_s``, or lost framing):
+/ OOM, or a hang past :data:`HANG_TIMEOUT_S`, or lost framing):
 
 1. the death is **detected** and normalised to
    :class:`~repro.errors.WorkerCrashedError` (never a raw
@@ -16,7 +16,7 @@ The supervision ladder, on worker death (pipe EOF after SIGKILL / segfault
 2. the shard's circuit **breaker** records a failure — a crash-looping
    shard trips open and stops pulling traffic while it cools down;
 3. the worker is **respawned** under capped exponential backoff (the
-   death streak doubles the delay up to ``respawn_backoff_cap_s``);
+   death streak doubles the delay up to :data:`RESPAWN_BACKOFF_CAP_S`);
 4. the in-flight request is **re-driven** through the fresh worker, up to
    ``max_redrives`` times, then falls back to in-process execution via
    the pool's own rescue ladder — every admitted request still reaches
@@ -50,7 +50,7 @@ from repro.observability.instruments import (
 from repro.observability.registry import active_registry, apply_counter_deltas
 from repro.observability.tracing import replay_events
 from repro.runtime.campaign import CampaignPoint
-from repro.serving.runtime.base import ShardRuntime
+from repro.serving.runtime.base import IDLE_POLL_S, ShardRuntime
 from repro.serving.runtime.protocol import (
     MAX_FRAME_BYTES,
     read_frame,
@@ -59,6 +59,15 @@ from repro.serving.runtime.protocol import (
 from repro.serving.scheduler import RESULT_STATUSES
 
 __all__ = ["SubprocessRuntime", "WorkerHandle"]
+
+#: Seconds a worker may take to answer a run frame before it is killed
+#: as hung (reported by ``stats()``).
+HANG_TIMEOUT_S = 120.0
+#: Seconds a fresh worker may take to answer its init frame.
+SPAWN_TIMEOUT_S = 60.0
+#: Respawn delay after a death streak of n: base · 2^(n-1), capped.
+RESPAWN_BACKOFF_BASE_S = 0.05
+RESPAWN_BACKOFF_CAP_S = 1.0
 
 
 def _worker_env() -> dict:
@@ -79,15 +88,8 @@ def _worker_env() -> dict:
 class WorkerHandle:
     """One live worker process: spawn, frame I/O, liveness, teardown."""
 
-    def __init__(
-        self,
-        shard_index: int,
-        spec: dict,
-        spawn_timeout_s: float = 60.0,
-        max_frame_bytes: int = MAX_FRAME_BYTES,
-    ) -> None:
+    def __init__(self, shard_index: int, spec: dict) -> None:
         self.shard_index = shard_index
-        self.max_frame_bytes = max_frame_bytes
         self._lock = threading.Lock()
         self.process = subprocess.Popen(
             [sys.executable, "-m", "repro.serving.runtime.worker"],
@@ -99,7 +101,7 @@ class WorkerHandle:
         self._fd = self.process.stdout.fileno()
         try:
             self.send({"type": "init", **spec})
-            ready = self.recv(timeout=spawn_timeout_s)
+            ready = self.recv(timeout=SPAWN_TIMEOUT_S)
         except (WorkerCrashedError, ProtocolError):
             self.kill()
             raise
@@ -122,9 +124,7 @@ class WorkerHandle:
         """Write one frame; raw pipe errors become worker-crash errors."""
         try:
             with self._lock:
-                write_frame(
-                    self.process.stdin, payload, self.max_frame_bytes
-                )
+                write_frame(self.process.stdin, payload, MAX_FRAME_BYTES)
         except (BrokenPipeError, EOFError, OSError, ValueError) as exc:
             raise WorkerCrashedError(
                 f"shard {self.shard_index} worker pid {self.pid} is gone "
@@ -158,7 +158,7 @@ class WorkerHandle:
                     return os.read(self._fd, n)
 
         try:
-            frame = read_frame(read, self.max_frame_bytes, eof_ok=True)
+            frame = read_frame(read, MAX_FRAME_BYTES, eof_ok=True)
         except TimeoutError:
             pid = self.pid
             self.kill()
@@ -230,26 +230,11 @@ class SubprocessRuntime(ShardRuntime):
 
     name = "subprocess"
 
-    def __init__(
-        self,
-        hang_timeout_s: float = 120.0,
-        spawn_timeout_s: float = 60.0,
-        max_redrives: int = 2,
-        respawn_backoff_base_s: float = 0.05,
-        respawn_backoff_cap_s: float = 1.0,
-        max_frame_bytes: int = MAX_FRAME_BYTES,
-    ) -> None:
+    def __init__(self, max_redrives: int = 2) -> None:
         super().__init__()
-        if hang_timeout_s <= 0 or spawn_timeout_s <= 0:
-            raise ServingError("worker timeouts must be positive")
         if max_redrives < 0:
             raise ServingError("max_redrives must be non-negative")
-        self.hang_timeout_s = hang_timeout_s
-        self.spawn_timeout_s = spawn_timeout_s
         self.max_redrives = max_redrives
-        self.respawn_backoff_base_s = respawn_backoff_base_s
-        self.respawn_backoff_cap_s = respawn_backoff_cap_s
-        self.max_frame_bytes = max_frame_bytes
         self._threads: dict[int, threading.Thread] = {}
         self._shard_stops: dict[int, threading.Event] = {}
         self._stop = threading.Event()
@@ -329,10 +314,10 @@ class SubprocessRuntime(ShardRuntime):
     # -- worker supervision ---------------------------------------------------
 
     def _spec(self, shard) -> dict:
-        """The staged environment for one shard's worker process."""
+        """One worker's init frame: the inputs of the pool's shard recipe
+        (:func:`~repro.serving.pool.build_shard`) plus its trace budget."""
         pool = self.pool
-        retry = shard.supervisor.retry
-        spec = {
+        return {
             "shard_index": shard.index,
             "seed": pool.seed,
             "tile_elements": pool.tile_elements,
@@ -341,28 +326,13 @@ class SubprocessRuntime(ShardRuntime):
                 if pool.apim_config is None
                 else dataclasses.asdict(pool.apim_config)
             ),
-            "retry": {
-                "max_attempts": retry.max_attempts,
-                "base_delay": retry.base_delay,
-                "multiplier": retry.multiplier,
-                "max_delay": retry.max_delay,
-                "jitter_seed": retry.jitter_seed,
-            },
-            "deadline_s": shard.supervisor.deadline_s,
-            "qos": {
-                "min_psnr_db": pool.qos.min_psnr_db,
-                "max_relative_error": pool.qos.max_relative_error,
-            },
-            "max_relax_bits": pool.max_relax_bits,
-            "degradation_step": pool.degradation_step,
-            "max_trace_events": pool.traces.max_events,
             "chaos": (
                 None
-                if shard.chaos is None
-                else dataclasses.asdict(shard.chaos.policy)
+                if pool.chaos_policy is None
+                else dataclasses.asdict(pool.chaos_policy)
             ),
+            "max_trace_events": pool.traces.max_events,
         }
-        return spec
 
     def _reap(self, shard) -> None:
         """Notice a worker that died between requests (idle death)."""
@@ -387,28 +357,14 @@ class SubprocessRuntime(ShardRuntime):
                 return handle
             streak = self._streaks.get(shard.index, 0)
             respawn = streak > 0
-            if streak > 0:
-                delay = min(
-                    self.respawn_backoff_cap_s,
-                    self.respawn_backoff_base_s * (2 ** (streak - 1)),
-                )
-                if delay > 0:
-                    time.sleep(delay)
+            if respawn:
+                time.sleep(min(
+                    RESPAWN_BACKOFF_CAP_S,
+                    RESPAWN_BACKOFF_BASE_S * (2 ** (streak - 1)),
+                ))
             try:
-                handle = WorkerHandle(
-                    shard.index,
-                    self._spec(shard),
-                    spawn_timeout_s=self.spawn_timeout_s,
-                    max_frame_bytes=self.max_frame_bytes,
-                )
-            except (WorkerCrashedError, ProtocolError) as exc:
-                self._streaks[shard.index] = streak + 1
-                raise WorkerCrashedError(
-                    f"shard {shard.index} worker failed to spawn: {exc}",
-                    shard=shard.index,
-                    reason="spawn",
-                ) from exc
-            except OSError as exc:
+                handle = WorkerHandle(shard.index, self._spec(shard))
+            except (WorkerCrashedError, ProtocolError, OSError) as exc:
                 self._streaks[shard.index] = streak + 1
                 raise WorkerCrashedError(
                     f"shard {shard.index} worker failed to spawn: {exc}",
@@ -431,10 +387,10 @@ class SubprocessRuntime(ShardRuntime):
             self._reap(shard)
             if not shard.healthy:
                 SERVING_SHARD_HEALTHY.set(0, shard=shard.index)
-                time.sleep(min(pool.idle_poll_s, 0.05))
+                time.sleep(IDLE_POLL_S)
                 continue
             SERVING_SHARD_HEALTHY.set(1, shard=shard.index)
-            batch = pool.scheduler.next_batch(timeout=pool.idle_poll_s)
+            batch = pool.scheduler.next_batch(timeout=IDLE_POLL_S)
             if not batch:
                 continue
             pool._run_batch(shard, batch, execute=self.execute)
@@ -474,7 +430,7 @@ class SubprocessRuntime(ShardRuntime):
                         shard=shard.index, pid=handle.pid,
                     )
                     handle.sigkill_mid_request()
-                reply = handle.recv(timeout=self.hang_timeout_s)
+                reply = handle.recv(timeout=HANG_TIMEOUT_S)
                 if (
                     reply.get("type") != "result"
                     or reply.get("id") != request.id
@@ -555,7 +511,7 @@ class SubprocessRuntime(ShardRuntime):
 
     def stats(self) -> dict:
         out = super().stats()
-        out["hang_timeout_s"] = self.hang_timeout_s
+        out["hang_timeout_s"] = HANG_TIMEOUT_S
         out["max_redrives"] = self.max_redrives
         out["shards"] = {
             str(index): {

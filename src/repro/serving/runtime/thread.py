@@ -7,7 +7,7 @@ import time
 
 from repro.errors import FleetError
 from repro.observability.instruments import SERVING_SHARD_HEALTHY
-from repro.serving.runtime.base import ShardRuntime
+from repro.serving.runtime.base import IDLE_POLL_S, ShardRuntime
 
 __all__ = ["ThreadRuntime"]
 
@@ -79,10 +79,10 @@ class ThreadRuntime(ShardRuntime):
         while not self._stop.is_set() and not shard_stop.is_set():
             if not shard.healthy:
                 SERVING_SHARD_HEALTHY.set(0, shard=shard.index)
-                time.sleep(min(pool.idle_poll_s, 0.05))
+                time.sleep(IDLE_POLL_S)
                 continue
             SERVING_SHARD_HEALTHY.set(1, shard=shard.index)
-            batch = pool.scheduler.next_batch(timeout=pool.idle_poll_s)
+            batch = pool.scheduler.next_batch(timeout=IDLE_POLL_S)
             if not batch:
                 continue
             pool._run_batch(shard, batch)

@@ -4,14 +4,17 @@ One worker process serves one shard.  It speaks the length-prefixed JSON
 frame protocol (:mod:`repro.serving.runtime.protocol`) over its stdin /
 stdout pipes:
 
-- first frame in must be ``{"type": "init", ...}`` carrying the staged
-  shard environment — seeded RNG, APIM config, retry/deadline policy,
-  chaos policy, QoS bounds — from which the worker builds the same
-  harness + supervisor + injector stack a thread-runtime shard owns;
-  it replies ``{"type": "ready", "pid": ...}``;
+- first frame in must be ``{"type": "init", ...}`` carrying the inputs
+  of the pool's shard recipe (:func:`~repro.serving.pool.build_shard`) —
+  ``shard_index``, ``seed``, ``tile_elements``, ``apim_config`` and the
+  pool's ``chaos`` policy — plus ``max_trace_events``, the per-request
+  trace buffer bound.  The worker builds its shard with that same recipe,
+  so harness, retry jitter and chaos stream are those of an in-process
+  shard; it replies ``{"type": "ready", "pid": ...}``;
 - ``{"type": "run", "id", "workload", "relax_bits", "dataset_bytes"}``
-  executes one request through :func:`~repro.runtime.campaign.run_point`
-  (the full rescue ladder) and replies a ``result`` frame carrying the
+  executes one request through :meth:`~repro.serving.pool.PoolShard.price`
+  (the full rescue ladder, called exactly as the pool calls it) and
+  replies a ``result`` frame carrying the
   terminal :class:`~repro.runtime.campaign.CampaignPoint`, the buffered
   trace events, the counter deltas this request produced, and wall/CPU
   service time — everything the supervisor needs to make the subprocess
@@ -42,73 +45,35 @@ from repro.observability.registry import (
     snapshot_counters,
 )
 from repro.observability.tracing import BufferedTraceContext
-from repro.quality.qos import QoSPolicy
-from repro.runtime.campaign import run_point
-from repro.runtime.chaos import ChaosInjector, ChaosPolicy
-from repro.runtime.comparison import ComparisonHarness
-from repro.runtime.supervisor import RetryPolicy, Supervisor
+from repro.runtime.chaos import ChaosPolicy
+from repro.serving.pool import PoolShard, build_shard
 from repro.serving.runtime.protocol import (
     MAX_FRAME_BYTES,
     read_frame,
     write_frame,
 )
-from repro.workloads import workload_by_name
 
 __all__ = ["main"]
 
 
-class _WorkerState:
-    """The staged shard environment, built from one init frame."""
-
-    def __init__(self, spec: dict) -> None:
-        self.shard_index = int(spec.get("shard_index", 0))
-        self.key = f"shard{self.shard_index}"
-        seed = int(spec.get("seed", 2017))
-        config = spec.get("apim_config")
-        self.harness = ComparisonHarness(
-            config=APIMConfig(**config) if config else None,
-            tile_elements=int(spec.get("tile_elements", 1 << 10)),
-            rng_seed=seed,
-        )
-        retry = spec.get("retry") or {}
-        self.supervisor = Supervisor(
-            retry=RetryPolicy(
-                max_attempts=int(retry.get("max_attempts", 3)),
-                base_delay=float(retry.get("base_delay", 0.002)),
-                multiplier=float(retry.get("multiplier", 2.0)),
-                max_delay=float(retry.get("max_delay", 0.05)),
-                jitter_seed=int(retry.get("jitter_seed", seed)),
-            ),
-            deadline_s=spec.get("deadline_s"),
-        )
-        chaos = spec.get("chaos")
-        self.chaos = (
-            ChaosInjector(ChaosPolicy(**chaos)) if chaos else None
-        )
-        qos = spec.get("qos") or {}
-        self.qos = QoSPolicy(
-            min_psnr_db=float(qos.get("min_psnr_db", 30.0)),
-            max_relative_error=float(qos.get("max_relative_error", 0.10)),
-        )
-        self.max_relax_bits = int(spec.get("max_relax_bits", 32))
-        self.degradation_step = int(spec.get("degradation_step", 4))
-        self.max_trace_events = int(spec.get("max_trace_events", 512))
-        self.served = 0
-        self._workloads: dict = {}
-
-    def workload(self, name: str):
-        instance = self._workloads.get(name)
-        if instance is None:
-            instance = self._workloads[name] = workload_by_name(name)
-        return instance
+def _shard(spec: dict) -> PoolShard:
+    """This worker's shard, built by the pool's recipe from an init frame."""
+    config, chaos = spec["apim_config"], spec["chaos"]
+    return build_shard(
+        int(spec["shard_index"]),
+        int(spec["seed"]),
+        int(spec["tile_elements"]),
+        APIMConfig(**config) if config else None,
+        ChaosPolicy(**chaos) if chaos else None,
+    )
 
 
-def _run(state: _WorkerState, frame: dict) -> dict:
+def _run(shard: PoolShard, max_trace_events: int, frame: dict) -> dict:
     """Execute one run frame; always returns a terminal result frame."""
     request_id = str(frame.get("id", ""))
     registry = default_registry()
     before = snapshot_counters(registry)
-    buffer = BufferedTraceContext(max_events=state.max_trace_events)
+    buffer = BufferedTraceContext(max_events=max_trace_events)
     wall_start = time.monotonic()
     cpu_start = time.process_time()
     point = None
@@ -116,27 +81,18 @@ def _run(state: _WorkerState, frame: dict) -> dict:
     attempts = 0
     error = None
     try:
-        point = run_point(
-            state.workload(str(frame["workload"])),
-            int(frame.get("relax_bits", 0)),
-            float(frame.get("dataset_bytes", 0) or 64 << 20),
-            state.harness,
-            supervisor=state.supervisor,
-            chaos=state.chaos,
-            qos=state.qos,
-            max_relax_bits=state.max_relax_bits,
-            degradation_step=state.degradation_step,
-            key_prefix=f"{state.key}/",
-            trace=buffer,
+        point = shard.price(
+            str(frame["workload"]),
+            int(frame["relax_bits"]),
+            frame["dataset_bytes"],
+            buffer,
         )
         status = point.status
         attempts = point.attempts
     except Exception as exc:  # belt and braces: run_point says "never"
         error = f"{type(exc).__name__}: {exc}"
-        buffer.event(
-            "worker", "error", error, shard=state.shard_index,
-        )
-    state.served += 1
+        buffer.event("worker", "error", error, shard=shard.index)
+    shard.served += 1
     return {
         "type": "result",
         "id": request_id,
@@ -148,7 +104,7 @@ def _run(state: _WorkerState, frame: dict) -> dict:
         "metrics": counter_deltas(registry, before),
         "busy_s": time.monotonic() - wall_start,
         "cpu_s": time.process_time() - cpu_start,
-        "served": state.served,
+        "served": shard.served,
         "pid": os.getpid(),
     }
 
@@ -163,7 +119,8 @@ def main() -> int:
     def read(n: int) -> bytes:
         return stdin.read(n) or b""
 
-    state: _WorkerState | None = None
+    shard: PoolShard | None = None
+    max_trace_events = 0
     while True:
         try:
             frame = read_frame(read, MAX_FRAME_BYTES, eof_ok=True)
@@ -176,11 +133,12 @@ def main() -> int:
         kind = frame.get("type")
         try:
             if kind == "init":
-                state = _WorkerState(frame)
+                shard = _shard(frame)
+                max_trace_events = int(frame["max_trace_events"])
                 reply = {
                     "type": "ready",
                     "pid": os.getpid(),
-                    "shard": state.shard_index,
+                    "shard": shard.index,
                 }
             elif kind == "ping":
                 reply = {"type": "pong", "pid": os.getpid()}
@@ -188,7 +146,7 @@ def main() -> int:
                 write_frame(stdout, {"type": "bye", "pid": os.getpid()})
                 return 0
             elif kind == "run":
-                if state is None:
+                if shard is None:
                     reply = {
                         "type": "result",
                         "id": str(frame.get("id", "")),
@@ -204,7 +162,7 @@ def main() -> int:
                         "pid": os.getpid(),
                     }
                 else:
-                    reply = _run(state, frame)
+                    reply = _run(shard, max_trace_events, frame)
             else:
                 reply = {
                     "type": "error",

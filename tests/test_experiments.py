@@ -7,6 +7,10 @@ the "shape, not absolute numbers" contract.
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import os
+
 import pytest
 
 from repro.analysis.experiments import (
@@ -27,33 +31,81 @@ from repro.units import GIB, MIB
 from repro.workloads import workload_by_name
 
 TILE = 1 << 12
+GOLDEN_PATH = os.path.join(
+    os.path.dirname(__file__), "data", "experiments_golden.json"
+)
+
+#: Each driver at the reduced size this module pins; the keys are the
+#: module fixtures' names.
+DRIVERS = {
+    "fig4": lambda: run_figure4(samples=4000),
+    "fig5": lambda: run_figure5(
+        workloads=[workload_by_name("Sobel"), workload_by_name("FFT")],
+        sizes=(32 * MIB, 256 * MIB, GIB),
+        tile_elements=TILE,
+    ),
+    "fig6": lambda: run_figure6(),
+    "table1": lambda: run_table1(
+        workloads=[workload_by_name("Sobel"), workload_by_name("Robert")],
+        tile_elements=TILE,
+    ),
+    "adaptive": lambda: run_adaptive(
+        workloads=[workload_by_name("Sobel"), workload_by_name("Robert")],
+        tile_elements=TILE,
+    ),
+}
+
+
+def _snapshot(result) -> dict:
+    """A driver result in JSON-normal form (floats round-trip exactly)."""
+    return json.loads(json.dumps(dataclasses.asdict(result)))
+
+
+def write_golden() -> None:
+    """Regenerate ``tests/data/experiments_golden.json`` from the drivers.
+
+    Run ``PYTHONPATH=src python -c "import tests.test_experiments as t;
+    t.write_golden()"`` only for an intended change to the paper's
+    numbers, and review the diff.
+    """
+    golden = {name: _snapshot(run()) for name, run in DRIVERS.items()}
+    with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
+        json.dump(golden, handle, indent=1, sort_keys=True)
+        handle.write("\n")
 
 
 @pytest.fixture(scope="module")
 def fig4():
-    return run_figure4(samples=4000)
+    return DRIVERS["fig4"]()
 
 
 @pytest.fixture(scope="module")
 def fig5():
-    return run_figure5(
-        workloads=[workload_by_name("Sobel"), workload_by_name("FFT")],
-        sizes=(32 * MIB, 256 * MIB, GIB),
-        tile_elements=TILE,
-    )
+    return DRIVERS["fig5"]()
 
 
 @pytest.fixture(scope="module")
 def fig6():
-    return run_figure6()
+    return DRIVERS["fig6"]()
 
 
 @pytest.fixture(scope="module")
 def table1():
-    return run_table1(
-        workloads=[workload_by_name("Sobel"), workload_by_name("Robert")],
-        tile_elements=TILE,
-    )
+    return DRIVERS["table1"]()
+
+
+@pytest.fixture(scope="module")
+def adaptive():
+    return DRIVERS["adaptive"]()
+
+
+@pytest.mark.parametrize("name", sorted(DRIVERS))
+def test_matches_golden_exactly(name, request):
+    """Every number the drivers produce equals the pinned golden bit for
+    bit: a refactor that moves any figure by one ulp fails here."""
+    with open(GOLDEN_PATH, encoding="utf-8") as handle:
+        golden = json.load(handle)
+    assert _snapshot(request.getfixturevalue(name)) == golden[name]
 
 
 class TestFigure4Shape:
@@ -171,13 +223,6 @@ class TestTable1Shape:
 
 
 class TestAdaptiveHeadline:
-    @pytest.fixture(scope="class")
-    def adaptive(self):
-        return run_adaptive(
-            workloads=[workload_by_name("Sobel"), workload_by_name("Robert")],
-            tile_elements=TILE,
-        )
-
     def test_all_selections_meet_qos(self, adaptive):
         for tuning in adaptive.tunings.values():
             assert tuning.selected_trial.qos_ok

@@ -40,22 +40,17 @@ from repro.fleet import (
 from repro.runtime.comparison import ComparisonHarness
 from repro.runtime.supervisor import ManualClock
 from repro.serving.pool import Client, CrossbarPool
-from repro.serving.scheduler import BatchingScheduler, ServingConfig
+from repro.serving.scheduler import ServingConfig
 from repro.workloads import workload_by_name
 
 
-def _pool(shards=1, clock=None, **kwargs):
-    config = kwargs.pop(
+def _pool(shards=1, **kwargs):
+    kwargs.setdefault(
         "serving_config", ServingConfig(max_wait_s=0.0, queue_capacity=256)
     )
-    scheduler = BatchingScheduler(config)
-    if clock is not None:
-        scheduler = BatchingScheduler(config, clock=clock)
     kwargs.setdefault("tile_elements", 1 << 8)
     kwargs.setdefault("runtime", "thread")
-    return CrossbarPool(
-        shards=shards, serving_config=config, scheduler=scheduler, **kwargs
-    )
+    return CrossbarPool(shards=shards, **kwargs)
 
 
 class TestLiveResize:

@@ -49,6 +49,7 @@ class _StubConfig:
 class _StubScheduler:
     def __init__(self, clock) -> None:
         self.clock = clock
+        self.config = _StubConfig()
 
     def stats(self):
         return {"tenants": {"interactive": 0, "bulk": 0}}
@@ -76,7 +77,6 @@ class _StubPool:
         self.autoscaler = None
         self.scheduler = _StubScheduler(clock)
         self.slo = _StubSLO()
-        self.serving_config = _StubConfig()
         self.traces = _StubTraces()
 
     @property

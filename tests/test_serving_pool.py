@@ -14,11 +14,12 @@ import time
 
 import pytest
 
-from repro.errors import ServingError
+from repro.errors import AdmissionRejectedError, ServingError
 from repro.runtime.campaign import run_campaign
 from repro.runtime.chaos import ChaosInjector, ChaosPolicy
 from repro.runtime.comparison import ComparisonHarness
-from repro.serving import Client, CrossbarPool
+from repro.runtime.supervisor import ManualClock
+from repro.serving import Client, CrossbarPool, ServingConfig
 from repro.units import MIB
 from repro.workloads import workload_by_name
 
@@ -162,6 +163,43 @@ class TestChaosResilience:
         pool.stop(drain=True)
         for request_id in ids:
             assert pool.results.status(request_id) == "done"
+
+
+class TestInjectedClock:
+    def test_queue_wait_and_deadline_read_the_pool_clock(self):
+        """Queue wait and expiry are measured on the clock that stamped
+        the request: a frozen manual clock means zero wait, and a one-hour
+        deadline cannot have passed."""
+        pool = CrossbarPool(
+            shards=1, tile_elements=TILE, clock=ManualClock(),
+            runtime="inline",
+        )
+        with pool:
+            result = Client(pool, tenant="clock").call(
+                "Robert", relax_bits=8, deadline_s=3600.0
+            )
+        assert result.status == "ok"
+        assert result.queue_wait_s == 0.0
+
+    def test_admission_reads_the_one_serving_config(self):
+        """The pool admits against the config its scheduler runs: the
+        default priority, queue bound and retry hint all come from it."""
+        config = ServingConfig(
+            priorities=1, default_priority=0, queue_capacity=1,
+            retry_after_s=1.5,
+        )
+        pool = CrossbarPool(
+            shards=1, tile_elements=TILE, serving_config=config,
+            clock=ManualClock(),
+        )
+        pool._started = True  # keep admission from starting workers
+        try:
+            pool.submit("Robert")
+            with pytest.raises(AdmissionRejectedError) as info:
+                pool.submit("Robert")
+            assert info.value.retry_after_s == 1.5
+        finally:
+            pool.stop(drain=False)
 
 
 class TestPooledCampaign:

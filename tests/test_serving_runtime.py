@@ -71,19 +71,28 @@ class TestRuntimeSelection:
             CrossbarPool(shards=1, tile_elements=TILE, runtime=runtime)
 
 
-def _price(runtime: str, **pool_kwargs) -> tuple:
+def _price(runtime: str, chaos_policy=None, requests: int = 1) -> tuple:
+    """``(status, attempts, speedup, energy, QoL)`` per request of a short
+    same-key sequence priced on one shard of the given runtime."""
     pool = CrossbarPool(
-        shards=1, tile_elements=TILE, seed=11, runtime=runtime, **pool_kwargs
+        shards=1, tile_elements=TILE, seed=11, runtime=runtime,
+        chaos_policy=chaos_policy,
     )
+    client = Client(pool, tenant="equiv")
     with pool:
-        result = Client(pool, tenant="equiv").call(
-            "Robert", relax_bits=8, dataset_bytes=1 << 20
+        results = [
+            client.call("Robert", relax_bits=8, dataset_bytes=1 << 20)
+            for _ in range(requests)
+        ]
+    return tuple(
+        (
+            result.status,
+            result.attempts,
+            result.point.speedup,
+            result.point.energy_improvement,
+            result.point.qol_percent,
         )
-    assert result.status == "ok"
-    return (
-        result.point.speedup,
-        result.point.energy_improvement,
-        result.point.qol_percent,
+        for result in results
     )
 
 
@@ -95,6 +104,21 @@ class TestRuntimeEquivalence:
         thread = _price("thread")
         subprocess_ = _price("subprocess")
         assert inline == thread == subprocess_
+        assert inline[0][0] == "ok"
+
+    def test_all_runtimes_replay_the_same_chaos(self):
+        """Under injected transients every runtime draws the same fault
+        and retry streams, so statuses, attempt counts and prices match
+        request for request — the worker rebuilds its shard exactly as
+        the pool does."""
+        chaos = ChaosPolicy(
+            transient_rate=0.2, latency_rate=0.0, corrupt_rate=0.0, seed=1
+        )
+        inline = _price("inline", chaos, requests=8)
+        thread = _price("thread", chaos, requests=8)
+        subprocess_ = _price("subprocess", chaos, requests=8)
+        assert inline == thread == subprocess_
+        assert any(attempts > 1 for _, attempts, *_ in inline)
 
 
 class _ScriptedKills(ChaosInjector):

@@ -203,6 +203,7 @@ class _StubConfig:
 class _StubScheduler:
     def __init__(self, clock) -> None:
         self.clock = clock
+        self.config = _StubConfig()
 
     def stats(self):
         return {"tenants": {}}
@@ -224,7 +225,6 @@ class _StubPool:
         self.autoscaler = None
         self.scheduler = _StubScheduler(clock)
         self.slo = _StubSLO()
-        self.serving_config = _StubConfig()
         self.traces = _StubTraces()
 
     @property
