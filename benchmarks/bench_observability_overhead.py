@@ -10,6 +10,12 @@ enabled and once disabled, and asserts the enabled arm is within 5% of
 the disabled arm.  The measured pair is emitted as
 ``BENCH_observability.json`` so CI archives the overhead trajectory
 alongside the perf benches.
+
+A tile execution is mostly simulator arithmetic, so that gate cannot see
+what instrumentation costs a *served* request.  A report-only serving
+arm times a warm inline closed loop (every call a tile-cache hit) with
+observability enabled and disabled, and records the difference as
+``serving_overhead_fraction``; it asserts nothing yet.
 """
 
 from __future__ import annotations
@@ -126,6 +132,89 @@ def test_instrumentation_overhead_under_five_percent(benchmark, bench_rounds):
         f"tracing-enabled overhead {traced_overhead * 100:.2f}% exceeds "
         f"the {MAX_OVERHEAD * 100:.0f}% ceiling"
     )
+
+
+#: Warm keys of the serving arm's closed loop, and calls per round.
+SERVING_KEYS = tuple(
+    (name, relax) for name in ("Sobel", "Robert", "FFT") for relax in (0, 8, 16)
+)
+SERVING_CALLS = 1000
+
+
+def _measure_serving() -> dict[str, float]:
+    """The p10 warm call through an inline pool, per arm.
+
+    The pool is warmed first (every key priced on both shards, so every
+    timed call is a tile-cache hit), then rounds of :data:`SERVING_CALLS`
+    calls alternate between the ``enabled`` arm (one private registry,
+    its series created by the warm-up) and the ``disabled`` arm.  Traces
+    are recorded in both: only metrics switch.  Each call is timed on its
+    own and an arm reports its 10th percentile: on a host whose speed
+    flips between modes the fast decile is the uncontended cost, where a
+    mean would move with the share of slow phases an arm happened to hit.
+    """
+    from repro.serving import Client, CrossbarPool
+
+    pool = CrossbarPool(shards=2, tile_elements=1 << 9, runtime="inline")
+    client = Client(pool, tenant="bench")
+    registry = MetricsRegistry()
+    calls = {"disabled": [], "enabled": []}
+
+    def loop(arm: str) -> None:
+        timed = calls[arm]
+        for index in range(SERVING_CALLS):
+            name, relax = SERVING_KEYS[index % len(SERVING_KEYS)]
+            start = time.perf_counter()
+            client.call(name, relax_bits=relax)
+            timed.append(time.perf_counter() - start)
+
+    def run_arm(arm: str) -> None:
+        if arm == "disabled":
+            observability.disable()
+            try:
+                loop(arm)
+            finally:
+                observability.enable()
+            return
+        previous = set_default_registry(registry)
+        try:
+            loop(arm)
+        finally:
+            set_default_registry(previous)
+
+    with pool:
+        for arm in calls:
+            run_arm(arm)  # warm-up: both shards price every key
+            calls[arm].clear()
+        for _ in range(REPEATS):
+            for arm in calls:
+                run_arm(arm)
+    return {
+        arm: sorted(timed)[len(timed) // 10] for arm, timed in calls.items()
+    }
+
+
+def test_serving_overhead_report():
+    """Report what metrics cost a warm served call (no bound yet)."""
+    arms = _measure_serving()
+    disabled_s, enabled_s = arms["disabled"], arms["enabled"]
+    overhead = (enabled_s - disabled_s) / disabled_s
+    try:
+        with open(ARTIFACT, encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except (OSError, ValueError):
+        payload = {}
+    payload["serving_calls_per_arm"] = SERVING_CALLS * REPEATS
+    payload["serving_disabled_call_s"] = disabled_s
+    payload["serving_enabled_call_s"] = enabled_s
+    payload["serving_overhead_fraction"] = overhead
+    with open(ARTIFACT, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2)
+    print()
+    print(f"serving overhead, warm inline call p10: "
+          f"disabled {disabled_s * 1e6:.1f} us, "
+          f"enabled {enabled_s * 1e6:.1f} us, "
+          f"overhead {overhead * 100:+.2f}% (report only)")
 
 
 def _measure_telemetry_tick() -> dict[str, float]:

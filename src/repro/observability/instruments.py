@@ -2,9 +2,10 @@
 
 Every metric family the runtime layers emit is one row of the table
 below — a module-level :class:`Instrument` handle that instrumented code
-writes through (``SERVING_ADMISSION.inc(outcome="admitted")``).  A write
-resolves its family against :func:`active_registry`, so swapping or
-clearing the default registry re-binds every handle, and returns at once
+writes through (``SERVING_ADMISSION.inc(outcome="admitted")``).  A handle
+binds its family once per :data:`~repro.observability.registry.binding`:
+swapping the default registry, clearing it or toggling observability
+re-binds every handle on its next write, and a write returns at once
 while observability is disabled.  The first write into a registry
 registers every declared family, so a scrape lists them all.
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.observability import registry as _registry
 from repro.observability.registry import (
     DEFAULT_ENERGY_BUCKETS,
     DEFAULT_LATENCY_BUCKETS,
@@ -29,12 +31,24 @@ if TYPE_CHECKING:
 #: Every declared family, in declaration order.
 FAMILIES: list["Instrument"] = []
 
+#: The binding of a handle that has not bound yet (matches no generation).
+_UNBOUND = (None, None, None)
+
 
 class Instrument:
     """One declared metric family.  ``inc``/``set``/``observe`` take the
-    value positionally and the family's labels as keywords."""
+    value positionally and the family's labels as keywords.
 
-    __slots__ = ("kind", "name", "help", "labelnames", "buckets")
+    The handle keeps one ``(binding, children, family)`` tuple, replaced
+    whole when the registry binding changes.  ``children`` caches each
+    child series by the labels exactly as the call site passed them, so
+    a warm write is one tuple build and one dict hit; a miss resolves
+    through the family, which renders values with ``str`` (``shard=0``
+    and ``shard="0"`` are one series).  ``children`` is ``None`` while
+    observability is disabled.
+    """
+
+    __slots__ = ("kind", "name", "help", "labelnames", "buckets", "_bound")
 
     def __init__(
         self,
@@ -49,34 +63,54 @@ class Instrument:
         self.help = help
         self.labelnames = labelnames
         self.buckets = buckets
+        self._bound = _UNBOUND
         FAMILIES.append(self)
 
-    def family(self):
-        """This family in the active registry (declaring every family on
-        the registry's first use), or ``None`` while disabled."""
-        registry = active_registry()
+    def _bind(self) -> tuple:
+        """Bind against the current registry binding (declaring every
+        family on the registry's first use)."""
+        binding = _registry.binding
+        registry = binding[0]
         if registry is None:
-            return None
-        family = registry.get(self.name)
-        if family is None:
-            _declare(registry)
+            bound = (binding, None, None)
+        else:
             family = registry.get(self.name)
-        return family
+            if family is None:
+                _declare(registry)
+                family = registry.get(self.name)
+            bound = (binding, {}, family)
+        self._bound = bound
+        return bound
+
+    def _child(self, labels: dict):
+        """The child series for ``labels``, or ``None`` while disabled."""
+        bound = self._bound
+        if bound[0] is not _registry.binding:
+            bound = self._bind()
+        children = bound[1]
+        if children is None:
+            return None
+        key = tuple(labels.items())
+        try:
+            return children[key]
+        except KeyError:
+            child = children[key] = bound[2].labels(**labels)
+            return child
 
     def inc(self, amount: float = 1.0, /, **labels) -> None:
-        family = self.family()
-        if family is not None:
-            family.labels(**labels).inc(amount)
+        child = self._child(labels)
+        if child is not None:
+            child.inc(amount)
 
     def set(self, value: float, /, **labels) -> None:
-        family = self.family()
-        if family is not None:
-            family.labels(**labels).set(value)
+        child = self._child(labels)
+        if child is not None:
+            child.set(value)
 
     def observe(self, value: float, /, **labels) -> None:
-        family = self.family()
-        if family is not None:
-            family.labels(**labels).observe(value)
+        child = self._child(labels)
+        if child is not None:
+            child.observe(value)
 
 
 def _declare(registry: MetricsRegistry) -> None:
@@ -418,10 +452,9 @@ def record_request_duration(seconds: float, trace_id: str | None = None) -> None
     """Observe one end-to-end request latency; ``trace_id`` becomes the
     bucket's exemplar, linking the aggregate histogram back to a concrete
     ``GET /trace/<id>`` timeline."""
-    family = REQUEST_DURATION.family()
-    if family is not None:
-        exemplar = {"trace_id": trace_id} if trace_id else None
-        family.observe(seconds, exemplar)
+    child = REQUEST_DURATION._child({})
+    if child is not None:
+        child.observe(seconds, {"trace_id": trace_id} if trace_id else None)
 
 
 def record_controller_command(opcode: str, cells: int = 0) -> None:

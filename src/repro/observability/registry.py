@@ -22,9 +22,12 @@ The registry's clock is injectable (it stamps snapshots, see
 
 A module-level default registry backs the zero-setup path: the declared
 families of :mod:`repro.observability.instruments` write through
-:func:`active_registry`, which returns ``None`` while observability is
-:func:`disable`-d — the overhead benchmark uses exactly this switch to
-price the instrumentation layer.
+:data:`binding` — ``(active registry, generation)``, the registry being
+``None`` while observability is :func:`disable`-d (the overhead
+benchmark uses exactly this switch to price the instrumentation layer).
+Swapping the default registry, clearing any registry and toggling the
+switch each replace that tuple, which is what tells a bound handle to
+re-bind.
 """
 
 from __future__ import annotations
@@ -376,9 +379,11 @@ class MetricsRegistry:
         )
 
     def clear(self) -> None:
-        """Drop every family and series (tests / fresh CLI runs)."""
+        """Drop every family and series (tests / fresh CLI runs); handles
+        bound to the dropped families re-bind on their next write."""
         with self._lock:
             self._families.clear()
+        _rebind()
 
 
 # --- the process-wide default -----------------------------------------------
@@ -386,6 +391,25 @@ class MetricsRegistry:
 _default = MetricsRegistry()
 _enabled = True
 _state_lock = threading.Lock()
+#: ``(active registry or None while disabled, generation)``.  Replaced as
+#: one tuple by every swap, clear and enable/disable, so a handle that
+#: bound its family against one value compares a single reference per
+#: write and can never pair a new registry with an old family.
+binding: tuple[MetricsRegistry | None, int] = (_default, 0)
+
+
+def _rebind(registry: MetricsRegistry | None = None, on: bool | None = None):
+    """Publish a new :data:`binding`, swapping the default registry and/or
+    the switch first; returns the previous default registry."""
+    global _default, _enabled, binding
+    with _state_lock:
+        previous = _default
+        if registry is not None:
+            _default = registry
+        if on is not None:
+            _enabled = on
+        binding = (_default if _enabled else None, binding[1] + 1)
+    return previous
 
 
 def default_registry() -> MetricsRegistry:
@@ -395,16 +419,12 @@ def default_registry() -> MetricsRegistry:
 
 def set_default_registry(registry: MetricsRegistry) -> MetricsRegistry:
     """Swap the process-wide registry (returns the previous one)."""
-    global _default
-    with _state_lock:
-        previous, _default = _default, registry
-    return previous
+    return _rebind(registry=registry)
 
 
 def enable() -> None:
     """Turn instrumentation on (the default)."""
-    global _enabled
-    _enabled = True
+    _rebind(on=True)
 
 
 def disable() -> None:
@@ -412,8 +432,7 @@ def disable() -> None:
     and every write through a declared family of
     :mod:`repro.observability.instruments` returns at once — this is the
     baseline arm of the overhead benchmark."""
-    global _enabled
-    _enabled = False
+    _rebind(on=False)
 
 
 def enabled() -> bool:
@@ -423,7 +442,7 @@ def enabled() -> bool:
 
 def active_registry() -> MetricsRegistry | None:
     """The default registry, or ``None`` while observability is disabled."""
-    return _default if _enabled else None
+    return binding[0]
 
 
 # --- cross-process counter forwarding ----------------------------------------

@@ -66,9 +66,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceEvent:
-    """One structured hop in a request's journey."""
+    """One structured hop in a request's journey (a slotted record: a
+    warm request appends eight of them)."""
 
     ts: float     #: store-clock timestamp (seconds)
     layer: str    #: frontend / scheduler / pool / supervisor / executor / ...
@@ -91,7 +92,7 @@ class TraceEvent:
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     """Everything the store holds for one trace."""
 
@@ -188,12 +189,9 @@ class TraceStore:
         """Open a trace; returns its root :class:`TraceContext`."""
         with self._lock:
             trace_id = f"{self._id_prefix}-{next(self._seq):08x}"
-            record = TraceRecord(
-                trace_id=trace_id,
-                created_ts=self.clock(),
-                baggage=dict(baggage),
+            self._records[trace_id] = TraceRecord(
+                trace_id, self.clock(), baggage
             )
-            self._records[trace_id] = record
             while len(self._records) > self.capacity:
                 evicted_id, evicted = self._records.popitem(last=False)
                 self.evicted += 1
@@ -201,16 +199,9 @@ class TraceStore:
                     # A re-bound alias now names a newer trace; keep it.
                     if self._aliases.get(alias) == evicted_id:
                         del self._aliases[alias]
-                self._spill(evicted)
-        return TraceContext(
-            trace_id=trace_id,
-            span_id=self._next_span_id(),
-            baggage=dict(baggage),
-            store=self,
-        )
-
-    def _spill(self, record: TraceRecord) -> None:
-        self._spill_batch([record])
+                if self.spill_path is not None:
+                    self._spill_batch([evicted])
+        return TraceContext(trace_id, self._next_span_id(), dict(baggage), self)
 
     def _spill_batch(self, records: list[TraceRecord]) -> None:
         """Append ``records`` to the spill file crash-safely.
@@ -267,24 +258,22 @@ class TraceStore:
         kind: str,
         span_id: str,
         detail: str = "",
-        **attrs,
+        attrs: dict | None = None,
     ) -> None:
-        """Append one event (no-op for evicted/unknown traces)."""
+        """Append one event (no-op for evicted/unknown traces).  The store
+        keeps ``attrs`` itself, not a copy."""
         with self._lock:
             record = self._records.get(trace_id)
             if record is None:
                 return
-            if len(record.events) >= self.max_events:
+            events = record.events
+            if len(events) >= self.max_events:
                 record.dropped_events += 1
                 return
-            record.events.append(
+            events.append(
                 TraceEvent(
-                    ts=self.clock(),
-                    layer=layer,
-                    kind=kind,
-                    span_id=span_id,
-                    detail=detail,
-                    attrs=attrs,
+                    self.clock(), layer, kind, span_id, detail,
+                    {} if attrs is None else attrs,
                 )
             )
 
@@ -325,7 +314,7 @@ class TraceStore:
             return len(self._records)
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceContext:
     """The propagated identity of one traced request.
 
@@ -340,9 +329,10 @@ class TraceContext:
     store: TraceStore
 
     def event(self, layer: str, kind: str, detail: str = "", **attrs) -> None:
-        """Append one event under this context's span."""
+        """Append one event under this context's span (``attrs`` goes to
+        the store as is)."""
         self.store.append(
-            self.trace_id, layer, kind, self.span_id, detail, **attrs
+            self.trace_id, layer, kind, self.span_id, detail, attrs
         )
 
 

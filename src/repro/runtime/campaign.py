@@ -31,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from repro.core.approximation import EXACT, ApproxSpec
@@ -68,7 +69,7 @@ def point_key(workload: str, relax_bits: int, dataset_bytes: int) -> str:
     return f"{workload}/m{relax_bits}/{int(dataset_bytes)}B"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CampaignPoint:
     """One (workload, relax-bits, dataset-size) measurement."""
 
@@ -231,103 +232,101 @@ def run_point(
     for the whole rescue ladder, so supervisor attempts, executor runs and
     controller commands land on the owning timeline; degradation rungs
     and fallback transitions are recorded explicitly.
+
+    A point priced clean on its first supervised attempt builds no
+    closure and no QoS policy: the supervisor calls a module function
+    with the point's arguments, and only the rescue ladder reads ``qos``.
     """
     with use_trace(trace):
-        return _run_point_traced(
-            workload, level, dataset_bytes, harness, supervisor, chaos,
-            qos, max_relax_bits, degradation_step, key_prefix, trace,
-        )
+        key = key_prefix + point_key(workload.name, level, int(dataset_bytes))
+        fn, args = _pricing(harness, workload, dataset_bytes, level, chaos, key)
+        if supervisor is None:
+            # Classic fail-fast path: no supervision requested, exceptions
+            # propagate to the caller unchanged.
+            return _point_from_comparison(fn(*args), level, "ok", 1, level)
+        # Every attempt counts, chaos-faulted ones included; the
+        # supervisor's running count covers runs that raised.
+        before = supervisor.attempts
+        try:
+            comparison, report = supervisor.supervise(key, fn, *args)
+            return _point_from_comparison(
+                comparison, level, report.status, report.attempts, level
+            )
+        except CircuitOpenError:
+            # The breaker says this (workload, config) is sick: skip the
+            # ladder (more of the same engine) and go straight to fallback.
+            _ladder_event(
+                trace, "breaker_open", "skipping degradation ladder", key=key
+            )
+        except ReproError as exc:
+            # Retries/deadline exhausted: degrade up the relax ladder.  Each
+            # rung gets its own supervised budget under a distinct key so
+            # the original point's breaker state does not doom the rescue.
+            _ladder_event(
+                trace, "rescue", f"{type(exc).__name__}: {exc}",
+                requested_m=level,
+            )
+            for rung in (qos or QoSPolicy()).degradation_rungs(
+                level, max_relax_bits, degradation_step
+            ):
+                try:
+                    _ladder_event(trace, "degrade_rung", rung_m=rung)
+                    fn, args = _pricing(
+                        harness, workload, dataset_bytes, rung, chaos, key
+                    )
+                    comparison, _ = supervisor.supervise(
+                        f"{key}/degrade-m{rung}", fn, *args
+                    )
+                    return _point_from_comparison(
+                        comparison, level, "degraded",
+                        supervisor.attempts - before, rung,
+                    )
+                except ReproError:
+                    continue
+
+        # Last resort: complete the point exactly on the host CPU baseline.
+        # Chaos does not apply here — the fallback is the real host, not
+        # the simulated accelerator.
+        calls = supervisor.attempts - before + 1
+        try:
+            _ladder_event(trace, "cpu_fallback")
+            comparison = harness.cpu_fallback(workload, dataset_bytes)
+            return _point_from_comparison(
+                comparison, level, "fallback", calls, -1
+            )
+        except ReproError:
+            _ladder_event(
+                trace, "failed", "cpu fallback raised; point recorded as failed"
+            )
+            return _failed_point(
+                workload.name, level, int(dataset_bytes), calls
+            )
 
 
-def _run_point_traced(
-    workload: Workload,
-    level: int,
-    dataset_bytes: float,
-    harness,
-    supervisor: "Supervisor | None",
-    chaos: "ChaosInjector | None",
-    qos: QoSPolicy | None,
-    max_relax_bits: int,
-    degradation_step: int,
-    key_prefix: str,
-    trace,
-) -> CampaignPoint:
-    qos = qos or QoSPolicy()
-    key = key_prefix + point_key(workload.name, level, int(dataset_bytes))
-    calls = 0
+@lru_cache(maxsize=64)
+def _relax_spec(relax: int) -> ApproxSpec:
+    return ApproxSpec.last_stage(relax) if relax else EXACT
 
-    def tevent(kind: str, detail: str = "", **attrs) -> None:
-        if trace is not None:
-            trace.event("campaign", kind, detail, **attrs)
 
-    def priced(relax: int):
-        def call():
-            spec = ApproxSpec.last_stage(relax) if relax else EXACT
-            return harness.compare(workload, dataset_bytes, spec)
+def _price_at(harness, workload, dataset_bytes, relax: int):
+    """One priced attempt at ``relax`` (a bad level raises in here, inside
+    supervision, like any other failed attempt)."""
+    return harness.compare(workload, dataset_bytes, _relax_spec(relax))
 
-        inner = chaos.wrap(key, call) if chaos is not None else call
 
-        def counted():  # count every attempt, chaos-faulted ones included
-            nonlocal calls
-            calls += 1
-            return inner()
+def _pricing(harness, workload, dataset_bytes, relax, chaos, key):
+    """``(fn, args)`` of one priced attempt at ``relax``: the plain call,
+    or a chaos-wrapped one drawing on the point's key."""
+    args = (harness, workload, dataset_bytes, relax)
+    if chaos is None:
+        return _price_at, args
+    return chaos.wrap(key, lambda: _price_at(*args)), ()
 
-        return counted
 
-    if supervisor is None:
-        # Classic fail-fast path: no supervision requested, exceptions
-        # propagate to the caller unchanged.
-        comparison = priced(level)()
-        return _point_from_comparison(
-            comparison, level, "ok", calls, effective_relax_bits=level
-        )
-
-    try:
-        comparison, report = supervisor.supervise(key, priced(level))
-        return _point_from_comparison(
-            comparison, level, report.status, calls,
-            effective_relax_bits=level,
-        )
-    except CircuitOpenError:
-        # The breaker says this (workload, config) is sick: skip the
-        # ladder (more of the same engine) and go straight to fallback.
-        tevent("breaker_open", "skipping degradation ladder", key=key)
-    except ReproError as exc:
-        # Retries/deadline exhausted: degrade up the relax ladder.  Each
-        # rung gets its own supervised budget under a distinct key so the
-        # original point's breaker state does not doom the rescue.
-        tevent(
-            "rescue", f"{type(exc).__name__}: {exc}", requested_m=level,
-        )
-        for rung in qos.degradation_rungs(level, max_relax_bits,
-                                          degradation_step):
-            try:
-                tevent("degrade_rung", rung_m=rung)
-                comparison, _ = supervisor.supervise(
-                    f"{key}/degrade-m{rung}", priced(rung)
-                )
-                return _point_from_comparison(
-                    comparison, level, "degraded", calls,
-                    effective_relax_bits=rung,
-                )
-            except ReproError:
-                continue
-
-    # Last resort: complete the point exactly on the host CPU baseline.
-    # Chaos does not apply here — the fallback is the real host, not the
-    # simulated accelerator.
-    try:
-        calls += 1
-        tevent("cpu_fallback")
-        comparison = harness.cpu_fallback(workload, dataset_bytes)
-        return _point_from_comparison(
-            comparison, level, "fallback", calls, effective_relax_bits=-1
-        )
-    except ReproError:
-        tevent("failed", "cpu fallback raised; point recorded as failed")
-        return _failed_point(
-            workload.name, level, int(dataset_bytes), calls
-        )
+def _ladder_event(trace, kind: str, detail: str = "", **attrs) -> None:
+    """Record a rescue-ladder transition on the point's own trace."""
+    if trace is not None:
+        trace.event("campaign", kind, detail, **attrs)
 
 
 def _run_campaign_pooled(

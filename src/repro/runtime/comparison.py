@@ -34,9 +34,12 @@ __all__ = ["ComparisonHarness", "ComparisonResult"]
 _TILE_MEMO: dict[tuple, ExecutionResult] = {}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ComparisonResult:
-    """APIM vs GPU at one (workload, dataset size, approximation) point."""
+    """APIM vs GPU at one (workload, dataset size, approximation) point.
+
+    A slotted record: every served request builds one on its way to a
+    (frozen) :class:`~repro.runtime.campaign.CampaignPoint`."""
 
     workload: str
     dataset_bytes: int
@@ -138,7 +141,12 @@ class ComparisonHarness:
         resident dataset.
         """
         tile = self._tile_result(workload, spec)
-        profile = workload.profile()
+        time, energy = self._scaled(tile, workload.profile(), dataset_bytes)
+        return time, energy, tile
+
+    def _scaled(
+        self, tile: ExecutionResult, profile, dataset_bytes: float
+    ) -> tuple[float, float]:
         elements = profile.elements(dataset_bytes)
         pass_ratio = profile.passes(elements) / profile.passes(tile.elements)
         scale = (elements / tile.elements) * pass_ratio
@@ -147,7 +155,7 @@ class ComparisonHarness:
         blocks = self.config.blocks_for(dataset_bytes)
         time = cost.time(self.config, lanes)
         energy = cost.energy(self.config, lanes, active_blocks=blocks)
-        return time, energy, tile
+        return time, energy
 
     # -- comparison ---------------------------------------------------------
 
@@ -187,10 +195,10 @@ class ComparisonHarness:
         self, workload, dataset_bytes: float, spec: ApproxSpec = EXACT
     ) -> ComparisonResult:
         """Full APIM-vs-GPU comparison at one point."""
-        apim_time, apim_energy, tile = self.apim_estimate(
-            workload, dataset_bytes, spec
-        )
-        gpu: GPUEstimate = self.gpu.estimate(workload.profile(), dataset_bytes)
+        tile = self._tile_result(workload, spec)
+        profile = workload.profile()
+        apim_time, apim_energy = self._scaled(tile, profile, dataset_bytes)
+        gpu: GPUEstimate = self.gpu.estimate(profile, dataset_bytes)
         return ComparisonResult(
             workload=workload.name,
             dataset_bytes=int(dataset_bytes),

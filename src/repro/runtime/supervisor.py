@@ -168,22 +168,29 @@ class CircuitBreaker:
         self._failures[key] = self.failure_threshold - 1
         BREAKER_TRANSITIONS.inc(state="half_open")
 
-    def record_success(self, key: str) -> None:
-        if key in self._failures or key in self._opened_at:
-            BREAKER_TRANSITIONS.inc(state="closed")
+    def record_success(self, key: str) -> bool:
+        """Reset ``key``; True when it had failures or was open (a
+        ``closed`` transition), False when it was already clean."""
+        if key not in self._failures and key not in self._opened_at:
+            return False
+        BREAKER_TRANSITIONS.inc(state="closed")
         self._failures.pop(key, None)
         self._opened_at.pop(key, None)
+        return True
 
-    def record_failure(self, key: str) -> None:
+    def record_failure(self, key: str) -> bool:
+        """Count one failure; True when ``key`` is open after it."""
         count = self._failures.get(key, 0) + 1
         self._failures[key] = count
-        if count >= self.failure_threshold:
-            if key not in self._opened_at:
-                BREAKER_TRANSITIONS.inc(state="open")
-            self._opened_at[key] = self.clock()
+        if count < self.failure_threshold:
+            return False
+        if key not in self._opened_at:
+            BREAKER_TRANSITIONS.inc(state="open")
+        self._opened_at[key] = self.clock()
+        return True
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RunReport:
     """What supervision did to get one result out."""
 
@@ -202,6 +209,11 @@ class Supervisor:
     is a ``trace_event("supervisor", kind, detail, key=key)`` on the
     thread's ambient trace, so installing a sink with
     :func:`~repro.observability.tracing.use_trace` streams the timeline.
+
+    :attr:`attempts` counts every call of a supervised ``fn`` over the
+    supervisor's life; a caller that must count the attempts of a run
+    that raised (the campaign's rescue ladder) reads it before and after.
+    Like its breaker, a supervisor is driven by one thread at a time.
     """
 
     def __init__(
@@ -221,23 +233,21 @@ class Supervisor:
         if sleep is None:
             sleep = clock.advance if isinstance(clock, ManualClock) else time.sleep
         self.sleep = sleep
+        self.attempts = 0
 
     def _emit(self, kind: str, key: str, detail: str) -> None:
         record_supervision_event(kind)
         trace_event("supervisor", kind, detail, key=key)
-
-    def _expired(self, start: float, headroom: float = 0.0) -> bool:
-        if self.deadline_s is None:
-            return False
-        return self.clock() - start + headroom >= self.deadline_s
 
     def _fail(self, key: str, detail: str) -> None:
         if self.breaker is not None:
             self.breaker.record_failure(key)
         self._emit("failure", key, detail)
 
-    def supervise(self, key: str, fn: Callable[[], T]) -> tuple[T, RunReport]:
-        """Run ``fn`` under policy; return its result and a report.
+    def supervise(
+        self, key: str, fn: Callable[..., T], *args
+    ) -> tuple[T, RunReport]:
+        """Run ``fn(*args)`` under policy; return its result and a report.
 
         Raises the last retryable error once attempts are exhausted,
         :class:`DeadlineExceededError` on wall-clock overrun, and
@@ -245,24 +255,30 @@ class Supervisor:
         breaker is open.  Non-retryable exceptions propagate unchanged
         (after feeding the breaker).
         """
-        if self.breaker is not None:
-            self.breaker.check(key)
+        breaker = self.breaker
+        if breaker is not None:
+            breaker.check(key)
+        deadline_s = self.deadline_s
         start = self.clock()
         delays: list[float] = []
         errors: list[str] = []
         attempt = 0
         while True:
             attempt += 1
+            self.attempts += 1
             self._emit("attempt", key, f"attempt {attempt}")
             try:
-                result = fn()
+                result = fn(*args)
             except self.retry.retryable as exc:
                 errors.append(f"{type(exc).__name__}: {exc}")
                 if attempt >= self.retry.max_attempts:
                     self._fail(key, f"retries exhausted: {errors[-1]}")
                     raise
                 delay = self.retry.delay(attempt, key)
-                if self._expired(start, headroom=delay):
+                if (
+                    deadline_s is not None
+                    and self.clock() - start + delay >= deadline_s
+                ):
                     self._fail(key, "deadline blown during backoff")
                     raise DeadlineExceededError(
                         f"{key}: {self.clock() - start:.3f}s elapsed + "
@@ -280,21 +296,18 @@ class Supervisor:
                 self._fail(key, f"{type(exc).__name__}: {exc}")
                 raise
             elapsed = self.clock() - start
-            if self._expired(start):
+            if deadline_s is not None and elapsed >= deadline_s:
                 self._fail(key, f"deadline exceeded after {elapsed:.3f}s")
                 raise DeadlineExceededError(
                     f"{key}: completed after {elapsed:.3f}s, over the "
-                    f"{self.deadline_s}s deadline"
+                    f"{deadline_s}s deadline"
                 )
-            if self.breaker is not None:
-                self.breaker.record_success(key)
-            status = "ok" if attempt == 1 else "retried"
-            self._emit("success", key, f"{status} after {attempt} attempt(s)")
+            if breaker is not None:
+                breaker.record_success(key)
+            if attempt == 1:
+                self._emit("success", key, "ok after 1 attempt(s)")
+                return result, RunReport(key, 1, "ok", elapsed)
+            self._emit("success", key, f"retried after {attempt} attempt(s)")
             return result, RunReport(
-                key=key,
-                attempts=attempt,
-                status=status,
-                elapsed_s=elapsed,
-                delays=tuple(delays),
-                errors=tuple(errors),
+                key, attempt, "retried", elapsed, tuple(delays), tuple(errors)
             )

@@ -94,6 +94,7 @@ from repro.serving.scheduler import (
 )
 from repro.units import MIB
 from repro.workloads import workload_by_name
+from repro.workloads.registry import workload_class
 
 __all__ = [
     "Client", "CrossbarPool", "PoolShard", "SEARCH_WORKLOAD", "build_shard",
@@ -122,10 +123,11 @@ class PoolShard:
     #: autoscaler reads it so shrink never selects a working shard.
     in_flight: int = 0
     _workloads: dict = field(default_factory=dict)
+    #: The breaker and supervision-key namespace, ``shard<index>``.
+    key: str = field(init=False, repr=False)
 
-    @property
-    def key(self) -> str:
-        return f"shard{self.index}"
+    def __post_init__(self) -> None:
+        self.key = f"shard{self.index}"
 
     @property
     def healthy(self) -> bool:
@@ -531,8 +533,6 @@ class CrossbarPool:
     # -- durability helpers ---------------------------------------------------
 
     def _journal_dispatched(self, request: ServeRequest, shard: int) -> None:
-        if self.journal is None:
-            return
         try:
             self.journal.dispatched(request.id, shard)
         except JournalError:
@@ -660,7 +660,7 @@ class CrossbarPool:
         :class:`~repro.errors.DuplicateRequestError` (HTTP 409).
         """
         try:
-            workload_by_name(workload)  # reject unknown names at the door
+            workload_class(workload)  # reject unknown names at the door
         except WorkloadError as exc:
             # The registry's message enumerates every registered name;
             # forward it so the frontend's 400 is self-correcting.
@@ -841,11 +841,15 @@ class CrossbarPool:
                 f"tenant {tenant!r} is shed under fast burn; retry later",
                 retry_after_s=self.scheduler.config.retry_after_s,
             )
-        self.ensure_started()
+        if not self._started:
+            self.ensure_started()
         trace = self.traces.new_trace(
             workload=workload, tenant=tenant, relax_bits=relax_bits
         )
-        if not any(shard.healthy for shard in self.shards):
+        for shard in self.shards:
+            if shard.healthy:
+                break
+        else:
             trace.event(
                 "pool", "shed", "every shard breaker open",
                 shards=len(self.shards),
@@ -1152,7 +1156,8 @@ class CrossbarPool:
         # service time (below) is always real time.
         now = self.scheduler.clock()
         queue_wait = max(0.0, now - request.submitted_at)
-        trace_id = request.trace.trace_id if request.trace else ""
+        trace = request.trace
+        trace_id = trace.trace_id if trace is not None else ""
         if self._expired(request, now):
             request.trace_event(
                 "pool", "expired", "deadline passed while queued",
@@ -1175,11 +1180,13 @@ class CrossbarPool:
             record_served(shard.index, request.tenant, "expired", 0.0)
             self._account(queue_wait, 0.0, queue_wait, trace_id, ok=False)
             return
-        request.trace_event(
-            "pool", "dispatch", shard=shard.index, batch_size=batch_size,
-            queue_wait_s=round(queue_wait, 6),
-        )
-        self._journal_dispatched(request, shard.index)
+        if trace is not None:
+            trace.event(
+                "pool", "dispatch", shard=shard.index, batch_size=batch_size,
+                queue_wait_s=round(queue_wait, 6),
+            )
+        if self.journal is not None:
+            self._journal_dispatched(request, shard.index)
         start = time.monotonic()
         search_out = None
         try:
@@ -1203,17 +1210,21 @@ class CrossbarPool:
         service_s = time.monotonic() - start
         shard.served += 1
         shard.busy_s += service_s
+        # The health gauge follows the breaker's transitions: it drops when
+        # a failure trips the breaker and recovers when a success closes
+        # it (the half-open probe after a cooldown), on every runtime.
         if status in ("failed", "error"):
             shard.failures += 1
-            shard.breaker.record_failure(shard.key)
-            SERVING_SHARD_HEALTHY.set(int(shard.healthy), shard=shard.index)
-        else:
-            shard.breaker.record_success(shard.key)
+            if shard.breaker.record_failure(shard.key):
+                SERVING_SHARD_HEALTHY.set(int(shard.healthy), shard=shard.index)
+        elif shard.breaker.record_success(shard.key):
+            SERVING_SHARD_HEALTHY.set(1, shard=shard.index)
         self.scheduler.note_service_time(service_s)
-        request.trace_event(
-            "pool", "complete", status=status, attempts=attempts,
-            service_s=round(service_s, 6),
-        )
+        if trace is not None:
+            trace.event(
+                "pool", "complete", status=status, attempts=attempts,
+                service_s=round(service_s, 6),
+            )
         result = ServeResult(
             id=request.id,
             tenant=request.tenant,

@@ -49,13 +49,17 @@ class InlineRuntime(ShardRuntime):
     def pump(self) -> int:
         """Drain the scheduler synchronously; returns batches executed."""
         executed = 0
+        scheduler = self.pool.scheduler
         with self._pump_lock:
-            while True:
-                batch = self.pool.scheduler.next_batch(timeout=0.0)
+            # A submitter that queues after this loop reads zero pumps
+            # for itself once this pump releases the lock.
+            while scheduler.queued:
+                batch = scheduler.next_batch(timeout=0.0)
                 if not batch:
-                    return executed
+                    break
                 self.pool._run_batch(self._pick_shard(), batch)
                 executed += 1
+        return executed
 
     def after_submit(self) -> None:
         self.pump()

@@ -109,7 +109,7 @@ class ServingConfig:
             raise ConfigurationError("service_ema_alpha must be in (0, 1]")
 
 
-@dataclass
+@dataclass(slots=True)
 class ServeRequest:
     """One unit of client work: price a workload point on the pool."""
 
@@ -141,7 +141,7 @@ class ServeRequest:
             self.trace.event(layer, kind, detail, **attrs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServeResult:
     """Terminal outcome of one request (exactly one per admitted id)."""
 
@@ -266,6 +266,13 @@ class BatchingScheduler:
         self._seq = itertools.count()
         self._closed = False
         self._workers = 0
+        #: Requests queued across every class.  Written under the lock;
+        #: a bare read is a hint (the inline pump stops on zero).
+        self.queued = 0
+        # Consumers blocked in next_batch / producers blocked on a full
+        # class: a notify with nobody waiting is skipped.
+        self._idle = 0
+        self._blocked = 0
         self._ema_service_s: float | None = None
         self.admitted = 0
         self.rejected = {"queue_full": 0, "deadline": 0, "closed": 0}
@@ -295,7 +302,7 @@ class BatchingScheduler:
         """Queued requests in one class (or in total)."""
         with self._lock:
             if priority is None:
-                return sum(ring.size for ring in self._classes)
+                return self.queued
             return self._classes[priority].size
 
     def estimated_delay_s(self) -> float:
@@ -307,8 +314,7 @@ class BatchingScheduler:
     def _estimated_delay_locked(self) -> float:
         if self._ema_service_s is None:
             return 0.0
-        backlog = sum(ring.size for ring in self._classes)
-        return backlog * self._ema_service_s / max(1, self._workers)
+        return self.queued * self._ema_service_s / max(1, self._workers)
 
     def stats(self) -> dict:
         with self._lock:
@@ -361,7 +367,11 @@ class BatchingScheduler:
                         f"{self.config.retry_after_s}s",
                         retry_after_s=self.config.retry_after_s,
                     )
-                self._space.wait(timeout=0.1)
+                self._blocked += 1
+                try:
+                    self._space.wait(timeout=0.1)
+                finally:
+                    self._blocked -= 1
                 if self._closed:
                     self.rejected["closed"] += 1
                     SERVING_ADMISSION.inc(outcome="rejected_closed")
@@ -384,14 +394,17 @@ class BatchingScheduler:
                     )
             request.submitted_at = now
             ring.push(request)
+            self.queued += 1
             self.admitted += 1
             SERVING_ADMISSION.inc(outcome="admitted")
             SERVING_QUEUE_DEPTH.set(ring.size, priority=priority)
-            request.trace_event(
-                "scheduler", "queue_enter",
-                priority=priority, depth=ring.size,
-            )
-            self._nonempty.notify_all()
+            if request.trace is not None:
+                request.trace.event(
+                    "scheduler", "queue_enter",
+                    priority=priority, depth=ring.size,
+                )
+            if self._idle:
+                self._nonempty.notify_all()
 
     def requeue(self, requests: list[ServeRequest]) -> None:
         """Push rerouted requests back at the *front* of their queues
@@ -403,6 +416,7 @@ class BatchingScheduler:
                 request.reroutes += 1
                 ring = self._classes[request.priority]
                 ring.push_front(request)
+                self.queued += 1
                 SERVING_QUEUE_DEPTH.set(ring.size, priority=request.priority)
                 request.trace_event(
                     "scheduler", "reroute_requeue",
@@ -434,55 +448,68 @@ class BatchingScheduler:
         ``config.max_wait_s`` more for same-key stragglers while the batch
         is short of ``max_batch_size``.
         """
-        deadline = self.clock() + timeout
         with self._lock:
-            head = self._pop_head_locked()
-            while head is None:
-                remaining = deadline - self.clock()
-                if remaining <= 0 or self._closed:
+            head = self._pop_head_locked() if self.queued else None
+            if head is None:
+                if timeout <= 0:
                     return []
-                self._nonempty.wait(remaining)
-                head = self._pop_head_locked()
+                deadline = self.clock() + timeout
+                while head is None:
+                    remaining = deadline - self.clock()
+                    if remaining <= 0 or self._closed:
+                        return []
+                    self._idle += 1
+                    try:
+                        self._nonempty.wait(remaining)
+                    finally:
+                        self._idle -= 1
+                    head = self._pop_head_locked()
             batch = [head]
             key = head.batch_key
             limit = self.config.max_batch_size
-            batch.extend(self._gather_locked(key, limit - len(batch)))
+            if self.queued > 1:  # anything besides the head to join
+                batch.extend(self._gather_locked(key, limit - 1))
             if self.config.max_wait_s > 0 and len(batch) < limit:
                 wait_until = self.clock() + self.config.max_wait_s
                 while len(batch) < limit and not self._closed:
                     remaining = wait_until - self.clock()
                     if remaining <= 0:
                         break
-                    self._nonempty.wait(remaining)
+                    self._idle += 1
+                    try:
+                        self._nonempty.wait(remaining)
+                    finally:
+                        self._idle -= 1
                     batch.extend(
                         self._gather_locked(key, limit - len(batch))
                     )
+            self.queued -= len(batch)
             now = self.clock()
+            size = len(batch)
             head_trace = head.trace.trace_id if head.trace else ""
             for position, request in enumerate(batch):
-                SERVING_QUEUE_WAIT.observe(max(0.0, now - request.submitted_at))
-                request.trace_event(
-                    "scheduler", "queue_exit",
-                    wait_s=round(max(0.0, now - request.submitted_at), 6),
-                )
+                wait_s = max(0.0, now - request.submitted_at)
+                SERVING_QUEUE_WAIT.observe(wait_s)
+                trace = request.trace
+                if trace is None:
+                    continue
+                trace.event("scheduler", "queue_exit", wait_s=round(wait_s, 6))
                 # One link per coalesced request: followers point at the
                 # batch head's trace, the head lists the batch size.
                 if position == 0:
-                    request.trace_event(
-                        "scheduler", "batch_lead", size=len(batch),
-                    )
+                    trace.event("scheduler", "batch_lead", size=size)
                 else:
-                    request.trace_event(
+                    trace.event(
                         "scheduler", "batch_join",
-                        head_trace=head_trace, position=position,
-                        size=len(batch),
+                        head_trace=head_trace, position=position, size=size,
                     )
-            SERVING_BATCH_SIZE.observe(len(batch))
+            SERVING_BATCH_SIZE.observe(size)
             for priority in {request.priority for request in batch}:
                 SERVING_QUEUE_DEPTH.set(
                     self._classes[priority].size, priority=priority
                 )
-            self._space.notify_all()
+            if self._blocked:
+                self._space.notify_all()
             return batch
 
     # -- lifecycle ------------------------------------------------------------
@@ -548,14 +575,16 @@ class ResultStore:
         self._lock = threading.Lock()
         self._done = threading.Condition(self._lock)
         self._results: "OrderedDict[str, ServeResult]" = OrderedDict()
+        #: Completion times, kept only while a TTL needs them.
         self._completed_at: dict[str, float] = {}
         self._tombstones: "OrderedDict[str, str]" = OrderedDict()
         self._pending: set[str] = set()
+        self._waiters = 0  # threads blocked in wait(): notify only them
         self.evicted = 0
         self.evicted_by_reason = {"capacity": 0, "ttl": 0}
 
     def _evict_locked(self, request_id: str, reason: str) -> None:
-        self._results.pop(request_id, None)
+        """Tombstone an id already removed from ``_results``."""
         self._completed_at.pop(request_id, None)
         if self.tombstones > 0:
             self._tombstones[request_id] = reason
@@ -574,16 +603,19 @@ class ResultStore:
             born = self._completed_at.get(oldest_id, now)
             if now - born < self.ttl_s:
                 break
+            del self._results[oldest_id]
             self._evict_locked(oldest_id, "ttl")
 
     def _store_locked(self, result: ServeResult) -> None:
-        self._results[result.id] = result
-        self._completed_at[result.id] = self.clock()
-        while len(self._results) > self.capacity:
-            oldest_id = next(iter(self._results))
-            self._evict_locked(oldest_id, "capacity")
-        self._prune_locked()
-        self._done.notify_all()
+        results = self._results
+        results[result.id] = result
+        while len(results) > self.capacity:
+            self._evict_locked(results.popitem(last=False)[0], "capacity")
+        if self.ttl_s is not None:
+            self._completed_at[result.id] = self.clock()
+            self._prune_locked()
+        if self._waiters:
+            self._done.notify_all()
 
     def register(self, request_id: str) -> None:
         with self._lock:
@@ -664,7 +696,11 @@ class ResultStore:
                 )
                 if remaining is not None and remaining <= 0:
                     return None
-                self._done.wait(remaining)
+                self._waiters += 1
+                try:
+                    self._done.wait(remaining)
+                finally:
+                    self._waiters -= 1
             return self._results[request_id]
 
     @property

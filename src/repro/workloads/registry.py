@@ -67,17 +67,23 @@ def workload_names() -> list[str]:
     return [klass.name for klass in _REGISTRY.values()]
 
 
-def workload_by_name(name: str) -> Workload:
-    """Instantiate the workload registered under ``name``
-    (case-insensitive); raises :class:`WorkloadError` listing every
-    registered name when there is no match."""
+def workload_class(name: str) -> type[Workload]:
+    """The class registered under ``name`` (case-insensitive); raises
+    :class:`WorkloadError` listing every registered name when there is
+    no match."""
     klass = _REGISTRY.get(str(name).lower())
     if klass is None:
         known = ", ".join(workload_names())
         raise WorkloadError(
             f"unknown workload {name!r}; registered: {known}"
         )
-    return klass()
+    return klass
+
+
+def workload_by_name(name: str) -> Workload:
+    """Instantiate the workload registered under ``name`` (see
+    :func:`workload_class`)."""
+    return workload_class(name)()
 
 
 def all_workloads() -> list[Workload]:

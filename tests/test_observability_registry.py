@@ -206,3 +206,128 @@ class TestGlobalSwitch:
             assert default_registry() is mine
         finally:
             set_default_registry(previous)
+
+
+class TestBoundHandles:
+    """Module-level :class:`Instrument` handles bind their family once per
+    registry binding; every way the binding changes must re-bind them."""
+
+    @staticmethod
+    def _value(registry, shard):
+        family = registry.get("repro_serving_shard_busy_seconds_total")
+        return None if family is None else family.labels(shard=shard).value
+
+    def test_write_follows_a_swapped_default_registry(self):
+        from repro.observability.instruments import SERVING_SHARD_BUSY
+
+        first, second = MetricsRegistry(), MetricsRegistry()
+        previous = set_default_registry(first)
+        try:
+            SERVING_SHARD_BUSY.inc(1.0, shard=0)
+            set_default_registry(second)
+            SERVING_SHARD_BUSY.inc(2.0, shard=0)
+        finally:
+            set_default_registry(previous)
+        assert self._value(first, 0) == 1.0
+        assert self._value(second, 0) == 2.0
+
+    def test_write_after_clear_lands_in_the_new_family(self):
+        from repro.observability.instruments import SERVING_SHARD_BUSY
+
+        registry = MetricsRegistry()
+        previous = set_default_registry(registry)
+        try:
+            SERVING_SHARD_BUSY.inc(1.0, shard=0)
+            registry.clear()
+            SERVING_SHARD_BUSY.inc(3.0, shard=0)
+        finally:
+            set_default_registry(previous)
+        assert self._value(registry, 0) == 3.0
+
+    def test_disable_then_enable_rebinds(self):
+        from repro.observability.instruments import SERVING_SHARD_BUSY
+
+        registry = MetricsRegistry()
+        previous = set_default_registry(registry)
+        try:
+            SERVING_SHARD_BUSY.inc(1.0, shard=0)
+            disable()
+            try:
+                SERVING_SHARD_BUSY.inc(10.0, shard=0)
+            finally:
+                enable()
+            SERVING_SHARD_BUSY.inc(2.0, shard=0)
+        finally:
+            set_default_registry(previous)
+        assert self._value(registry, 0) == 3.0
+
+    def test_int_and_str_label_values_are_one_series(self):
+        from repro.observability.instruments import SERVING_SHARD_BUSY
+
+        registry = MetricsRegistry()
+        previous = set_default_registry(registry)
+        try:
+            SERVING_SHARD_BUSY.inc(1.0, shard=0)
+            SERVING_SHARD_BUSY.inc(2.0, shard="0")
+        finally:
+            set_default_registry(previous)
+        family = registry.get("repro_serving_shard_busy_seconds_total")
+        assert [labels for labels, _ in family.samples()] == [{"shard": "0"}]
+        assert self._value(registry, 0) == 3.0
+
+    def test_binding_is_one_tuple_of_registry_and_family(self):
+        from repro.observability import registry as registry_module
+        from repro.observability.instruments import SERVING_SHARD_BUSY
+
+        registry = MetricsRegistry()
+        previous = set_default_registry(registry)
+        try:
+            SERVING_SHARD_BUSY.inc(1.0, shard=0)
+            binding, children, family = SERVING_SHARD_BUSY._bound
+            assert binding is registry_module.binding
+            assert binding[0] is registry
+            assert family is registry.get(SERVING_SHARD_BUSY.name)
+            assert children[(("shard", 0),)] is family.labels(shard=0)
+        finally:
+            set_default_registry(previous)
+
+    def test_no_write_is_lost_across_concurrent_swaps(self):
+        """More writers than cores race registry swaps, switching often:
+        every write lands in a family some registry actually holds, so
+        the totals add up."""
+        import sys
+
+        from repro.observability.instruments import SERVING_SHARD_BUSY
+
+        registries = [MetricsRegistry() for _ in range(40)]
+        writers = 4
+        writes = [0] * writers
+        stop = threading.Event()
+
+        def write(slot: int) -> None:
+            while not stop.is_set():
+                SERVING_SHARD_BUSY.inc(1.0, shard=slot)
+                writes[slot] += 1
+
+        threads = [
+            threading.Thread(target=write, args=(i,)) for i in range(writers)
+        ]
+        previous = set_default_registry(registries[0])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for registry in registries[1:]:
+                set_default_registry(registry)
+                threading.Event().wait(0.002)
+        finally:
+            stop.set()
+            for t in threads:
+                t.join(timeout=10.0)
+            sys.setswitchinterval(interval)
+            set_default_registry(previous)
+        assert not any(t.is_alive() for t in threads)
+        for slot in range(writers):
+            landed = sum(self._value(r, slot) or 0.0 for r in registries)
+            assert landed == writes[slot] > 0

@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro.errors import AdmissionRejectedError, ServingError
+from repro.observability import MetricsRegistry, set_default_registry
 from repro.runtime.campaign import run_campaign
 from repro.runtime.chaos import ChaosInjector, ChaosPolicy
 from repro.runtime.comparison import ComparisonHarness
@@ -152,6 +153,35 @@ class TestChaosResilience:
             ]
             assert all(r.status == "ok" for r in results)
             assert all(r.shard == 1 for r in results)
+
+    def test_inline_health_gauge_recovers_after_probe(self):
+        """A tripped shard's health gauge returns to 1 once its breaker
+        cools down and the probe request succeeds — inline too, where no
+        shard thread re-sets the gauge every poll."""
+        registry = MetricsRegistry()
+        previous = set_default_registry(registry)
+        try:
+            with CrossbarPool(shards=1, tile_elements=TILE, runtime="inline",
+                              shard_failure_threshold=1,
+                              shard_cooldown_s=0.3) as pool:
+                shard = pool.shards[0]
+                gauge = registry.get("repro_serving_shard_healthy")
+                client = Client(pool, tenant="probe")
+
+                def broken(*args, **kwargs):
+                    raise RuntimeError("engine down")
+
+                shard.harness.compare = broken
+                assert client.call("Robert").status == "error"
+                assert not shard.healthy
+                assert gauge.labels(shard=0).value == 0.0
+                del shard.harness.compare
+                time.sleep(0.35)
+                assert client.call("Robert").status == "ok"
+                assert shard.healthy
+                assert gauge.labels(shard=0).value == 1.0
+        finally:
+            set_default_registry(previous)
 
     def test_drain_stop_completes_queued_requests(self):
         pool = CrossbarPool(shards=1, tile_elements=TILE)

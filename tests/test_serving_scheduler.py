@@ -308,3 +308,80 @@ class TestResultStore:
             assert self.make_result("a", status).completed
         for status in ("failed", "expired", "error"):
             assert not self.make_result("a", status).completed
+
+
+class TestWakeups:
+    """Notifies are skipped when nobody waits, so a waiter must still be
+    woken at once: the timeouts here are long enough that a lost wakeup
+    fails the test instead of merely slowing it."""
+
+    def test_submit_wakes_an_idle_consumer(self):
+        scheduler = BatchingScheduler()
+        got = []
+        consumer = threading.Thread(
+            target=lambda: got.append(scheduler.next_batch(timeout=30.0))
+        )
+        consumer.start()
+        while scheduler._idle == 0:  # parked in next_batch
+            threading.Event().wait(0.001)
+        scheduler.submit(make_request(scheduler))
+        consumer.join(timeout=5.0)
+        assert not consumer.is_alive()
+        assert len(got[0]) == 1
+
+    def test_complete_wakes_a_waiter(self):
+        store = ResultStore()
+        store.register("r-1")
+        got = []
+        waiter = threading.Thread(
+            target=lambda: got.append(store.wait("r-1", timeout=30.0))
+        )
+        waiter.start()
+        while store._waiters == 0:  # parked in wait
+            threading.Event().wait(0.001)
+        store.complete(TestResultStore().make_result("r-1"))
+        waiter.join(timeout=5.0)
+        assert not waiter.is_alive()
+        assert got[0].status == "ok"
+
+    def test_producers_and_consumers_under_contention(self):
+        """More threads than cores on a two-slot queue, switching often:
+        every request is dispatched exactly once and nobody is stranded."""
+        import sys
+
+        scheduler = BatchingScheduler(ServingConfig(queue_capacity=2))
+        per_producer, producers, consumers = 100, 4, 4
+        total = per_producer * producers
+        taken: list[str] = []
+        lock = threading.Lock()
+
+        def produce(tenant: str) -> None:
+            for _ in range(per_producer):
+                scheduler.submit(make_request(scheduler, tenant=tenant),
+                                 block=True)
+
+        def consume() -> None:
+            while True:
+                with lock:
+                    if len(taken) >= total:
+                        return
+                batch = scheduler.next_batch(timeout=0.5)
+                with lock:
+                    taken.extend(request.id for request in batch)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=produce, args=(f"p{i}",))
+                for i in range(producers)
+            ] + [threading.Thread(target=consume) for _ in range(consumers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(taken) == len(set(taken)) == total
+        assert scheduler.queued == 0 and scheduler.depth() == 0
