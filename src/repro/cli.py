@@ -744,10 +744,8 @@ def _serve_metrics(registry, port: int) -> None:  # pragma: no cover - manual
         return 200, to_prometheus(registry)
 
     routes = [("GET", re.compile(r"/(metrics/?)?$"), scrape)]
-    # No ``with server:`` here — that starts a *background* serve loop,
-    # and running a second, foreground one on the same listener makes
-    # shutdown racy (the first loop to exit resets socketserver's
-    # shutdown flag before the other sees it).
+    # No ``with server:`` here — that already serves in the background,
+    # and ``serve_forever`` refuses a started server.
     server = JsonHttpServer(routes, host="localhost", port=port)
     try:
         print(f"serving metrics at {server.url}/metrics (Ctrl-C to stop)")
@@ -887,10 +885,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"{recovery['truncated']} torn record(s))",
                 flush=True,
             )
-        # Foreground serving: do NOT enter ``with server:`` — that spawns
-        # a background serve loop, and two loops on one listener race on
-        # shutdown (socketserver's exiting loop resets the shutdown flag
-        # before the survivor checks it, which hangs the process).
+        # Foreground serving: do NOT enter ``with server:`` — that already
+        # serves in the background, and ``serve_forever`` refuses a
+        # started server.
         server = build_server(pool, host=args.host, port=args.port)
         try:
             # flush: the crash-test driver parses this line from a pipe

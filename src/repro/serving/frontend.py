@@ -188,27 +188,26 @@ def _admission_handler(pool: CrossbarPool, endpoint: str):
 def _result_handler(pool: CrossbarPool):
     def handle(match, _body):
         request_id = match.group("id")
-        status = pool.results.status(request_id)
+        status, found = pool.results.lookup(request_id)
+        if status == "done":
+            return 200, found.to_dict()
         if status == "unknown":
             return 404, {"error": f"unknown request id {request_id!r}"}
         if status == "evicted":
-            reason = pool.results.eviction_reason(request_id) or "evicted"
             return 410, {
                 "error": (
-                    f"result for {request_id!r} was evicted ({reason}); "
+                    f"result for {request_id!r} was evicted ({found}); "
                     "results are retained up to the store's capacity and "
                     "TTL — fetch sooner or raise the bounds"
                 ),
                 "id": request_id,
-                "reason": reason,
+                "reason": found,
             }
-        if status == "pending":
-            return 202, {
-                "id": request_id,
-                "status": "pending",
-                "trace_id": pool.trace_id_for(request_id) or "",
-            }
-        return 200, pool.results.get(request_id).to_dict()
+        return 202, {
+            "id": request_id,
+            "status": "pending",
+            "trace_id": pool.trace_id_for(request_id) or "",
+        }
 
     return handle
 

@@ -21,6 +21,15 @@ The server binds ``port=0`` for an ephemeral port (tests, the ``--quick``
 self-test), runs in the background via :meth:`start` or in the foreground
 via :meth:`serve_forever`, which installs graceful signal handlers —
 in-flight requests finish, the listener closes, handlers are restored.
+
+Connections are served by a leader/followers pool of persistent acceptor
+threads: each blocks in ``accept()`` on the shared listener and serves
+the connection it gets itself, so the steady-state request path starts
+no thread and hands nothing between threads.  The last idle acceptor to
+take a connection starts one more; an acceptor whose connection closes
+while :data:`SPARE_ACCEPTORS` others are idle exits.  A held keep-alive
+connection therefore ties up one thread, and the pool tracks the
+concurrency it is offered.  Each reply leaves in one write.
 """
 
 from __future__ import annotations
@@ -31,7 +40,8 @@ import re
 import signal
 import socket
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import time
+from http.server import BaseHTTPRequestHandler
 from typing import Callable
 from urllib.parse import parse_qs
 
@@ -53,6 +63,23 @@ Route = tuple[str, re.Pattern, Callable]
 #: Default ceiling on request bodies: far above any sane submit payload,
 #: far below anything that could exhaust memory.
 DEFAULT_MAX_BODY_BYTES = 1 << 20
+
+#: Idle acceptors the pool keeps parked in ``accept()``: one more than
+#: this and a finishing acceptor exits instead of rejoining.
+SPARE_ACCEPTORS = 2
+
+#: How long :meth:`JsonHttpServer.close` waits for acceptors to finish.
+_CLOSE_JOIN_S = 2.0
+
+
+def _encode_json(payload) -> bytes:
+    """Sorted-key JSON; non-finite floats become ``null`` via :func:`_sanitize`,
+    which only runs when the strict encoder refuses one."""
+    try:
+        text = json.dumps(payload, sort_keys=True, allow_nan=False)
+    except ValueError:
+        text = json.dumps(_sanitize(payload), sort_keys=True)
+    return text.encode("utf-8")
 
 
 def _sanitize(obj):
@@ -116,8 +143,10 @@ class JsonHttpServer:
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
-            # Headers and body are separate writes; without TCP_NODELAY a
-            # kept-alive client waits out Nagle plus delayed ACK per reply.
+            # Replies are one write, but the stdlib's own error replies
+            # (bad request line, unsupported method) still send headers
+            # and body separately; without TCP_NODELAY a kept-alive client
+            # would wait out Nagle plus delayed ACK on those.
             disable_nagle_algorithm = True
 
             def log_message(self, *args):  # noqa: D102 - stdlib hook
@@ -126,9 +155,7 @@ class JsonHttpServer:
 
             def _reply(self, status, payload, headers=None):
                 if isinstance(payload, (dict, list)):
-                    body = json.dumps(
-                        _sanitize(payload), sort_keys=True
-                    ).encode("utf-8")
+                    body = _encode_json(payload)
                     content_type = JSON_CONTENT_TYPE
                 elif isinstance(payload, str):
                     body = payload.encode("utf-8")
@@ -145,8 +172,13 @@ class JsonHttpServer:
                 self.send_header("Content-Length", str(len(body)))
                 for name, value in (headers or {}).items():
                     self.send_header(name, str(value))
-                self.end_headers()
-                self.wfile.write(body)
+                if self.request_version == "HTTP/0.9":  # no status/headers
+                    self.wfile.write(body)
+                    return
+                # ``end_headers`` plus the body in the stdlib's header
+                # buffer: the whole reply leaves in one write.
+                self._headers_buffer.extend((b"\r\n", body))
+                self.flush_headers()
 
             def _read_body(self):
                 length = self.headers.get("Content-Length")
@@ -155,6 +187,8 @@ class JsonHttpServer:
                 try:
                     length = int(length)
                 except ValueError:
+                    length = -1
+                if length < 0:  # rfile.read(-1) would block until EOF
                     return None, (400, {"error": "bad Content-Length"})
                 if length > outer.max_body_bytes:
                     return None, (
@@ -216,58 +250,108 @@ class JsonHttpServer:
             def do_POST(self):
                 self._dispatch("POST")
 
-        self._server = ThreadingHTTPServer((host, port), Handler)
-        self._server.daemon_threads = True
-        self._thread: threading.Thread | None = None
+        self._handler = Handler
+        self._listener = socket.create_server((host, port))
+        self._address = self._listener.getsockname()[:2]
+        self._lock = threading.Lock()
+        #: Acceptors parked in ``accept()`` or on their way back to it.
+        self._idle = 0
+        self._acceptors: set[threading.Thread] = set()
+        self._connections: set[socket.socket] = set()
+        self._started = False
+        self._closing = False
+        self._closed = threading.Event()
 
     @property
     def host(self) -> str:
-        return self._server.server_address[0]
+        return self._address[0]
 
     @property
     def port(self) -> int:
         """The bound port (the real one, when constructed with 0)."""
-        return self._server.server_address[1]
+        return self._address[1]
 
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
     def start(self) -> "JsonHttpServer":
-        """Serve from a daemon background thread (tests, self-tests)."""
-        if self._thread is not None:
-            raise ServingError("server already started")
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, daemon=True
-        )
-        self._thread.start()
+        """Serve from background acceptor threads (tests, self-tests)."""
+        with self._lock:
+            if self._started:
+                raise ServingError("server already started")
+            self._started = True
+            for _ in range(SPARE_ACCEPTORS):
+                self._spawn_locked()
         return self
 
-    def _shutdown(self) -> None:
-        """``shutdown()`` plus a wake-up connection for a blocked accept.
+    def _spawn_locked(self) -> None:
+        thread = threading.Thread(
+            target=self._accept_loop, name="http-acceptor", daemon=True
+        )
+        self._acceptors.add(thread)
+        self._idle += 1
+        thread.start()
 
-        ``socketserver.shutdown()`` only sets a flag the serve loop checks
-        between selector polls.  If the loop is already *inside* a
-        blocking ``accept()`` — the selector can report the listener
-        ready for a connection that is gone by the time ``accept()`` runs
-        — the flag is never re-checked and shutdown deadlocks.  A no-op
-        connection unblocks the ``accept()`` so the loop comes back
-        around to the flag.
-        """
-
-        def wake():  # pragma: no cover - only fires on the accept race
-            try:
-                with socket.create_connection(
-                    (self.host, self.port), timeout=1.0
-                ):
-                    pass
-            except OSError:
+    def _accept_loop(self) -> None:
+        try:
+            while self._serve_next():
                 pass
+        finally:
+            with self._lock:
+                self._acceptors.discard(threading.current_thread())
 
-        kicker = threading.Thread(target=wake, daemon=True)
-        kicker.start()
-        self._server.shutdown()
-        kicker.join(timeout=2.0)
+    def _serve_next(self) -> bool:
+        """Accept one connection and serve it to the end.
+
+        Returns whether this acceptor rejoins the idle set.  An exception
+        other than the peer's ``OSError`` propagates and ends the thread
+        (the pool has already started a successor if it needed one).
+        """
+        try:
+            connection, address = self._listener.accept()
+        except OSError:
+            if not self._closing:  # transient (ECONNABORTED, EMFILE)
+                time.sleep(0.01)
+                return True
+            with self._lock:
+                self._idle -= 1
+            return False
+        with self._lock:
+            self._idle -= 1
+            if self._closing:  # answer what was sent, then end
+                _shutdown(connection, socket.SHUT_RD)
+            elif not self._idle:
+                self._spawn_locked()
+            self._connections.add(connection)
+        try:
+            self._handler(connection, address, self)
+        except OSError:
+            pass  # the peer went away mid-exchange
+        except BaseException:
+            self._release(connection, rejoin=False)
+            raise
+        return self._release(connection, rejoin=True)
+
+    def _release(self, connection: socket.socket, rejoin: bool) -> bool:
+        """Leave or rejoin the idle set, then close the connection.
+
+        Rejoining first means a client that saw this connection close
+        and reconnects finds the acceptor already counted idle, so a
+        sequential client never makes the pool start a thread.
+        """
+        with self._lock:
+            self._connections.discard(connection)
+            rejoin = (
+                rejoin
+                and not self._closing
+                and self._idle < SPARE_ACCEPTORS
+            )
+            if rejoin:
+                self._idle += 1
+        _shutdown(connection, socket.SHUT_WR)
+        connection.close()
+        return rejoin
 
     def serve_forever(
         self,
@@ -278,32 +362,31 @@ class JsonHttpServer:
 
         ``on_signal`` — when given — runs *before* the listener shuts
         down: the graceful-drain hook (``repro serve`` stops admission
-        and flushes in-flight batches there).  ``shutdown()`` must run
-        off the serving thread, so the signal handler hands both to a
-        helper thread; previous handlers are restored on exit.
+        and flushes in-flight batches there).  The signal handler hands
+        both to a helper thread; previous handlers are restored on exit.
+        The acceptors are the ones :meth:`start` runs; this thread only
+        waits for :meth:`close`.
 
-        Refuses to run after :meth:`start`: two serve loops on one
-        listener race on shutdown — socketserver's exiting loop resets
-        the shutdown flag before the other loop checks it, and the
-        survivor serves forever.
+        Refuses to run after :meth:`start`: the server is already
+        serving in the background.
         """
-        if self._thread is not None:
+        if self._started:
             raise ServingError(
                 "serve_forever() after start(): already serving in the "
                 "background"
             )
         previous = {}
 
-        def drain_then_shutdown():  # pragma: no cover - signal path
+        def drain_then_close():  # pragma: no cover - signal path
             if on_signal is not None:
                 try:
                     on_signal()
                 except Exception:
                     pass  # drain best-effort; the listener must still close
-            self._shutdown()
+            self.close()
 
         def request_shutdown(_signum, _frame):  # pragma: no cover - signals
-            threading.Thread(target=drain_then_shutdown).start()
+            threading.Thread(target=drain_then_close).start()
 
         if install_signal_handlers:
             for signum in (signal.SIGINT, signal.SIGTERM):
@@ -314,24 +397,46 @@ class JsonHttpServer:
                 except ValueError:  # pragma: no cover - non-main thread
                     pass
         try:
-            self._server.serve_forever()
+            self.start()
+            self._closed.wait()
         except KeyboardInterrupt:  # pragma: no cover - manual
             pass
         finally:
             for signum, handler in previous.items():
                 signal.signal(signum, handler)
-            self._server.server_close()
+            self.close()
 
     def close(self) -> None:
-        """Stop serving and release the listener (idempotent)."""
-        if self._thread is not None:
-            self._shutdown()
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self._server.server_close()
+        """Stop serving and release the listener (idempotent).
+
+        Shutting the listener down wakes every acceptor parked in
+        ``accept()``.  Shutting the read side of each open connection
+        lets its in-flight request finish and ends a kept-alive
+        connection at its next read.  Acceptors get
+        :data:`_CLOSE_JOIN_S` in total to exit.
+        """
+        with self._lock:
+            self._closing = True
+            _shutdown(self._listener, socket.SHUT_RDWR)
+            for connection in self._connections:
+                _shutdown(connection, socket.SHUT_RD)
+            acceptors = list(self._acceptors)
+        deadline = time.monotonic() + _CLOSE_JOIN_S
+        for thread in acceptors:
+            if thread is not threading.current_thread():
+                thread.join(max(0.0, deadline - time.monotonic()))
+        self._listener.close()
+        self._closed.set()
 
     def __enter__(self) -> "JsonHttpServer":
         return self.start()
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _shutdown(sock: socket.socket, how: int) -> None:
+    try:
+        sock.shutdown(how)
+    except OSError:  # already closed, or the peer reset it
+        pass

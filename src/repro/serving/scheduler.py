@@ -29,11 +29,14 @@ result — the no-lost/no-duplicated invariant the property tests pin.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import itertools
 import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import AdmissionRejectedError, ConfigurationError, ServingError
@@ -176,13 +179,27 @@ class ServeResult:
         return self.status in ("ok", "retried", "degraded", "fallback")
 
     def to_dict(self) -> dict:
-        """A JSON-able rendering (the frontend's response body)."""
-        import dataclasses
+        """A JSON-able rendering: the ``GET /result`` body and the
+        journal's ``completed`` payload.
 
-        out = dataclasses.asdict(self)
-        if self.point is not None:
-            out["point"] = dataclasses.asdict(self.point)
+        Equal to ``dataclasses.asdict(self)``, built field by field: the
+        scalar fields are immutable, so only ``search`` needs its deep
+        copy.
+        """
+        out = {name: getattr(self, name) for name in _field_names(ServeResult)}
+        point = self.point
+        if point is not None:
+            out["point"] = {
+                name: getattr(point, name) for name in _field_names(type(point))
+            }
+        if self.search is not None:
+            out["search"] = copy.deepcopy(self.search)
         return out
+
+
+@lru_cache(maxsize=None)
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(field.name for field in dataclasses.fields(cls))
 
 
 class _TenantRing:
@@ -655,22 +672,26 @@ class ResultStore:
         with self._lock:
             self._pending.discard(request_id)
 
-    def status(self, request_id: str) -> str:
-        """``pending`` / ``done`` / ``evicted`` / ``unknown``."""
+    def lookup(self, request_id: str) -> tuple[str, "ServeResult | str | None"]:
+        """Status and payload under one lock: ``("done", result)``,
+        ``("evicted", reason)``, ``("pending", None)`` or
+        ``("unknown", None)``.  A prune or eviction cannot land between
+        the two, as it can between :meth:`status` and :meth:`get`."""
         with self._lock:
             self._prune_locked()
-            if request_id in self._results:
-                return "done"
+            result = self._results.get(request_id)
+            if result is not None:
+                return "done", result
             if request_id in self._pending:
-                return "pending"
-            if request_id in self._tombstones:
-                return "evicted"
-            return "unknown"
+                return "pending", None
+            reason = self._tombstones.get(request_id)
+            if reason is not None:
+                return "evicted", reason
+            return "unknown", None
 
-    def eviction_reason(self, request_id: str) -> str | None:
-        """Why an evicted id is gone (``capacity``/``ttl``), else None."""
-        with self._lock:
-            return self._tombstones.get(request_id)
+    def status(self, request_id: str) -> str:
+        """``pending`` / ``done`` / ``evicted`` / ``unknown``."""
+        return self.lookup(request_id)[0]
 
     def get(self, request_id: str) -> ServeResult | None:
         with self._lock:

@@ -12,7 +12,9 @@ from __future__ import annotations
 import http.client
 import json
 import re
+import socket
 import statistics
+import threading
 import time
 from contextlib import contextmanager
 import urllib.error
@@ -46,6 +48,22 @@ def fetch(url, payload=None, method=None, headers=None):
     content_type = info.get("Content-Type", "")
     body = json.loads(raw) if "json" in content_type else raw.decode()
     return status, info, body
+
+
+def raw_exchange(server, request: bytes, timeout: float = 3.0) -> bytes:
+    """Send raw request bytes; read the reply until the server closes.
+
+    The socket timeout makes a server that never answers fail the test
+    (``TimeoutError``) instead of hanging it.
+    """
+    with socket.create_connection(
+        (server.host, server.port), timeout=timeout
+    ) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
 
 
 @pytest.fixture()
@@ -126,15 +144,46 @@ class TestJsonHttpServer:
         status, _, body = fetch(f"{echo_server.url}/explode")
         assert status == 500
         assert "RuntimeError" in body["error"]
+        # ... and the acceptor that caught it keeps serving.
+        status, _, body = fetch(f"{echo_server.url}/greet/after")
+        assert status == 200 and body == {"hello": "after"}
 
     def test_nonfinite_floats_sanitized(self, echo_server):
         _, _, body = fetch(f"{echo_server.url}/nonfinite")
         assert body == {"bad": None, "worse": None, "ok": 1.5}
 
+    def test_negative_content_length_is_400(self, echo_server):
+        # ``rfile.read(-1)`` reads to EOF: the handler would wait for a
+        # client that is waiting for the reply.
+        reply = raw_exchange(
+            echo_server,
+            b"POST /echo HTTP/1.1\r\nHost: x\r\nContent-Length: -1\r\n"
+            b"Connection: close\r\n\r\n",
+        )
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(body) == {"error": "bad Content-Length"}
+
+    def test_each_reply_is_one_write(self, echo_server, monkeypatch):
+        import socketserver
+
+        writes = []
+        original = socketserver._SocketWriter.write
+
+        def counting_write(writer, data):
+            writes.append(bytes(data))
+            return original(writer, data)
+
+        monkeypatch.setattr(socketserver._SocketWriter, "write", counting_write)
+        for path in ("/greet/one", "/metrics", "/nope"):
+            writes.clear()
+            fetch(f"{echo_server.url}{path}")
+            assert len(writes) == 1, (path, writes)
+            assert writes[0].startswith(b"HTTP/1.1 ")
+
     def test_keep_alive_round_trips_do_not_stall(self, echo_server):
-        # Headers and body leave in separate writes; with Nagle on, a
-        # kept-alive client waits out the peer's delayed ACK (~40 ms)
-        # on every request.
+        # A reply split over two writes would make a kept-alive client
+        # wait out Nagle plus the peer's delayed ACK (~40 ms) per request.
         connection = http.client.HTTPConnection(
             echo_server.host, echo_server.port, timeout=10.0
         )
@@ -163,6 +212,77 @@ class TestJsonHttpServer:
         with server:
             with pytest.raises(ServingError):
                 server.start()
+
+
+class TestAcceptorPool:
+    REQUEST = (
+        b"GET /greet/pool HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+    )
+
+    def test_sequential_requests_start_no_thread(
+        self, echo_server, monkeypatch
+    ):
+        for _ in range(3):  # warm the pool
+            raw_exchange(echo_server, self.REQUEST)
+        started = []
+        original = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            return original(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        for _ in range(50):
+            reply = raw_exchange(echo_server, self.REQUEST)
+            assert reply.startswith(b"HTTP/1.1 200 ")
+        assert started == []
+
+    def test_held_keep_alive_connections_do_not_delay_a_new_request(
+        self, echo_server
+    ):
+        held = []
+        try:
+            for _ in range(8):
+                connection = http.client.HTTPConnection(
+                    echo_server.host, echo_server.port, timeout=10.0
+                )
+                connection.request("GET", "/greet/held")
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+                held.append(connection)  # kept alive, idle
+            start = time.perf_counter()
+            status, _, body = fetch(f"{echo_server.url}/greet/fresh")
+            elapsed = time.perf_counter() - start
+        finally:
+            for connection in held:
+                connection.close()
+        assert status == 200 and body == {"hello": "fresh"}
+        assert elapsed < 1.0, elapsed
+
+    def test_close_stops_every_acceptor_promptly(self):
+        before = set(threading.enumerate())
+        server = JsonHttpServer(
+            [("GET", re.compile(r"/ping$"), lambda _m, _b: (200, {}))]
+        ).start()
+        kept = http.client.HTTPConnection(
+            server.host, server.port, timeout=10.0
+        )
+        try:
+            kept.request("GET", "/ping")
+            response = kept.getresponse()
+            assert response.status == 200
+            response.read()  # the connection stays open, idle
+            start = time.perf_counter()
+            server.close()
+            assert time.perf_counter() - start < 2.0
+            server.close()
+        finally:
+            kept.close()
+        assert [
+            thread for thread in threading.enumerate()
+            if thread not in before and thread.is_alive()
+        ] == []
 
 
 @pytest.fixture(scope="module")

@@ -26,12 +26,14 @@ tests pin one by one:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -78,6 +80,72 @@ def _result(request_id="t-00000001", status="ok", **kwargs):
     kwargs.setdefault("relax_bits", 0)
     kwargs.setdefault("dataset_bytes", DATASET)
     return ServeResult(id=request_id, status=status, **kwargs)
+
+
+GOLDEN_COMPLETED = os.path.join(
+    os.path.dirname(__file__), "data", "completed_records_golden.jsonl"
+)
+
+
+def _encoded_results():
+    """One priced (degraded) result, one search result, one failure."""
+    point = CampaignPoint(
+        workload=WORKLOAD, relax_bits=8, dataset_bytes=DATASET,
+        qol_percent=99.25, qos_ok=True, speedup=12.5,
+        energy_improvement=3.0625, edp_improvement=38.28125,
+        apim_time_s=1.5e-06, apim_energy_j=2.25e-09, status="degraded",
+        attempts=2, effective_relax_bits=16,
+    )
+    return [
+        _result(
+            "t-00000001", status="degraded", relax_bits=8, shard=1,
+            attempts=2, queue_wait_s=0.00125, service_s=0.0005,
+            batch_size=3, point=point, trace_id="0123456789abcdef",
+        ),
+        _result(
+            "t-00000002", workload="search", relax_bits=8,
+            dataset_bytes=4096, shard=0, attempts=1,
+            search={
+                "ids": [3, 1, 2], "distances": [0, 4, 8], "k": 3,
+                "relax_bits": 8,
+            },
+        ),
+        _result(
+            "t-00000003", status="failed", tenant="u", workload="Sobel",
+            error="ServingError: boom",
+        ),
+    ]
+
+
+class TestResultEncoding:
+    """``ServeResult.to_dict`` is the body of ``GET /result`` and the
+    journal's ``completed`` payload."""
+
+    def test_to_dict_equals_asdict(self):
+        for result in _encoded_results():
+            assert result.to_dict() == dataclasses.asdict(result)
+
+    def test_returned_search_is_a_copy(self):
+        result = _encoded_results()[1]
+        encoded = result.to_dict()
+        encoded["search"]["ids"].append(99)
+        encoded["search"]["k"] = 4
+        assert result.search == {
+            "ids": [3, 1, 2], "distances": [0, 4, 8], "k": 3,
+            "relax_bits": 8,
+        }
+
+    def test_completed_records_match_the_golden_bytes(self, tmp_path):
+        path = tmp_path / "requests.jsonl"
+        with RequestJournal(str(path)) as journal:
+            start = os.path.getsize(path)
+            for result in _encoded_results():
+                journal.completed(result)
+        with open(path, "rb") as handle:
+            handle.seek(start)
+            written = handle.read()
+        with open(GOLDEN_COMPLETED, "rb") as handle:
+            assert written == handle.read()
 
 
 class TestFingerprintAndDigest:
@@ -681,8 +749,7 @@ class TestResultStoreBounds:
         store = ResultStore(capacity=1)
         store.complete(_result("a-00000001"))
         store.complete(_result("a-00000002"))
-        assert store.status("a-00000001") == "evicted"
-        assert store.eviction_reason("a-00000001") == "capacity"
+        assert store.lookup("a-00000001") == ("evicted", "capacity")
         assert store.status("a-00000002") == "done"
         assert store.evicted_by_reason["capacity"] == 1
         with pytest.raises(ServingError, match="evicted"):
@@ -695,8 +762,7 @@ class TestResultStoreBounds:
         now[0] = 5.0
         assert store.status("a-00000001") == "done"
         now[0] = 10.0
-        assert store.status("a-00000001") == "evicted"
-        assert store.eviction_reason("a-00000001") == "ttl"
+        assert store.lookup("a-00000001") == ("evicted", "ttl")
         assert store.get("a-00000001") is None
 
     def test_tripwire_still_fires_on_tombstoned_ids(self):
@@ -728,6 +794,49 @@ class TestResultStoreBounds:
             assert pool.stats()["results"]["evicted_by_reason"] == {
                 "capacity": 1, "ttl": 0,
             }
+
+    def test_result_evicted_mid_lookup_is_never_a_500(self):
+        store = ResultStore(capacity=1)
+        stored = _result("a-00000001")
+        store.complete(stored)
+        lock = store._lock
+
+        class EvictAfterFirstRelease:
+            """Completes a second id (evicting the first) right after
+            the handler's first store call lets go of the lock."""
+
+            fired = False
+
+            def __enter__(self):
+                lock.acquire()
+
+            def __exit__(self, *exc_info):
+                lock.release()
+                if not self.fired:
+                    self.fired = True
+                    store.complete(_result("a-00000002"))
+
+        store._lock = EvictAfterFirstRelease()
+        handler = _result_handler(
+            SimpleNamespace(results=store, trace_id_for=lambda _id: "")
+        )
+        match = re.match(r"/result/(?P<id>.+)", "/result/a-00000001")
+        # One locked lookup answers from the snapshot it took ...
+        assert handler(match, None) == (200, stored.to_dict())
+        # ... and the eviction that raced it shows on the next poll.
+        status, body = handler(match, None)
+        assert status == 410
+        assert body["reason"] == "capacity"
+        assert store.lookup("a-00000001") == ("evicted", "capacity")
+
+    def test_lookup_covers_every_status(self):
+        store = ResultStore(capacity=1)
+        store.register("a-00000001")
+        assert store.lookup("a-00000001") == ("pending", None)
+        done = _result("a-00000001")
+        store.complete(done)
+        assert store.lookup("a-00000001") == ("done", done)
+        assert store.lookup("a-00000009") == ("unknown", None)
 
     def test_bad_bounds_are_rejected(self):
         from repro.errors import ConfigurationError
