@@ -225,7 +225,7 @@ def test_server_kill_recovery(benchmark, bench_rounds, tmp_path):
     every replayed ``ok`` point bit-identical to direct in-process
     pricing of the same request.
     """
-    from repro.serving.crashtest import run_server_kill_test
+    from crashtest import run_server_kill_test
 
     REQUESTS = 12
 

@@ -28,18 +28,14 @@ Commands:
 - ``fleet`` — the fleet control plane: run the offline design-space
   exploration (sweep block geometry x interconnect x shard count x batch
   ceiling, fold into a cost-latency Pareto frontier, write the
-  per-tenant ``--fleet-config`` selection), or ``--quick`` — force one
-  scale-up and one scale-down under a manual clock and assert ``/fleet``
-  reflects both.
+  per-tenant ``--fleet-config`` selection).
 - ``slo`` — drive a request burst through a pool and report per-layer
   tail latency (p50/p95/p99/p999) plus multi-window burn-rate verdicts
   against an SLO policy.
-- ``trace`` — pretty-print one request's end-to-end trace timeline
-  (from a live demo pool with ``--quick``, or a JSONL spill file).
-- ``search`` — in-memory binarized similarity search: recall-vs-relax
-  demo over a seeded codebook, or the served round-trip self-test
-  (``--quick``: boot a real server, POST /search, assert the top-k is
-  bit-identical to a numpy brute force).
+- ``trace`` — pretty-print one request's end-to-end trace timeline from
+  a JSONL spill file, by trace id or request id.
+- ``search`` — in-memory binarized similarity search: the MAGIC Hamming
+  kernel witness and a recall-vs-relax ladder over a seeded codebook.
 - ``workloads`` — list available workloads.
 """
 
@@ -166,25 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", default=None,
         help="stream the supervision timeline to a Chrome trace file",
     )
-    p.add_argument(
-        "--quick", action="store_true",
-        help="tiny smoke grid (CI): one workload, two levels, two rates",
-    )
-    p.add_argument(
-        "--worker-kill-rate", type=float, default=0.0,
-        help="also run a subprocess-pool arm that SIGKILLs live workers "
-        "at this per-request rate and asserts zero lost requests",
-    )
-    p.add_argument(
-        "--server-kill", action="store_true",
-        help="also SIGKILL a journaled serving *process* mid-load, "
-        "restart it on the same journal, and assert zero acknowledged "
-        "requests lost",
-    )
-    p.add_argument(
-        "--server-kill-requests", type=int, default=10,
-        help="acknowledged requests in flight when the server is killed",
-    )
 
     p = sub.add_parser(
         "metrics",
@@ -212,10 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--trace", default=None,
         help="stream the run's events to a Chrome trace file",
-    )
-    p.add_argument(
-        "--quick", action="store_true",
-        help="tiny smoke grid (CI): one level, small tile",
     )
 
     p = sub.add_parser(
@@ -253,15 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
         "before forcing shutdown",
     )
     p.add_argument(
-        "--journal", nargs="?", const="", default=None, metavar="DIR",
+        "--journal", default=None, metavar="DIR",
         help="write-ahead request journal directory: acknowledged "
-        "requests survive a server crash and replay on restart (with "
-        "--quick, DIR may be omitted to use a temporary directory)",
-    )
-    p.add_argument(
-        "--quick", action="store_true",
-        help="self-test (CI): boot on an ephemeral port, round-trip one "
-        "workload over HTTP, verify the result, exit",
+        "requests survive a server crash and replay on restart",
     )
     p.add_argument(
         "--fleet-config", default=None, metavar="FILE",
@@ -311,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "fleet",
         help="offline design-space exploration -> Pareto frontier -> "
-        "fleet config, or the autoscaler smoke test",
+        "fleet config",
     )
     p.add_argument(
         "-o", "--output", default="fleet.json",
@@ -345,11 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--tenant", action="append", default=None, metavar="NAME:PRIO:SLO_S",
         help="tenant spec (repeatable), e.g. --tenant alice:0:0.5",
     )
-    p.add_argument(
-        "--quick", action="store_true",
-        help="self-test (CI): boot a pool+server on a manual clock, force "
-        "one scale-up and one scale-down, assert /fleet reflects both",
-    )
 
     p = sub.add_parser(
         "slo",
@@ -375,10 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="transient-fault injection rate while serving",
     )
     p.add_argument("--seed", type=int, default=2017)
-    p.add_argument(
-        "--quick", action="store_true",
-        help="tiny burst (CI): one workload, two levels, small tile",
-    )
 
     p = sub.add_parser(
         "trace",
@@ -391,12 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--file", default=None,
         help="read traces from a TraceStore JSONL spill file",
-    )
-    p.add_argument("--seed", type=int, default=2017)
-    p.add_argument(
-        "--quick", action="store_true",
-        help="demo/CI: serve one chaos-faulted request in-process and "
-        "print its timeline",
     )
 
     p = sub.add_parser(
@@ -430,18 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="relax-bits rungs for the recall ladder",
     )
     p.add_argument("--seed", type=int, default=2017)
-    p.add_argument("--shards", type=int, default=2)
-    p.add_argument(
-        "--runtime", choices=("inline", "thread", "subprocess"),
-        default="thread",
-        help="shard runtime for the --quick served round trip",
-    )
-    p.add_argument(
-        "--quick", action="store_true",
-        help="self-test (CI): boot a real server, round-trip POST "
-        "/search, assert the exact-tier top-k is bit-identical to a "
-        "numpy brute force, exit",
-    )
 
     sub.add_parser("workloads", help="list available workloads")
     return parser
@@ -493,37 +433,27 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     """Sweep injected fault rates; non-zero exit on any lost point."""
     from repro.runtime.chaos import ChaosPolicy, chaos_table, run_chaos_campaign
 
-    workloads = list(args.workloads)
-    levels = list(args.levels)
-    rates = list(args.rates)
-    tile = args.tile
-    seed = args.seed
-    if args.quick:
-        workloads, levels, rates, tile = ["Robert"], [0, 16], [0.0, 0.2], 1 << 9
-        # This seed provably injects (and recovers) a transient on the tiny
-        # grid, so the CI smoke exercises the retry path, not just a clean run.
-        seed = 1
     outcomes = []
-    for rate in rates:
+    for rate in args.rates:
         policy = ChaosPolicy(
             transient_rate=rate,
             latency_rate=args.latency_rate,
             corrupt_rate=args.corrupt_rate,
-            seed=seed,
+            seed=args.seed,
         )
         outcomes.append(
             run_chaos_campaign(
-                workloads=workloads,
-                relax_levels=levels,
+                workloads=args.workloads,
+                relax_levels=args.levels,
                 policy=policy,
-                tile_elements=tile,
+                tile_elements=args.tile,
                 max_attempts=args.retries,
                 trace_path=args.trace,
             )
         )
     print("chaos recovery: supervised campaign under injected faults")
     print(chaos_table(outcomes))
-    expected = len(workloads) * len(levels)
+    expected = len(args.workloads) * len(args.levels)
     lost = sum(
         expected - len(outcome.result.points)
         + outcome.status_counts["failed"]
@@ -534,145 +464,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
               "guarantee")
         return 1
     print(f"all {expected} points terminal in every sweep — zero lost")
-    code = 0
-    if args.worker_kill_rate > 0.0:
-        code = _chaos_worker_kill_arm(args, workloads, levels, tile, seed)
-    if code == 0 and args.server_kill:
-        code = _chaos_server_kill_arm(args, workloads, levels, tile, seed)
-    return code
-
-
-def _chaos_worker_kill_arm(
-    args: argparse.Namespace,
-    workloads: list,
-    levels: list,
-    tile: int,
-    seed: int,
-) -> int:
-    """Worker-death chaos: SIGKILL live subprocess workers mid-request.
-
-    Drives the grid through a 2-shard subprocess pool whose parent-side
-    injector kills the serving worker at ``--worker-kill-rate`` per
-    request.  Every kill must be absorbed by the respawn + re-drive
-    ladder: the completion guarantee is zero lost requests.
-    """
-    from repro.errors import ServingError
-    from repro.runtime.chaos import ChaosPolicy
-    from repro.serving.pool import Client, CrossbarPool
-
-    rate = args.worker_kill_rate
-    grid = [(w, level) for w in workloads for level in levels]
-    # Repeat the grid until the arm sees >= 8 requests: enough traffic
-    # that a 10-50% kill rate deterministically lands some kills.
-    repeats = max(1, -(-8 // len(grid)))
-    pool = CrossbarPool(
-        shards=2,
-        tile_elements=tile,
-        seed=seed,
-        chaos_policy=ChaosPolicy(
-            transient_rate=0.0, latency_rate=0.0, corrupt_rate=0.0,
-            worker_kill_rate=rate, seed=seed,
-        ),
-        runtime="subprocess",
-    )
-    statuses: dict[str, int] = {}
-    lost = 0
-    with pool:
-        client = Client(pool, tenant="chaos-kill")
-        ids = [
-            client.submit(workload, relax_bits=level, dataset_bytes=1 << 20)
-            for _ in range(repeats)
-            for workload, level in grid
-        ]
-        for request_id in ids:
-            try:
-                result = client.result(request_id, timeout=120.0)
-                statuses[result.status] = statuses.get(result.status, 0) + 1
-            except ServingError:
-                lost += 1
-        lifecycle = pool.runtime.lifecycle()
-        kills = sum(
-            shard.chaos.injected.get("worker_kill", 0)
-            for shard in pool.shards
-            if shard.chaos is not None
-        )
-    print(
-        f"worker-kill arm: {len(ids)} request(s) through a 2-shard "
-        f"subprocess pool at kill rate {rate:.0%}"
-    )
-    print(
-        f"  kills injected={kills}  workers spawned={lifecycle['spawned']} "
-        f"deaths={lifecycle['deaths']} respawns={lifecycle['respawns']} "
-        f"re-driven={lifecycle['redriven']}"
-    )
-    print(f"  terminal statuses: {dict(sorted(statuses.items()))}")
-    if lost:
-        print(f"LOST REQUESTS: {lost} — crash recovery failed its "
-              "completion guarantee")
-        return 1
-    print(f"  all {len(ids)} requests terminal exactly once — zero lost")
-    return 0
-
-
-def _chaos_server_kill_arm(
-    args: argparse.Namespace,
-    workloads: list,
-    levels: list,
-    tile: int,
-    seed: int,
-) -> int:
-    """Whole-server chaos: SIGKILL a journaled serving process mid-load.
-
-    Boots ``repro serve --journal`` as a real subprocess, submits keyed
-    requests, SIGKILLs it with requests in flight, restarts it on the
-    same journal and polls every acknowledged id to a terminal result.
-    The exactly-once ledger must balance: zero acknowledged requests
-    lost, zero duplicate terminal records, and every ``ok`` point
-    bit-identical to direct in-process pricing.
-    """
-    from repro.serving.crashtest import run_server_kill_test
-
-    summary = run_server_kill_test(
-        requests=args.server_kill_requests,
-        tile=tile,
-        seed=seed,
-        workloads=tuple(workloads),
-        levels=tuple(levels),
-    )
-    recovery = summary["recovery"]
-    print(
-        f"server-kill arm: {summary['acknowledged']}/{summary['submitted']} "
-        f"request(s) acknowledged, {summary['completed_before_kill']} "
-        f"complete at SIGKILL"
-    )
-    print(
-        f"  recovery: restored={recovery.get('restored', 0)} "
-        f"replayed={recovery.get('replayed', 0)} "
-        f"dropped={recovery.get('dropped', 0)} "
-        f"truncated={recovery.get('truncated', 0)} bytes torn"
-    )
-    print(f"  terminal statuses: {dict(sorted(summary['statuses'].items()))}")
-    failed = False
-    if summary["lost"]:
-        print(f"LOST REQUESTS: {summary['lost']} — the journal failed its "
-              "durability guarantee")
-        failed = True
-    if summary["duplicate_completions"]:
-        print(f"DUPLICATE COMPLETIONS: {summary['duplicate_completions']} — "
-              "the exactly-once tripwire should have fired")
-        failed = True
-    if summary["mismatched"]:
-        print("REPLAY MISMATCHES (served point != direct pricing):")
-        for line in summary["mismatched"]:
-            print(f"  {line}")
-        failed = True
-    if failed:
-        return 1
-    print(
-        f"  all {summary['acknowledged']} acknowledged requests terminal "
-        "exactly once after SIGKILL+restart — zero lost, replay "
-        "bit-identical"
-    )
     return 0
 
 
@@ -689,9 +480,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.runtime.supervisor import RetryPolicy, Supervisor
     from repro.runtime.trace import ChromeTraceWriter
 
-    levels = [0] if args.quick else list(args.levels)
-    tile = (1 << 8) if args.quick else args.tile
-
     # A fresh registry per invocation: the scrape describes this run, not
     # whatever executed earlier in the process.
     registry = MetricsRegistry()
@@ -705,8 +493,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         )
         with use_trace(trace):
             result = run_campaign(
-                [args.workload], levels,
-                tile_elements=tile,
+                [args.workload], args.levels,
+                tile_elements=args.tile,
                 supervisor=supervisor,
                 seed=args.seed,
             )
@@ -755,26 +543,13 @@ def _serve_metrics(registry, port: int) -> None:  # pragma: no cover - manual
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """Boot the sharded serving frontend (or its --quick self-test)."""
-    from repro.serving.frontend import build_server, quick_selftest
+    """Boot the sharded serving frontend."""
+    from repro.serving.frontend import build_server
     from repro.serving.pool import CrossbarPool
     from repro.serving.scheduler import ServingConfig
 
-    if args.quick:
-        journal_dir = None
-        if args.journal is not None:
-            import tempfile
-
-            journal_dir = args.journal or tempfile.mkdtemp(
-                prefix="repro-journal-"
-            )
-            os.makedirs(journal_dir, exist_ok=True)
-        return quick_selftest(runtime=args.runtime, journal_dir=journal_dir)
     journal_path = None
     if args.journal is not None:
-        if not args.journal:
-            print("error: --journal requires DIR outside --quick")
-            return 2
         os.makedirs(args.journal, exist_ok=True)
         journal_path = os.path.join(args.journal, "requests.jsonl")
     shards = args.shards
@@ -1100,11 +875,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    """Offline DSE -> Pareto frontier -> fleet config (or the smoke)."""
-    if args.quick:
-        from repro.serving.frontend import fleet_quick_selftest
-
-        return fleet_quick_selftest()
+    """Offline DSE -> Pareto frontier -> fleet config."""
     from repro.fleet import run_dse, write_fleet_config
 
     tenants = None
@@ -1163,10 +934,6 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     from repro.observability.slo import SLOPolicy, evaluate_points
     from repro.serving.pool import Client, CrossbarPool
 
-    workloads = ["Robert"] if args.quick else list(args.workloads)
-    levels = [0, 16] if args.quick else list(args.levels)
-    tile = (1 << 9) if args.quick else args.tile
-    repeat = 2 if args.quick else args.repeat
     policy = SLOPolicy(
         latency_target_s=args.target,
         error_budget=args.budget,
@@ -1184,7 +951,7 @@ def _cmd_slo(args: argparse.Namespace) -> int:
         )
     pool = CrossbarPool(
         shards=args.shards,
-        tile_elements=tile,
+        tile_elements=args.tile,
         seed=args.seed,
         chaos_policy=chaos,
         slo_policy=policy,
@@ -1192,9 +959,9 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     results = []
     with pool:
         client = Client(pool, tenant="slo")
-        for _ in range(repeat):
-            for workload in workloads:
-                for level in levels:
+        for _ in range(args.repeat):
+            for workload in args.workloads:
+                for level in args.levels:
                     results.append(
                         client.call(
                             workload, relax_bits=level,
@@ -1242,70 +1009,41 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     return 1 if live["verdict"] == "fast_burn" else 0
 
 
+#: The trace events that stamp the id of the request a trace served (a
+#: spill file keeps no alias index, so ``repro trace`` matches on these).
+_REQUEST_ID_EVENTS = {("frontend", "admitted"), ("journal", "replayed")}
+
+
 def _cmd_trace(args: argparse.Namespace) -> int:
-    """Pretty-print a trace timeline (live demo or spill file)."""
+    """Pretty-print a trace timeline from a spill file."""
     from repro.observability.tracing import format_timeline, load_spilled
 
-    if args.file is not None:
-        records = load_spilled(args.file)
-        if args.trace_id is None:
-            print(f"{args.file}: {len(records)} spilled trace(s)")
-            for record in records:
-                print(f"  {record.trace_id}  events={len(record.events)}")
-            return 0
-        for record in records:
-            if record.trace_id == args.trace_id:
-                print(format_timeline(record))
-                return 0
-        print(f"trace {args.trace_id!r} not found in {args.file}")
-        return 1
-    if not args.quick:
+    if args.file is None:
         print(
-            "repro trace needs --quick (in-process demo) or "
-            "--file SPILL.jsonl; live servers expose GET /trace/<id>"
+            "repro trace needs --file SPILL.jsonl; live servers expose "
+            "GET /trace/<id>"
         )
         return 2
-    from repro.runtime.chaos import ChaosPolicy
-    from repro.serving.pool import Client, CrossbarPool
-
-    pool = CrossbarPool(
-        shards=1,
-        tile_elements=1 << 9,
-        seed=args.seed,
-        chaos_policy=ChaosPolicy(
-            transient_rate=0.1, latency_rate=0.0, corrupt_rate=0.0,
-            seed=args.seed,
-        ),
-    )
-    with pool:
-        client = Client(pool, tenant="demo")
-        result = client.call("Robert", relax_bits=8, dataset_bytes=1 << 20)
-        record = pool.traces.get(result.trace_id)
-    if record is None:
-        print(f"trace {result.trace_id!r} missing from the store")
-        return 1
-    print(format_timeline(record))
-    layers = {event.layer for event in record.events}
-    needed = {"frontend", "scheduler", "pool", "supervisor", "executor"}
-    missing = needed - layers
-    if missing:
-        print(f"TIMELINE INCOMPLETE: missing layers {sorted(missing)}")
-        return 1
-    print(
-        f"trace ok: {len(record.events)} events across "
-        f"{len(layers)} layers, terminal status {result.status!r}"
-    )
-    return 0
+    records = load_spilled(args.file)
+    if args.trace_id is None:
+        print(f"{args.file}: {len(records)} spilled trace(s)")
+        for record in records:
+            print(f"  {record.trace_id}  events={len(record.events)}")
+        return 0
+    for record in records:
+        if args.trace_id == record.trace_id or any(
+            (event.layer, event.kind) in _REQUEST_ID_EVENTS
+            and event.attrs.get("request_id") == args.trace_id
+            for event in record.events
+        ):
+            print(format_timeline(record))
+            return 0
+    print(f"trace {args.trace_id!r} not found in {args.file}")
+    return 1
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    """Similarity-search demo (recall ladder) or served self-test."""
-    if args.quick:
-        from repro.serving.frontend import search_quick_selftest
-
-        return search_quick_selftest(
-            shards=args.shards, runtime=args.runtime
-        )
+    """Similarity-search demo: kernel witness and recall ladder."""
     from repro.search import (
         MagicHammingKernel,
         build_planted_index,

@@ -153,8 +153,8 @@ class Autoscaler:
         """Evaluate once and act; returns the decision record.
 
         ``verdict`` overrides the pool's live SLO verdict — the hook the
-        replay harness and the ``--quick`` smoke use to force a specific
-        sequence while still exercising the full decide/act path.
+        replay harness and the tests use to force a specific sequence
+        while still exercising the full decide/act path.
         """
         started = time.monotonic()
         now = self.clock()

@@ -164,7 +164,7 @@ def default_search_index(
 
     Deterministic in ``seed`` alone, so every shard, every restart, and
     every client that knows the pool's seed reconstructs the *same*
-    codebook — which is what lets the `/search` self-test compare server
+    codebook — which is what lets the `/search` HTTP test compare server
     results against a client-side numpy brute force, and what keeps
     journal replays bit-identical across process lives.
     """

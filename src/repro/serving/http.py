@@ -17,8 +17,8 @@ handlers never see query strings, so existing routes are untouched).
 Handler exceptions become a 500 JSON error instead of a stack trace over
 the socket.
 
-The server binds ``port=0`` for an ephemeral port (tests, the ``--quick``
-self-test), runs in the background via :meth:`start` or in the foreground
+The server binds ``port=0`` for an ephemeral port (tests, the crash-test
+bench), runs in the background via :meth:`start` or in the foreground
 via :meth:`serve_forever`, which installs graceful signal handlers —
 in-flight requests finish, the listener closes, handlers are restored.
 
@@ -276,7 +276,7 @@ class JsonHttpServer:
         return f"http://{self.host}:{self.port}"
 
     def start(self) -> "JsonHttpServer":
-        """Serve from background acceptor threads (tests, self-tests)."""
+        """Serve from background acceptor threads (tests, embedders)."""
         with self._lock:
             if self._started:
                 raise ServingError("server already started")

@@ -1269,7 +1269,7 @@ class CrossbarPool:
 class Client:
     """In-process client: submit-and-wait against a :class:`CrossbarPool`.
 
-    The synchronous call path used by tests, the ``--quick`` self-test
+    The synchronous call path used by tests, ``repro slo``/``repro top``
     and the closed-loop arms of the throughput bench; the HTTP frontend
     is the same facade over a socket.
     """

@@ -140,6 +140,21 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize("argv", [
+        [command, "--quick"]
+        for command in ("serve", "search", "fleet", "chaos", "metrics",
+                        "slo", "trace")
+    ] + [
+        ["serve", "--journal"],
+        ["chaos", "--worker-kill-rate", "0.5"],
+        ["chaos", "--server-kill"],
+        ["search", "--runtime", "thread"],
+    ])
+    def test_removed_smoke_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv)
+        assert info.value.code == 2
+
 
 class TestReport:
     def test_generate_report_small_scale(self):

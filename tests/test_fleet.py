@@ -39,6 +39,7 @@ from repro.fleet import (
 )
 from repro.runtime.comparison import ComparisonHarness
 from repro.runtime.supervisor import ManualClock
+from repro.serving.frontend import _http_json, build_server
 from repro.serving.pool import Client, CrossbarPool
 from repro.serving.scheduler import ServingConfig
 from repro.workloads import workload_by_name
@@ -255,14 +256,40 @@ class TestAutoscaler:
         assert run() == run()
 
     def test_decisions_surface_on_fleet_status_and_traces(self):
-        pool, autoscaler, _ = _manual_autoscaler()
-        autoscaler.step(verdict="slow_burn")
-        autoscaler.step(verdict="slow_burn")
-        status = pool.fleet_status()["autoscaler"]
-        assert status["scale_ups"] == 1
-        assert [d["action"] for d in status["recent_decisions"]] == [
-            "hold", "grow",
-        ]
+        pool, autoscaler, clock = _manual_autoscaler()
+        with pool, build_server(pool) as server:
+            code, fleet = _http_json(f"{server.url}/fleet")
+            assert code == 200 and fleet["shards"] == 1
+            autoscaler.step(verdict="slow_burn")
+            autoscaler.step(verdict="slow_burn")
+            status = pool.fleet_status()["autoscaler"]
+            assert status["scale_ups"] == 1
+            assert [d["action"] for d in status["recent_decisions"]] == [
+                "hold", "grow",
+            ]
+            code, fleet = _http_json(f"{server.url}/fleet")
+            assert code == 200 and fleet["shards"] == 2
+            assert fleet["autoscaler"]["scale_ups"] == 1
+            # A request round-trips over HTTP through the grown pool.
+            code, reply = _http_json(
+                f"{server.url}/submit", {"workload": "Sobel", "relax_bits": 8}
+            )
+            assert code == 202
+            result = pool.result(reply["id"], timeout=60.0)
+            assert result.status == "ok"
+            # Queue wait reads the pool's clock, which has not moved.
+            assert result.queue_wait_s == 0.0
+            pool.wait_drained(timeout=10.0)
+            clock.advance(autoscaler.policy.cooldown_s + 0.1)
+            autoscaler.step(verdict="ok")
+            assert autoscaler.step(verdict="ok")["action"] == "shrink"
+            code, fleet = _http_json(f"{server.url}/fleet")
+            assert code == 200 and fleet["shards"] == 1
+            assert fleet["autoscaler"]["scale_downs"] == 1
+            actions = [
+                d["action"] for d in fleet["autoscaler"]["recent_decisions"]
+            ]
+            assert "grow" in actions and "shrink" in actions
         # Non-hold decisions leave a fleet trace event.
         events = [
             event

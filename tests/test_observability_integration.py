@@ -196,10 +196,10 @@ class TestResilienceMetrics:
 
 
 class TestCliMetrics:
-    def test_quick_scrape_has_required_families(self, capsys, cold_memos):
+    def test_scrape_has_required_families(self, capsys, cold_memos):
         from repro.cli import main
 
-        assert main(["metrics", "--quick"]) == 0
+        assert main(["metrics", "--levels", "0", "--tile", "256"]) == 0
         out = capsys.readouterr().out
         assert "repro_executor_ops_total" in out
         assert "repro_supervisor_retries_total 0" in out
@@ -212,7 +212,7 @@ class TestCliMetrics:
         scrape = tmp_path / "scrape.prom"
         telemetry = tmp_path / "telemetry.jsonl"
         assert main([
-            "metrics", "--quick",
+            "metrics", "--levels", "0", "--tile", "256",
             "-o", str(scrape), "--jsonl", str(telemetry),
         ]) == 0
         assert "repro_executor_ops_total" in scrape.read_text()
@@ -227,7 +227,8 @@ class TestCliMetrics:
         path = tmp_path / "spans.json"
         scrape = tmp_path / "scrape.prom"
         assert main([
-            "metrics", "--quick", "--trace", str(path), "-o", str(scrape),
+            "metrics", "--levels", "0", "--tile", "256",
+            "--trace", str(path), "-o", str(scrape),
         ]) == 0
         events = json.loads(path.read_text())["traceEvents"]
         kinds = {(e["cat"], e["name"], e["ph"]) for e in events}

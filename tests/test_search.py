@@ -311,10 +311,26 @@ class TestSearchEndpoint:
                     break
                 time.sleep(0.02)
             assert status == 200
+            # The exact tier equals a plain numpy brute force: exact
+            # Hamming distances, stable argsort.
+            distances = index.codebook.distances(np.asarray(query))
+            order = np.argsort(distances, kind="stable")[:5]
+            served = result["search"]
             top = index.top_k(np.asarray(query), 5, relax_bits=0)
-            assert tuple(result["search"]["ids"]) == top.ids
+            assert tuple(served["ids"]) == top.ids
+            assert served["ids"] == [int(i) for i in order]
+            assert served["distances"] == [int(d) for d in distances[order]]
+            assert served["shift"] == 0
+            status, timeline = _http_json(
+                f"{base}/trace/{result['trace_id']}"
+            )
+            assert status == 200
+            kinds = {(e["layer"], e["kind"]) for e in timeline["events"]}
+            assert ("executor", "search") in kinds
             # Client mistakes are self-correcting 400s.
             status, _ = _http_json(f"{base}/search", {"query": [0, 1, 2]})
+            assert status == 400
+            status, _ = _http_json(f"{base}/search", {"query": query, "k": 0})
             assert status == 400
             status, _ = _http_json(
                 f"{base}/search", {"query": query, "bogus": 1}

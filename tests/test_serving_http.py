@@ -2,9 +2,9 @@
 
 Every test binds an ephemeral port (``port=0``) and talks plain
 ``urllib`` — the same path an external client takes.  The frontend tests
-run one module-scoped pool on tiny tiles; the ``--quick`` self-test
-(which repeats the full round trip and verifies the payload bit-for-bit
-against direct pricing) backs these in CI.
+run one module-scoped pool on tiny tiles; the full round trip boots its
+own server per shard runtime (thread and subprocess) and checks the
+served point against direct pricing and the trace against every layer.
 """
 
 from __future__ import annotations
@@ -22,9 +22,15 @@ import urllib.request
 
 import pytest
 
+from repro.core.approximation import ApproxSpec
+from repro.runtime.comparison import ComparisonHarness
 from repro.serving import CrossbarPool, JsonHttpServer
 from repro.serving.frontend import build_server
 from repro.serving.http import JSON_CONTENT_TYPE, PROMETHEUS_CONTENT_TYPE
+from repro.units import MIB
+from repro.workloads import workload_by_name
+from tests.conftest import emptied_memos
+from tests.test_tracing import REQUIRED_LAYERS
 
 TILE = 1 << 9
 
@@ -293,21 +299,46 @@ def served_pool():
 
 
 class TestFrontend:
-    def test_submit_poll_result(self, served_pool):
-        _, server = served_pool
-        status, _, reply = fetch(
-            f"{server.url}/submit",
-            payload={"workload": "Robert", "relax_bits": 8},
+    def test_submit_poll_result(self):
+        """A real server per runtime: the served point equals direct
+        in-process pricing, and its trace covers every layer (the tile
+        memo starts empty, so the executor runs)."""
+        served = {}
+        for runtime in ("thread", "subprocess"):
+            pool = CrossbarPool(shards=2, tile_elements=TILE, runtime=runtime)
+            with emptied_memos(), pool, build_server(pool) as server:
+                status, _, health = fetch(f"{server.url}/healthz")
+                assert status == 200 and health["healthy_shards"] == 2
+                status, _, reply = fetch(
+                    f"{server.url}/submit",
+                    payload={"workload": "Robert", "relax_bits": 8},
+                )
+                assert status == 202 and reply["status"] == "queued"
+                result = None
+                for _ in range(600):
+                    status, _, result = fetch(
+                        f"{server.url}/result/{reply['id']}"
+                    )
+                    if status == 200:
+                        break
+                    time.sleep(0.05)
+                assert status == 200, runtime
+                assert result["status"] == "ok"
+                served[runtime] = result["point"]["speedup"]
+                status, _, timeline = fetch(
+                    f"{server.url}/trace/{result['trace_id']}"
+                )
+                assert status == 200
+                layers = {event["layer"] for event in timeline["events"]}
+                assert REQUIRED_LAYERS <= layers, (runtime, layers)
+                status, _, stats = fetch(f"{server.url}/stats")
+                assert status == 200
+                assert stats["scheduler"]["admitted"] >= 1
+        direct = ComparisonHarness(tile_elements=TILE).compare(
+            workload_by_name("Robert"), 64 * MIB, ApproxSpec.last_stage(8)
         )
-        assert status == 202 and reply["status"] == "queued"
-        result = None
-        for _ in range(600):
-            status, _, result = fetch(f"{server.url}/result/{reply['id']}")
-            if status == 200:
-                break
-        assert status == 200
-        assert result["status"] == "ok"
-        assert result["point"]["speedup"] > 0
+        for runtime, speedup in served.items():
+            assert speedup == pytest.approx(direct.speedup, rel=1e-9), runtime
 
     def test_submit_validations(self, served_pool):
         _, server = served_pool

@@ -51,7 +51,7 @@ from repro.runtime.campaign import CampaignPoint
 from repro.runtime import recordlog
 from repro.runtime.checkpoint import CheckpointJournal
 from repro.runtime.recordlog import RecordLog, load_records, recover_log
-from repro.serving.frontend import _result_handler
+from repro.serving.frontend import _http_json, _result_handler, build_server
 from repro.serving.journal import (
     RequestJournal,
     load_request_journal,
@@ -735,6 +735,62 @@ class TestCrashSafeRestart:
         state = load_request_journal(str(path))
         assert state.duplicate_completions == 0
         assert state.replayable == ()
+
+    def test_restart_over_http_restores_replays_and_dedupes(self, tmp_path):
+        """Both lives behind a real server: the restarted one restores the
+        first life's result, replays a hand-written ``admitted`` record
+        and still knows the first life's idempotency key."""
+        path = tmp_path / "requests.jsonl"
+        body = {"workload": WORKLOAD, "relax_bits": 8}
+        keyed = {**body, "idempotency_key": "http-key"}
+
+        def poll(base, request_id):
+            for _ in range(600):
+                status, reply = _http_json(f"{base}/result/{request_id}")
+                if status == 200:
+                    return reply
+                time.sleep(0.05)
+            raise AssertionError(f"{request_id} never completed: {reply}")
+
+        pool = _pool(path)
+        with pool, build_server(pool) as server:
+            status, reply = _http_json(f"{server.url}/submit", body)
+            assert status == 202
+            request_id = reply["id"]
+            first_life = poll(server.url, request_id)
+            status, first = _http_json(f"{server.url}/submit", keyed)
+            assert status == 202
+            status, again = _http_json(f"{server.url}/submit", keyed)
+            assert status == 200 and again["status"] == "duplicate"
+            assert again["id"] == first["id"]
+            status, _ = _http_json(
+                f"{server.url}/submit", {**keyed, "relax_bits": 16}
+            )
+            assert status == 409
+            poll(server.url, first["id"])
+        # The crash signature: an acknowledged id with no terminal record.
+        with RequestJournal(str(path)) as journal:
+            journal.admitted(
+                ServeRequest(
+                    id="default-00000099", workload=WORKLOAD, relax_bits=8,
+                    dataset_bytes=DATASET, tenant="default",
+                )
+            )
+        pool = _pool(path)
+        with pool, build_server(pool) as server:
+            status, stats = _http_json(f"{server.url}/stats")
+            recovery = stats["journal"]["recovery"]
+            assert recovery["restored"] >= 1
+            assert recovery["replayed"] == 1
+            status, restored = _http_json(f"{server.url}/result/{request_id}")
+            assert status == 200
+            assert restored["point"]["speedup"] == (
+                first_life["point"]["speedup"]
+            )
+            assert poll(server.url, "default-00000099")["status"] == "ok"
+            status, again = _http_json(f"{server.url}/submit", keyed)
+            assert status == 200 and again["status"] == "duplicate"
+            assert again["id"] == first["id"]
 
     def test_double_completion_tripwire_fires(self, tmp_path):
         with _pool(tmp_path / "requests.jsonl") as pool:

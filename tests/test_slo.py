@@ -215,21 +215,39 @@ class TestEvaluatePoints:
 
 
 class TestCLI:
-    def test_slo_quick_exits_zero(self, capsys):
+    def test_slo_exits_zero(self, capsys):
         from repro.cli import main
 
-        assert main(["slo", "--quick"]) == 0
+        assert main([
+            "slo", "--workloads", "Robert", "--levels", "0", "16",
+            "--tile", "512", "--repeat", "2",
+        ]) == 0
         out = capsys.readouterr().out
         assert "verdict=" in out
         assert "p999" in out
 
-    def test_trace_quick_exits_zero(self, capsys, cold_memos):
+    def test_trace_file_finds_a_record_by_trace_or_request_id(
+        self, tmp_path, capsys, cold_memos
+    ):
         from repro.cli import main
+        from repro.observability.tracing import TraceStore
+        from repro.serving import Client
 
-        assert main(["trace", "--quick"]) == 0
-        out = capsys.readouterr().out
-        assert "trace " in out
-        assert "executor" in out
+        path = str(tmp_path / "traces.jsonl")
+        store = TraceStore(spill_path=path)
+        pool = CrossbarPool(
+            shards=1, tile_elements=TILE, runtime="inline", trace_store=store
+        )
+        with pool:
+            result = Client(pool).call("Robert", relax_bits=8)
+        assert store.spill_all() == 1
+        capsys.readouterr()
+        for lookup in (result.trace_id, result.id):
+            assert main(["trace", lookup, "--file", path]) == 0, lookup
+            out = capsys.readouterr().out
+            assert f"trace {result.trace_id}" in out
+            assert "executor" in out
+        assert main(["trace", "no-such-id", "--file", path]) == 1
 
     def test_trace_without_arguments_is_a_usage_error(self, capsys):
         from repro.cli import main
