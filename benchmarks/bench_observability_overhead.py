@@ -222,15 +222,14 @@ def _measure_telemetry_tick() -> dict[str, float]:
 
     The pipeline samples a registry shaped like a busy serving pool
     (per-tenant/status request counters, per-shard counters, latency
-    histograms), three sketch layers, and evaluates a recording rule
-    plus two alert rules — the same work ``repro serve --telemetry``
-    does once per cadence interval.
+    histograms), three sketch layers, and evaluates two alert rules —
+    the same work ``repro serve --telemetry`` does once per cadence
+    interval.
     """
     from repro.observability.sketch import LatencyAnalytics
     from repro.observability.timeseries import (
         QUANTILE_SERIES,
         AlertRule,
-        RecordingRule,
         TelemetryPipeline,
     )
 
@@ -260,7 +259,6 @@ def _measure_telemetry_tick() -> dict[str, float]:
     pipeline = TelemetryPipeline(
         registry=registry, analytics=analytics, interval_s=1.0
     )
-    pipeline.add_rule(RecordingRule("p99_slope_s_per_s", f"slope({p99}, 60)"))
     pipeline.add_rule(
         AlertRule("p99_high", f"value({p99})", threshold=2.0, for_s=2.0)
     )

@@ -684,22 +684,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _default_telemetry_rules(pool, interval_s: float):
-    """The out-of-the-box serving rule set for ``--telemetry``.
-
-    One recording rule (the headline ``p99_slope_s_per_s``) plus two
-    alerts: the sampled end-to-end p99 crossing the SLO latency target,
-    and a sustained positive p99 slope (the same leading signal the
-    fleet's :class:`SlopeVerdictSource` consumes).
+    """The out-of-the-box serving alerts for ``--telemetry``: the
+    sampled end-to-end p99 crossing the SLO latency target, and a
+    sustained positive p99 slope (the same leading signal the fleet's
+    :class:`SlopeVerdictSource` consumes).
     """
-    from repro.observability.timeseries import AlertRule, RecordingRule
+    from repro.observability.timeseries import AlertRule
 
     p99 = 'repro_latency_quantile_seconds{layer="e2e",quantile="p99"}'
     slope_window = max(10.0 * interval_s, 30.0)
     target = pool.slo.policy.latency_target_s
     return [
-        RecordingRule(
-            "p99_slope_s_per_s", f"slope({p99}, {slope_window:g})"
-        ),
         AlertRule(
             "e2e_p99_above_target",
             f"value({p99})",
@@ -781,7 +776,7 @@ def _render_top(stats: dict, alerts: dict | None, process: dict) -> str:
         for rule in alerts.get("rules", []):
             value = rule.get("value")
             shown = "-" if value is None else f"{value:.4g}"
-            threshold = f"{rule['op']}{rule['threshold']:.4g}"
+            threshold = f">{rule['threshold']:.4g}"
             lines.append(
                 f"  {rule['name']:<24} {rule['state']:>9} "
                 f"{rule['severity']:>8} {shown:>12} {threshold:>12}"

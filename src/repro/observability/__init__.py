@@ -21,8 +21,8 @@ The subsystem's parts:
   (exemplar-annotated) and the rotating JSONL snapshot sink;
 - :mod:`repro.observability.timeseries` — the streaming telemetry
   pipeline: bounded :class:`RingSeries` history of the registry and
-  sketch quantiles, derived signals (rates, EWMA, slope), declarative
-  alert/recording rules and the fleet's :class:`SlopeVerdictSource`;
+  sketch quantiles, derived signals (value, rate, slope), declarative
+  alert rules and the fleet's :class:`SlopeVerdictSource`;
 - :mod:`repro.observability.instruments` — the declared metric families:
   one table row (kind, name, help, labels, buckets) per family, each a
   module-level handle the executor, supervisor, campaign, checkpoint,
@@ -55,13 +55,12 @@ from repro.observability.sketch import (
 from repro.observability.slo import BurnRateEvaluator, SLOPolicy, evaluate_points
 from repro.observability.timeseries import (
     AlertRule,
-    RecordingRule,
     RingSeries,
     SlopeVerdictSource,
     TelemetryPipeline,
     TimeSeriesStore,
     counter_rate,
-    ewma,
+    derive,
     series_key,
     slope,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "LatencyAnalytics",
     "MetricsRegistry",
     "QuantileSketch",
-    "RecordingRule",
     "RingSeries",
     "SLOPolicy",
     "SlopeVerdictSource",
@@ -105,13 +103,13 @@ __all__ = [
     "active_registry",
     "counter_rate",
     "current_trace",
+    "derive",
     "default_registry",
     "default_trace_store",
     "disable",
     "enable",
     "enabled",
     "evaluate_points",
-    "ewma",
     "exponential_buckets",
     "format_timeline",
     "series_key",

@@ -1,4 +1,4 @@
-"""Streaming telemetry: ring-buffer time series, derived signals, rules.
+"""Streaming telemetry: ring-buffer time series, derived signals, alerts.
 
 The registry (:mod:`repro.observability.registry`) and the latency
 sketches (:mod:`repro.observability.sketch`) answer *point-in-time*
@@ -16,39 +16,37 @@ retains their **history** so trends become first-class signals:
   (``name{label="value"}``), with selector lookup (a bare name selects
   every labelled child).
 - Derived signals — :func:`counter_rate` (reset-tolerant, never
-  negative), :func:`ewma` (time-aware exponential smoothing) and
-  :func:`slope` (least-squares trend, invariant under time
-  translation).  ``p99_slope_s_per_s`` — the slope of the sampled
-  end-to-end p99 — is the headline signal the fleet autoscaler consumes
-  through :class:`SlopeVerdictSource`.
-- :class:`AlertRule` / :class:`RecordingRule` — a declarative layer
-  evaluated every sample tick on the *injected clock*.  Alerts walk the
-  ``inactive -> pending -> firing -> resolved`` state machine with
-  ``for_s`` hysteresis on both edges, so a flapping signal neither pages
-  instantly nor silences instantly.
+  negative) and :func:`slope` (least-squares trend, invariant under time
+  translation), folded over a selector by :func:`derive`.  The slope of
+  the sampled end-to-end p99 is the headline signal the fleet autoscaler
+  consumes through :class:`SlopeVerdictSource`.
+- :class:`AlertRule` — a declarative alert evaluated every sample tick
+  on the *injected clock*.  Alerts walk the ``inactive -> pending ->
+  firing -> resolved`` state machine with ``for_s`` hysteresis on both
+  edges, so a flapping signal neither pages instantly nor silences
+  instantly.
 - :class:`TelemetryPipeline` — the conductor: each :meth:`tick` samples
   the registry (counters, gauges, histogram count/sum/buckets), the
-  latency sketches' tail quantiles, process resource gauges and any
-  extra samplers into the store, evaluates the rules, observes itself
-  (``repro_telemetry_*`` families) and optionally appends one JSONL
-  record to a rotating :class:`~repro.observability.export.JsonlSnapshotSink`.
+  latency sketches' tail quantiles and the process resource gauges into
+  the store, evaluates the alerts, observes itself (``repro_telemetry_*``
+  families) and optionally appends one JSONL record to a rotating
+  :class:`~repro.observability.export.JsonlSnapshotSink`.
 
 Everything runs on an injectable clock: a test (or the replay harness)
 drives :class:`~repro.runtime.supervisor.ManualClock` ticks and the whole
-pipeline — samples, rule transitions, verdicts — is deterministic.  The
+pipeline — samples, alert transitions, verdicts — is deterministic.  The
 optional :meth:`TelemetryPipeline.start` background thread exists only
 for wall-clock serving.
 
-Expression syntax (rules and ``GET /query``'s ``fn``)::
+Three derive functions (``GET /query``'s ``fn``, and an alert's
+``expr``, written ``fn(series_selector[, window_s])``)::
 
     value(series_selector)            latest sample
     rate(series_selector, window_s)   per-second increase (counters)
-    ewma(series_selector, tau_s)      exponential smoothing
     slope(series_selector, window_s)  least-squares trend per second
-    mean|min|max(series_selector, window_s)
 
-A selector matching several series aggregates by summation (``value`` /
-``rate`` / ``mean``), which is the natural fold for per-tenant counters.
+A selector matching several series folds by summation, which is the
+natural fold for per-tenant counters.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ import math
 import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import TelemetryError
@@ -66,13 +64,12 @@ from repro.observability.sketch import TAIL_QUANTILES, LatencyAnalytics
 
 __all__ = [
     "AlertRule",
-    "RecordingRule",
     "RingSeries",
     "SlopeVerdictSource",
     "TelemetryPipeline",
     "TimeSeriesStore",
     "counter_rate",
-    "ewma",
+    "derive",
     "series_key",
     "slope",
 ]
@@ -214,20 +211,6 @@ class RingSeries:
         t, v, _w = self.points[-1]
         return t, v
 
-    @property
-    def resolution_s_factor(self) -> int:
-        """How much coarser than the raw cadence the buffer currently is."""
-        return 1 << self.decimations
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "capacity": self.capacity,
-            "points": [[t, v, w] for t, v, w in self.points],
-            "decimations": self.decimations,
-            "total_samples": self.total_samples,
-        }
-
 
 class TimeSeriesStore:
     """Named, labelled :class:`RingSeries`; thread-safe get-or-create."""
@@ -312,28 +295,6 @@ def counter_rate(
     return max(0.0, increase) / elapsed
 
 
-def ewma(
-    points: list[tuple[float, float, int]], tau_s: float
-) -> float | None:
-    """Time-aware exponential smoothing with time constant ``tau_s``.
-
-    Between samples ``dt`` apart the old estimate decays by
-    ``exp(-dt / tau_s)`` — robust to irregular (and decimated) spacing.
-    """
-    if not points:
-        return None
-    if tau_s <= 0:
-        raise TelemetryError(f"ewma time constant must be positive: {tau_s}")
-    smoothed = points[0][1]
-    last_t = points[0][0]
-    for t, v, _w in points[1:]:
-        dt = max(0.0, t - last_t)
-        alpha = 1.0 - math.exp(-dt / tau_s)
-        smoothed += alpha * (v - smoothed)
-        last_t = t
-    return smoothed
-
-
 def slope(
     points: list[tuple[float, float, int]], window_s: float | None = None
 ) -> float | None:
@@ -360,26 +321,51 @@ def slope(
     return cov / var_t
 
 
-def _window_agg(
-    fn: str,
-    points: list[tuple[float, float, int]],
-    window_s: float | None,
+def _latest(
+    points: list[tuple[float, float, int]], window_s: float | None = None
 ) -> float | None:
-    if window_s is not None and points:
-        horizon = points[-1][0] - window_s
-        points = [p for p in points if p[0] >= horizon]
-    if not points:
-        return None
-    values = [v for _t, v, _w in points]
-    if fn == "min":
-        return min(values)
-    if fn == "max":
-        return max(values)
-    weights = [w for _t, _v, w in points]
-    return sum(v * w for v, w in zip(values, weights)) / sum(weights)
+    """The newest sample's value (``window_s`` is ignored)."""
+    return points[-1][1] if points else None
 
 
-# -- the expression engine ----------------------------------------------------
+#: The derive functions, each over one series' points and a trailing
+#: window in seconds.
+_DERIVE_FNS: dict[str, Callable[..., float | None]] = {
+    "value": _latest,
+    "rate": counter_rate,
+    "slope": slope,
+}
+
+
+def _derive_fn(fn: str) -> Callable[..., float | None]:
+    """The derive function named ``fn``; TelemetryError if unknown."""
+    try:
+        return _DERIVE_FNS[fn]
+    except KeyError:
+        raise TelemetryError(
+            f"unknown derive function {fn!r} (one of {tuple(_DERIVE_FNS)})"
+        ) from None
+
+
+def derive(
+    store: TimeSeriesStore,
+    fn: str,
+    selector: str,
+    window_s: float | None = None,
+) -> float | None:
+    """``fn`` over every series matching ``selector``, folded by
+    summation (None = no data yet).  A trend over a summed family equals
+    the sum of trends for aligned samples, so ``slope`` sums too."""
+    compute = _derive_fn(fn)
+    values = [
+        compute(series.window(), window_s)
+        for series in store.select(selector).values()
+    ]
+    values = [value for value in values if value is not None]
+    return sum(values) if values else None
+
+
+# -- alert expressions --------------------------------------------------------
 
 _EXPR_RE = re.compile(
     r"^\s*(?P<fn>[a-z_]+)\s*\(\s*"
@@ -387,80 +373,31 @@ _EXPR_RE = re.compile(
     r"(?:,\s*(?P<window>[0-9]*\.?[0-9]+)\s*)?\)\s*$"
 )
 
-_EXPR_FNS = ("value", "rate", "ewma", "slope", "mean", "min", "max")
-#: Functions that require the trailing window/tau argument.
-_WINDOW_REQUIRED = ("rate", "ewma", "slope", "mean", "min", "max")
-
 
 def parse_expr(expr: str) -> tuple[str, str, float | None]:
-    """``fn(selector[, window_s])`` -> (fn, selector, window)."""
+    """``fn(selector[, window_s])`` -> (fn, selector, window), the
+    arguments of :func:`derive`."""
     match = _EXPR_RE.match(expr)
     if match is None:
         raise TelemetryError(
             f"malformed expression {expr!r} (want fn(series[, window_s]), "
-            f"fn one of {_EXPR_FNS})"
+            f"fn one of {tuple(_DERIVE_FNS)})"
         )
     fn = match.group("fn")
-    if fn not in _EXPR_FNS:
-        raise TelemetryError(
-            f"unknown expression function {fn!r} (one of {_EXPR_FNS})"
-        )
+    _derive_fn(fn)
     window = match.group("window")
-    if window is None and fn in _WINDOW_REQUIRED:
+    if window is None and fn != "value":
         raise TelemetryError(f"{fn}() needs a window: {expr!r}")
     parse_selector(match.group("selector"))  # validate eagerly
     return fn, match.group("selector"), None if window is None else float(window)
 
 
-def evaluate_expr(store: TimeSeriesStore, expr: str) -> float | None:
-    """Evaluate one expression against the store (None = no data yet).
-
-    Multiple matching series fold by summation for ``value``/``rate``
-    (the per-tenant counter fold) and ``mean``; by extremum for
-    ``min``/``max``; ``ewma``/``slope`` also sum (a trend over a summed
-    family equals the sum of trends for aligned samples).
-    """
-    fn, selector, window = parse_expr(expr)
-    matched = store.select(selector)
-    if not matched:
-        return None
-    per_series: list[float] = []
-    for series in matched.values():
-        points = series.window()
-        if fn == "value":
-            result = points[-1][1] if points else None
-        elif fn == "rate":
-            result = counter_rate(points, window)
-        elif fn == "ewma":
-            result = ewma(points, window)
-        elif fn == "slope":
-            result = slope(points, window)
-        else:
-            result = _window_agg(fn, points, window)
-        if result is not None:
-            per_series.append(result)
-    if not per_series:
-        return None
-    if fn == "min":
-        return min(per_series)
-    if fn == "max":
-        return max(per_series)
-    return sum(per_series)
-
-
-# -- rules --------------------------------------------------------------------
-
-_OPS: dict[str, Callable[[float, float], bool]] = {
-    ">": lambda value, threshold: value > threshold,
-    ">=": lambda value, threshold: value >= threshold,
-    "<": lambda value, threshold: value < threshold,
-    "<=": lambda value, threshold: value <= threshold,
-}
+# -- alerts -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class AlertRule:
-    """One declarative alert: fire when ``expr op threshold`` sustains.
+    """One declarative alert: fire when ``expr > threshold`` sustains.
 
     ``for_s`` is the hysteresis on *both* edges, on the injected clock:
     a breach must hold ``for_s`` before ``pending`` promotes to
@@ -472,17 +409,12 @@ class AlertRule:
     name: str
     expr: str
     threshold: float
-    op: str = ">"
     for_s: float = 0.0
     severity: str = "warn"
 
     def __post_init__(self) -> None:
         if not self.name:
             raise TelemetryError("alert rule needs a name")
-        if self.op not in _OPS:
-            raise TelemetryError(
-                f"unknown comparison {self.op!r} (one of {sorted(_OPS)})"
-            )
         if self.for_s < 0:
             raise TelemetryError(f"for_s must be non-negative: {self.for_s}")
         if self.severity not in ("info", "warn", "page"):
@@ -493,23 +425,7 @@ class AlertRule:
 
     def breached(self, value: float | None) -> bool:
         """No data is never a breach — absence of samples must not page."""
-        if value is None:
-            return False
-        return _OPS[self.op](value, self.threshold)
-
-
-@dataclass(frozen=True)
-class RecordingRule:
-    """Evaluate ``expr`` each tick and write it back as ``record`` —
-    derived series become queryable/alertable like sampled ones."""
-
-    record: str
-    expr: str
-    labels: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        parse_expr(self.expr)  # validate eagerly
-        parse_selector(series_key(self.record, self.labels))
+        return value is not None and value > self.threshold
 
 
 class _AlertStatus:
@@ -557,7 +473,6 @@ class _AlertStatus:
         return {
             "name": rule.name,
             "expr": rule.expr,
-            "op": rule.op,
             "threshold": rule.threshold,
             "for_s": rule.for_s,
             "severity": rule.severity,
@@ -588,7 +503,6 @@ class TelemetryPipeline:
         interval_s: float = 1.0,
         capacity: int = 512,
         clock: Callable[[], float] = time.monotonic,
-        include_buckets: bool = True,
         sample_process: bool = True,
     ) -> None:
         if interval_s <= 0:
@@ -599,16 +513,13 @@ class TelemetryPipeline:
         self.analytics = analytics
         self.interval_s = float(interval_s)
         self.clock = clock
-        self.include_buckets = include_buckets
         self.sample_process = sample_process
         self.store = TimeSeriesStore(capacity=capacity)
         self.alert_rules: list[AlertRule] = []
-        self.recording_rules: list[RecordingRule] = []
         self._alert_status: dict[str, _AlertStatus] = {}
         self.ticks = 0
         self.last_tick_at: float | None = None
         self._sink = None
-        self._extra_samplers: list[Callable[[], dict]] = []
         self._lock = threading.Lock()
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
@@ -631,27 +542,14 @@ class TelemetryPipeline:
         pool.telemetry = pipeline
         return pipeline
 
-    def add_rule(self, rule: "AlertRule | RecordingRule") -> None:
-        """Register one rule (recording rules evaluate before alerts)."""
-        if isinstance(rule, AlertRule):
-            if any(r.name == rule.name for r in self.alert_rules):
-                raise TelemetryError(
-                    f"duplicate alert rule name {rule.name!r}"
-                )
-            self.alert_rules.append(rule)
-            self._alert_status[rule.name] = _AlertStatus(self.clock())
-        elif isinstance(rule, RecordingRule):
-            self.recording_rules.append(rule)
-        else:
-            raise TelemetryError(
-                f"not a rule: {type(rule).__name__}"
-            )
-
-    def add_sampler(self, sampler: Callable[[], dict]) -> None:
-        """Register an extra source: a callable returning
-        ``{(name, label-items-tuple): value}`` (or ``{name: value}``)
-        sampled as gauges each tick."""
-        self._extra_samplers.append(sampler)
+    def add_rule(self, rule: AlertRule) -> None:
+        """Register one alert rule (names are unique)."""
+        if not isinstance(rule, AlertRule):
+            raise TelemetryError(f"not an alert rule: {type(rule).__name__}")
+        if any(r.name == rule.name for r in self.alert_rules):
+            raise TelemetryError(f"duplicate alert rule name {rule.name!r}")
+        self.alert_rules.append(rule)
+        self._alert_status[rule.name] = _AlertStatus(self.clock())
 
     def attach_sink(self, sink) -> None:
         """Append one JSONL telemetry record per tick to ``sink`` (a
@@ -669,8 +567,8 @@ class TelemetryPipeline:
         for family in registry.families():
             if family.name.startswith(("repro_telemetry_", "repro_process_")):
                 # telemetry families would feed the pipeline back into
-                # itself; process gauges are appended by the extras pass
-                # (one source per series).
+                # itself; process gauges are appended by the process
+                # pass (one source per series).
                 continue
             if isinstance(family, Histogram):
                 for labels, child in family.samples():
@@ -681,8 +579,6 @@ class TelemetryPipeline:
                         f"{family.name}_sum", labels, kind="counter"
                     ).append(now, child.sum)
                     samples += 2
-                    if not self.include_buckets:
-                        continue
                     cumulative = child.cumulative()
                     for bound, count in zip(family.buckets, cumulative):
                         bucket_labels = dict(labels)
@@ -725,29 +621,15 @@ class TelemetryPipeline:
             samples += 1
         return samples
 
-    def _sample_extras(self, now: float) -> int:
-        samples = 0
-        sources: list[Callable[[], dict]] = list(self._extra_samplers)
-        if self.sample_process:
-            from repro.observability.instruments import (
-                sample_process_resources,
-            )
+    def _sample_process(self, now: float) -> int:
+        if not self.sample_process:
+            return 0
+        from repro.observability.instruments import sample_process_resources
 
-            sources.insert(0, sample_process_resources)
-        for sampler in sources:
-            for key, value in (sampler() or {}).items():
-                if value is None:
-                    continue
-                if isinstance(key, tuple):
-                    name, label_items = key
-                    labels = dict(label_items)
-                else:
-                    name, labels = key, None
-                self.store.series(name, labels, kind="gauge").append(
-                    now, float(value)
-                )
-                samples += 1
-        return samples
+        values = sample_process_resources()
+        for name, value in values.items():
+            self.store.series(name).append(now, value)
+        return len(values)
 
     # -- the tick -------------------------------------------------------------
 
@@ -761,18 +643,11 @@ class TelemetryPipeline:
         started = time.perf_counter()
         with self._lock:
             now = self.clock()
-            samples = self._sample_extras(now)
+            samples = self._sample_process(now)
             samples += self._sample_registry(now)
             samples += self._sample_analytics(now)
-            for rule in self.recording_rules:
-                value = evaluate_expr(self.store, rule.expr)
-                if value is not None:
-                    self.store.series(
-                        rule.record, rule.labels, kind="gauge"
-                    ).append(now, value)
-                    samples += 1
             for rule in self.alert_rules:
-                value = evaluate_expr(self.store, rule.expr)
+                value = derive(self.store, *parse_expr(rule.expr))
                 self._alert_status[rule.name].step(rule, value, now)
             state_counts = {state: 0 for state in ALERT_STATES}
             for status in self._alert_status.values():
@@ -824,12 +699,10 @@ class TelemetryPipeline:
         fn: str | None = None,
     ) -> dict:
         """The ``GET /query`` payload: matching series with their points
-        inside ``window_s`` (all retained points when omitted), plus the
-        derived scalar when ``fn`` (rate/ewma/slope/...) is given."""
-        if fn is not None and fn not in _EXPR_FNS:
-            raise TelemetryError(
-                f"unknown derive function {fn!r} (one of {_EXPR_FNS})"
-            )
+        inside ``window_s`` (all retained points when omitted), plus each
+        series' derived scalar when ``fn`` (value/rate/slope) is given,
+        over ``window_s`` or, when omitted, one sampling interval."""
+        compute = None if fn is None else _derive_fn(fn)
         matched = self.store.select(selector)
         now = self.clock()
         out = []
@@ -845,14 +718,13 @@ class TelemetryPipeline:
                 "decimations": series.decimations,
                 "total_samples": series.total_samples,
             }
-            if fn is not None:
+            if compute is not None:
+                # This series' own points: its key is never re-parsed as
+                # a selector (a label value may hold "," or "}").
                 entry["derived"] = {
                     "fn": fn,
-                    "value": evaluate_expr(
-                        self.store,
-                        f"{fn}({key}, {window_s if window_s else self.interval_s})"
-                        if fn in _WINDOW_REQUIRED
-                        else f"{fn}({key})",
+                    "value": compute(
+                        series.window(), window_s or self.interval_s
                     ),
                 }
             out.append(entry)
@@ -890,7 +762,6 @@ class TelemetryPipeline:
             "interval_s": self.interval_s,
             "series": len(self.store),
             "alert_rules": len(self.alert_rules),
-            "recording_rules": len(self.recording_rules),
             "alerts": counts,
         }
 
@@ -979,9 +850,8 @@ class SlopeVerdictSource:
     def verdict(self, slo_evaluation: dict) -> tuple[str, str]:
         """``(verdict, signal)`` for one autoscaler step."""
         base = slo_evaluation["verdict"]
-        value = evaluate_expr(
-            self.pipeline.store,
-            f"slope({self.series}, {self.window_s})",
+        value = derive(
+            self.pipeline.store, "slope", self.series, self.window_s
         )
         self.last_slope = value
         if value is not None and value > self.slope_threshold:

@@ -31,7 +31,6 @@ from repro.runtime.chaos import (
 from repro.runtime.checkpoint import CheckpointJournal, load_journal, recover
 from repro.runtime.comparison import ComparisonHarness, ComparisonResult
 from repro.runtime.executor import APIMExecutor, ExecutionResult
-from repro.runtime.power import PowerAnalysis, PowerReport
 from repro.runtime.supervisor import (
     CircuitBreaker,
     ManualClock,
@@ -50,8 +49,6 @@ __all__ = [
     "AdaptiveTuner",
     "TuningResult",
     "TuningTrial",
-    "PowerAnalysis",
-    "PowerReport",
     "run_campaign",
     "CampaignResult",
     "CampaignPoint",

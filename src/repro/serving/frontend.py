@@ -21,7 +21,8 @@ Endpoints (all JSON unless noted):
   on admission rejection; ``503`` while draining (with
   ``Retry-After``) or with every shard breaker open (without); ``500``
   when the journal cannot make the admission durable; ``400`` for any
-  malformed body or field.
+  malformed body or field, including a ``tenant`` outside the
+  request-id characters ``[A-Za-z0-9._:-]``.
 - ``GET /result/<id>`` — ``200`` with the terminal
   :class:`~repro.serving.scheduler.ServeResult` once done, ``202
   {"status": "pending"}`` while queued/executing, ``404`` for unknown
@@ -38,10 +39,11 @@ Endpoints (all JSON unless noted):
   attached) its policy, counters and recent decisions.
 - ``GET /query?series=…&window=…&fn=…`` — retained telemetry history
   for the series matching the selector (optionally restricted to the
-  trailing ``window`` seconds, optionally with a derived scalar:
-  ``rate``/``ewma``/``slope``/``mean``/``min``/``max``/``value``).
+  trailing ``window`` seconds, optionally with each series' derived
+  scalar ``fn`` = ``value``/``rate``/``slope`` over that window).
   ``503`` while no telemetry pipeline is attached, ``400`` on a
-  malformed selector/expression.
+  malformed selector, an unknown ``fn`` or a window that is not a
+  positive finite number of seconds.
 - ``GET /alerts`` — every alert rule's state
   (inactive/pending/firing/resolved), current value and transition
   count, plus the firing roll-up.  ``503`` without telemetry.
@@ -56,6 +58,7 @@ with.
 from __future__ import annotations
 
 import json
+import math
 import re
 import urllib.error
 import urllib.request
@@ -81,6 +84,11 @@ _SHARED_FIELDS = {
     "relax_bits", "tenant", "priority", "deadline_s", "idempotency_key",
 }
 
+#: The characters of a request id, ``{tenant}-{seq:08d}``.  A tenant name
+#: outside them would mint an id that ``/result`` and ``/trace`` never match.
+_ID_CHARS = "A-Za-z0-9._:-"
+_TENANT_RE = re.compile(f"[{_ID_CHARS}]*")
+
 
 def _shared_fields(body: dict) -> dict:
     """The shared fields of an admission body as pool keyword arguments."""
@@ -88,9 +96,12 @@ def _shared_fields(body: dict) -> dict:
     def optional(name, cast):
         return None if body.get(name) is None else cast(body[name])
 
+    tenant = str(body.get("tenant", "default"))
+    if not _TENANT_RE.fullmatch(tenant):
+        raise ValueError(f"tenant {tenant!r} may only use [{_ID_CHARS}]")
     return {
         "relax_bits": int(body.get("relax_bits", 0)),
-        "tenant": str(body.get("tenant", "default")),
+        "tenant": tenant,
         "priority": optional("priority", int),
         "deadline_s": optional("deadline_s", float),
         "idempotency_key": optional("idempotency_key", str),
@@ -258,8 +269,10 @@ def _query_handler(pool: CrossbarPool):
         fn = query.get("fn") or None
         try:
             window_s = None if window in (None, "") else float(window)
-            if window_s is not None and window_s <= 0:
-                raise ValueError(f"window must be positive: {window_s}")
+            if window_s is not None and not 0 < window_s < math.inf:
+                raise ValueError(
+                    f"window must be positive and finite: {window_s}"
+                )
             payload = pool.telemetry.query(selector, window_s, fn=fn)
         except (TelemetryError, ValueError) as exc:
             return 400, {"error": str(exc)}
@@ -300,12 +313,12 @@ def build_routes(pool: CrossbarPool):
         ("POST", re.compile(r"/search/?$"), _admission_handler(pool, "search")),
         (
             "GET",
-            re.compile(r"/result/(?P<id>[A-Za-z0-9._:-]+)/?$"),
+            re.compile(f"/result/(?P<id>[{_ID_CHARS}]+)/?$"),
             _result_handler(pool),
         ),
         (
             "GET",
-            re.compile(r"/trace/(?P<id>[A-Za-z0-9._:-]+)/?$"),
+            re.compile(f"/trace/(?P<id>[{_ID_CHARS}]+)/?$"),
             _trace_handler(pool),
         ),
         ("GET", re.compile(r"/healthz/?$"), _healthz_handler(pool)),

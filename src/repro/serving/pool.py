@@ -1006,26 +1006,33 @@ class CrossbarPool:
         )
         if family is None or family.kind != "counter":
             return {}
+        from repro.observability.timeseries import counter_rate, series_key
+
+        store = None if self.telemetry is None else self.telemetry.store
         tenants: dict[str, dict] = {}
+        rates: dict[str, list[float]] = {}
         for labels, child in family.samples():
+            tenant = labels["tenant"]
             entry = tenants.setdefault(
-                labels["tenant"], {"total": 0.0, "by_status": {}}
+                tenant, {"total": 0.0, "by_status": {}}
             )
             entry["total"] += child.value
             entry["by_status"][labels["status"]] = (
                 entry["by_status"].get(labels["status"], 0.0) + child.value
             )
-        if self.telemetry is not None:
-            from repro.observability.timeseries import evaluate_expr
-
-            for tenant, entry in tenants.items():
-                if '"' in tenant:  # unquotable in a selector; skip the rate
-                    entry["rate_per_s"] = None
-                    continue
-                entry["rate_per_s"] = evaluate_expr(
-                    self.telemetry.store,
-                    f'rate({SERVING_REQUESTS.name}{{tenant="{tenant}"}}, 60)',
-                )
+            if store is None:
+                continue
+            # Each (tenant, status) child by its exact key: a tenant name
+            # is never parsed back out of a selector string.
+            series = store.get(series_key(SERVING_REQUESTS.name, labels))
+            rate = None if series is None else counter_rate(
+                series.window(), 60
+            )
+            found = rates.setdefault(tenant, [])
+            if rate is not None:
+                found.append(rate)
+        for tenant, found in rates.items():
+            tenants[tenant]["rate_per_s"] = sum(found) if found else None
         return tenants
 
     # -- the worker loop ------------------------------------------------------

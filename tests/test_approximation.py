@@ -187,3 +187,26 @@ class TestApproximateFinalAdd:
         # (0,0,0) is one of the two failing patterns: S = NOT(0) = 1.
         out = int(approximate_final_add(np.uint64(0), np.uint64(0), 8, 8))
         assert out == 0xFF
+
+    @pytest.mark.parametrize("m", [0, 4, 8, 16, 20, 24])
+    def test_monte_carlo_error_statistics(self, m):
+        """Uniform random 39-bit addends at width 40: a relaxed bit errs
+        on 2 of the 8 one-bit patterns (rate 1/4), the errors of the
+        two patterns cancel (zero mean) and E|error| sits within a small
+        factor of the linearity bound ``sum_i 2^i / 4 = (2^m - 1) / 4``."""
+        rng = np.random.default_rng(2017)
+        x = rng.integers(0, 1 << 39, 50_000, dtype=np.uint64)
+        y = rng.integers(0, 1 << 39, 50_000, dtype=np.uint64)
+        approx = approximate_final_add(x, y, 40, m)
+        error = approx.astype(np.int64) - (x + y).astype(np.int64)
+        mean_abs = np.abs(error).mean()
+        if m == 0:
+            assert mean_abs == 0.0
+            return
+        flipped = (approx ^ (x + y)) & np.uint64((1 << m) - 1)
+        per_bit_rate = np.bitwise_count(flipped).mean() / m
+        assert per_bit_rate == pytest.approx(0.25, abs=0.02)
+        bound = (2.0**m - 1.0) / 4.0
+        assert bound / 4 < mean_abs <= bound
+        if m >= 8:  # at 4 bits the carry-chain bias is ~1/4 of E|error|
+            assert abs(error.mean()) < mean_abs / 10

@@ -340,8 +340,6 @@ class TestHierarchy:
         with pytest.raises(TelemetryError):
             RingSeries(capacity=7)  # pairwise decimation needs even
         with pytest.raises(TelemetryError):
-            AlertRule("r", "value(x)", threshold=1.0, op="!=")
-        with pytest.raises(TelemetryError):
             AlertRule("r", "value(x)", threshold=1.0, for_s=-1.0)
         with pytest.raises(TelemetryError):
             AlertRule("r", "value(x)", threshold=1.0, severity="meh")

@@ -12,11 +12,9 @@ import numpy as np
 import pytest
 
 from repro.core.approximation import ApproxSpec
-from repro.core.config import default_config
 from repro.core.engine import APIMEngine
 from repro.runtime.comparison import ComparisonHarness
 from repro.runtime.executor import APIMExecutor
-from repro.runtime.power import PowerAnalysis
 from repro.runtime.tuner import AdaptiveTuner
 from repro.units import GIB, MIB
 from repro.workloads import workload_by_name
@@ -132,35 +130,3 @@ class TestMicrocodeOnFaultyFabric:
         result = faulty.fabric.read_word(0, 2, 9)
         assert 0 <= result < 1 << 9
 
-
-class TestPowerOfComparisonPoint:
-    """executor ledger -> power analysis -> budget throttling."""
-
-    def test_throttled_lanes_slow_but_fit_budget(self):
-        config = default_config()
-        workload = workload_by_name("Sobel")
-        executor = APIMExecutor(config)
-        result = executor.run(workload, elements=1 << 12)
-        analysis = PowerAnalysis(config)
-
-        # The 15 W budget binds only at scale: a 1 GiB allocation offers
-        # more lanes than the socket can feed.
-        full_lanes = config.parallel_lanes(GIB)
-        capped = analysis.max_lanes_within_budget(GIB)
-        assert 0 < capped < full_lanes
-        t_full = result.cost.time(config, full_lanes)
-        t_capped = result.cost.time(config, capped)
-        assert t_capped > t_full
-        report = analysis.report(
-            _ledger_of(workload, config),
-            dataset_bytes=GIB,
-            lanes=capped,
-        )
-        assert report.phases  # the ledger carried phase attribution
-
-
-def _ledger_of(workload, config):
-    engine = APIMEngine(config)
-    data = workload.generate(1 << 11, np.random.default_rng(3))
-    workload.run(engine, data)
-    return engine.ledger

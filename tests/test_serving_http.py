@@ -497,7 +497,13 @@ class TestAdmissionContract:
         body, _, missing, bad_type = ADMISSION_BODIES[endpoint]
         with idle_frontend() as (_, server):
             url = f"{server.url}{endpoint}"
-            for payload in (missing, {**body, "surprise": 1}, bad_type):
+            for payload in (
+                missing,
+                {**body, "surprise": 1},
+                bad_type,
+                # An id minted from this tenant no GET route could match.
+                {**body, "tenant": "acme corp"},
+            ):
                 status, _, reply = fetch(url, payload)
                 assert status == 400, (payload, reply)
                 assert "error" in reply

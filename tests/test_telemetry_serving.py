@@ -27,7 +27,7 @@ from repro.observability.timeseries import (
     TelemetryPipeline,
 )
 from repro.runtime.supervisor import ManualClock
-from repro.serving import CrossbarPool
+from repro.serving import Client, CrossbarPool
 from repro.serving.frontend import build_server
 
 TILE = 1 << 9
@@ -94,13 +94,21 @@ class TestTelemetryEndpoints:
         pipeline.tick()
         status, body = fetch(
             query_url(
-                server.url, series=P99_SELECTOR, window=300, fn="mean"
+                server.url, series=P99_SELECTOR, window=300, fn="value"
             )
         )
         assert status == 200
         derived = body["series"][0]["derived"]
-        assert derived["fn"] == "mean"
+        assert derived["fn"] == "value"
         assert derived["value"] > 0
+        # A huge window is still a positive window: the exponent form
+        # reaches the derive function, not an expression parser.
+        status, body = fetch(
+            query_url(server.url, series=P99_SELECTOR, window=1e20, fn="slope")
+        )
+        assert status == 200, body
+        assert body["window_s"] == 1e20
+        assert body["series"][0]["derived"]["fn"] == "slope"
 
     def test_injected_slow_traffic_fires_the_alert(self, telemetry_server):
         pool, pipeline, server = telemetry_server
@@ -140,6 +148,23 @@ class TestTelemetryEndpoints:
         assert "rate_per_s" in acme
         assert acme["rate_per_s"] is None or acme["rate_per_s"] >= 0
 
+        # Tenant names that cannot sit inside a selector string: the
+        # rates read each (tenant, status) series by its exact key.
+        odd = ("a,b", "x}y", 'q"t')
+        for tenant in odd:
+            Client(pool, tenant=tenant).call("Sobel", relax_bits=8)
+        for _ in range(600):
+            status, stats = fetch(f"{server.url}/stats")
+            if status != 200 or all(t in stats["tenants"] for t in odd):
+                break
+        pipeline.tick()
+        pipeline.tick()
+        status, stats = fetch(f"{server.url}/stats")
+        assert status == 200, stats
+        for tenant in odd:
+            assert stats["tenants"][tenant]["total"] >= 1
+            assert stats["tenants"][tenant]["rate_per_s"] >= 0
+
     def test_query_validation_errors_are_400(self, telemetry_server):
         _, _, server = telemetry_server
         status, body = fetch(f"{server.url}/query")
@@ -148,7 +173,12 @@ class TestTelemetryEndpoints:
             {"series": "bad{selector"},
             {"series": "ok_series", "window": "soon"},
             {"series": "ok_series", "window": "-5"},
+            {"series": "ok_series", "window": "nan"},
+            {"series": "ok_series", "window": "inf"},
+            {"series": "ok_series", "window": "nan", "fn": "slope"},
+            {"series": "ok_series", "window": "inf", "fn": "rate"},
             {"series": "ok_series", "fn": "frobnicate"},
+            {"series": "ok_series", "fn": "mean"},
         ):
             status, body = fetch(query_url(server.url, **params))
             assert status == 400, (params, body)

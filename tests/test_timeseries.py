@@ -3,7 +3,7 @@
 Ring-buffer retention and merge semantics, selector/expression parsing,
 the derived-signal functions, the alert state machine on a
 :class:`ManualClock`, the full pipeline tick (registry + sketches +
-recording rules + JSONL sink), and the fleet's
+process gauges + JSONL sink), and the fleet's
 :class:`SlopeVerdictSource` escalation.  Everything here runs on injected
 clocks — no sleeps, no wall-time dependence.
 """
@@ -21,14 +21,12 @@ from repro.observability.sketch import TAIL_QUANTILES, LatencyAnalytics
 from repro.observability.timeseries import (
     QUANTILE_SERIES,
     AlertRule,
-    RecordingRule,
     RingSeries,
     SlopeVerdictSource,
     TelemetryPipeline,
     TimeSeriesStore,
     counter_rate,
-    evaluate_expr,
-    ewma,
+    derive,
     parse_expr,
     parse_selector,
     series_key,
@@ -45,7 +43,6 @@ class TestRingSeries:
         assert len(series.points) <= 8
         assert series.total_samples == 1000
         assert series.decimations > 0
-        assert series.resolution_s_factor == 1 << series.decimations
 
     def test_decimation_keeps_the_whole_span(self):
         series = RingSeries(kind="gauge", capacity=8)
@@ -92,12 +89,6 @@ class TestRingSeries:
         assert len(series.window()) == 10
         assert RingSeries().window(5.0) == []
 
-    def test_to_dict_is_json_ready(self):
-        series = RingSeries(kind="counter", capacity=4)
-        series.append(1.0, 2.0)
-        blob = json.dumps(series.to_dict())
-        assert "counter" in blob
-
 
 class TestSelectorsAndExpressions:
     def test_series_key_sorts_labels(self):
@@ -126,7 +117,10 @@ class TestSelectorsAndExpressions:
 
     @pytest.mark.parametrize(
         "bad",
-        ["up", "frob(up)", "rate(up)", "value()", "value(up, 1, 2)"],
+        [
+            "up", "frob(up)", "rate(up)", "value()", "value(up, 1, 2)",
+            "ewma(up, 5)", "mean(up, 60)",
+        ],
     )
     def test_malformed_expressions_raise(self, bad):
         with pytest.raises(TelemetryError):
@@ -179,13 +173,6 @@ class TestDerivedSignals:
         assert counter_rate([(0.0, 1.0, 1)]) is None
         assert counter_rate([(1.0, 1.0, 1), (1.0, 2.0, 1)]) is None
 
-    def test_ewma_converges_toward_the_recent_level(self):
-        points = [(float(t), 0.0 if t < 50 else 10.0, 1) for t in range(100)]
-        smoothed = ewma(points, tau_s=5.0)
-        assert 9.0 < smoothed <= 10.0
-        with pytest.raises(TelemetryError):
-            ewma(points, tau_s=0.0)
-
     def test_slope_of_a_line_is_exact(self):
         points = [(float(t), 3.0 + 0.25 * t, 1) for t in range(20)]
         assert slope(points) == pytest.approx(0.25)
@@ -197,20 +184,24 @@ class TestDerivedSignals:
         assert slope([(0.0, 1.0, 1)]) is None
         assert slope([(2.0, 1.0, 1), (2.0, 3.0, 1)]) is None
 
-    def test_evaluate_expr_folds_multiple_series(self):
+    def test_derive_folds_multiple_series(self):
         store = TimeSeriesStore()
         for tenant, per_s in (("a", 2.0), ("b", 3.0)):
             s = store.series("req", {"tenant": tenant}, kind="counter")
             for t in range(11):
                 s.append(float(t), per_s * t)
-        assert evaluate_expr(store, "rate(req, 60)") == pytest.approx(5.0)
-        assert evaluate_expr(store, 'rate(req{tenant="a"}, 60)') == (
+        assert derive(store, "rate", "req", 60) == pytest.approx(5.0)
+        assert derive(store, "rate", 'req{tenant="a"}', 60) == (
             pytest.approx(2.0)
         )
-        assert evaluate_expr(store, "value(req)") == pytest.approx(50.0)
-        assert evaluate_expr(store, "max(req, 60)") == pytest.approx(30.0)
-        assert evaluate_expr(store, "min(req, 60)") == pytest.approx(0.0)
-        assert evaluate_expr(store, "value(absent_series)") is None
+        assert derive(store, "value", "req") == pytest.approx(50.0)
+        assert derive(store, "slope", "req", 60) == pytest.approx(5.0)
+        assert derive(store, "value", "absent_series") is None
+        assert derive(store, *parse_expr("rate(req, 60)")) == (
+            pytest.approx(5.0)
+        )
+        with pytest.raises(TelemetryError):
+            derive(store, "mean", "req", 60)
 
 
 def _bare_pipeline(clock, **kwargs):
@@ -351,33 +342,14 @@ class TestTelemetryPipeline:
         pipeline.tick()
         assert pipeline.store.keys() == ("ordinary_total",)
 
-    def test_recording_rule_writes_a_queryable_series(self):
-        clock = ManualClock()
-        pipeline = _bare_pipeline(clock)
-        pipeline.add_rule(RecordingRule("sig_slope", "slope(sig, 600)"))
-        for t in range(5):
-            pipeline.store.series("sig").append(clock(), 2.0 * t)
-            pipeline.tick()
-            clock.advance(1.0)
-        derived = pipeline.store.get("sig_slope")
-        assert derived is not None
-        assert derived.latest()[1] == pytest.approx(2.0)
-        # Derived series are alertable like sampled ones.
-        pipeline.add_rule(
-            AlertRule("rising", "value(sig_slope)", threshold=1.0)
-        )
-        pipeline.tick()
-        assert pipeline.alerts()["firing"] == ["rising"]
-
-    def test_extra_samplers_and_process_gauges(self):
+    def test_process_gauges_are_sampled(self):
         pipeline = TelemetryPipeline(
             clock=ManualClock(), sample_process=True
         )
-        pipeline.add_sampler(lambda: {("custom", (("k", "v"),)): 1.5})
-        pipeline.tick()
+        summary = pipeline.tick()
         keys = pipeline.store.keys()
-        assert 'custom{k="v"}' in keys
-        assert any(key.startswith("repro_process_") for key in keys)
+        assert keys and all(key.startswith("repro_process_") for key in keys)
+        assert summary["samples"] == len(keys)
         rss = pipeline.store.select("repro_process_rss_bytes")
         assert all(s.latest()[1] > 0 for s in rss.values())
 
@@ -412,12 +384,10 @@ class TestTelemetryPipeline:
     def test_status_summarises_the_pipeline(self):
         pipeline = _bare_pipeline(ManualClock())
         pipeline.add_rule(AlertRule("r", "value(x)", threshold=1.0))
-        pipeline.add_rule(RecordingRule("d", "value(x)"))
         pipeline.tick()
         status = pipeline.status()
         assert status["ticks"] == 1
         assert status["alert_rules"] == 1
-        assert status["recording_rules"] == 1
         assert status["alerts"]["inactive"] == 1
 
     def test_background_thread_start_stop(self):
