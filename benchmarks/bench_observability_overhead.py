@@ -12,10 +12,10 @@ the disabled arm.  The measured pair is emitted as
 alongside the perf benches.
 
 A tile execution is mostly simulator arithmetic, so that gate cannot see
-what instrumentation costs a *served* request.  A report-only serving
-arm times a warm inline closed loop (every call a tile-cache hit) with
-observability enabled and disabled, and records the difference as
-``serving_overhead_fraction``; it asserts nothing yet.
+what instrumentation costs a *served* request.  A serving arm times a
+warm inline closed loop (every call a tile-cache hit) with observability
+enabled and disabled, records the difference as
+``serving_overhead_fraction`` and asserts it stays below 25%.
 """
 
 from __future__ import annotations
@@ -37,6 +37,9 @@ REPEATS = 5
 ARTIFACT = "BENCH_observability.json"
 #: Acceptance ceiling on (enabled - disabled) / disabled.
 MAX_OVERHEAD = 0.05
+#: Ceiling on what metrics add to a warm served call (measured at 11-17%
+#: on a 2-vCPU host; the slack absorbs shared-runner noise).
+MAX_SERVING_OVERHEAD = 0.25
 
 
 def _run_once(executor: APIMExecutor, workload, data) -> float:
@@ -195,7 +198,7 @@ def _measure_serving() -> dict[str, float]:
 
 
 def test_serving_overhead_report():
-    """Report what metrics cost a warm served call (no bound yet)."""
+    """Report what metrics cost a warm served call, and bound it."""
     arms = _measure_serving()
     disabled_s, enabled_s = arms["disabled"], arms["enabled"]
     overhead = (enabled_s - disabled_s) / disabled_s
@@ -214,7 +217,12 @@ def test_serving_overhead_report():
     print(f"serving overhead, warm inline call p10: "
           f"disabled {disabled_s * 1e6:.1f} us, "
           f"enabled {enabled_s * 1e6:.1f} us, "
-          f"overhead {overhead * 100:+.2f}% (report only)")
+          f"overhead {overhead * 100:+.2f}% "
+          f"(ceiling {MAX_SERVING_OVERHEAD * 100:.0f}%)")
+    assert overhead < MAX_SERVING_OVERHEAD, (
+        f"metrics add {overhead:.1%} to a warm served call "
+        f"(ceiling {MAX_SERVING_OVERHEAD:.0%})"
+    )
 
 
 def _measure_telemetry_tick() -> dict[str, float]:

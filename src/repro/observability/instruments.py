@@ -424,13 +424,6 @@ def record_bist_scan(stuck_cells: int) -> None:
         STUCK_CELLS.inc(stuck_cells)
 
 
-def record_served(shard: int, tenant: str, status: str, busy_s: float) -> None:
-    """Roll one finished request into the tenant and shard families."""
-    SERVING_REQUESTS.inc(tenant=tenant, status=status)
-    SERVING_SHARD_REQUESTS.inc(shard=shard, status=status)
-    SERVING_SHARD_BUSY.inc(max(0.0, busy_s), shard=shard)
-
-
 def record_journal_recovery(
     restored: int = 0,
     replayed: int = 0,

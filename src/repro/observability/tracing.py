@@ -3,7 +3,7 @@
 A request admitted through :meth:`repro.serving.pool.CrossbarPool.submit`
 (or the HTTP frontend) gets a :class:`TraceContext` — a trace id, a span
 id, and a baggage dict — and every layer it crosses appends structured
-:class:`TraceEvent` records: queue enter/exit, batch coalescing links,
+:class:`TraceEvent` records: queue entry, batch coalescing links,
 supervision attempts and retries, degradation rungs, executor runs,
 controller command batches.  The result answers the question aggregate
 metrics cannot: "why was *this* request slow / degraded / rerouted?"
@@ -69,7 +69,7 @@ __all__ = [
 @dataclass(slots=True)
 class TraceEvent:
     """One structured hop in a request's journey (a slotted record: a
-    warm request appends eight of them)."""
+    warm request appends six of them)."""
 
     ts: float     #: store-clock timestamp (seconds)
     layer: str    #: frontend / scheduler / pool / supervisor / executor / ...
@@ -173,9 +173,9 @@ class TraceStore:
         self._records: "OrderedDict[str, TraceRecord]" = OrderedDict()
         self._aliases: dict[str, str] = {}  # request id -> trace id
         self._lock = threading.Lock()
-        # Spill I/O gets its own lock so readers of the in-memory store
-        # are never blocked behind an fsync; acquisition order is always
-        # store lock (if held at all) before spill lock.
+        # Spill I/O gets its own lock and never runs under the store
+        # lock, so readers of the in-memory store are never blocked
+        # behind an fsync.
         self._spill_lock = threading.Lock()
         self.evicted = 0
         self.spilled = 0
@@ -187,31 +187,31 @@ class TraceStore:
 
     def new_trace(self, **baggage) -> "TraceContext":
         """Open a trace; returns its root :class:`TraceContext`."""
+        evicted: list[TraceRecord] = []
         with self._lock:
             trace_id = f"{self._id_prefix}-{next(self._seq):08x}"
             self._records[trace_id] = TraceRecord(
                 trace_id, self.clock(), baggage
             )
             while len(self._records) > self.capacity:
-                evicted_id, evicted = self._records.popitem(last=False)
+                evicted_id, record = self._records.popitem(last=False)
                 self.evicted += 1
-                for alias in evicted.aliases:
+                for alias in record.aliases:
                     # A re-bound alias now names a newer trace; keep it.
                     if self._aliases.get(alias) == evicted_id:
                         del self._aliases[alias]
-                if self.spill_path is not None:
-                    self._spill_batch([evicted])
+                evicted.append(record)
+        # Spilled after the lock is released: an evicted record is out
+        # of the store, so nothing appends to it any more.
+        self._spill_batch(evicted)
         return TraceContext(trace_id, self._next_span_id(), dict(baggage), self)
 
     def _spill_batch(self, records: list[TraceRecord]) -> None:
-        """Append ``records`` to the spill file crash-safely.
+        """Append ``records`` to the spill file: one write, then fsync.
 
-        The new content is staged in a temp file alongside the target
-        (prior content + new lines), fsync'd, then moved into place with
-        :func:`os.replace` — atomic on POSIX.  A crash at any byte leaves
-        either the old complete file or the new complete file, never a
-        torn line, so :func:`load_spilled` readers can't observe half a
-        record even if the process dies mid-spill.
+        A crash mid-write leaves at most a torn final line, which
+        :func:`load_spilled` skips — the same discipline as the request
+        journal's record log.
         """
         if self.spill_path is None or not records:
             return
@@ -221,21 +221,13 @@ class TraceStore:
             )
             + "\n"
             for record in records
-        )
-        tmp_path = f"{self.spill_path}.tmp.{os.getpid()}"
+        ).encode("utf-8")
         with self._spill_lock:
             try:
-                try:
-                    with open(self.spill_path, "rb") as existing:
-                        prior = existing.read()
-                except FileNotFoundError:
-                    prior = b""
-                with open(tmp_path, "wb") as handle:
-                    handle.write(prior)
-                    handle.write(payload.encode("utf-8"))
+                with open(self.spill_path, "ab") as handle:
+                    handle.write(payload)
                     handle.flush()
                     os.fsync(handle.fileno())
-                os.replace(tmp_path, self.spill_path)
                 self.spilled += len(records)
             except OSError as exc:
                 raise TracingError(

@@ -47,6 +47,7 @@ import numpy as np
 
 from repro.core.config import APIMConfig
 from repro.errors import (
+    AdmissionRejectedError,
     DuplicateRequestError,
     FleetError,
     JournalError,
@@ -63,13 +64,16 @@ from repro.observability.instruments import (
     SEARCH_RECALL,
     SEARCH_REQUESTS,
     SEARCH_TOPK,
+    SERVING_ADMISSION,
     SERVING_IDEMPOTENCY,
+    SERVING_QUEUE_WAIT,
     SERVING_REQUESTS,
     SERVING_REROUTES,
+    SERVING_SHARD_BUSY,
     SERVING_SHARD_HEALTHY,
+    SERVING_SHARD_REQUESTS,
     record_journal_recovery,
     record_request_duration,
-    record_served,
 )
 from repro.observability.sketch import LatencyAnalytics
 from repro.observability.slo import BurnRateEvaluator, SLOPolicy
@@ -578,9 +582,11 @@ class CrossbarPool:
                     batch = self.scheduler.next_batch(timeout=0.0)
                     if not batch:
                         break
+                    now = self.scheduler.clock()
                     for request in batch:
-                        self._complete(
-                            self._aborted(request, "pool stopped")
+                        self._finish(
+                            request, max(0.0, now - request.submitted_at),
+                            "error", error="pool stopped",
                         )
             if self.journal is not None:
                 self.journal.close()
@@ -826,8 +832,14 @@ class CrossbarPool:
         fingerprint: str | None,
         search: dict | None = None,
     ) -> str:
-        """Queue one validated request; returns the acknowledged id."""
+        """Queue one validated request; returns the acknowledged id.
+
+        The pool's own refusals come first and are counted in
+        ``repro_serving_admission_total``; none of them opens a trace, so
+        a refused submit never evicts a live one.
+        """
         if self._draining:
+            SERVING_ADMISSION.inc(outcome="rejected_draining")
             raise ShardUnavailableError(
                 "pool is draining for shutdown; resubmit elsewhere",
                 retry_after_s=self.scheduler.config.retry_after_s,
@@ -835,28 +847,21 @@ class CrossbarPool:
         if tenant in self.shed_tenants:
             # The autoscaler shed this tenant under fast burn: refuse
             # *before* acknowledging, so nothing acknowledged is lost.
-            from repro.errors import AdmissionRejectedError
-
+            SERVING_ADMISSION.inc(outcome="rejected_shed")
             raise AdmissionRejectedError(
                 f"tenant {tenant!r} is shed under fast burn; retry later",
                 retry_after_s=self.scheduler.config.retry_after_s,
             )
         if not self._started:
             self.ensure_started()
-        trace = self.traces.new_trace(
-            workload=workload, tenant=tenant, relax_bits=relax_bits
-        )
-        for shard in self.shards:
-            if shard.healthy:
-                break
-        else:
-            trace.event(
-                "pool", "shed", "every shard breaker open",
-                shards=len(self.shards),
-            )
+        if not any(shard.healthy for shard in self.shards):
+            SERVING_ADMISSION.inc(outcome="rejected_unavailable")
             raise ShardUnavailableError(
                 "every shard's breaker is open; retry after cooldown"
             )
+        trace = self.traces.new_trace(
+            workload=workload, tenant=tenant, relax_bits=relax_bits
+        )
         request = ServeRequest(
             id=self.scheduler.next_id(tenant),
             workload=workload,
@@ -1037,17 +1042,6 @@ class CrossbarPool:
 
     # -- the worker loop ------------------------------------------------------
 
-    def _aborted(self, request: ServeRequest, reason: str) -> ServeResult:
-        return ServeResult(
-            id=request.id,
-            tenant=request.tenant,
-            workload=request.workload,
-            relax_bits=request.relax_bits,
-            dataset_bytes=request.dataset_bytes,
-            status="error",
-            error=reason,
-        )
-
     def _expired(self, request: ServeRequest, now: float) -> bool:
         return request.deadline_at is not None and now >= request.deadline_at
 
@@ -1159,33 +1153,20 @@ class CrossbarPool:
         batch_size: int,
         execute=None,
     ) -> None:
-        # Queue wait and expiry on the clock that stamped the request;
-        # service time (below) is always real time.
+        # The request's one queue wait: scheduler clock, taken as it
+        # starts.  Service time (below) is always real time.
         now = self.scheduler.clock()
         queue_wait = max(0.0, now - request.submitted_at)
         trace = request.trace
-        trace_id = trace.trace_id if trace is not None else ""
         if self._expired(request, now):
             request.trace_event(
                 "pool", "expired", "deadline passed while queued",
                 shard=shard.index,
             )
-            result = ServeResult(
-                id=request.id,
-                tenant=request.tenant,
-                workload=request.workload,
-                relax_bits=request.relax_bits,
-                dataset_bytes=request.dataset_bytes,
-                status="expired",
-                shard=shard.index,
-                queue_wait_s=queue_wait,
-                batch_size=batch_size,
+            self._finish(
+                request, queue_wait, "expired", shard, batch_size,
                 error="deadline passed while queued",
-                trace_id=trace_id,
             )
-            self._complete(result)
-            record_served(shard.index, request.tenant, "expired", 0.0)
-            self._account(queue_wait, 0.0, queue_wait, trace_id, ok=False)
             return
         if trace is not None:
             trace.event(
@@ -1215,8 +1196,6 @@ class CrossbarPool:
             attempts = 0
             error = f"{type(exc).__name__}: {exc}"
         service_s = time.monotonic() - start
-        shard.served += 1
-        shard.busy_s += service_s
         # The health gauge follows the breaker's transitions: it drops when
         # a failure trips the breaker and recovers when a success closes
         # it (the half-open probe after a cooldown), on every runtime.
@@ -1226,12 +1205,41 @@ class CrossbarPool:
                 SERVING_SHARD_HEALTHY.set(int(shard.healthy), shard=shard.index)
         elif shard.breaker.record_success(shard.key):
             SERVING_SHARD_HEALTHY.set(1, shard=shard.index)
-        self.scheduler.note_service_time(service_s)
         if trace is not None:
             trace.event(
                 "pool", "complete", status=status, attempts=attempts,
                 service_s=round(service_s, 6),
             )
+        self._finish(
+            request, queue_wait, status, shard, batch_size,
+            service_s=service_s, attempts=attempts, point=point,
+            error=error, search=search_out,
+        )
+
+    def _finish(
+        self,
+        request: ServeRequest,
+        queue_wait_s: float,
+        status: str,
+        shard: PoolShard | None = None,
+        batch_size: int = 0,
+        service_s: float | None = None,
+        attempts: int = 0,
+        point: CampaignPoint | None = None,
+        error: str | None = None,
+        search: dict | None = None,
+    ) -> None:
+        """The one terminal step of every request: executed, expired, or
+        aborted by ``stop(drain=False)`` (no ``shard``).
+
+        Builds the request's :class:`ServeResult`, journals and publishes
+        it through :meth:`_complete`, then derives every aggregate from
+        that result alone: the requests and shard counters, the queue-wait
+        and request-duration histograms, the three latency sketches and
+        the SLO window.  An executed request (``service_s`` given) also
+        feeds the service-time EMA and its shard's totals.
+        """
+        trace = request.trace
         result = ServeResult(
             id=request.id,
             tenant=request.tenant,
@@ -1239,38 +1247,32 @@ class CrossbarPool:
             relax_bits=request.relax_bits,
             dataset_bytes=request.dataset_bytes,
             status=status,
-            shard=shard.index,
+            shard=-1 if shard is None else shard.index,
             attempts=attempts,
-            queue_wait_s=queue_wait,
-            service_s=service_s,
+            queue_wait_s=queue_wait_s,
+            service_s=service_s or 0.0,
             batch_size=batch_size,
             point=point,
             error=error,
-            trace_id=trace_id,
-            search=search_out,
+            trace_id="" if trace is None else trace.trace_id,
+            search=search,
         )
         self._complete(result)
-        record_served(shard.index, request.tenant, status, service_s)
-        self._account(
-            queue_wait, service_s, queue_wait + service_s, trace_id,
-            ok=result.completed,
-        )
-
-    def _account(
-        self,
-        queue_wait_s: float,
-        service_s: float,
-        e2e_s: float,
-        trace_id: str,
-        ok: bool,
-    ) -> None:
-        """Fold one terminal request into the tail sketches, the SLO
-        window and the exemplar-carrying duration histogram."""
+        SERVING_REQUESTS.inc(tenant=request.tenant, status=status)
+        if shard is not None:
+            SERVING_SHARD_REQUESTS.inc(shard=shard.index, status=status)
+            SERVING_SHARD_BUSY.inc(result.service_s, shard=shard.index)
+            if service_s is not None:
+                shard.served += 1
+                shard.busy_s += service_s
+                self.scheduler.note_service_time(service_s)
+        e2e_s = queue_wait_s + result.service_s
+        SERVING_QUEUE_WAIT.observe(queue_wait_s)
         self.latency.observe("queue_wait", queue_wait_s)
-        self.latency.observe("service", service_s)
+        self.latency.observe("service", result.service_s)
         self.latency.observe("e2e", e2e_s)
-        self.slo.record(e2e_s, ok=ok)
-        record_request_duration(e2e_s, trace_id or None)
+        self.slo.record(e2e_s, ok=result.completed)
+        record_request_duration(e2e_s, result.trace_id or None)
 
 
 class Client:

@@ -45,7 +45,6 @@ from repro.observability.instruments import (
     SERVING_ADMISSION,
     SERVING_BATCH_SIZE,
     SERVING_QUEUE_DEPTH,
-    SERVING_QUEUE_WAIT,
 )
 from repro.units import MIB
 
@@ -69,6 +68,12 @@ RESULT_STATUSES = (
     "ok", "retried", "degraded", "fallback", "failed", "expired", "error",
 )
 
+#: EMA smoothing of the per-request service-time estimate that feeds
+#: deadline admission (higher tracks faster).
+_SERVICE_EMA_ALPHA = 0.2
+#: Evicted result ids a :class:`ResultStore` remembers as tombstones.
+_TOMBSTONES = 8192
+
 
 @dataclass(frozen=True)
 class ServingConfig:
@@ -88,9 +93,6 @@ class ServingConfig:
     default_priority: int = 1
     #: Suggested client backoff in a queue-full rejection.
     retry_after_s: float = 0.05
-    #: EMA smoothing for the per-request service-time estimate feeding
-    #: deadline admission (0 < alpha <= 1; higher tracks faster).
-    service_ema_alpha: float = 0.2
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
@@ -108,8 +110,6 @@ class ServingConfig:
             )
         if self.retry_after_s < 0:
             raise ConfigurationError("retry_after_s must be non-negative")
-        if not 0 < self.service_ema_alpha <= 1:
-            raise ConfigurationError("service_ema_alpha must be in (0, 1]")
 
 
 @dataclass(slots=True)
@@ -306,12 +306,13 @@ class BatchingScheduler:
 
     def note_service_time(self, seconds: float) -> None:
         """Feed one per-request service time into the admission EMA."""
-        alpha = self.config.service_ema_alpha
         with self._lock:
             if self._ema_service_s is None:
                 self._ema_service_s = seconds
             else:
-                self._ema_service_s += alpha * (seconds - self._ema_service_s)
+                self._ema_service_s += _SERVICE_EMA_ALPHA * (
+                    seconds - self._ema_service_s
+                )
 
     # -- introspection --------------------------------------------------------
 
@@ -501,22 +502,13 @@ class BatchingScheduler:
                         self._gather_locked(key, limit - len(batch))
                     )
             self.queued -= len(batch)
-            now = self.clock()
             size = len(batch)
-            head_trace = head.trace.trace_id if head.trace else ""
-            for position, request in enumerate(batch):
-                wait_s = max(0.0, now - request.submitted_at)
-                SERVING_QUEUE_WAIT.observe(wait_s)
-                trace = request.trace
-                if trace is None:
-                    continue
-                trace.event("scheduler", "queue_exit", wait_s=round(wait_s, 6))
-                # One link per coalesced request: followers point at the
-                # batch head's trace, the head lists the batch size.
-                if position == 0:
-                    trace.event("scheduler", "batch_lead", size=size)
-                else:
-                    trace.event(
+            if size > 1:
+                # Followers link the head's trace; every request's own
+                # pool dispatch event carries its queue wait and batch size.
+                head_trace = head.trace.trace_id if head.trace else ""
+                for position, request in enumerate(batch[1:], start=1):
+                    request.trace_event(
                         "scheduler", "batch_join",
                         head_trace=head_trace, position=position, size=size,
                     )
@@ -576,18 +568,14 @@ class ResultStore:
         self,
         capacity: int = 8192,
         ttl_s: float | None = None,
-        tombstones: int = 8192,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if capacity < 1:
             raise ConfigurationError("capacity must be at least 1")
         if ttl_s is not None and ttl_s <= 0:
             raise ConfigurationError("ttl_s must be positive (or None)")
-        if tombstones < 0:
-            raise ConfigurationError("tombstones must be non-negative")
         self.capacity = capacity
         self.ttl_s = ttl_s
-        self.tombstones = tombstones
         self.clock = clock
         self._lock = threading.Lock()
         self._done = threading.Condition(self._lock)
@@ -603,10 +591,9 @@ class ResultStore:
     def _evict_locked(self, request_id: str, reason: str) -> None:
         """Tombstone an id already removed from ``_results``."""
         self._completed_at.pop(request_id, None)
-        if self.tombstones > 0:
-            self._tombstones[request_id] = reason
-            while len(self._tombstones) > self.tombstones:
-                self._tombstones.popitem(last=False)
+        self._tombstones[request_id] = reason
+        if len(self._tombstones) > _TOMBSTONES:
+            self._tombstones.popitem(last=False)
         self.evicted += 1
         self.evicted_by_reason[reason] += 1
         RESULT_EVICTIONS.inc(reason=reason)

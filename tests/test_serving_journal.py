@@ -15,9 +15,9 @@ tests pin one by one:
   original id (across restarts too), payload conflicts raise;
 - **bounded results** — capacity and TTL evictions leave tombstones that
   answer HTTP 410 instead of an ambiguous 404;
-- **crash-safe spill** — the trace store's JSONL spill goes through
-  write-to-temp + fsync + atomic rename, so readers can never observe a
-  torn line;
+- **crash-safe spill** — the trace store's JSONL spill is one append
+  plus fsync, made outside the store lock; a crash leaves at most a torn
+  final line, which the reader skips;
 - **group commit** — only ``admitted`` needs a barrier before the id is
   acknowledged; one fsync covers every record written before it, so a
   host crash loses at most the unsynced ``dispatched``/``completed``
@@ -901,8 +901,6 @@ class TestResultStoreBounds:
             ResultStore(capacity=0)
         with pytest.raises(ConfigurationError):
             ResultStore(ttl_s=0.0)
-        with pytest.raises(ConfigurationError):
-            ResultStore(tombstones=-1)
 
 
 class TestAtomicSpill:
@@ -920,18 +918,54 @@ class TestAtomicSpill:
         assert [r.baggage["index"] for r in records] == [0, 1]
         assert store.spilled == 2
 
-    def test_spill_goes_through_temp_then_atomic_rename(self, tmp_path):
-        store = self._store(tmp_path)
+    def test_spill_appends_to_the_same_file(self, tmp_path):
+        """Each eviction is one append to the one spill file: the inode
+        never changes, nothing is staged beside it, every line parses."""
+        path = tmp_path / "traces.jsonl"
+        store = self._store(tmp_path, capacity=1)
         store.new_trace(index=0)
-        assert store.spill_all() == 1
-        # No staging debris left behind, and every line parses.
-        leftovers = [
-            p.name for p in tmp_path.iterdir() if ".tmp." in p.name
-        ]
-        assert leftovers == []
-        with open(tmp_path / "traces.jsonl", encoding="utf-8") as handle:
-            for line in handle:
-                json.loads(line)  # a torn line would raise
+        store.new_trace(index=1)  # evicts index=0
+        inode = os.stat(path).st_ino
+        store.new_trace(index=2)  # evicts index=1
+        assert os.stat(path).st_ino == inode
+        assert [p.name for p in tmp_path.iterdir()] == ["traces.jsonl"]
+        with open(path, encoding="utf-8") as handle:
+            assert [json.loads(line)["baggage"] for line in handle] == [
+                {"index": 0}, {"index": 1},
+            ]
+
+    def test_reads_do_not_wait_for_a_spill_fsync(self, tmp_path, monkeypatch):
+        """The spill's fsync runs after the store lock is released, so a
+        reader is never blocked behind the disk."""
+        from repro.observability import tracing
+
+        entered, release = threading.Event(), threading.Event()
+        real_fsync = os.fsync
+
+        def slow_fsync(fd):
+            entered.set()
+            release.wait(10.0)
+            real_fsync(fd)
+
+        store = self._store(tmp_path, capacity=1)
+        resident = store.new_trace(index=0)
+        monkeypatch.setattr(tracing.os, "fsync", slow_fsync)
+        evicting = threading.Thread(
+            target=store.new_trace, kwargs={"index": 1}
+        )
+        evicting.start()
+        try:
+            assert entered.wait(10.0)
+            reader = threading.Thread(
+                target=store.get, args=(resident.trace_id,)
+            )
+            reader.start()
+            reader.join(2.0)
+            assert not reader.is_alive()
+        finally:
+            release.set()
+            evicting.join(10.0)
+        assert store.spilled == 1
 
     def test_spill_all_appends_to_prior_content(self, tmp_path):
         store = self._store(tmp_path, capacity=1)

@@ -232,6 +232,97 @@ class TestInjectedClock:
             pool.stop(drain=False)
 
 
+class TestTerminalAccounting:
+    """Every terminal path — executed, expired, aborted — goes through
+    one accounting step, and a request's queue wait is measured once."""
+
+    @staticmethod
+    def _queued_pool(clock):
+        pool = CrossbarPool(shards=1, tile_elements=TILE, clock=clock)
+        pool._started = True  # queue without starting any worker
+        return pool
+
+    def test_one_requests_total_increment_per_terminal_result(self):
+        clock = ManualClock()
+        pool = self._queued_pool(clock)
+        shard = pool.shards[0]
+        registry = MetricsRegistry()
+        previous = set_default_registry(registry)
+        try:
+            ran = pool.submit("Robert", relax_bits=8, tenant="acct")
+            late = pool.submit(
+                "Robert", relax_bits=16, tenant="acct", deadline_s=1.0
+            )
+            pool._run_batch(
+                shard, pool.scheduler.next_batch(timeout=0.0),
+                execute=lambda shard, request: (None, "ok", 1, None),
+            )
+            clock.advance(2.0)
+            pool._run_batch(shard, pool.scheduler.next_batch(timeout=0.0))
+            aborted = [
+                pool.submit("Sobel", relax_bits=m, tenant="acct")
+                for m in (0, 8, 16)
+            ]
+            pool.stop(drain=False)
+            requests = registry.get("repro_serving_requests_total")
+            counts = {
+                labels["status"]: child.value
+                for labels, child in requests.samples()
+            }
+            queue_wait = registry.get("repro_serving_queue_wait_seconds")
+            ((_, waits),) = queue_wait.samples()
+        finally:
+            set_default_registry(previous)
+        statuses = [
+            pool.results.get(i).status for i in [ran, late, *aborted]
+        ]
+        assert statuses == ["ok", "expired", "error", "error", "error"]
+        assert counts == {"ok": 1.0, "expired": 1.0, "error": 3.0}
+        assert waits.count == 5
+        assert pool.latency.sketch("e2e").count == 5
+        assert all(
+            pool.results.get(i).error == "pool stopped" for i in aborted
+        )
+
+    def test_coalesced_batch_records_one_queue_wait_per_request(self):
+        """A batch of three on a clock that steps during service: each
+        request's wait is taken as it starts, and the histogram, the
+        sketch and every ServeResult hold that one value."""
+        clock = ManualClock()
+        pool = self._queued_pool(clock)
+
+        def stepping(shard, request):
+            clock.advance(0.5)
+            return None, "ok", 1, None
+
+        registry = MetricsRegistry()
+        previous = set_default_registry(registry)
+        try:
+            ids = []
+            for _ in range(3):
+                ids.append(pool.submit("Robert", relax_bits=8))
+                clock.advance(1.0)
+            clock.advance(7.0)  # now 10 s after the first submit
+            batch = pool.scheduler.next_batch(timeout=0.0)
+            assert [r.id for r in batch] == ids
+            pool._run_batch(pool.shards[0], batch, execute=stepping)
+            ((_, histogram),) = registry.get(
+                "repro_serving_queue_wait_seconds"
+            ).samples()
+        finally:
+            set_default_registry(previous)
+            pool.stop(drain=False)
+        results = [pool.results.get(i) for i in ids]
+        waits = [r.queue_wait_s for r in results]
+        assert waits == [10.0, 9.5, 9.0]
+        assert all(r.batch_size == 3 for r in results)
+        assert histogram.count == 3
+        assert histogram.sum == pytest.approx(sum(waits))
+        sketch = pool.latency.sketch("queue_wait")
+        assert (sketch.count, sketch.min, sketch.max) == (3, 9.0, 10.0)
+        assert sketch.sum == pytest.approx(sum(waits))
+
+
 class TestPooledCampaign:
     def test_pool_and_sequential_campaigns_agree(self):
         workloads, levels = ["Robert", "Sobel"], [0, 16]

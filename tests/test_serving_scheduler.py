@@ -61,8 +61,6 @@ class TestConfigValidation:
             {"priorities": 0},
             {"default_priority": 5},
             {"retry_after_s": -1.0},
-            {"service_ema_alpha": 0.0},
-            {"service_ema_alpha": 1.5},
         ],
     )
     def test_bad_knobs_rejected(self, kwargs):

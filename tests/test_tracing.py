@@ -3,7 +3,7 @@
 The contract pinned here is the tentpole of the tracing subsystem: every
 admitted request yields one bounded trace whose timeline crosses the
 frontend, scheduler, pool, supervisor and executor layers; rescue
-activity (retries, reroutes, shedding) appears as events; and the store
+activity (retries, reroutes) appears as events; and the store
 stays bounded under load — eviction spills to JSONL instead of losing
 the record.
 """
@@ -16,6 +16,7 @@ import threading
 import pytest
 
 from repro.errors import ShardUnavailableError, TracingError
+from repro.observability import MetricsRegistry, set_default_registry
 from repro.observability.tracing import (
     TraceStore,
     current_trace,
@@ -262,7 +263,7 @@ class TestPoolTracing:
         layers = {event.layer for event in record.events}
         assert REQUIRED_LAYERS <= layers
         kinds = [event.kind for event in record.events]
-        for kind in ("admitted", "queue_enter", "queue_exit", "dispatch",
+        for kind in ("admitted", "queue_enter", "dispatch",
                      "attempt", "run", "done", "complete"):
             assert kind in kinds, (kind, kinds)
         # Admission precedes queueing precedes dispatch precedes completion.
@@ -307,25 +308,36 @@ class TestPoolTracing:
             kinds
         )
 
-    def test_shed_event_recorded_when_every_breaker_is_open(self):
-        store = TraceStore(id_prefix="t")
+    def test_shed_is_counted_and_keeps_resident_traces(self):
+        """A submit refused because every breaker is open opens no trace:
+        it cannot evict a finished request's trace from a full store, and
+        the refusal is counted as an admission outcome."""
+        store = TraceStore(capacity=1, id_prefix="t")
+        registry = MetricsRegistry()
+        previous = set_default_registry(registry)
         pool = CrossbarPool(
             shards=1, tile_elements=TILE, shard_cooldown_s=60.0,
-            trace_store=store,
+            trace_store=store, runtime="inline",
         )
         try:
             pool.ensure_started()
+            done = Client(pool, tenant="shed").call("Robert", relax_bits=8)
             sick = pool.shards[0]
             for _ in range(sick.breaker.failure_threshold):
                 sick.breaker.record_failure(sick.key)
             with pytest.raises(ShardUnavailableError):
                 pool.submit(workload="Robert")
+            admission = registry.get("repro_serving_admission_total")
+            outcomes = {
+                labels["outcome"]: child.value
+                for labels, child in admission.samples()
+            }
         finally:
             pool.stop()
-        (record,) = store._records.values()
-        (event,) = record.events
-        assert (event.layer, event.kind) == ("pool", "shed")
-        assert event.attrs == {"shards": 1}
+            set_default_registry(previous)
+        assert outcomes == {"admitted": 1.0, "rejected_unavailable": 1.0}
+        assert store.get(done.id).trace_id == done.trace_id
+        assert store.evicted == 0
 
     def test_reroute_off_a_sick_shard_is_traced(self):
         """A batch held by a shard whose breaker trips is handed back:
@@ -379,8 +391,7 @@ class TestBatchLinking:
         batch = scheduler.next_batch(timeout=0.0)
         assert [r.id for r in batch] == ["b-0", "b-1", "b-2"]
         leader = store.get(requests[0].trace.trace_id)
-        leader_kinds = [e.kind for e in leader.events]
-        assert leader_kinds == ["queue_enter", "queue_exit", "batch_lead"]
+        assert [e.kind for e in leader.events] == ["queue_enter"]
         for position, request in enumerate(requests[1:], start=1):
             record = store.get(request.trace.trace_id)
             join = next(e for e in record.events if e.kind == "batch_join")

@@ -5,7 +5,7 @@ per-request cost; this pins what it must keep doing while it gets
 cheaper.  One warm inline request, in the full-store regime the serving
 benchmark runs in (the result and trace stores evict on every request),
 must record the same timeline — ``(layer, kind, detail, sorted attr
-keys)`` in order, timestamps dropped — append exactly eight trace events
+keys)`` in order, timestamps dropped — append exactly six trace events
 and touch the same metric series.
 """
 
@@ -20,8 +20,6 @@ from repro.serving import Client, CrossbarPool
 WARM_TIMELINE = [
     ("frontend", "admitted", "", ["priority", "request_id"]),
     ("scheduler", "queue_enter", "", ["depth", "priority"]),
-    ("scheduler", "queue_exit", "", ["wait_s"]),
-    ("scheduler", "batch_lead", "", ["size"]),
     ("pool", "dispatch", "", ["batch_size", "queue_wait_s", "shard"]),
     ("supervisor", "attempt", "attempt 1", ["key"]),
     ("supervisor", "success", "ok after 1 attempt(s)", ["key"]),
@@ -90,9 +88,9 @@ def test_warm_timeline_is_pinned(warm_request):
     assert timeline == WARM_TIMELINE
 
 
-def test_warm_request_appends_eight_events(warm_request):
+def test_warm_request_appends_six_events(warm_request):
     _, appends, _ = warm_request
-    assert len(appends) == 8
+    assert len(appends) == 6
 
 
 def test_warm_request_touches_the_pinned_series(warm_request):
