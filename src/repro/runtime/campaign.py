@@ -49,7 +49,6 @@ from repro.workloads.base import Workload
 if TYPE_CHECKING:
     from repro.runtime.chaos import ChaosInjector
     from repro.runtime.supervisor import Supervisor
-    from repro.serving.pool import CrossbarPool
 
 __all__ = [
     "CampaignPoint",
@@ -329,87 +328,6 @@ def _ladder_event(trace, kind: str, detail: str = "", **attrs) -> None:
         trace.event("campaign", kind, detail, **attrs)
 
 
-def _run_campaign_pooled(
-    pool: "CrossbarPool",
-    resolved: list[Workload],
-    relax_levels: list[int],
-    dataset_bytes: float,
-    checkpoint: str | None,
-    resume: bool,
-    seed: int,
-) -> CampaignResult:
-    """The grid through the serving pool: submit all, collect in order.
-
-    The journal protocol matches the sequential path — ``begin`` before a
-    point is dispatched, ``complete`` once its terminal record exists — so
-    a killed pooled campaign resumes exactly like a sequential one.
-    """
-    completed: dict[str, CampaignPoint] = {}
-    journal: CheckpointJournal | None = None
-    if checkpoint is not None:
-        if resume:
-            state = load_journal(checkpoint)
-            for key, payload in state.completed.items():
-                try:
-                    completed[key] = CampaignPoint(**payload)
-                except (TypeError, ReproError):
-                    continue
-        journal = CheckpointJournal(checkpoint, resume=resume)
-        journal.describe(
-            {
-                "workloads": [w.name for w in resolved],
-                "relax_levels": list(relax_levels),
-                "dataset_bytes": int(dataset_bytes),
-                "seed": seed,
-                "pool_shards": pool.shard_count,
-            }
-        )
-
-    pool.ensure_started()
-    grid: list[tuple[str, str | None]] = []  # (point key, request id | None)
-    points: list[CampaignPoint] = []
-    try:
-        for workload in resolved:
-            for level in relax_levels:
-                key = point_key(workload.name, level, int(dataset_bytes))
-                if key in completed:
-                    grid.append((key, None))
-                    continue
-                if journal is not None:
-                    journal.begin(key)
-                request_id = pool.submit(
-                    workload=workload.name,
-                    relax_bits=level,
-                    dataset_bytes=int(dataset_bytes),
-                    tenant="campaign",
-                    priority=0,
-                    block=True,
-                )
-                grid.append((key, request_id))
-        for key, request_id in grid:
-            if request_id is None:
-                point = completed[key]
-                record_campaign_point(point.status, resumed=True)
-                points.append(point)
-                continue
-            result = pool.result(request_id)
-            point = result.point
-            if point is None:  # expired/error: keep the grid complete
-                name, rest = key.split("/m", 1)
-                level, size = rest.split("/", 1)
-                point = _failed_point(
-                    name, int(level), int(size[:-1]), result.attempts
-                )
-            record_campaign_point(point.status)
-            if journal is not None:
-                journal.complete(key, dataclasses.asdict(point))
-            points.append(point)
-    finally:
-        if journal is not None:
-            journal.close()
-    return CampaignResult(points=tuple(points))
-
-
 def run_campaign(
     workloads: list[Workload | str],
     relax_levels: list[int],
@@ -425,7 +343,6 @@ def run_campaign(
     max_relax_bits: int = 32,
     degradation_step: int = 4,
     harness: ComparisonHarness | None = None,
-    pool: "CrossbarPool | None" = None,
 ) -> CampaignResult:
     """Run the full (workload x relax-bits) grid at one dataset size.
 
@@ -437,16 +354,6 @@ def run_campaign(
     (recovering any torn tail) and re-executes only points without a
     terminal record.  ``seed`` feeds the harness's input generation so a
     resumed or replayed campaign prices identical data.
-
-    With ``pool`` (a started-or-startable
-    :class:`~repro.serving.pool.CrossbarPool`) the grid executes through
-    the serving layer's sharded workers instead of this thread: points are
-    submitted as internal blocking requests (backpressure, never
-    admission-rejected) and collected in grid order, so campaigns gain
-    multi-shard parallelism with identical semantics.  Supervision, chaos
-    and QoS degradation then belong to the pool's shards — passing
-    ``supervisor``/``chaos``/``harness`` alongside ``pool`` is a
-    configuration error.
     """
     if not workloads:
         raise ConfigurationError("campaign needs at least one workload")
@@ -456,21 +363,9 @@ def run_campaign(
         raise ConfigurationError("relax levels must be non-negative")
     if resume and checkpoint is None:
         raise ConfigurationError("resume=True needs a checkpoint path")
-    if pool is not None and (
-        supervisor is not None or chaos is not None or harness is not None
-    ):
-        raise ConfigurationError(
-            "pool mode owns supervision/chaos/pricing per shard; do not "
-            "also pass supervisor=, chaos= or harness="
-        )
     resolved = [
         workload_by_name(w) if isinstance(w, str) else w for w in workloads
     ]
-    if pool is not None:
-        return _run_campaign_pooled(
-            pool, resolved, relax_levels, dataset_bytes,
-            checkpoint=checkpoint, resume=resume, seed=seed,
-        )
     harness = harness or ComparisonHarness(
         config=config, tile_elements=tile_elements, rng_seed=seed
     )

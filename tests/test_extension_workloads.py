@@ -232,7 +232,8 @@ class TestExtensionCampaignGrid:
         (workload x relax) grid prices them, and the same grid through a
         CrossbarPool agrees bit-for-bit with the direct run."""
         from repro.runtime.campaign import run_campaign
-        from repro.serving.pool import CrossbarPool
+        from repro.serving.pool import Client, CrossbarPool
+        from repro.units import GIB
 
         workloads = ["Similarity", "QuantizedLayer"]
         levels = [0, 8]
@@ -240,11 +241,15 @@ class TestExtensionCampaignGrid:
         assert len(direct.points) == 4
         assert all(p.status == "ok" for p in direct.points)
         with CrossbarPool(shards=2, tile_elements=1 << 9) as pool:
-            pooled = run_campaign(
-                workloads, levels, tile_elements=1 << 9, pool=pool
-            )
+            client = Client(pool)
+            pooled = [
+                client.call(name, relax_bits=level, dataset_bytes=GIB).point
+                for name in workloads
+                for level in levels
+            ]
+        assert len(pooled) == len(direct.points)
         by_key = {(p.workload, p.relax_bits): p for p in direct.points}
-        for point in pooled.points:
+        for point in pooled:
             twin = by_key[(point.workload, point.relax_bits)]
             assert point.speedup == pytest.approx(twin.speedup, rel=1e-12)
             assert point.qol_percent == pytest.approx(

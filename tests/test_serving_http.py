@@ -397,6 +397,59 @@ class TestFrontend:
         assert "repro_serving_admission_total" in text
 
 
+class TestOverload:
+    def test_concurrent_overload_refuses_cleanly(self):
+        """Eight simultaneous POSTs against a one-slot queue whose only
+        worker is held: every reply is 202 or 429, every 202 id reaches a
+        terminal result, and every resident trace belongs to a 202 id (a
+        429 opens no trace)."""
+        from repro.serving import ServingConfig
+
+        pool = CrossbarPool(
+            shards=1, tile_elements=TILE,
+            serving_config=ServingConfig(queue_capacity=1),
+        )
+        shard = pool.shards[0]
+        price, gate = shard.price, threading.Event()
+
+        def held_price(*args):
+            gate.wait(30.0)
+            return price(*args)
+
+        shard.price = held_price
+        start = threading.Barrier(8)
+        replies = []
+
+        def post():
+            start.wait()
+            replies.append(
+                fetch(f"{server.url}/submit", payload={"workload": "Robert"})
+            )
+
+        with pool, build_server(pool) as server:
+            posters = [threading.Thread(target=post) for _ in range(8)]
+            for poster in posters:
+                poster.start()
+            for poster in posters:
+                poster.join(30.0)
+            gate.set()
+            statuses = [status for status, _, _ in replies]
+            accepted = {body["id"] for status, _, body in replies
+                        if status == 202}
+            for request_id in accepted:
+                assert pool.result(request_id, timeout=60.0).status == "ok"
+            admitted = {
+                event.attrs["request_id"]
+                for record in list(pool.traces._records.values())
+                for event in record.events
+                if (event.layer, event.kind) == ("frontend", "admitted")
+            }
+        assert len(statuses) == 8
+        assert 429 in statuses
+        assert set(statuses) <= {202, 429}
+        assert admitted == accepted
+
+
 #: Per endpoint: a valid body, the same body changed in one field, the
 #: body without its required key, and the body with a field of the wrong
 #: type.  The search query is a dim-256 bit-vector, the default codebook.

@@ -233,7 +233,7 @@ class TestCrashRecovery:
 
 class TestCampaignBitIdentity:
     def test_pooled_subprocess_grid_matches_direct(self):
-        """The acceptance bar: a campaign routed through a 2-shard
+        """The acceptance bar: a campaign grid priced through a 2-shard
         subprocess pool is bit-identical to the sequential sweep."""
         direct = run_campaign(
             ["Robert"], [0, 8], dataset_bytes=1 << 20,
@@ -243,11 +243,13 @@ class TestCampaignBitIdentity:
             shards=2, tile_elements=TILE, seed=7, runtime="subprocess"
         )
         with pool:
-            pooled = run_campaign(
-                ["Robert"], [0, 8], dataset_bytes=1 << 20,
-                seed=7, pool=pool,
-            )
-        assert [dataclasses.asdict(p) for p in pooled.points] == [
+            client = Client(pool)
+            pooled = [
+                client.call("Robert", relax_bits=level, dataset_bytes=1 << 20)
+                .point
+                for level in (0, 8)
+            ]
+        assert [dataclasses.asdict(p) for p in pooled] == [
             dataclasses.asdict(p) for p in direct.points
         ]
 
