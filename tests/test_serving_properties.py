@@ -66,7 +66,7 @@ def submit_all(scheduler, trace):
             priority=priority,
         )
         try:
-            scheduler.submit(request)
+            scheduler.submit(request, False, lambda _: None)
             admitted.append(request.id)
         except AdmissionRejectedError:
             rejected += 1
@@ -131,7 +131,7 @@ class TestSchedulerProperties:
                 priority=priority,
             )
             try:
-                scheduler.submit(request)
+                scheduler.submit(request, False, lambda _: None)
             except AdmissionRejectedError:
                 # Rejection must mean that class genuinely is full.
                 assert scheduler.depth(priority) == config.queue_capacity

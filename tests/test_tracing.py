@@ -386,7 +386,7 @@ class TestBatchLinking:
             request = ServeRequest(
                 id=f"b-{index}", workload="Sobel", relax_bits=8, trace=ctx,
             )
-            scheduler.submit(request)
+            scheduler.submit(request, False, lambda _: None)
             requests.append(request)
         batch = scheduler.next_batch(timeout=0.0)
         assert [r.id for r in batch] == ["b-0", "b-1", "b-2"]
