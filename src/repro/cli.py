@@ -106,8 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="full markdown reproduction report")
     p.add_argument("-o", "--output", default=None, help="write to a file")
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--tile", type=int, default=1 << 12)
+    p.add_argument("--samples", type=int, default=20000)
+    p.add_argument("--tile", type=int, default=1 << 13)
 
     p = sub.add_parser("run", help="run one workload at a relax level")
     p.add_argument("workload")

@@ -10,7 +10,9 @@ Two entry points mirror the hardware:
   speed-up on addition-heavy kernels comes from.
 - :meth:`APIMAdder.add_many` — the fast multi-operand adder (paper
   Section 3.2, Figure 2): Wallace 3:2 reduction of all operands followed by
-  one serial addition of the two survivors.
+  one serial addition of the two survivors.  The survivors always sum to
+  the operands' sum, so without relaxed bits the model evaluates only that
+  sum; the reduction runs when the relaxed final add reads ``x ^ y``.
 
 Values are bit-accurate uint64 transforms; costs come from
 :mod:`repro.core.timing`.
@@ -103,10 +105,16 @@ class APIMAdder:
         )
         if len(arrays) == 1:
             return AddResult(sums=arrays[0].copy(), cost=Cost())
-        x, y = reduce_to_two(arrays)
         stages = reduction_stages(len(arrays))
         final_width = min(width + max(stages - 1, 0) + 1, 64)
-        sums = approximate_final_add(x, y, final_width, min(relax_bits, final_width))
+        relax = min(relax_bits, final_width)
+        if relax:
+            x, y = reduce_to_two(arrays)
+            sums = approximate_final_add(x, y, final_width, relax)
+        else:
+            # The survivors sum to the operands' sum (mod 2**64), which is
+            # all an exact final add reads: no reduction is evaluated.
+            sums = sum(arrays[1:], arrays[0])
         per_element = Cost()
         if stages:
             per_element += cost_wallace_reduce(len(arrays), width)

@@ -41,6 +41,7 @@ __all__ = [
     "EXACT",
     "mask_multiplier",
     "approximate_final_add",
+    "approximate_sum",
     "approximate_sum_bit",
 ]
 
@@ -161,16 +162,34 @@ def approximate_final_add(
     of ``c`` is the carry *into* position ``i``), so the whole transform is
     a handful of vectorised bitwise operations — no per-bit loop.
     """
+    xv = _as_uint64(x)
+    yv = _as_uint64(y)
+    exact_sum = xv + yv  # < 2**width by contract; wraps harmlessly at 64.
+    half_sum = xv ^ yv if relax_bits else None
+    return approximate_sum(exact_sum, half_sum, width, relax_bits)
+
+
+def approximate_sum(
+    exact_sum: np.ndarray,
+    half_sum: np.ndarray | None,
+    width: int,
+    relax_bits: int,
+) -> np.ndarray:
+    """:func:`approximate_final_add` given the survivors' exact sum
+    ``x + y`` and their carry-less sum ``x ^ y`` (NumPy ``uint64``).
+
+    Only bits ``0 .. relax_bits`` of ``half_sum`` are read (none at
+    ``relax_bits == 0``), so a caller that knows the exact sum by other
+    means, as the multiplier knows ``a * b``, need only produce the low
+    ``relax_bits + 1`` bits of ``x ^ y``; its higher bits may be anything.
+    """
     if not 1 <= width <= 64:
         raise ApproximationError(f"width {width} outside [1, 64]")
     if not 0 <= relax_bits <= width:
         raise ApproximationError(f"relax_bits {relax_bits} outside [0, {width}]")
-    xv = _as_uint64(x)
-    yv = _as_uint64(y)
-    exact_sum = xv + yv  # < 2**width by contract; wraps harmlessly at 64.
     if relax_bits == 0:
         return exact_sum
-    carries_in = xv ^ yv ^ exact_sum  # bit i = carry into position i
+    carries_in = half_sum ^ exact_sum  # bit i = carry into position i
     carries_out = carries_in >> np.uint64(1)
     if width < 64:
         carries_out |= (exact_sum >> np.uint64(width)) << np.uint64(width - 1)

@@ -13,13 +13,22 @@ Carry-save reduction is *exact*: the two survivors always sum to the same
 value as the inputs.  Approximation only ever enters in the final
 two-operand addition (:mod:`repro.core.approximation`).
 
+:func:`reduce_to_two` accepts ``None`` for an operand known to be zero in
+every element.  Such a row keeps its place in the grouping schedule but
+costs no array operation: a group with one known zero is a half-add, a
+group with two passes its operand through.  The functional multiplier
+(:mod:`repro.core.multiplier`) prices with this pruned form; it feeds the
+tree only the rows its final add reads.
+
 Note on fidelity: the hardware only instantiates partial products for *set*
 multiplier bits, so operand grouping (and hence the individual survivor bit
 patterns, though never their sum) depends on the multiplier's popcount.
 :func:`reduce_partial_products` models that faithfully per scalar;
 :func:`reduce_partial_products_vectorised` groups all N rows including
-zeros, which preserves sums exactly and error statistics to within noise
-(asserted by ``tests/test_cross_validation.py``).
+zeros, at full width, so every element follows one schedule.  That
+full-row form preserves sums exactly and error statistics to within noise
+(asserted by ``tests/test_cross_validation.py``); it is the reference the
+pruned multiplier is checked against bit for bit.
 """
 
 from __future__ import annotations
@@ -49,34 +58,56 @@ def csa_step(
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
     c = np.asarray(c, dtype=np.uint64)
-    total = a ^ b ^ c
-    carry = ((a & b) | (b & c) | (c & a)) << _ONE
+    half = a ^ b
+    total = half ^ c
+    # Majority: both of a, b set, or c set with exactly one of them.
+    carry = ((a & b) | (c & half)) << _ONE
     return total, carry
 
 
-def reduce_to_two(operands: Sequence[np.ndarray | int]) -> tuple[np.ndarray, np.ndarray]:
+def reduce_to_two(
+    operands: Sequence[np.ndarray | int | None],
+) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Wallace-style reduction of arbitrarily many operands to two.
 
     Operands are grouped in threes per stage, exactly as the configurable
     interconnect arranges them in hardware; leftovers (one or two) pass
     through to the next stage unchanged.
+
+    An operand given as ``None`` is a known zero: it holds its position in
+    the schedule, and a survivor that is zero by construction comes back
+    as ``None``.  Without known zeros both survivors are arrays.
     """
     if len(operands) == 0:
         raise ConfigurationError("cannot reduce an empty operand list")
-    current = [np.asarray(op, dtype=np.uint64) for op in operands]
+    current = [
+        None if op is None else np.asarray(op, dtype=np.uint64) for op in operands
+    ]
     if len(current) == 1:
-        return current[0], np.zeros_like(current[0])
+        only = current[0]
+        return only, None if only is None else np.zeros_like(only)
     while len(current) > 2:
-        nxt: list[np.ndarray] = []
+        nxt: list[np.ndarray | None] = []
         for i in range(0, len(current) - 2, 3):
-            s, c = csa_step(current[i], current[i + 1], current[i + 2])
-            nxt.append(s)
-            nxt.append(c)
+            nxt.extend(_reduce_group(current[i : i + 3]))
         remainder = len(current) % 3
         if remainder:
             nxt.extend(current[-remainder:])
         current = nxt
     return current[0], current[1]
+
+
+def _reduce_group(
+    group: list[np.ndarray | None],
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """One 3:2 step over a group in which ``None`` marks a known zero."""
+    live = [op for op in group if op is not None]
+    if len(live) == 3:
+        return csa_step(*live)
+    if len(live) == 2:
+        a, b = live
+        return a ^ b, (a & b) << _ONE
+    return (live[0] if live else None), None
 
 
 def partial_products(
