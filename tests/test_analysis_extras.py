@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import re
+
 import pytest
 
 from repro.analysis.area import AreaModel
@@ -10,6 +13,10 @@ from repro.cli import build_parser, main
 from repro.core.config import default_config
 from repro.errors import ConfigurationError
 from repro.units import GIB, MIB
+
+EXPERIMENTS_MD = os.path.join(
+    os.path.dirname(__file__), os.pardir, "EXPERIMENTS.md"
+)
 
 
 class TestAreaModel:
@@ -169,6 +176,30 @@ class TestReport:
                         "Adaptive", "Area"):
             assert heading in report
         assert "480x" in report  # the paper headline is cited
+
+    def test_defaults_reproduce_experiments_md(self):
+        """At its defaults the report prints EXPERIMENTS.md's Figure 6
+        block and every EDP / QoL cell of its Table 1 block."""
+        from repro.analysis.report import generate_report
+
+        report = generate_report()
+        with open(EXPERIMENTS_MD, encoding="utf-8") as handle:
+            blocks = handle.read().split("```")[1::2]
+        figure6 = next(b for b in blocks if "APIM-approx" in b)
+        for line in figure6.strip().splitlines():
+            assert line in report
+        table1 = next(b for b in blocks if b.lstrip().startswith("Application"))
+        section = report.split("## Table 1")[1].split("##")[0]
+        for line in table1.strip().splitlines()[1:]:
+            name = line.split()[0]
+            quoted = re.findall(r"(\d+) \|\s*(\(saturated\)|[\d.]+)", line)
+            assert len(quoted) == 6, line
+            row = next(r for r in section.splitlines() if r.startswith(name + " "))
+            printed = [
+                (edp, "(saturated)" if float(qol) > 100 else qol)
+                for edp, qol in re.findall(r"(\d+)x \|\s*([\d.]+)%", row)
+            ]
+            assert printed == quoted, name
 
     def test_campaign_command(self, capsys, tmp_path):
         out_path = str(tmp_path / "grid.csv")
