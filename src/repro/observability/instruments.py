@@ -7,7 +7,9 @@ binds its family once per :data:`~repro.observability.registry.binding`:
 swapping the default registry, clearing it or toggling observability
 re-binds every handle on its next write, and a write returns at once
 while observability is disabled.  The first write into a registry
-registers every declared family, so a scrape lists them all.
+registers every declared family, so a scrape lists them all.  A hot call
+site whose labels never change writes through a :class:`Series` from
+:meth:`Instrument.series`, which follows the same re-binding rules.
 
 The helpers after the table are the writes that carry a rule or feed
 several families.  ``docs/observability.md`` documents every family.
@@ -111,6 +113,63 @@ class Instrument:
         child = self._child(labels)
         if child is not None:
             child.observe(value)
+
+    def series(self, **labels) -> "Series":
+        """A handle on one series of this family, for a call site whose
+        labels never change."""
+        return Series(self, labels)
+
+
+class Series:
+    """One series of a declared family, for a hot call site with fixed
+    labels (``ADMITTED = SERVING_ADMISSION.series(outcome="admitted")``).
+
+    The handle keeps one ``(binding, child)`` tuple and re-resolves it
+    through its :class:`Instrument` when the binding changes, so a write
+    builds no label dict or key and costs about half an ``Instrument``
+    write.  ``child`` is ``None`` while observability is disabled.
+    """
+
+    __slots__ = ("instrument", "labels", "_bound")
+
+    def __init__(self, instrument: Instrument, labels: dict) -> None:
+        self.instrument = instrument
+        self.labels = labels
+        self._bound = _UNBOUND
+
+    def _resolve(self) -> tuple:
+        # The binding is read before the child resolves: a swap in
+        # between leaves a stale binding here, which re-resolves next write.
+        bound = self._bound = (
+            _registry.binding, self.instrument._child(self.labels)
+        )
+        return bound
+
+    def touch(self) -> None:
+        """Create the series (at zero, for a counter) once per binding."""
+        if self._bound[0] is not _registry.binding:
+            self._resolve()
+
+    def inc(self, amount: float = 1.0, /) -> None:
+        bound = self._bound
+        if bound[0] is not _registry.binding:
+            bound = self._resolve()
+        if bound[1] is not None:
+            bound[1].inc(amount)
+
+    def set(self, value: float, /) -> None:
+        bound = self._bound
+        if bound[0] is not _registry.binding:
+            bound = self._resolve()
+        if bound[1] is not None:
+            bound[1].set(value)
+
+    def observe(self, value: float, exemplar: dict | None = None, /) -> None:
+        bound = self._bound
+        if bound[0] is not _registry.binding:
+            bound = self._resolve()
+        if bound[1] is not None:
+            bound[1].observe(value, exemplar)
 
 
 def _declare(registry: MetricsRegistry) -> None:
@@ -391,17 +450,27 @@ def record_baseline_locality(model: str, source: str, seconds: float) -> None:
     BASELINE_LOCALITY_SECONDS.observe(seconds, model=model, source=source)
 
 
-def record_supervision_event(kind: str) -> None:
-    """Count one supervision lifecycle event.
+#: One series per supervision event kind, and the retry counter.
+_SUPERVISION_EVENTS = {
+    kind: SUPERVISOR_EVENTS.series(kind=kind)
+    for kind in ("attempt", "retry", "success", "failure")
+}
+_RETRIES = SUPERVISOR_RETRIES.series()
 
-    ``attempt`` also materialises the retry counter at zero, so a scrape of
-    a perfectly healthy run still exposes ``repro_supervisor_retries_total``
-    (dashboards need the series to exist before it is interesting)."""
-    SUPERVISOR_EVENTS.inc(kind=kind)
+
+def record_supervision_event(kind: str) -> None:
+    """Count one supervision lifecycle event (``attempt``, ``retry``,
+    ``success`` or ``failure``).
+
+    ``attempt`` also materialises the retry counter at zero, once per
+    registry binding, so a scrape of a perfectly healthy run still exposes
+    ``repro_supervisor_retries_total`` (dashboards need the series to exist
+    before it is interesting)."""
+    _SUPERVISION_EVENTS[kind].inc()
     if kind == "attempt":
-        SUPERVISOR_RETRIES.inc(0)
+        _RETRIES.touch()
     elif kind == "retry":
-        SUPERVISOR_RETRIES.inc()
+        _RETRIES.inc()
 
 
 def record_campaign_point(status: str, resumed: bool = False) -> None:
@@ -441,13 +510,16 @@ def record_journal_recovery(
             JOURNAL_RECOVERED.inc(count, kind=kind)
 
 
+_REQUEST_DURATION = REQUEST_DURATION.series()
+
+
 def record_request_duration(seconds: float, trace_id: str | None = None) -> None:
     """Observe one end-to-end request latency; ``trace_id`` becomes the
     bucket's exemplar, linking the aggregate histogram back to a concrete
     ``GET /trace/<id>`` timeline."""
-    child = REQUEST_DURATION._child({})
-    if child is not None:
-        child.observe(seconds, {"trace_id": trace_id} if trace_id else None)
+    _REQUEST_DURATION.observe(
+        seconds, {"trace_id": trace_id} if trace_id else None
+    )
 
 
 def record_controller_command(opcode: str, cells: int = 0) -> None:

@@ -24,6 +24,7 @@ checkpoint file as well as a live pool.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
@@ -41,6 +42,9 @@ __all__ = [
 #: Statuses that count as meeting the objective (degraded service is
 #: still service; the latency gate is applied separately).
 GOOD_STATUSES = frozenset({"ok", "retried", "degraded"})
+
+#: Width of one burn-rate bucket, in seconds.
+BUCKET_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -110,9 +114,16 @@ class SLOPolicy:
 class BurnRateEvaluator:
     """Sliding-window burn-rate tracker on an injectable clock.
 
-    Events are ``(timestamp, good)`` pairs in a deque; anything older
-    than the long window is pruned on record and on evaluation, so the
-    memory footprint is bounded by the long window's traffic.
+    Outcomes are counted in :data:`BUCKET_S`-wide buckets, a deque of
+    ``[second, count, bad]`` lists (``second`` is ``floor(t /
+    BUCKET_S)``); buckets older than the long window are pruned on record
+    and on evaluation.  Memory is therefore at most one bucket per second
+    of the long window (plus one) whatever the traffic, and
+    :meth:`evaluate` is linear in buckets, not requests.  Window edges
+    round down to whole buckets: a
+    window of ``w`` seconds at time ``t`` counts every bucket from the
+    one holding ``t - w``, so it may reach up to one bucket further back
+    than ``w`` (exactly ``w`` on a whole-second clock).
     """
 
     def __init__(
@@ -122,7 +133,7 @@ class BurnRateEvaluator:
     ) -> None:
         self.policy = policy or SLOPolicy()
         self.clock = clock
-        self._events: "deque[tuple[float, bool]]" = deque()
+        self._events: "deque[list[int]]" = deque()
         self._lock = threading.Lock()
         self.total = 0
         self.total_bad = 0
@@ -130,39 +141,41 @@ class BurnRateEvaluator:
     def record(self, latency_s: float, ok: bool = True) -> bool:
         """Record one request; returns whether it met the objective."""
         good = self.policy.is_good(latency_s, ok)
-        now = self.clock()
-        with self._lock:
-            self._events.append((now, good))
-            self.total += 1
-            if not good:
-                self.total_bad += 1
-            self._prune(now)
+        self.record_outcome(good)
         return good
 
     def record_outcome(self, good: bool) -> None:
         """Record a pre-judged outcome (tests, offline replay)."""
         now = self.clock()
+        second = math.floor(now / BUCKET_S)
         with self._lock:
-            self._events.append((now, bool(good)))
+            events = self._events
+            if events and events[-1][0] >= second:
+                bucket = events[-1]
+            else:
+                bucket = [second, 0, 0]
+                events.append(bucket)
+            bucket[1] += 1
             self.total += 1
             if not good:
+                bucket[2] += 1
                 self.total_bad += 1
             self._prune(now)
 
     def _prune(self, now: float) -> None:
-        horizon = now - self.policy.long_window_s
+        horizon = math.floor((now - self.policy.long_window_s) / BUCKET_S)
         events = self._events
         while events and events[0][0] < horizon:
             events.popleft()
 
     def _window_stats(self, now: float, window_s: float) -> tuple[int, int]:
-        start = now - window_s
+        start = math.floor((now - window_s) / BUCKET_S)
         count = bad = 0
-        for ts, good in self._events:
-            if ts >= start:
-                count += 1
-                if not good:
-                    bad += 1
+        for second, bucket_count, bucket_bad in reversed(self._events):
+            if second < start:
+                break
+            count += bucket_count
+            bad += bucket_bad
         return count, bad
 
     def burn_rate(self, window_s: float) -> float:

@@ -33,13 +33,17 @@ __all__ = ["ComparisonHarness", "ComparisonResult"]
 #: read-only.
 _TILE_MEMO: dict[tuple, ExecutionResult] = {}
 
+#: Priced points each harness keeps, oldest evicted first.  Dataset sizes
+#: come from clients, so the memo is bounded however many a server sees.
+PRICED_CAPACITY = 4096
 
-@dataclass(slots=True)
+
+@dataclass(frozen=True, slots=True)
 class ComparisonResult:
     """APIM vs GPU at one (workload, dataset size, approximation) point.
 
-    A slotted record: every served request builds one on its way to a
-    (frozen) :class:`~repro.runtime.campaign.CampaignPoint`."""
+    Frozen: a harness hands the one memoised instance of a priced point
+    to every caller that asks for it."""
 
     workload: str
     dataset_bytes: int
@@ -89,11 +93,17 @@ class ComparisonHarness:
         #: Per-harness front of the process-wide :data:`_TILE_MEMO`, keyed
         #: ``(workload name, spec)``: the warm path is one dict lookup.
         self._tile_cache: dict[tuple[str, ApproxSpec], ExecutionResult] = {}
+        #: Priced points in front of the tile cache, keyed ``(workload
+        #: name, spec, dataset_bytes)``: a point is a pure function of its
+        #: key, so a warm :meth:`compare` is one dict lookup.  At most
+        #: :data:`PRICED_CAPACITY` entries, in insertion order.
+        self._priced: dict[tuple, ComparisonResult] = {}
         self._cpu = None  # lazy CPUModel, built on first cpu_fallback
         # Guards the lazy CPU model, so one harness shared across threads
-        # builds it once.  The tile caches need no lock: ``get`` and
-        # ``setdefault`` are atomic, and racing misses compute identical
-        # results (seeded RNG), so the first write wins.
+        # builds it once, and the priced memo's inserts and evictions.
+        # Lookups need no lock: ``get`` and ``setdefault`` are atomic, and
+        # racing misses compute identical results (seeded RNG), so the
+        # first write wins.
         self._lock = threading.Lock()
 
     # -- APIM side ----------------------------------------------------------
@@ -195,11 +205,15 @@ class ComparisonHarness:
         self, workload, dataset_bytes: float, spec: ApproxSpec = EXACT
     ) -> ComparisonResult:
         """Full APIM-vs-GPU comparison at one point."""
+        key = (workload.name, spec, dataset_bytes)
+        priced = self._priced.get(key)
+        if priced is not None:
+            return priced
         tile = self._tile_result(workload, spec)
         profile = workload.profile()
         apim_time, apim_energy = self._scaled(tile, profile, dataset_bytes)
         gpu: GPUEstimate = self.gpu.estimate(profile, dataset_bytes)
-        return ComparisonResult(
+        priced = ComparisonResult(
             workload=workload.name,
             dataset_bytes=int(dataset_bytes),
             spec=spec,
@@ -210,6 +224,12 @@ class ComparisonHarness:
             qol_percent=tile.qol_percent,
             qos_ok=tile.qos_ok,
         )
+        memo = self._priced
+        with self._lock:  # an eviction's iterator must not race an insert
+            priced = memo.setdefault(key, priced)
+            if len(memo) > PRICED_CAPACITY:
+                del memo[next(iter(memo))]
+        return priced
 
     def sweep_sizes(
         self, workload, sizes: list[float], spec: ApproxSpec = EXACT

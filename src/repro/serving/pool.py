@@ -72,6 +72,7 @@ from repro.observability.instruments import (
     SERVING_SHARD_BUSY,
     SERVING_SHARD_HEALTHY,
     SERVING_SHARD_REQUESTS,
+    Series,
     record_journal_recovery,
     record_request_duration,
 )
@@ -109,6 +110,8 @@ __all__ = [
 #: kernel, so QoS policy, tracing and per-workload metrics line up.
 SEARCH_WORKLOAD = "Similarity"
 
+_QUEUE_WAIT = SERVING_QUEUE_WAIT.series()
+
 
 @dataclass
 class PoolShard:
@@ -129,9 +132,26 @@ class PoolShard:
     _workloads: dict = field(default_factory=dict)
     #: The breaker and supervision-key namespace, ``shard<index>``.
     key: str = field(init=False, repr=False)
+    #: This shard's busy-seconds series, and its requests series by status.
+    _busy: Series = field(init=False, repr=False)
+    _requests: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.key = f"shard{self.index}"
+        self._busy = SERVING_SHARD_BUSY.series(shard=self.index)
+        self._requests = {}
+
+    def count_request(self, status: str, service_s: float) -> None:
+        """Count one finished request and its service time on this
+        shard's metric series."""
+        series = self._requests.get(status)
+        if series is None:
+            series = self._requests.setdefault(
+                status,
+                SERVING_SHARD_REQUESTS.series(shard=self.index, status=status),
+            )
+        series.inc()
+        self._busy.inc(service_s)
 
     @property
     def healthy(self) -> bool:
@@ -1274,14 +1294,13 @@ class CrossbarPool:
         self._complete(result)
         SERVING_REQUESTS.inc(tenant=request.tenant, status=status)
         if shard is not None:
-            SERVING_SHARD_REQUESTS.inc(shard=shard.index, status=status)
-            SERVING_SHARD_BUSY.inc(result.service_s, shard=shard.index)
+            shard.count_request(status, result.service_s)
             if service_s is not None:
                 shard.served += 1
                 shard.busy_s += service_s
                 self.scheduler.note_service_time(service_s)
         e2e_s = queue_wait_s + result.service_s
-        SERVING_QUEUE_WAIT.observe(queue_wait_s)
+        _QUEUE_WAIT.observe(queue_wait_s)
         self.latency.observe("queue_wait", queue_wait_s)
         self.latency.observe("service", result.service_s)
         self.latency.observe("e2e", e2e_s)

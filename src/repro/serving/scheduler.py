@@ -50,6 +50,14 @@ from repro.observability.instruments import (
 )
 from repro.units import MIB
 
+#: Fixed-label series of the warm path's scheduler writes.
+_ADMITTED = SERVING_ADMISSION.series(outcome="admitted")
+_BATCH_SIZE = SERVING_BATCH_SIZE.series()
+_EVICTIONS = {
+    reason: RESULT_EVICTIONS.series(reason=reason)
+    for reason in ("capacity", "ttl")
+}
+
 if TYPE_CHECKING:
     from repro.observability.tracing import TraceContext
     from repro.runtime.campaign import CampaignPoint
@@ -207,7 +215,9 @@ def _field_names(cls: type) -> tuple[str, ...]:
 class _TenantRing:
     """Per-tenant FIFO deques with a round-robin dispatch pointer."""
 
-    def __init__(self) -> None:
+    def __init__(self, priority: int) -> None:
+        #: This priority class's ``repro_serving_queue_depth`` series.
+        self.depth = SERVING_QUEUE_DEPTH.series(priority=priority)
         self.queues: "OrderedDict[str, deque[ServeRequest]]" = OrderedDict()
         self._ring: list[str] = []
         self._next = 0
@@ -283,7 +293,9 @@ class BatchingScheduler:
         self._lock = threading.Lock()
         self._nonempty = threading.Condition(self._lock)
         self._space = threading.Condition(self._lock)
-        self._classes = [_TenantRing() for _ in range(self.config.priorities)]
+        self._classes = [
+            _TenantRing(priority) for priority in range(self.config.priorities)
+        ]
         self._seq = itertools.count()
         self._closed = False
         self._workers = 0
@@ -432,8 +444,8 @@ class BatchingScheduler:
             ring.push(request)
             self.queued += 1
             self.admitted += 1
-            SERVING_ADMISSION.inc(outcome="admitted")
-            SERVING_QUEUE_DEPTH.set(ring.size, priority=priority)
+            _ADMITTED.inc()
+            ring.depth.set(ring.size)
             if request.trace is not None:
                 request.trace.event(
                     "scheduler", "queue_enter",
@@ -460,7 +472,7 @@ class BatchingScheduler:
                 ring = self._classes[request.priority]
                 ring.push_front(request)
                 self.queued += 1
-                SERVING_QUEUE_DEPTH.set(ring.size, priority=request.priority)
+                ring.depth.set(ring.size)
                 request.trace_event(
                     "scheduler", "reroute_requeue",
                     reroutes=request.reroutes,
@@ -537,11 +549,10 @@ class BatchingScheduler:
                         "scheduler", "batch_join",
                         head_trace=head_trace, position=position, size=size,
                     )
-            SERVING_BATCH_SIZE.observe(size)
+            _BATCH_SIZE.observe(size)
             for priority in {request.priority for request in batch}:
-                SERVING_QUEUE_DEPTH.set(
-                    self._classes[priority].size, priority=priority
-                )
+                ring = self._classes[priority]
+                ring.depth.set(ring.size)
             if self._blocked:
                 self._space.notify_all()
             return batch
@@ -628,7 +639,7 @@ class ResultStore:
             self._tombstones.popitem(last=False)
         self.evicted += 1
         self.evicted_by_reason[reason] += 1
-        RESULT_EVICTIONS.inc(reason=reason)
+        _EVICTIONS[reason].inc()
 
     def _prune_locked(self) -> None:
         if self.ttl_s is None:

@@ -331,3 +331,124 @@ class TestBoundHandles:
         for slot in range(writers):
             landed = sum(self._value(r, slot) or 0.0 for r in registries)
             assert landed == writes[slot] > 0
+
+
+class TestSeriesHandles:
+    """A :class:`Series` handle (one fixed-label series of a declared
+    family) re-resolves its child on every binding change, as its
+    :class:`Instrument` does."""
+
+    @staticmethod
+    def _value(registry, shard):
+        return TestBoundHandles._value(registry, shard)
+
+    def test_write_follows_swaps_clears_and_disable(self):
+        from repro.observability.instruments import SERVING_SHARD_BUSY
+
+        series = SERVING_SHARD_BUSY.series(shard=0)
+        first, second = MetricsRegistry(), MetricsRegistry()
+        previous = set_default_registry(first)
+        try:
+            series.inc(1.0)
+            set_default_registry(second)
+            series.inc(2.0)
+            second.clear()
+            series.inc(4.0)
+            disable()
+            try:
+                series.inc(8.0)
+            finally:
+                enable()
+            series.inc(16.0)
+        finally:
+            set_default_registry(previous)
+        assert self._value(first, 0) == 1.0
+        assert self._value(second, 0) == 20.0
+
+    def test_series_and_instrument_share_one_child(self):
+        from repro.observability.instruments import SERVING_SHARD_BUSY
+
+        registry = MetricsRegistry()
+        previous = set_default_registry(registry)
+        try:
+            SERVING_SHARD_BUSY.series(shard="0").inc(1.0)
+            SERVING_SHARD_BUSY.inc(2.0, shard=0)
+        finally:
+            set_default_registry(previous)
+        family = registry.get("repro_serving_shard_busy_seconds_total")
+        assert [labels for labels, _ in family.samples()] == [{"shard": "0"}]
+        assert self._value(registry, 0) == 3.0
+
+    def test_observe_carries_the_exemplar(self):
+        from repro.observability.instruments import REQUEST_DURATION
+
+        registry = MetricsRegistry()
+        previous = set_default_registry(registry)
+        try:
+            REQUEST_DURATION.series().observe(0.5, {"trace_id": "t-1"})
+        finally:
+            set_default_registry(previous)
+        child = registry.get(REQUEST_DURATION.name).labels()
+        assert child.count == 1
+        assert [ex for _, ex in child.exemplars.values()] == [
+            {"trace_id": "t-1"}
+        ]
+
+    def test_touch_materialises_once_per_binding(self):
+        from repro.observability.instruments import SUPERVISOR_RETRIES
+
+        series = SUPERVISOR_RETRIES.series()
+        first, second = MetricsRegistry(), MetricsRegistry()
+        previous = set_default_registry(first)
+        try:
+            series.touch()
+            assert first.get(SUPERVISOR_RETRIES.name).value == 0.0
+            series.inc()
+            series.touch()  # already bound: leaves the count alone
+            assert first.get(SUPERVISOR_RETRIES.name).value == 1.0
+            set_default_registry(second)
+            series.touch()
+        finally:
+            set_default_registry(previous)
+        family = second.get(SUPERVISOR_RETRIES.name)
+        assert [labels for labels, _ in family.samples()] == [{}]
+        assert family.value == 0.0
+
+    def test_no_write_is_lost_across_concurrent_swaps(self):
+        import sys
+
+        from repro.observability.instruments import SERVING_SHARD_BUSY
+
+        registries = [MetricsRegistry() for _ in range(40)]
+        writers = 4
+        handles = [SERVING_SHARD_BUSY.series(shard=i) for i in range(writers)]
+        writes = [0] * writers
+        stop = threading.Event()
+
+        def write(slot: int) -> None:
+            while not stop.is_set():
+                handles[slot].inc(1.0)
+                writes[slot] += 1
+
+        threads = [
+            threading.Thread(target=write, args=(i,)) for i in range(writers)
+        ]
+        previous = set_default_registry(registries[0])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for registry in registries[1:]:
+                set_default_registry(registry)
+                threading.Event().wait(0.002)
+        finally:
+            stop.set()
+            for t in threads:
+                t.join(timeout=10.0)
+            sys.setswitchinterval(interval)
+            set_default_registry(previous)
+        assert not any(t.is_alive() for t in threads)
+        for slot in range(writers):
+            landed = sum(self._value(r, slot) or 0.0 for r in registries)
+            assert landed == writes[slot] > 0
