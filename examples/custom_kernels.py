@@ -24,7 +24,7 @@ from repro.crossbar import BlockedCrossbar
 from repro.crossbar.controller import MemoryController, assemble_program
 
 
-def build_fir_kernel():
+def build_fir():
     """A 4-tap FIR filter: out[i] = sum_k h[k] * x_k[i], Q14 taps."""
     b = KernelBuilder("fir4")
     taps = [0.42, 0.31, 0.18, 0.09]
@@ -40,7 +40,7 @@ def build_fir_kernel():
 
 def step_1_define_and_run() -> None:
     print("== 1. define once, run exact and approximate ==")
-    kernel = build_fir_kernel()
+    kernel = build_fir()
     print(f"kernel {kernel.name!r}: {len(kernel)} nodes, "
           f"{kernel.arithmetic_ops()} arithmetic ops")
     rng = np.random.default_rng(0)
@@ -62,7 +62,7 @@ def step_1_define_and_run() -> None:
 
 def step_2_schedule() -> None:
     print("\n== 2. schedule onto bounded lanes ==")
-    kernel = build_fir_kernel()
+    kernel = build_fir()
     for lanes in (1, 2, 4):
         schedule = ListScheduler(lanes=lanes).schedule(kernel)
         print(f"lanes={lanes}: makespan={schedule.makespan:5d} cycles "

@@ -40,15 +40,7 @@ from repro.analysis.area import AreaModel, AreaReport
 from repro.analysis.report import generate_report
 from repro.analysis.sensitivity import SensitivityResult, sweep_parameter
 from repro.analysis.pareto import ParetoPoint, operating_point, pareto_frontier
-from repro.analysis.export import (
-    adaptive_to_rows,
-    figure4_to_rows,
-    figure5_to_rows,
-    figure6_to_rows,
-    table1_to_rows,
-    to_csv,
-    to_json,
-)
+from repro.analysis.export import to_csv
 
 __all__ = [
     "Figure4Result",
@@ -74,11 +66,5 @@ __all__ = [
     "ParetoPoint",
     "pareto_frontier",
     "operating_point",
-    "figure4_to_rows",
-    "figure5_to_rows",
-    "figure6_to_rows",
-    "table1_to_rows",
-    "adaptive_to_rows",
     "to_csv",
-    "to_json",
 ]

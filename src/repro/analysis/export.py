@@ -1,110 +1,20 @@
-"""Result export: experiment dataclasses as CSV and JSON.
+"""Result export: flat tables as CSV.
 
 The paper-style renderers target eyeballs; plotting pipelines want flat
-tables.  Each ``*_to_rows`` returns a header plus rows of plain scalars;
-:func:`to_csv` / :func:`to_json` serialise any of them.
+tables.  A table is a header plus rows of plain scalars (for example a
+campaign's :meth:`~repro.runtime.campaign.CampaignResult.to_rows`);
+:func:`to_csv` serialises it.
 """
 
 from __future__ import annotations
 
 import io
-import json
 
-from repro.analysis.experiments import (
-    AdaptiveResult,
-    Figure4Result,
-    Figure5Result,
-    Figure6Result,
-    Table1Result,
-)
 from repro.errors import ConfigurationError
 
-__all__ = [
-    "figure4_to_rows",
-    "figure5_to_rows",
-    "figure6_to_rows",
-    "table1_to_rows",
-    "adaptive_to_rows",
-    "to_csv",
-    "to_json",
-]
+__all__ = ["to_csv"]
 
 Rows = tuple[list[str], list[list]]
-
-
-def figure4_to_rows(result: Figure4Result) -> Rows:
-    """Columns: mode, bits, mean_relative_error, energy_J, time_s, edp_Js."""
-    header = ["mode", "bits", "mean_relative_error", "energy_J", "time_s",
-              "edp_Js"]
-    rows = []
-    for mode, points in (
-        ("first_stage", result.first_stage),
-        ("last_stage", result.last_stage),
-    ):
-        for p in points:
-            rows.append(
-                [mode, p.parameter, p.mean_relative_error,
-                 p.energy_per_mult, p.time_per_mult, p.edp]
-            )
-    return header, rows
-
-
-def figure5_to_rows(result: Figure5Result) -> Rows:
-    """Columns: workload, dataset_bytes, speedup, energy/EDP improvements."""
-    header = ["workload", "dataset_bytes", "speedup", "energy_improvement",
-              "edp_improvement", "apim_time_s", "gpu_time_s",
-              "apim_energy_J", "gpu_energy_J"]
-    rows = []
-    for name, points in result.curves.items():
-        for p in points:
-            rows.append(
-                [name, p.dataset_bytes, p.speedup, p.energy_improvement,
-                 p.edp_improvement, p.apim_time, p.gpu_time,
-                 p.apim_energy, p.gpu_energy]
-            )
-    return header, rows
-
-
-def figure6_to_rows(result: Figure6Result) -> Rows:
-    """Columns: operands + per-design cycle counts + speedups."""
-    header = ["operands", "apim_cycles", "apim_approx_cycles",
-              "talati_cycles", "pc_adder_cycles", "speedup_vs_best_prior",
-              "approx_speedup_vs_best_prior"]
-    rows = [
-        [r.operands, r.apim_cycles, r.apim_approx_cycles, r.talati_cycles,
-         r.pc_adder_cycles, r.speedup_vs_best_prior,
-         r.approx_speedup_vs_best_prior]
-        for r in result.rows
-    ]
-    return header, rows
-
-
-def table1_to_rows(result: Table1Result) -> Rows:
-    """Columns: workload, relax_bits, qol_percent, edp_improvement, qos_ok."""
-    header = ["workload", "relax_bits", "qol_percent", "edp_improvement",
-              "qos_ok"]
-    rows = []
-    for name, cells in result.cells.items():
-        for cell in cells:
-            rows.append(
-                [name, cell.relax_bits, cell.qol_percent,
-                 cell.edp_improvement, cell.qos_ok]
-            )
-    return header, rows
-
-
-def adaptive_to_rows(result: AdaptiveResult) -> Rows:
-    """Columns: workload, selected m, QoL, EDP improvement vs GPU."""
-    header = ["workload", "selected_relax_bits", "qol_percent",
-              "edp_improvement_vs_gpu"]
-    rows = []
-    for name, tuning in result.tunings.items():
-        trial = tuning.selected_trial
-        rows.append(
-            [name, tuning.selected_relax_bits, trial.qol_percent,
-             result.edp_improvement_vs_gpu[name]]
-        )
-    return header, rows
 
 
 def to_csv(rows: Rows) -> str:
@@ -128,18 +38,3 @@ def to_csv(rows: Rows) -> str:
             )
         out.write(",".join(cell(c) for c in row) + "\n")
     return out.getvalue()
-
-
-def to_json(rows: Rows) -> str:
-    """Serialise ``(header, rows)`` as a JSON list of objects."""
-    header, body = rows
-    if not header:
-        raise ConfigurationError("export needs a non-empty header")
-    records = []
-    for row in body:
-        if len(row) != len(header):
-            raise ConfigurationError(
-                f"row width {len(row)} != header width {len(header)}"
-            )
-        records.append(dict(zip(header, row)))
-    return json.dumps(records, indent=2)

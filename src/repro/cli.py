@@ -476,6 +476,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         to_prometheus,
         use_trace,
     )
+    from repro.observability.instruments import set_build_info
     from repro.runtime.campaign import run_campaign
     from repro.runtime.supervisor import RetryPolicy, Supervisor
     from repro.runtime.trace import ChromeTraceWriter
@@ -484,6 +485,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     # whatever executed earlier in the process.
     registry = MetricsRegistry()
     previous = set_default_registry(registry)
+    set_build_info()
     trace = ChromeTraceWriter(args.trace) if args.trace else None
     try:
         supervisor = Supervisor(
@@ -544,9 +546,13 @@ def _serve_metrics(registry, port: int) -> None:  # pragma: no cover - manual
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Boot the sharded serving frontend."""
+    from repro.observability.instruments import set_build_info
     from repro.serving.frontend import build_server
     from repro.serving.pool import CrossbarPool
     from repro.serving.scheduler import ServingConfig
+
+    # ``GET /metrics`` scrapes the default registry.
+    set_build_info()
 
     journal_path = None
     if args.journal is not None:

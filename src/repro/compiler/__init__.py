@@ -12,12 +12,13 @@ it on the engine and to schedule it onto the machine's SIMD lanes:
 - :mod:`repro.compiler.scheduler` — a list scheduler that maps kernel
   operations onto a bounded number of lanes and reports makespan,
   critical path and utilisation, using the canonical cycle formulas.
+
+No experiment driver or serving path imports this package;
+``examples/custom_kernels.py`` walks through it end to end.
 """
 
 from repro.compiler.evaluate import evaluate, exact_reference
-from repro.compiler.frontend import fir_kernel, mac_chain_kernel, stencil_kernel
 from repro.compiler.ir import Kernel, KernelBuilder, Node, OpKind
-from repro.compiler.optimizer import OptimizationReport, optimize
 from repro.compiler.scheduler import ListScheduler, Schedule, op_cycles
 
 __all__ = [
@@ -30,9 +31,4 @@ __all__ = [
     "ListScheduler",
     "Schedule",
     "op_cycles",
-    "optimize",
-    "OptimizationReport",
-    "stencil_kernel",
-    "fir_kernel",
-    "mac_chain_kernel",
 ]

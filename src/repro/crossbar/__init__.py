@@ -4,7 +4,9 @@ This subpackage models the APIM memory unit at the level of Figure 1(a):
 crossbar blocks of VTEAM cells, row/column decoders, MAGIC NOR execution,
 the configurable inter-block interconnect (barrel shifter), and the modified
 sense amplifier with its MAJ mode.  On top of those primitives it implements
-the paper's adders and multiplier as explicit micro-op sequences.
+the paper's adders and multiplier as explicit micro-op sequences, and
+:mod:`repro.crossbar.controller` drives a fabric through an assembly-level
+command set (WR/RD/NOR/CPY/MAJ...) with replayable transcripts.
 
 The structural model is bit-exact and cycle-exact but slow; it exists to
 validate the fast functional models in :mod:`repro.core` (see
@@ -19,12 +21,6 @@ from repro.crossbar.sense_amp import SenseAmplifier
 from repro.crossbar.structural_adder import StructuralAdder
 from repro.crossbar.structural_multiplier import StructuralMultiplier
 from repro.crossbar.controller import MemoryController
-from repro.crossbar.mapper import CrossbarMapper, DataLayout
-from repro.crossbar.microcode import (
-    emit_copy_shifted,
-    emit_full_adder_bit,
-    emit_serial_add,
-)
 
 __all__ = [
     "CrossbarArray",
@@ -35,9 +31,4 @@ __all__ = [
     "StructuralAdder",
     "StructuralMultiplier",
     "MemoryController",
-    "CrossbarMapper",
-    "DataLayout",
-    "emit_serial_add",
-    "emit_copy_shifted",
-    "emit_full_adder_bit",
 ]

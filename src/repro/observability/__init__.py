@@ -70,9 +70,7 @@ from repro.observability.tracing import (
     TraceRecord,
     TraceStore,
     current_trace,
-    default_trace_store,
     format_timeline,
-    set_default_trace_store,
     timed_event,
     trace_event,
     use_trace,
@@ -105,7 +103,6 @@ __all__ = [
     "current_trace",
     "derive",
     "default_registry",
-    "default_trace_store",
     "disable",
     "enable",
     "enabled",
@@ -114,7 +111,6 @@ __all__ = [
     "format_timeline",
     "series_key",
     "set_default_registry",
-    "set_default_trace_store",
     "slope",
     "snapshot",
     "timed_event",

@@ -56,10 +56,8 @@ __all__ = [
     "TraceRecord",
     "TraceStore",
     "current_trace",
-    "default_trace_store",
     "format_timeline",
     "replay_events",
-    "set_default_trace_store",
     "timed_event",
     "trace_event",
     "use_trace",
@@ -404,25 +402,6 @@ def replay_events(trace, events: list[dict]) -> int:
 # -- ambient propagation ------------------------------------------------------
 
 _local = threading.local()
-_default_store: TraceStore | None = None
-_default_lock = threading.Lock()
-
-
-def default_trace_store() -> TraceStore:
-    """The process-wide store (created on first use)."""
-    global _default_store
-    with _default_lock:
-        if _default_store is None:
-            _default_store = TraceStore()
-        return _default_store
-
-
-def set_default_trace_store(store: TraceStore) -> TraceStore | None:
-    """Swap the process-wide store (returns the previous one)."""
-    global _default_store
-    with _default_lock:
-        previous, _default_store = _default_store, store
-    return previous
 
 
 def current_trace() -> TraceContext | None:

@@ -136,7 +136,7 @@ class CampaignResult:
         return 1.0 - lost / len(self.points)
 
     def to_rows(self) -> tuple[list[str], list[list]]:
-        """Flat table for :func:`repro.analysis.export.to_csv`/``to_json``."""
+        """Flat table for :func:`repro.analysis.export.to_csv`."""
         header = [
             "workload", "relax_bits", "dataset_bytes", "qol_percent",
             "qos_ok", "speedup", "energy_improvement", "edp_improvement",

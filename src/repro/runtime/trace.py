@@ -1,23 +1,12 @@
-"""Execution-trace export: schedules and ledgers as Chrome trace events.
+"""Execution-trace export: the live event stream as a Chrome trace.
 
 ``chrome://tracing`` / Perfetto's JSON event format is the lingua franca
-of timeline visualisation; this module serialises
-
-- a compiler :class:`~repro.compiler.scheduler.Schedule` (one track per
-  lane, one slice per scheduled node),
-- an engine :class:`~repro.core.cost.CostLedger` (one slice per phase),
-- a resilience event log (one instant event per detection/repair), so
-  reliability incidents can be lined up against the execution timeline,
-- and the live event stream through :class:`ChromeTraceWriter`, a sink
-  for the ambient :func:`~repro.observability.tracing.trace_event`
-  stream whose every flush leaves a complete, loadable document on disk
-  — a campaign killed or crashed mid-grid still produces an inspectable
-  trace,
-
-so simulator runs can be inspected in any trace viewer.  The one-shot
-exporters' timestamps are in microseconds of simulated time (cycles x
-cycle time), as the format expects; the writer stamps microseconds of
-its clock since it was opened.
+of timeline visualisation.  :class:`ChromeTraceWriter` is a sink for the
+ambient :func:`~repro.observability.tracing.trace_event` stream whose
+every flush leaves a complete, loadable document on disk — a campaign
+killed or crashed mid-grid still produces an inspectable trace.  It
+stamps microseconds of its clock since it was opened, as the format
+expects.
 """
 
 from __future__ import annotations
@@ -27,28 +16,11 @@ import os
 import tempfile
 import threading
 import time
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable
 
-from repro.compiler.ir import Kernel
-from repro.compiler.scheduler import Schedule
-from repro.core.config import APIMConfig, default_config
-from repro.core.cost import CostLedger
 from repro.errors import ConfigurationError
-from repro.units import cycles_to_us
 
-if TYPE_CHECKING:
-    from repro.resilience.manager import ReliabilityEvent
-
-__all__ = [
-    "ChromeTraceWriter",
-    "schedule_to_chrome_trace",
-    "ledger_to_chrome_trace",
-    "reliability_events_to_chrome_trace",
-]
-
-
-def _cycles_to_us(cycles: float, config: APIMConfig) -> float:
-    return cycles_to_us(cycles, config.cycle_time)
+__all__ = ["ChromeTraceWriter"]
 
 
 class ChromeTraceWriter:
@@ -63,11 +35,11 @@ class ChromeTraceWriter:
     ``clock`` (``time.perf_counter`` by default; pass a manual clock to
     lay events out on simulated time).
 
-    The one-shot exporters below serialise after the run succeeds, which
-    loses the trace exactly when it is most wanted — on a failure.  This
-    writer buffers events and, on every flush, atomically replaces the
-    target file with a *complete* JSON document (write to a temp file in
-    the same directory, then ``os.replace``), so the file on disk is
+    Serialising once after the run succeeds would lose the trace exactly
+    when it is most wanted — on a failure.  This writer buffers events
+    and, on every flush, atomically replaces the target file with a
+    *complete* JSON document (write to a temp file in the same directory,
+    then ``os.replace``), so the file on disk is
     loadable at every instant.  Used as a context manager it flushes on
     the failure path too: ``__exit__`` writes whatever was buffered even
     while an exception is propagating, and never swallows it.
@@ -163,153 +135,3 @@ class ChromeTraceWriter:
     def __exit__(self, *exc_info) -> None:
         # Flush on success *and* failure; never swallow the exception.
         self.close()
-
-
-def schedule_to_chrome_trace(
-    schedule: Schedule,
-    kernel: Kernel,
-    config: APIMConfig | None = None,
-) -> str:
-    """Serialise a lane schedule as a Chrome trace JSON string.
-
-    Lanes become threads of one process; free (zero-duration) nodes are
-    emitted as instant events so data movement stays visible.
-    """
-    config = config or default_config()
-    if schedule.kernel != kernel.name:
-        raise ConfigurationError(
-            f"schedule is for {schedule.kernel!r}, kernel is {kernel.name!r}"
-        )
-    events: list[dict] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": 1,
-            "args": {"name": f"APIM kernel {kernel.name!r}"},
-        }
-    ]
-    for lane in range(schedule.lanes):
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 1,
-                "tid": lane,
-                "args": {"name": f"lane {lane}"},
-            }
-        )
-    for placement in schedule.placements:
-        node = kernel.node(placement.node_id)
-        label = f"{node.kind.value}#{node.id}"
-        if placement.end > placement.start:
-            events.append(
-                {
-                    "name": label,
-                    "ph": "X",
-                    "pid": 1,
-                    "tid": placement.lane,
-                    "ts": _cycles_to_us(placement.start, config),
-                    "dur": _cycles_to_us(
-                        placement.end - placement.start, config
-                    ),
-                    "args": {"operands": list(node.operands)},
-                }
-            )
-        else:
-            events.append(
-                {
-                    "name": label,
-                    "ph": "i",
-                    "pid": 1,
-                    "tid": max(placement.lane, 0),
-                    "ts": _cycles_to_us(placement.start, config),
-                    "s": "t",
-                }
-            )
-    return json.dumps({"traceEvents": events, "displayTimeUnit": "ns"})
-
-
-def ledger_to_chrome_trace(
-    ledger: CostLedger,
-    config: APIMConfig | None = None,
-    lanes: int = 1,
-) -> str:
-    """Serialise a cost ledger as sequential phase slices.
-
-    Ledger entries carry no start times (they are aggregates), so phases
-    are laid end to end in insertion order — the right picture for the
-    engine's sequential charge pattern.
-    """
-    config = config or default_config()
-    if lanes <= 0:
-        raise ConfigurationError(f"lanes must be positive: {lanes}")
-    events: list[dict] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": 1,
-            "args": {"name": "APIM execution phases"},
-        }
-    ]
-    cursor = 0.0
-    for label in ledger.labels():
-        cost = ledger.entry(label)
-        duration = _cycles_to_us(cost.cycles / lanes, config)
-        events.append(
-            {
-                "name": label,
-                "ph": "X",
-                "pid": 1,
-                "tid": 0,
-                "ts": cursor,
-                "dur": duration,
-                "args": {
-                    "cycles": cost.cycles,
-                    "nor_ops": cost.nor_ops,
-                    "energy_J": cost.energy(config, lanes),
-                },
-            }
-        )
-        cursor += duration
-    return json.dumps({"traceEvents": events, "displayTimeUnit": "ns"})
-
-
-def reliability_events_to_chrome_trace(
-    events: "Sequence[ReliabilityEvent]",
-    config: APIMConfig | None = None,
-) -> str:
-    """Serialise a resilience event log as instant events on one track.
-
-    Each :class:`~repro.resilience.manager.ReliabilityEvent` carries the
-    fabric cycle it happened at, so scans, detections, retirements and
-    retries land at their true positions on the simulated timeline.
-    """
-    config = config or default_config()
-    trace: list[dict] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": 1,
-            "args": {"name": "APIM reliability events"},
-        },
-        {
-            "name": "thread_name",
-            "ph": "M",
-            "pid": 1,
-            "tid": 0,
-            "args": {"name": "resilience"},
-        },
-    ]
-    for event in events:
-        trace.append(
-            {
-                "name": event.kind,
-                "ph": "i",
-                "pid": 1,
-                "tid": 0,
-                "ts": _cycles_to_us(event.cycle, config),
-                "s": "t",
-                "args": {"detail": event.detail},
-            }
-        )
-    return json.dumps({"traceEvents": trace, "displayTimeUnit": "ns"})

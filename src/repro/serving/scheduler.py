@@ -213,14 +213,18 @@ def _field_names(cls: type) -> tuple[str, ...]:
 
 
 class _TenantRing:
-    """Per-tenant FIFO deques with a round-robin dispatch pointer."""
+    """Per-tenant FIFO deques in round-robin dispatch order.
+
+    ``queues`` holds only tenants with queued requests, in the order they
+    are next served: a tenant joins at the back, moves to the back after
+    each dispatch and leaves when its deque empties, so an idle tenant
+    costs nothing.
+    """
 
     def __init__(self, priority: int) -> None:
         #: This priority class's ``repro_serving_queue_depth`` series.
         self.depth = SERVING_QUEUE_DEPTH.series(priority=priority)
         self.queues: "OrderedDict[str, deque[ServeRequest]]" = OrderedDict()
-        self._ring: list[str] = []
-        self._next = 0
         self.size = 0
         #: Slots held by admitted requests whose commit step is running.
         self.reserved = 0
@@ -229,7 +233,6 @@ class _TenantRing:
         queue = self.queues.get(request.tenant)
         if queue is None:
             queue = self.queues[request.tenant] = deque()
-            self._ring.append(request.tenant)
         queue.append(request)
         self.size += 1
 
@@ -237,7 +240,7 @@ class _TenantRing:
         queue = self.queues.get(request.tenant)
         if queue is None:
             queue = self.queues[request.tenant] = deque()
-            self._ring.append(request.tenant)
+            self.queues.move_to_end(request.tenant, last=False)
         queue.appendleft(request)
         self.size += 1
 
@@ -245,15 +248,14 @@ class _TenantRing:
         """The next request under round-robin tenant fairness."""
         if self.size == 0:
             return None
-        n = len(self._ring)
-        for offset in range(n):
-            tenant = self._ring[(self._next + offset) % n]
-            queue = self.queues.get(tenant)
-            if queue:
-                self._next = (self._next + offset + 1) % n
-                self.size -= 1
-                return queue.popleft()
-        return None
+        tenant, queue = next(iter(self.queues.items()))
+        request = queue.popleft()
+        if queue:
+            self.queues.move_to_end(tenant)
+        else:
+            del self.queues[tenant]
+        self.size -= 1
+        return request
 
     def pop_matching(self, key: tuple, limit: int) -> list[ServeRequest]:
         """Up to ``limit`` queued requests with ``batch_key == key``, in
@@ -262,10 +264,7 @@ class _TenantRing:
         taken: list[ServeRequest] = []
         if limit <= 0 or self.size == 0:
             return taken
-        for tenant in self._ring:
-            queue = self.queues.get(tenant)
-            if not queue:
-                continue
+        for tenant, queue in list(self.queues.items()):
             kept: deque[ServeRequest] = deque()
             while queue:
                 request = queue.popleft()
@@ -273,7 +272,10 @@ class _TenantRing:
                     taken.append(request)
                 else:
                     kept.append(request)
-            self.queues[tenant] = kept
+            if kept:
+                self.queues[tenant] = kept
+            else:
+                del self.queues[tenant]
             if len(taken) >= limit:
                 break
         self.size -= len(taken)

@@ -52,24 +52,6 @@ _SI_PREFIXES = (
 )
 
 
-def cycles_to_seconds(cycles: float, cycle_time: float) -> float:
-    """Simulated seconds spent by ``cycles`` fabric cycles.
-
-    ``cycle_time`` is the per-cycle period in seconds (e.g.
-    :attr:`~repro.core.config.APIMConfig.cycle_time`).
-    """
-    return cycles * cycle_time
-
-
-def cycles_to_us(cycles: float, cycle_time: float) -> float:
-    """Simulated microseconds spent by ``cycles`` fabric cycles.
-
-    The Chrome trace format wants microsecond timestamps; every exporter
-    converts through here so the scaling lives in exactly one place.
-    """
-    return cycles_to_seconds(cycles, cycle_time) / US
-
-
 def format_si(value: float, unit: str, digits: int = 3) -> str:
     """Format *value* with an engineering prefix.
 

@@ -59,6 +59,13 @@ class TestDerivedQuantities:
         per_block = config.block_rows // config.mult_rows_per_lane
         assert config.parallel_lanes(GIB) == processing * per_block
 
+    def test_lanes_for_ten_million_words(self, config):
+        """10^7 32-bit words fill 306 blocks (rounded up); half of them
+        process, and each holds 1024 // 192 = 5 multiplication lanes."""
+        dataset_bytes = 10**7 * 4
+        assert config.blocks_for(dataset_bytes) == 306
+        assert config.parallel_lanes(dataset_bytes) == 153 * 5
+
     def test_lanes_at_least_one(self):
         tiny = APIMConfig(mult_rows_per_lane=4096, block_rows=1024)
         assert tiny.parallel_lanes(100) >= 1

@@ -4,89 +4,29 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 
 import pytest
 
-from repro.analysis.experiments import run_figure4, run_figure6
-from repro.analysis.export import (
-    adaptive_to_rows,
-    figure4_to_rows,
-    figure5_to_rows,
-    figure6_to_rows,
-    table1_to_rows,
-    to_csv,
-    to_json,
-)
+from repro.analysis.export import to_csv
 from repro.errors import ConfigurationError
 
 
-@pytest.fixture(scope="module")
-def fig4():
-    return run_figure4(samples=1000)
-
-
-@pytest.fixture(scope="module")
-def fig6():
-    return run_figure6()
-
-
-class TestRowExtraction:
-    def test_figure4_rows_cover_both_modes(self, fig4):
-        header, rows = figure4_to_rows(fig4)
-        modes = {row[0] for row in rows}
-        assert modes == {"first_stage", "last_stage"}
-        assert len(rows) == len(fig4.first_stage) + len(fig4.last_stage)
-        assert all(len(row) == len(header) for row in rows)
-
-    def test_figure6_rows(self, fig6):
-        header, rows = figure6_to_rows(fig6)
-        assert [row[0] for row in rows] == [r.operands for r in fig6.rows]
-        assert "speedup_vs_best_prior" in header
-
-    def test_table1_and_figure5_and_adaptive_rows(self):
-        from repro.analysis.experiments import run_adaptive, run_figure5, run_table1
-        from repro.units import MIB
-        from repro.workloads import workload_by_name
-
-        sobel = [workload_by_name("Sobel")]
-        table = run_table1(workloads=sobel, levels=(0, 32),
-                           tile_elements=1 << 9)
-        header, rows = table1_to_rows(table)
-        assert len(rows) == 2
-        fig5 = run_figure5(workloads=sobel, sizes=(32 * MIB,),
-                           tile_elements=1 << 9)
-        header5, rows5 = figure5_to_rows(fig5)
-        assert len(rows5) == 1 and rows5[0][0] == "Sobel"
-        adaptive = run_adaptive(workloads=sobel, tile_elements=1 << 9)
-        header_a, rows_a = adaptive_to_rows(adaptive)
-        assert rows_a[0][0] == "Sobel"
-
-
 class TestSerialisation:
-    def test_csv_parses_back(self, fig6):
-        text = to_csv(figure6_to_rows(fig6))
-        parsed = list(csv.reader(io.StringIO(text)))
-        header, rows = figure6_to_rows(fig6)
+    def test_csv_parses_back(self):
+        header = ["workload", "relax_bits", "edp_improvement", "qos_ok"]
+        rows = [["Sobel", 0, 27.5, True], ["Robert", 16, 480.25, False]]
+        parsed = list(csv.reader(io.StringIO(to_csv((header, rows)))))
         assert parsed[0] == header
-        assert len(parsed) == len(rows) + 1
+        assert parsed[1:] == [[str(c) for c in row] for row in rows]
 
     def test_csv_quotes_special_characters(self):
         text = to_csv((["a", "b"], [["x,y", 'say "hi"']]))
         parsed = list(csv.reader(io.StringIO(text)))
         assert parsed[1] == ["x,y", 'say "hi"']
 
-    def test_json_round_trip(self, fig4):
-        records = json.loads(to_json(figure4_to_rows(fig4)))
-        header, rows = figure4_to_rows(fig4)
-        assert len(records) == len(rows)
-        assert set(records[0]) == set(header)
-
     def test_width_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
             to_csv((["a", "b"], [[1]]))
-        with pytest.raises(ConfigurationError):
-            to_json((["a"], [[1, 2]]))
 
     def test_empty_header_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -2,8 +2,8 @@
 
 Each test exercises a realistic multi-subsystem path end to end — the
 seams unit tests cannot see: workload -> engine -> executor -> comparison
--> tuner; kernel IR -> optimiser -> engine -> scheduler; microcode ->
-controller -> structural fabric; variation -> structural arithmetic.
+-> tuner; kernel IR -> engine -> scheduler; microcode ->
+controller -> structural fabric.
 """
 
 from __future__ import annotations
@@ -59,26 +59,24 @@ class TestTunedComparisonPath:
 
 
 class TestCompilerToSchedulerPath:
-    """IR -> optimiser -> engine execution -> lane schedule consistency."""
+    """IR -> engine execution -> lane schedule consistency."""
 
-    def test_optimised_kernel_scheduled_and_executed(self, rng):
+    def test_kernel_scheduled_and_executed(self, rng):
         from repro.compiler import (
             KernelBuilder,
             ListScheduler,
             evaluate,
             exact_reference,
-            optimize,
         )
 
         b = KernelBuilder("pipeline")
         x = b.input("x")
         y = b.input("y")
-        t1 = b.mul(x, b.const(4))          # strength-reduces to a shift
+        t1 = b.mul(x, b.const(4))
         t2 = b.mul(y, b.const(3 << 14))
         total = b.add(t1, b.shr(t2, 14), width=50)
         b.output("out", total)
-        kernel, report = optimize(b.build())
-        assert report.strength_reduced == 1
+        kernel = b.build()
 
         inputs = {
             "x": rng.integers(0, 1 << 16, 512),
@@ -90,7 +88,7 @@ class TestCompilerToSchedulerPath:
 
         schedule = ListScheduler(lanes=2).schedule(kernel)
         # The schedule prices multiplies at the random-operand average
-        # (popcount N/2); this kernel multiplies by a low-popcount constant
+        # (popcount N/2); this kernel multiplies by low-popcount constants
         # the engine charges far less for — so the a-priori estimate must
         # upper-bound the measured per-element cost, and both must be
         # dependence-consistent.
@@ -101,32 +99,34 @@ class TestCompilerToSchedulerPath:
 
 
 class TestMicrocodeOnFaultyFabric:
-    """microcode -> controller -> fabric with injected faults."""
+    """assembled microcode -> controller -> fabric with an injected fault."""
+
+    # The carry of a 1-bit full addition (a=1, b=1, cin=0) by the paper's
+    # Eq. 1a NOR schedule; cell (3, 0) holds NOR(a, b).
+    PROGRAM = """
+    WR b0 r0 0x1 w1
+    WR b0 r1 0x1 w1
+    WR b0 r2 0x0 w1
+    INIT b0 3:0,4:0,5:0,6:0
+    NOR b0 0:0,1:0 -> 3:0
+    NOR b0 1:0,2:0 -> 4:0
+    NOR b0 2:0,0:0 -> 5:0
+    NOR b0 3:0,4:0,5:0 -> 6:0
+    """
 
     def test_program_replays_and_faults_surface(self):
         from repro.crossbar.block import BlockedCrossbar
-        from repro.crossbar.controller import MemoryController
-        from repro.crossbar.microcode import emit_serial_add
-        from repro.device.variation import FaultInjector, VariationModel
+        from repro.crossbar.controller import MemoryController, assemble_program
 
-        scratch = list(range(20, 31))
-        clean = MemoryController(BlockedCrossbar(2, 40, 20))
-        clean.fabric.write_word(0, 0, 0xA5, 8)
-        clean.fabric.write_word(0, 1, 0x37, 8)
-        clean.run(emit_serial_add(0, 0, 1, 2, 8, scratch))
-        assert clean.fabric.read_word(0, 2, 9) == 0xA5 + 0x37
+        program = assemble_program(self.PROGRAM)
+        clean = MemoryController(BlockedCrossbar(2, 16, 16))
+        clean.run(program)
+        assert clean.fabric.block(0).value(6, 0) == 1
 
-        # Same program on a fabric riddled with stuck-OFF cells: it must
-        # complete (no crashes) even when results corrupt.
-        faulty = MemoryController(BlockedCrossbar(2, 40, 20))
-        injector = FaultInjector(
-            VariationModel(stuck_off_rate=0.08), seed=13
-        )
-        injector.inject(faulty.fabric.block(0))
-        faulty.fabric.write_word(0, 0, 0xA5, 8)
-        faulty.fabric.write_word(0, 1, 0x37, 8)
-        injector.enforce(faulty.fabric.block(0))
-        faulty.run(emit_serial_add(0, 0, 1, 2, 8, scratch))
-        result = faulty.fabric.read_word(0, 2, 9)
-        assert 0 <= result < 1 << 9
-
+        # Same program with NOR(a, b)'s cell stuck on: the controller
+        # still runs every command, and the fault reaches the carry.
+        faulty = MemoryController(BlockedCrossbar(2, 16, 16))
+        faulty.fabric.block(0).pin_cell(3, 0, 1.0)
+        faulty.run(program)
+        assert faulty.cost.cycles == clean.cost.cycles
+        assert faulty.fabric.block(0).value(6, 0) == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import threading
 
 import numpy as np
@@ -205,6 +206,7 @@ class TestCliMetrics:
         assert "repro_supervisor_retries_total 0" in out
         assert "repro_executor_time_seconds_bucket" in out
         assert 'repro_campaign_points_total{status="ok"} 1' in out
+        assert re.search(r"^repro_build_info\{[^}]*\} 1$", out, re.M)
 
     def test_jsonl_and_output_files(self, tmp_path, capsys):
         from repro.cli import main

@@ -1,96 +1,17 @@
 """Property-based tests over the extension layers (hypothesis).
 
-Random-program generators probe the compiler and controller the way
-hand-written cases cannot: arbitrary DAG shapes through the optimiser,
-arbitrary command sequences through the assembler.
+Random generators probe the controller and the allocator the way
+hand-written cases cannot: arbitrary command sequences through the
+assembler, arbitrary allocation patterns through the row allocator.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiler import KernelBuilder, exact_reference, optimize
 from repro.crossbar.controller import Command, assemble, format_command
 from repro.device.endurance import RotatingAllocator
-
-
-# ---------------------------------------------------------------------------
-# random kernel generation
-# ---------------------------------------------------------------------------
-
-
-@st.composite
-def random_kernels(draw):
-    """A random well-formed kernel over two inputs.
-
-    Grows a DAG by repeatedly applying a random operation to randomly
-    chosen existing nodes; always ends with a single output over the last
-    node (keeping every generated node live through a final SUM).
-    """
-    builder = KernelBuilder("random")
-    nodes = [builder.input("x"), builder.input("y")]
-    n_ops = draw(st.integers(min_value=1, max_value=12))
-    for _ in range(n_ops):
-        kind = draw(st.sampled_from(["add", "sub", "mul", "shl", "shr",
-                                     "const_mul"]))
-        a = draw(st.sampled_from(nodes))
-        if kind == "add":
-            b = draw(st.sampled_from(nodes))
-            nodes.append(builder.add(a, b, width=52))
-        elif kind == "sub":
-            b = draw(st.sampled_from(nodes))
-            nodes.append(builder.sub(a, b, width=52))
-        elif kind == "mul":
-            value = draw(st.integers(min_value=0, max_value=255))
-            nodes.append(builder.mul(a, builder.const(value)))
-        elif kind == "const_mul":
-            exponent = draw(st.integers(min_value=0, max_value=6))
-            nodes.append(builder.mul(a, builder.const(1 << exponent)))
-        elif kind == "shl":
-            nodes.append(builder.shl(a, draw(st.integers(0, 4))))
-        else:
-            nodes.append(builder.shr(a, draw(st.integers(0, 4))))
-    # Keep everything live so the builder accepts the kernel.
-    builder.output("out", builder.sum(nodes, width=58))
-    return builder.build()
-
-
-class TestOptimizerProperties:
-    @settings(max_examples=40, deadline=None)
-    @given(random_kernels(), st.integers(min_value=0, max_value=10))
-    def test_optimisation_preserves_semantics(self, kernel, seed):
-        rng = np.random.default_rng(seed)
-        inputs = {
-            "x": rng.integers(0, 1 << 10, 16),
-            "y": rng.integers(0, 1 << 10, 16),
-        }
-        optimized, _ = optimize(kernel)
-        want = exact_reference(kernel, inputs)["out"]
-        got = exact_reference(optimized, inputs)["out"]
-        assert np.array_equal(want, got)
-
-    @settings(max_examples=40, deadline=None)
-    @given(random_kernels())
-    def test_optimisation_never_grows_arithmetic(self, kernel):
-        optimized, _ = optimize(kernel)
-        assert optimized.arithmetic_ops() <= kernel.arithmetic_ops()
-
-    @settings(max_examples=40, deadline=None)
-    @given(random_kernels())
-    def test_optimised_kernel_stays_topological(self, kernel):
-        optimized, _ = optimize(kernel)
-        for node in optimized.nodes:
-            assert all(op < node.id for op in node.operands)
-
-    @settings(max_examples=25, deadline=None)
-    @given(random_kernels())
-    def test_signature_preserved(self, kernel):
-        optimized, _ = optimize(kernel)
-        assert set(optimized.inputs) == set(kernel.inputs)
-        assert set(optimized.outputs) == set(kernel.outputs)
 
 
 # ---------------------------------------------------------------------------

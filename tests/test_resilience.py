@@ -1,7 +1,5 @@
 """Tests for the resilience subsystem: BIST, residue, spares, recovery."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -36,7 +34,6 @@ from repro.resilience import (
     sum_residue_ok,
 )
 from repro.runtime.executor import APIMExecutor
-from repro.runtime.trace import reliability_events_to_chrome_trace
 from repro.workloads.gemm import GEMMWorkload
 
 
@@ -446,22 +443,6 @@ class TestEndToEndResilience:
         assert result.faults_detected == 0
         assert result.repairs == 0
         assert result.retries == 0
-
-    def test_event_log_serialises_to_chrome_trace(self):
-        ctx = ResilienceContext(
-            _faulty_fabric(self.RATE),
-            ResiliencePolicy(spare_fraction=0.15),
-        )
-        engine = ctx.make_engine()
-        engine.mul(np.arange(16, dtype=np.int64), 3)
-        assert engine.events
-        payload = json.loads(
-            reliability_events_to_chrome_trace(engine.events)
-        )
-        instants = [e for e in payload["traceEvents"] if e["ph"] == "i"]
-        assert len(instants) == len(engine.events)
-        assert all(e["ts"] >= 0.0 for e in instants)
-        assert any(e["name"] == "bist_scan" for e in instants)
 
 
 # -- policy and config plumbing --------------------------------------------

@@ -442,6 +442,26 @@ class TestAdmissionLadder:
             pool.submit("Robert")
 
 
+class TestTenantChurn:
+    def test_idle_rings_forget_every_tenant(self):
+        """A tenant leaves its priority ring when its queue empties, so
+        8,000 one-off tenants leave nothing for dispatch to scan."""
+        registry = MetricsRegistry()
+        previous = set_default_registry(registry)
+        try:
+            with CrossbarPool(shards=1, tile_elements=TILE,
+                              runtime="inline") as pool:
+                for index in range(8000):
+                    result = Client(pool, tenant=f"t{index}").call("Robert")
+                    assert result.status == "ok"
+                assert all(
+                    not ring.queues for ring in pool.scheduler._classes
+                )
+                assert pool.scheduler.stats()["tenants"] == []
+        finally:
+            set_default_registry(previous)
+
+
 class TestPooledCampaign:
     def test_pool_and_sequential_campaigns_agree(self):
         """The campaign grid priced request by request through the pool

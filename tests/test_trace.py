@@ -1,102 +1,12 @@
-"""Unit tests for trace export (repro.runtime.trace)."""
+"""Unit tests for the Chrome trace writer (repro.runtime.trace)."""
 
 from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
-from repro.compiler import KernelBuilder, ListScheduler
-from repro.core.engine import APIMEngine
 from repro.errors import ConfigurationError
-from repro.runtime.trace import ledger_to_chrome_trace, schedule_to_chrome_trace
-from repro.workloads import workload_by_name
-
-
-@pytest.fixture(scope="module")
-def scheduled():
-    b = KernelBuilder("traced")
-    x = b.input("x")
-    p1 = b.mul(x, b.const(3))
-    p2 = b.mul(x, b.const(5))
-    b.output("out", b.add(p1, p2, width=48))
-    kernel = b.build()
-    return kernel, ListScheduler(lanes=2).schedule(kernel)
-
-
-class TestScheduleTrace:
-    def test_valid_json_with_events(self, scheduled):
-        kernel, schedule = scheduled
-        payload = json.loads(schedule_to_chrome_trace(schedule, kernel))
-        assert payload["traceEvents"]
-
-    def test_one_thread_per_lane(self, scheduled):
-        kernel, schedule = scheduled
-        payload = json.loads(schedule_to_chrome_trace(schedule, kernel))
-        threads = [
-            e for e in payload["traceEvents"]
-            if e.get("name") == "thread_name"
-        ]
-        assert len(threads) == schedule.lanes
-
-    def test_duration_events_match_placements(self, scheduled):
-        kernel, schedule = scheduled
-        payload = json.loads(schedule_to_chrome_trace(schedule, kernel))
-        slices = [e for e in payload["traceEvents"] if e.get("ph") == "X"]
-        busy_placements = [
-            p for p in schedule.placements if p.end > p.start
-        ]
-        assert len(slices) == len(busy_placements)
-        for event in slices:
-            assert event["dur"] > 0
-            assert event["ts"] >= 0
-
-    def test_instant_events_for_free_nodes(self, scheduled):
-        kernel, schedule = scheduled
-        payload = json.loads(schedule_to_chrome_trace(schedule, kernel))
-        instants = [e for e in payload["traceEvents"] if e.get("ph") == "i"]
-        free_nodes = [p for p in schedule.placements if p.end == p.start]
-        assert len(instants) == len(free_nodes)
-
-    def test_kernel_mismatch_rejected(self, scheduled):
-        kernel, schedule = scheduled
-        other = KernelBuilder("other")
-        x = other.input("x")
-        other.output("out", x)
-        with pytest.raises(ConfigurationError):
-            schedule_to_chrome_trace(schedule, other.build())
-
-
-class TestLedgerTrace:
-    def test_phases_laid_end_to_end(self):
-        workload = workload_by_name("Robert")
-        engine = APIMEngine()
-        workload.run(engine, workload.generate(512, np.random.default_rng(0)))
-        payload = json.loads(
-            ledger_to_chrome_trace(engine.ledger, lanes=16)
-        )
-        slices = [e for e in payload["traceEvents"] if e.get("ph") == "X"]
-        assert {s["name"] for s in slices} >= {"multiply", "add"}
-        cursor = 0.0
-        for event in slices:
-            assert event["ts"] == pytest.approx(cursor)
-            cursor += event["dur"]
-
-    def test_args_carry_cost_details(self):
-        workload = workload_by_name("Sobel")
-        engine = APIMEngine()
-        workload.run(engine, workload.generate(256, np.random.default_rng(1)))
-        payload = json.loads(ledger_to_chrome_trace(engine.ledger))
-        slices = [e for e in payload["traceEvents"] if e.get("ph") == "X"]
-        for event in slices:
-            assert event["args"]["cycles"] >= 0
-            assert event["args"]["energy_J"] >= 0
-
-    def test_invalid_lanes_rejected(self):
-        engine = APIMEngine()
-        with pytest.raises(ConfigurationError):
-            ledger_to_chrome_trace(engine.ledger, lanes=0)
 
 
 class TestChromeTraceWriter:

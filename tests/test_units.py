@@ -73,17 +73,3 @@ class TestFormatImprovement:
 
     def test_small_factor_keeps_decimal(self):
         assert format_improvement(4.8) == "4.8x"
-
-
-class TestCycleConversions:
-    def test_cycles_to_seconds(self):
-        from repro.units import cycles_to_seconds
-
-        assert cycles_to_seconds(1000, 1.1 * NS) == pytest.approx(1.1e-6)
-        assert cycles_to_seconds(0, 1.1 * NS) == 0.0
-
-    def test_cycles_to_us(self):
-        from repro.units import cycles_to_us
-
-        assert cycles_to_us(1000, 1.1 * NS) == pytest.approx(1.1)
-        assert cycles_to_us(1, 1.1 * NS) == pytest.approx(1.1e-3)
