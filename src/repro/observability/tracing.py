@@ -280,6 +280,12 @@ class TraceStore:
             self._aliases[alias] = trace_id
             record.aliases.append(alias)
 
+    def discard(self, trace_id: str) -> None:
+        """Forget a trace opened for a request that was then refused
+        (before any alias was bound to it)."""
+        with self._lock:
+            self._records.pop(trace_id, None)
+
     # -- reads ----------------------------------------------------------------
 
     def get(self, trace_or_request_id: str) -> TraceRecord | None:

@@ -14,8 +14,9 @@ is the tier that turns the single-process reproduction into a service:
   inline (synchronous), thread (daemon thread per shard) or subprocess
   (process per shard behind a frame protocol — GIL escape, worker
   supervision, crash recovery with exactly-once re-drive);
-- :mod:`repro.serving.http` — the shared stdlib HTTP server (graceful
-  shutdown, bounded bodies) the metrics endpoint reuses;
+- :mod:`repro.serving.http` — the shared HTTP server and its request
+  reader (graceful shutdown, bounded bodies) the metrics endpoint
+  reuses;
 - :mod:`repro.serving.frontend` — the JSON API (``/submit``,
   ``/result/<id>``, ``/healthz``, ``/stats``, ``/metrics``) behind
   ``repro serve``.

@@ -60,8 +60,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import urllib.error
-import urllib.request
 
 from repro.errors import (
     AdmissionRejectedError,
@@ -346,7 +344,14 @@ def build_server(
 
 
 def _http_json(url: str, payload: dict | None = None, timeout: float = 10.0):
-    """One urllib round trip; returns (status, decoded JSON body)."""
+    """One urllib round trip; returns (status, decoded JSON body).
+
+    ``urllib.request`` is imported here, not at module level: it pulls in
+    ``http.client`` and the ``email`` package, which nothing else on the
+    serving path needs."""
+    import urllib.error
+    import urllib.request
+
     if payload is None:
         request = urllib.request.Request(url)
     else:

@@ -1,10 +1,11 @@
-"""Shared stdlib HTTP plumbing for the serving and metrics frontends.
+"""Shared HTTP plumbing for the serving and metrics frontends.
 
 The ``repro metrics --serve`` endpoint and the ``repro serve`` API both
 need the same small server: route a handful of paths to handlers, speak
 JSON (or Prometheus text), refuse oversized bodies, and shut down
 cleanly on SIGINT/SIGTERM.  :class:`JsonHttpServer` packages that once,
-on nothing but ``http.server`` — no third-party web stack.
+on nothing but sockets and threads — no web stack, not even
+``http.server``.
 
 A route is ``(method, compiled path regex, handler)``.  Handlers receive
 the regex match and the decoded JSON body (``None`` for GET) and return
@@ -15,7 +16,43 @@ receives the parsed query string as ``{name: last value}`` (the telemetry
 ``/query`` endpoint reads ``?series=…&window=…`` this way; two-parameter
 handlers never see query strings, so existing routes are untouched).
 Handler exceptions become a 500 JSON error instead of a stack trace over
-the socket.
+the socket.  The route list is read on every request, so a caller may
+swap a route in place while serving.
+
+Each connection is read by a minimal HTTP/1.1 reader.  It accepts:
+
+- a request line ``METHOD target HTTP/x.y`` (blank lines before it are
+  skipped), header lines ``Name: value`` ending in CRLF or a bare LF,
+  gathered into a dict with lower-case names (repeats joined by ``, ``);
+- a body framed by ``Content-Length`` (repeated identical values count
+  as one), read in full before the handler runs;
+- keep-alive (the HTTP/1.1 default; HTTP/1.0 with
+  ``Connection: keep-alive``), ``Connection: close``, pipelined requests
+  (answered in order) and ``Expect: 100-continue`` (the interim 100 is
+  sent only when a body will be read and has not arrived yet).
+
+It refuses, each with a JSON ``{"error"}`` body:
+
+- a request line that is not three words, or a version that is not
+  ``HTTP/<digits>.<digits>``: 400, then close;
+- a request line over :data:`MAX_LINE_BYTES`: 414, then close;
+- a header block over :data:`MAX_HEADER_BYTES` or with more than
+  :data:`MAX_HEADERS` lines: 431, then close;
+- a header line without a name and colon, or with whitespace around
+  the name (folded lines included): 400, then close;
+- HTTP/2.0 or later: 505, then close; a method other than GET and POST:
+  501, then close;
+- a stream that ends inside a head or a body: 400, then close;
+- no route for the method and path: 404;
+- on a POST route: ``Transfer-Encoding`` (chunked bodies are not read)
+  or no ``Content-Length``: 411; a ``Content-Length`` that is not
+  digits, or repeated with different values: 400; one above
+  ``max_body_bytes``: 413; a body that is not JSON: 400.
+
+A request whose declared body is left unread (every refusal above that
+happens before the body is read, and a GET that carries one) is
+answered with ``Connection: close`` and ends the connection, so its
+bytes are never read as a next request.
 
 The server binds ``port=0`` for an ephemeral port (tests, the crash-test
 bench), runs in the background via :meth:`start` or in the foreground
@@ -41,7 +78,7 @@ import signal
 import socket
 import threading
 import time
-from http.server import BaseHTTPRequestHandler
+from http import HTTPStatus
 from typing import Callable
 from urllib.parse import parse_qs
 
@@ -64,12 +101,37 @@ Route = tuple[str, re.Pattern, Callable]
 #: far below anything that could exhaust memory.
 DEFAULT_MAX_BODY_BYTES = 1 << 20
 
+#: Longest request line (414 beyond), longest header block after it and
+#: most header lines (431 beyond either).
+MAX_LINE_BYTES = 1 << 16
+MAX_HEADER_BYTES = 1 << 16
+MAX_HEADERS = 100
+
 #: Idle acceptors the pool keeps parked in ``accept()``: one more than
 #: this and a finishing acceptor exits instead of rejoining.
 SPARE_ACCEPTORS = 2
 
 #: How long :meth:`JsonHttpServer.close` waits for acceptors to finish.
 _CLOSE_JOIN_S = 2.0
+
+_METHODS = frozenset({"GET", "POST"})
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+_RECV_BYTES = 1 << 16
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+
+
+class _Refusal(Exception):
+    """A request the reader answers with ``status`` and then closes on."""
+
+    def __init__(self, status: int, error: str) -> None:
+        super().__init__(error)
+        self.status = status
+        self.error = error
+
+
+def _send(connection: socket.socket, data: bytes) -> None:
+    """Every byte the server writes goes through here, one call per reply."""
+    connection.sendall(data)
 
 
 def _encode_json(payload) -> bytes:
@@ -92,6 +154,162 @@ def _sanitize(obj):
     if isinstance(obj, (list, tuple)):
         return [_sanitize(value) for value in obj]
     return obj
+
+
+def _render(status, payload, headers=None, *, close=False) -> bytes:
+    """One whole reply: status line, headers and body."""
+    if isinstance(payload, (dict, list)):
+        body = _encode_json(payload)
+        content_type = JSON_CONTENT_TYPE
+    elif isinstance(payload, str):
+        body = payload.encode("utf-8")
+        content_type = PROMETHEUS_CONTENT_TYPE
+    else:
+        body = bytes(payload)
+        content_type = "application/octet-stream"
+    extra = ""
+    for name, value in (headers or {}).items():
+        if name.lower() == "content-type":
+            content_type = value
+        else:
+            extra += f"{name}: {value}\r\n"
+    if close:
+        extra += "Connection: close\r\n"
+    return (
+        f"HTTP/1.1 {status} {_REASONS.get(status, '')}\r\n"
+        f"Content-Type: {content_type}\r\n"
+        f"Content-Length: {len(body)}\r\n{extra}\r\n"
+    ).encode("latin-1") + body
+
+
+def _head_end(buffer: bytes, start: int) -> int:
+    """Index just past the blank line ending the head, or -1."""
+    crlf = buffer.find(b"\n\r\n", start)
+    lf = buffer.find(b"\n\n", start)
+    if lf < 0:
+        return crlf + 3 if crlf >= 0 else -1
+    if 0 <= crlf < lf:
+        return crlf + 3
+    return lf + 2
+
+
+def _read_head(connection: socket.socket, buffer: bytes):
+    """Read through the blank line that ends a request head.
+
+    Returns ``(head, rest)``; ``head`` is empty when the peer ends the
+    stream between requests.  Blank lines before a request line are
+    skipped.
+    """
+    scanned = 0
+    while True:
+        if buffer[:1] in (b"\r", b"\n"):
+            buffer = buffer.lstrip(b"\r\n")
+            scanned = 0
+        end = _head_end(buffer, scanned)
+        head = buffer if end < 0 else buffer[:end]
+        if len(head) > MAX_LINE_BYTES:
+            line_end = head.find(b"\n", 0, MAX_LINE_BYTES + 1)
+            if line_end < 0:
+                raise _Refusal(414, "request line too long")
+            if len(head) - line_end > MAX_HEADER_BYTES:
+                raise _Refusal(431, "request header block too large")
+        if end >= 0:
+            return head, buffer[end:]
+        scanned = max(0, len(buffer) - 2)
+        chunk = connection.recv(_RECV_BYTES)
+        if not chunk:
+            if buffer:
+                raise _Refusal(400, "request head cut short")
+            return b"", b""
+        buffer += chunk
+
+
+def _version_part(text: str) -> bool:
+    return text.isascii() and text.isdigit() and len(text) <= 10
+
+
+def _parse_head(head: bytes):
+    """``(method, target, headers, keep_alive, expect_continue)``."""
+    lines = head.decode("latin-1").split("\n")
+    request_line = lines[0].rstrip("\r")
+    words = request_line.split()
+    if len(words) != 3:
+        raise _Refusal(400, f"bad request line {request_line[:80]!r}")
+    method, target, version = words
+    major, dot, minor = version[5:].partition(".")
+    if not (
+        version.startswith("HTTP/")
+        and dot
+        and _version_part(major)
+        and _version_part(minor)
+    ):
+        raise _Refusal(400, f"bad HTTP version {version[:80]!r}")
+    http11 = (int(major), int(minor)) >= (1, 1)
+    if int(major) >= 2:
+        raise _Refusal(505, f"HTTP version {version!r} is not supported")
+    if method not in _METHODS:
+        raise _Refusal(501, f"unsupported method {method[:80]!r}")
+    headers: dict[str, str] = {}
+    count = 0
+    for line in lines[1:]:
+        line = line.rstrip("\r")
+        if not line:
+            continue  # the blank line that ends the head
+        count += 1
+        if count > MAX_HEADERS:
+            raise _Refusal(431, f"more than {MAX_HEADERS} headers")
+        name, colon, value = line.partition(":")
+        if not colon or not name or name[0] in " \t" or name[-1] in " \t":
+            raise _Refusal(400, f"bad header line {line[:80]!r}")
+        name = name.lower()
+        value = value.strip()
+        known = headers.get(name)
+        headers[name] = value if known is None else f"{known}, {value}"
+    connection = headers.get("connection")
+    tokens = (
+        ()
+        if connection is None
+        else {token.strip() for token in connection.lower().split(",")}
+    )
+    keep_alive = "close" not in tokens if http11 else "keep-alive" in tokens
+    expect_continue = (
+        http11 and headers.get("expect", "").lower() == "100-continue"
+    )
+    return method, target, headers, keep_alive, expect_continue
+
+
+def _body_length(headers: dict):
+    """``(declared body length or None, (status, error) or None)``."""
+    if "transfer-encoding" in headers:
+        return None, (411, "Content-Length required")
+    declared = headers.get("content-length")
+    if declared is None:
+        return None, None
+    values = {value.strip() for value in declared.split(",")}
+    if len(values) > 1:
+        return None, (400, "conflicting Content-Length")
+    (value,) = values
+    if not (value.isascii() and value.isdigit()):
+        return None, (400, "bad Content-Length")
+    return int(value), None
+
+
+def _read_body(
+    connection: socket.socket, buffer: bytes, length: int, expect_continue
+):
+    """``(body, rest)``, or ``(None, b"")`` when the stream ends first."""
+    if len(buffer) < length:
+        if expect_continue:
+            _send(connection, _CONTINUE)
+        chunks, have = [buffer], len(buffer)
+        while have < length:
+            chunk = connection.recv(max(_RECV_BYTES, length - have))
+            if not chunk:
+                return None, b""
+            chunks.append(chunk)
+            have += len(chunk)
+        buffer = b"".join(chunks)
+    return buffer[:length], buffer[length:]
 
 
 def _wants_query(handler: Callable) -> bool:
@@ -130,7 +348,6 @@ class JsonHttpServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
-        quiet: bool = True,
     ) -> None:
         if max_body_bytes <= 0:
             raise ServingError("max_body_bytes must be positive")
@@ -139,118 +356,6 @@ class JsonHttpServer:
         self._route_wants_query = [
             _wants_query(handler) for _method, _pattern, handler in self.routes
         ]
-        outer = self
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-            # Replies are one write, but the stdlib's own error replies
-            # (bad request line, unsupported method) still send headers
-            # and body separately; without TCP_NODELAY a kept-alive client
-            # would wait out Nagle plus delayed ACK on those.
-            disable_nagle_algorithm = True
-
-            def log_message(self, *args):  # noqa: D102 - stdlib hook
-                if not quiet:  # pragma: no cover - manual debugging aid
-                    BaseHTTPRequestHandler.log_message(self, *args)
-
-            def _reply(self, status, payload, headers=None):
-                if isinstance(payload, (dict, list)):
-                    body = _encode_json(payload)
-                    content_type = JSON_CONTENT_TYPE
-                elif isinstance(payload, str):
-                    body = payload.encode("utf-8")
-                    content_type = (headers or {}).pop(
-                        "Content-Type", PROMETHEUS_CONTENT_TYPE
-                    )
-                else:
-                    body = bytes(payload)
-                    content_type = (headers or {}).pop(
-                        "Content-Type", "application/octet-stream"
-                    )
-                self.send_response(status)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(body)))
-                for name, value in (headers or {}).items():
-                    self.send_header(name, str(value))
-                if self.request_version == "HTTP/0.9":  # no status/headers
-                    self.wfile.write(body)
-                    return
-                # ``end_headers`` plus the body in the stdlib's header
-                # buffer: the whole reply leaves in one write.
-                self._headers_buffer.extend((b"\r\n", body))
-                self.flush_headers()
-
-            def _read_body(self):
-                length = self.headers.get("Content-Length")
-                if length is None:
-                    return None, (411, {"error": "Content-Length required"})
-                try:
-                    length = int(length)
-                except ValueError:
-                    length = -1
-                if length < 0:  # rfile.read(-1) would block until EOF
-                    return None, (400, {"error": "bad Content-Length"})
-                if length > outer.max_body_bytes:
-                    return None, (
-                        413,
-                        {
-                            "error": "request body too large",
-                            "max_body_bytes": outer.max_body_bytes,
-                        },
-                    )
-                raw = self.rfile.read(length)
-                if not raw:
-                    return {}, None
-                try:
-                    return json.loads(raw.decode("utf-8")), None
-                except (ValueError, UnicodeDecodeError):
-                    return None, (400, {"error": "body is not valid JSON"})
-
-            def _dispatch(self, method):
-                path, _, query_string = self.path.partition("?")
-                for index, (route_method, pattern, handler) in enumerate(
-                    outer.routes
-                ):
-                    if route_method != method:
-                        continue
-                    match = pattern.match(path)
-                    if match is None:
-                        continue
-                    body = None
-                    if method == "POST":
-                        body, error = self._read_body()
-                        if error is not None:
-                            self._reply(*error)
-                            return
-                    args = [match, body]
-                    if outer._route_wants_query[index]:
-                        args.append(
-                            {
-                                name: values[-1]
-                                for name, values in parse_qs(
-                                    query_string, keep_blank_values=True
-                                ).items()
-                            }
-                        )
-                    try:
-                        result = handler(*args)
-                    except Exception as exc:  # never leak a traceback
-                        self._reply(
-                            500,
-                            {"error": f"{type(exc).__name__}: {exc}"},
-                        )
-                        return
-                    self._reply(*result)
-                    return
-                self._reply(404, {"error": f"no route for {method} {path}"})
-
-            def do_GET(self):
-                self._dispatch("GET")
-
-            def do_POST(self):
-                self._dispatch("POST")
-
-        self._handler = Handler
         self._listener = socket.create_server((host, port))
         self._address = self._listener.getsockname()[:2]
         self._lock = threading.Lock()
@@ -261,6 +366,105 @@ class JsonHttpServer:
         self._started = False
         self._closing = False
         self._closed = threading.Event()
+
+    def _serve_connection(self, connection: socket.socket) -> None:
+        """Answer requests on one connection until either side ends it."""
+        # Replies are one write each, but a pipelined reply or one after
+        # a 100 Continue would otherwise wait out Nagle plus delayed ACK.
+        connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        buffer = b""
+        keep_alive = True
+        while keep_alive:
+            try:
+                head, buffer = _read_head(connection, buffer)
+                if not head:
+                    return
+                request = _parse_head(head)
+            except _Refusal as refusal:
+                error = {"error": refusal.error}
+                _send(connection, _render(refusal.status, error, close=True))
+                return
+            reply, keep_alive, buffer = self._answer(
+                connection, buffer, *request
+            )
+            _send(connection, reply)
+
+    def _answer(
+        self, connection, buffer, method, target, headers, keep_alive,
+        expect_continue,
+    ):
+        """``(reply, keep_alive, unread bytes)`` for one parsed head."""
+        length, refusal = _body_length(headers)
+        # A declared body left unread ends the connection: its bytes are
+        # not the next request.
+        unread = refusal is not None or bool(length)
+        path, _, query_string = target.partition("?")
+        if path.startswith("//"):
+            path = "/" + path.lstrip("/")
+        route = self._route(method, path)
+        body = result = None
+        if route is None:
+            result = 404, {"error": f"no route for {method} {path}"}
+        elif method == "POST":
+            if refusal is None and length is None:
+                refusal = 411, "Content-Length required"
+            if refusal is not None:
+                result = refusal[0], {"error": refusal[1]}
+            elif length > self.max_body_bytes:
+                result = 413, {
+                    "error": "request body too large",
+                    "max_body_bytes": self.max_body_bytes,
+                }
+            else:
+                raw, buffer = _read_body(
+                    connection, buffer, length, expect_continue
+                )
+                if raw is None:
+                    result = 400, {"error": "request body cut short"}
+                else:
+                    unread = False
+                    try:
+                        body = json.loads(raw.decode("utf-8")) if raw else {}
+                    except ValueError:
+                        result = 400, {"error": "body is not valid JSON"}
+        keep_alive = keep_alive and not unread
+        if result is not None:
+            return _render(*result, close=not keep_alive), keep_alive, buffer
+        return (
+            self._dispatch(route, body, query_string, not keep_alive),
+            keep_alive,
+            buffer,
+        )
+
+    def _route(self, method: str, path: str):
+        """``(index, match, handler)`` of the first matching route, or None."""
+        for index, (route_method, pattern, handler) in enumerate(self.routes):
+            if route_method == method:
+                match = pattern.match(path)
+                if match is not None:
+                    return index, match, handler
+        return None
+
+    def _dispatch(self, route, body, query_string: str, close: bool) -> bytes:
+        """Call the route's handler positionally as ``(match, body[,
+        query])`` and render its reply; an exception becomes a 500."""
+        index, match, handler = route
+        args = [match, body]
+        if self._route_wants_query[index]:
+            args.append(
+                {
+                    name: values[-1]
+                    for name, values in parse_qs(
+                        query_string, keep_blank_values=True
+                    ).items()
+                }
+            )
+        try:
+            return _render(*handler(*args), close=close)
+        except Exception as exc:  # never leak a traceback
+            return _render(
+                500, {"error": f"{type(exc).__name__}: {exc}"}, close=close
+            )
 
     @property
     def host(self) -> str:
@@ -309,7 +513,7 @@ class JsonHttpServer:
         (the pool has already started a successor if it needed one).
         """
         try:
-            connection, address = self._listener.accept()
+            connection, _address = self._listener.accept()
         except OSError:
             if not self._closing:  # transient (ECONNABORTED, EMFILE)
                 time.sleep(0.01)
@@ -325,7 +529,7 @@ class JsonHttpServer:
                 self._spawn_locked()
             self._connections.add(connection)
         try:
-            self._handler(connection, address, self)
+            self._serve_connection(connection)
         except OSError:
             pass  # the peer went away mid-exchange
         except BaseException:

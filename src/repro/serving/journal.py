@@ -15,9 +15,10 @@ reconstructs exactly what it had promised:
 - ``{"type": "admitted", "id", "workload", "relax_bits",
   "dataset_bytes", "tenant", "priority", "deadline_s",
   "idempotency_key", "fingerprint", "trace_id"[, "search"]}`` — written
-  *after* the scheduler accepted the request; the pool calls
-  :meth:`RequestJournal.sync` before the id reaches the client (the
-  write-ahead part: an acknowledged id is always on disk);
+  in the admission's commit step, once the scheduler's refusals have
+  passed and the id is minted but before the request is queued; the
+  pool calls :meth:`RequestJournal.sync` before the id reaches the
+  client (the write-ahead part: an acknowledged id is always on disk);
 - ``{"type": "dispatched", "id", "shard"}`` — a shard picked it up;
 - ``{"type": "completed", "id", "status", "digest", "result": {...}}``
   — the full terminal :class:`~repro.serving.scheduler.ServeResult`
@@ -31,9 +32,10 @@ costs only a re-execution: their ``admitted`` record is durable, so the
 id replays, and pricing is deterministic, so the replay reproduces the
 lost record's digest.
 
-Records of one id need not appear in lifecycle order: the HTTP thread
-writes ``admitted`` after handing the request to the scheduler, so a
-fast worker's ``dispatched``/``completed`` can land first.  The fold is
+New journals hold each id's records in lifecycle order: no worker can
+see a request before its ``admitted`` record is written.  Journals
+written before that rule could hold a fast worker's ``dispatched`` or
+``completed`` ahead of ``admitted``, so the fold stays
 order-independent.
 
 :func:`load_request_journal` folds a (possibly torn) log into a

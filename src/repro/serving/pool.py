@@ -894,35 +894,42 @@ class CrossbarPool:
         if deadline_s is not None:
             # Counted from here, so a lazy start does not eat the slack.
             request.deadline_at = self.scheduler.clock() + deadline_s
-        self._enqueue(
-            request, block, "frontend", "admitted", priority=request.priority
-        )
+        journaled = None
         if self.journal is not None:
-            # Write the admitted record *before* the id is acknowledged
-            # (_acknowledge syncs it): a JournalError here bubbles to the
-            # client as a 500 — the request may run, but the id was never
-            # promised durable.
-            self.journal.admitted(
-                request,
-                idempotency_key=idempotency_key,
-                fingerprint=fingerprint,
-                deadline_s=deadline_s,
-            )
-            request.trace.event("journal", "admitted", request_id=request.id)
+            journaled = {
+                "idempotency_key": idempotency_key,
+                "fingerprint": fingerprint,
+                "deadline_s": deadline_s,
+            }
+        self._enqueue(
+            request, block, "frontend", "admitted", journaled=journaled,
+            priority=request.priority,
+        )
         self.runtime.after_submit()
         return request.id
 
     def _enqueue(
-        self, request: ServeRequest, block: bool, *event, **attrs
+        self,
+        request: ServeRequest,
+        block: bool,
+        *event,
+        journaled: dict | None = None,
+        **attrs,
     ) -> None:
         """Submit ``request`` to the scheduler with the ladder's one commit
         step, shared by new admissions and journal replays.
 
         The scheduler runs the step only once its own refusals have
-        passed: mint the id (a replay keeps its journaled one), open and
-        bind the trace, append its first event (``event`` is its layer,
-        kind and optional detail), and register the id with the result
-        store.
+        passed: mint the id (a replay keeps its journaled one), open the
+        trace, append the ``admitted`` record when ``journaled`` carries
+        its fields, bind the trace, append its first event (``event`` is
+        its layer, kind and optional detail), and register the id with
+        the result store.  The record is written before the push, so no
+        worker record of the id can precede it in the journal, and a
+        ``JournalError`` refuses the request with nothing queued and its
+        trace discarded (a 500: the id was never handed out).  It is
+        written without a barrier; :meth:`_acknowledge` syncs it.
+        Replays pass no ``journaled``: their record is already on file.
         """
         def commit(request: ServeRequest) -> None:
             if not request.id:
@@ -932,8 +939,16 @@ class CrossbarPool:
                 tenant=request.tenant,
                 relax_bits=request.relax_bits,
             )
+            if journaled is not None:
+                try:
+                    self.journal.admitted(request, **journaled)
+                except JournalError:
+                    self.traces.discard(trace.trace_id)
+                    raise
             self.traces.bind(request.id, trace.trace_id)
             trace.event(*event, request_id=request.id, **attrs)
+            if journaled is not None:
+                trace.event("journal", "admitted", request_id=request.id)
             self.results.register(request.id)
 
         self.scheduler.submit(request, block, commit)

@@ -171,21 +171,36 @@ class TestJsonHttpServer:
         assert json.loads(body) == {"error": "bad Content-Length"}
 
     def test_each_reply_is_one_write(self, echo_server, monkeypatch):
-        import socketserver
+        from repro.serving import http as http_module
 
         writes = []
-        original = socketserver._SocketWriter.write
+        original = http_module._send
 
-        def counting_write(writer, data):
+        def counting_send(connection, data):
             writes.append(bytes(data))
-            return original(writer, data)
+            return original(connection, data)
 
-        monkeypatch.setattr(socketserver._SocketWriter, "write", counting_write)
-        for path in ("/greet/one", "/metrics", "/nope"):
+        monkeypatch.setattr(http_module, "_send", counting_send)
+        for path, payload in (
+            ("/greet/one", None),
+            ("/metrics", None),
+            ("/nope", None),
+            ("/echo", {"blob": "x" * 500}),  # 413
+        ):
             writes.clear()
-            fetch(f"{echo_server.url}{path}")
+            fetch(f"{echo_server.url}{path}", payload=payload)
             assert len(writes) == 1, (path, writes)
             assert writes[0].startswith(b"HTTP/1.1 ")
+        for request in (
+            b"GARBAGE\r\n\r\n",  # 400 from the reader
+            b"POST /echo HTTP/1.1\r\nContent-Length: 5\r\n"
+            b"Connection: close\r\n\r\n{not}",  # 400 from the route
+            b"POST /echo HTTP/1.1\r\nConnection: close\r\n\r\n",  # 411
+        ):
+            writes.clear()
+            raw_exchange(echo_server, request)
+            assert len(writes) == 1, (request, writes)
+            assert writes[0].startswith(b"HTTP/1.1 4")
 
     def test_keep_alive_round_trips_do_not_stall(self, echo_server):
         # A reply split over two writes would make a kept-alive client
@@ -573,5 +588,10 @@ class TestAdmissionContract:
 
             monkeypatch.setattr(pool.journal, "admitted", refuse)
             status, _, reply = fetch(f"{server.url}{endpoint}", body)
+            # Refused in the commit step: nothing queued, traced or
+            # registered.
+            assert pool.scheduler.depth() == 0
+            assert len(pool.traces) == 0
+            assert pool.results.pending == 0
         assert status == 500
         assert "JournalError" in reply["error"]

@@ -355,8 +355,9 @@ class TestKillAtAnyByte:
 
 
 class TestRecordOrder:
-    """With no straggler wait, a worker often journals ``dispatched`` and
-    ``completed`` before the admitting thread's ``admitted`` lands."""
+    """A pool now writes ``admitted`` before it queues the request, but
+    journals from before that could hold a worker's ``dispatched`` and
+    ``completed`` ahead of it; the fold must still read them."""
 
     def _request(self, request_id):
         return ServeRequest(
@@ -383,9 +384,9 @@ class TestRecordOrder:
     def test_completed_without_admitted_still_reserves_its_id(
         self, tmp_path
     ):
-        # SIGKILL between the worker's completed and the admitting
-        # thread's admitted: the id was never acknowledged, but the
-        # result is restored, so the id must never be minted again.
+        # An older journal cut between a worker's completed and the
+        # admitting thread's admitted: the id was never acknowledged, but
+        # the result is restored, so the id must never be minted again.
         path = tmp_path / "requests.jsonl"
         with RequestJournal(str(path)) as journal:
             journal.admitted(self._request("t-00000001"))
@@ -398,6 +399,58 @@ class TestRecordOrder:
             fresh = pool.submit(WORKLOAD, dataset_bytes=DATASET, tenant="t")
             assert int(fresh.rpartition("-")[2]) > 2
             assert pool.result(fresh, timeout=60.0).status == "ok"
+
+    def test_admission_racing_a_draining_stop_is_journaled_first(
+        self, tmp_path
+    ):
+        """A submit held just after the scheduler queued it while
+        ``stop(drain=True)`` drains the request and closes the journal:
+        the id is acknowledged, and its ``admitted`` record was written
+        before anything a worker journaled for it."""
+        path = tmp_path / "requests.jsonl"
+        pool = _pool(path, runtime="thread")
+        pool.start()
+        queued, release = threading.Event(), threading.Event()
+        submit = pool.scheduler.submit
+
+        def held_submit(*args):
+            submit(*args)
+            queued.set()
+            release.wait(30.0)
+
+        pool.scheduler.submit = held_submit
+        outcome = {}
+
+        def client():
+            try:
+                outcome["id"], _ = pool.admit(WORKLOAD, dataset_bytes=DATASET)
+            except Exception as exc:  # the assertion below reports it
+                outcome["error"] = exc
+
+        admitting = threading.Thread(target=client)
+        admitting.start()
+        try:
+            assert queued.wait(30.0)
+            pool.stop(drain=True)
+        finally:
+            release.set()
+            admitting.join(30.0)
+        assert "error" not in outcome, outcome
+        assert pool.results.get(outcome["id"]).status == "ok"
+        records = map(json.loads, path.read_bytes().splitlines())
+        kinds = [r["type"] for r in records if r.get("id") == outcome["id"]]
+        assert kinds == ["admitted", "dispatched", "completed"]
+
+
+def _assert_admitted_first(path) -> None:
+    """Each id's ``admitted`` record precedes its other records."""
+    admitted = set()
+    for line in path.read_bytes().split(b"\n")[:-1]:
+        record = json.loads(line)
+        if record["type"] == "admitted":
+            admitted.add(record["id"])
+        elif "id" in record:
+            assert record["id"] in admitted, record
 
 
 def _record_fsyncs(monkeypatch, path, delay_s=0.0) -> list[int]:
@@ -573,6 +626,7 @@ class TestGroupCommit:
             assert max(offsets[:count], default=-1) >= ends[request_id]
         distinct = {request_id for request_id, _ in acked.values()}
         assert len(distinct) == (1 if shared_key else submitters)
+        _assert_admitted_first(path)
 
 
 class TestCrashModel:
