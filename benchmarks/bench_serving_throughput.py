@@ -88,6 +88,12 @@ def _warm_every_shard(pool: CrossbarPool, runtime: str) -> None:
                 shard.harness.compare(shard.workload(workload), size, spec)
 
 
+def _worker_cpu_s(pool: CrossbarPool) -> float:
+    """CPU seconds burned so far inside the pool's worker processes."""
+    shards = pool.runtime.stats().get("shards", {})
+    return sum(shard["worker_cpu_s"] for shard in shards.values())
+
+
 def _closed_loop(shards: int, runtime: str = "thread") -> dict:
     """C closed-loop clients over the mix; chaos on; full accounting."""
     pool = CrossbarPool(
@@ -113,11 +119,7 @@ def _closed_loop(shards: int, runtime: str = "thread") -> dict:
         # Steady-state accounting only: each subprocess worker paid a
         # one-off cold-cache tile-pricing cost during warm-up that scales
         # with fan-out, not with request count.
-        warm_cpu_s = (
-            pool.runtime.worker_cpu_seconds()
-            if runtime == "subprocess"
-            else 0.0
-        )
+        warm_cpu_s = _worker_cpu_s(pool)
 
         def client_loop(name: str) -> None:
             client = Client(pool, tenant=name)
@@ -146,15 +148,13 @@ def _closed_loop(shards: int, runtime: str = "thread") -> dict:
             thread.join(timeout=600.0)
         wall = time.perf_counter() - wall_start
         stats = pool.stats()
+        worker_cpu_s = _worker_cpu_s(pool) - warm_cpu_s
     expected = CLIENTS * REQUESTS_PER_CLIENT
     assert len(ids) == expected, f"lost requests: {len(ids)}/{expected}"
     assert len(set(ids)) == expected, "duplicated request ids"
     assert all(status in TERMINAL for status in statuses), set(statuses)
     ordered = sorted(latencies)
     busy = sum(shard["busy_s"] for shard in stats["shards"])
-    worker_cpu_s = None
-    if runtime == "subprocess":
-        worker_cpu_s = pool.runtime.worker_cpu_seconds() - warm_cpu_s
     return {
         "runtime": runtime,
         "shards": shards,
@@ -171,7 +171,7 @@ def _closed_loop(shards: int, runtime: str = "thread") -> dict:
             shard["busy_s"] / wall for shard in stats["shards"]
         ],
         "total_busy_s": busy,
-        "worker_cpu_s": worker_cpu_s,
+        "worker_cpu_s": worker_cpu_s if runtime == "subprocess" else None,
         "workers": stats["runtime"]["workers"],
     }
 

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.baselines.cache import TLB
 from repro.baselines.dram import DRAMModel
 from repro.baselines.gpu import (
     GPUEstimate,
     WorkloadProfile,
+    model_locality,
     seed_locality,
-    shared_locality,
+    tlb_miss_rate,
+    walk_cost,
 )
 from repro.errors import ConfigurationError
 from repro.units import PJ, US
@@ -86,28 +87,7 @@ class CPUModel:
     ) -> tuple[float, float, float]:
         """Per-access (l1, l2, dram) service fractions, memoised by
         ``(name, tile)`` over the process-wide memo (as the GPU model)."""
-        key = (profile.name, tile_elements or self.DEFAULT_TILE_ELEMENTS)
-        fractions = self._measured.get(key)
-        if fractions is None:
-            fractions = self._measured[key] = shared_locality(
-                self.config, profile, key[1], "cpu"
-            )
-        return fractions
-
-    def _walk_cost(self, footprint: float) -> float:
-        cfg = self.config
-        refs = TLB.walk_references(footprint, cfg.page_bytes)
-        pte_bytes = (footprint / cfg.page_bytes) * 8
-        in_l2 = min(1.0, (cfg.l2_bytes / 2) / pte_bytes) if pte_bytes else 1.0
-        return refs * (in_l2 * cfg.l2_latency + (1 - in_l2) * cfg.dram_latency)
-
-    def _tlb_miss_rate(self, profile: WorkloadProfile, footprint: float) -> float:
-        cfg = self.config
-        if footprint <= cfg.tlb_entries * cfg.page_bytes:
-            return 0.0
-        accesses = profile.reads_per_element + profile.writes_per_element
-        per_page = max(1, cfg.page_bytes // profile.element_bytes)
-        return 1.0 / (per_page * accesses)
+        return model_locality(self, profile, tile_elements, "cpu")
 
     def estimate(
         self, profile: WorkloadProfile, dataset_bytes: float
@@ -129,8 +109,8 @@ class CPUModel:
         compute_time = ops / (cfg.peak_flops * cfg.utilization)
         dram_bytes = accesses * frac_dram * cfg.line_bytes
         mem_time = cfg.dram.transfer_time(dram_bytes, dataset_bytes)
-        tlb_rate = self._tlb_miss_rate(profile, dataset_bytes)
-        walk_time = accesses * tlb_rate * self._walk_cost(dataset_bytes)
+        tlb_rate = tlb_miss_rate(cfg, profile, dataset_bytes)
+        walk_time = accesses * tlb_rate * walk_cost(cfg, dataset_bytes)
         time = cfg.dispatch_overhead + max(compute_time, mem_time) + walk_time
 
         e_compute = ops * cfg.e_flop

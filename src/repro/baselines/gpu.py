@@ -49,9 +49,12 @@ __all__ = [
     "GPUModel",
     "WorkloadProfile",
     "GPUEstimate",
+    "model_locality",
     "seed_locality",
     "shared_locality",
     "simulate_locality",
+    "tlb_miss_rate",
+    "walk_cost",
 ]
 
 
@@ -216,6 +219,50 @@ def shared_locality(
     return fractions
 
 
+def model_locality(
+    model, profile: WorkloadProfile, tile_elements: int | None, label: str
+) -> tuple[float, float, float]:
+    """A baseline model's ``measure_locality``: memoised per model by
+    ``(profile name, tile)`` (the warm path, one dict lookup) over the
+    process-wide :func:`shared_locality` memo."""
+    key = (profile.name, tile_elements or model.DEFAULT_TILE_ELEMENTS)
+    fractions = model._measured.get(key)
+    if fractions is None:
+        fractions = model._measured[key] = shared_locality(
+            model.config, profile, key[1], label
+        )
+    return fractions
+
+
+def walk_cost(cfg, footprint: float) -> float:
+    """Seconds per TLB miss at a given dataset footprint.
+
+    Walk references hit L2 while the page tables fit beside the data's
+    working lines, and spill to DRAM as the PTE array outgrows it.
+    """
+    refs = TLB.walk_references(footprint, cfg.page_bytes)
+    pte_bytes = (footprint / cfg.page_bytes) * 8
+    in_l2 = min(1.0, (cfg.l2_bytes / 2) / pte_bytes) if pte_bytes else 1.0
+    per_ref = in_l2 * cfg.l2_latency + (1 - in_l2) * cfg.dram_latency
+    return refs * per_ref
+
+
+def tlb_miss_rate(cfg, profile: WorkloadProfile, footprint: float) -> float:
+    """Translation misses per memory access.
+
+    Sequential kernels touch each 4 KiB page once per
+    ``page_bytes / element_bytes`` elements; datasets inside the TLB's
+    coverage never miss after warm-up.
+    """
+    if footprint <= cfg.tlb_entries * cfg.page_bytes:
+        return 0.0
+    accesses_per_element = (
+        profile.reads_per_element + profile.writes_per_element
+    )
+    elements_per_page = max(1, cfg.page_bytes // profile.element_bytes)
+    return 1.0 / (elements_per_page * accesses_per_element)
+
+
 @dataclass(frozen=True)
 class GPUEstimate:
     """Time/energy estimate with a per-component breakdown."""
@@ -253,44 +300,7 @@ class GPUModel:
         model (the warm path, one dict lookup) over the process-wide
         :func:`shared_locality` memo.
         """
-        key = (profile.name, tile_elements or self.DEFAULT_TILE_ELEMENTS)
-        fractions = self._measured.get(key)
-        if fractions is None:
-            fractions = self._measured[key] = shared_locality(
-                self.config, profile, key[1], "gpu"
-            )
-        return fractions
-
-    # -- translation model ---------------------------------------------------
-
-    def _walk_cost(self, footprint: float) -> float:
-        """Seconds per TLB miss at a given dataset footprint.
-
-        Walk references hit L2 while the page tables fit beside the data's
-        working lines, and spill to DRAM as the PTE array outgrows it.
-        """
-        cfg = self.config
-        refs = TLB.walk_references(footprint, cfg.page_bytes)
-        pte_bytes = (footprint / cfg.page_bytes) * 8
-        in_l2 = min(1.0, (cfg.l2_bytes / 2) / pte_bytes) if pte_bytes else 1.0
-        per_ref = in_l2 * cfg.l2_latency + (1 - in_l2) * cfg.dram_latency
-        return refs * per_ref
-
-    def _tlb_miss_rate(self, profile: WorkloadProfile, footprint: float) -> float:
-        """Translation misses per memory access.
-
-        Sequential kernels touch each 4 KiB page once per
-        ``page_bytes / element_bytes`` elements; datasets inside the TLB's
-        coverage never miss after warm-up.
-        """
-        cfg = self.config
-        if footprint <= cfg.tlb_entries * cfg.page_bytes:
-            return 0.0
-        accesses_per_element = (
-            profile.reads_per_element + profile.writes_per_element
-        )
-        elements_per_page = max(1, cfg.page_bytes // profile.element_bytes)
-        return 1.0 / (elements_per_page * accesses_per_element)
+        return model_locality(self, profile, tile_elements, "gpu")
 
     # -- pricing ------------------------------------------------------------
 
@@ -315,8 +325,8 @@ class GPUModel:
         compute_time = ops / (cfg.peak_flops * cfg.utilization)
         dram_bytes = accesses * frac_dram * cfg.line_bytes
         mem_time = cfg.dram.transfer_time(dram_bytes, dataset_bytes)
-        tlb_rate = self._tlb_miss_rate(profile, dataset_bytes)
-        walk_time = accesses * tlb_rate * self._walk_cost(dataset_bytes)
+        tlb_rate = tlb_miss_rate(cfg, profile, dataset_bytes)
+        walk_time = accesses * tlb_rate * walk_cost(cfg, dataset_bytes)
         overlap = max(compute_time, mem_time)  # compute/memory overlap
         time = cfg.launch_overhead * passes + overlap + walk_time
 

@@ -64,8 +64,9 @@ threads: each blocks in ``accept()`` on the shared listener and serves
 the connection it gets itself, so the steady-state request path starts
 no thread and hands nothing between threads.  The last idle acceptor to
 take a connection starts one more; an acceptor whose connection closes
-while :data:`SPARE_ACCEPTORS` others are idle exits.  A held keep-alive
-connection therefore ties up one thread, and the pool tracks the
+while more than :data:`SPARE_ACCEPTORS` others are idle exits, so two
+clients whose connections overlap settle on a fixed set of threads.  A
+held keep-alive connection ties up one thread, and the pool tracks the
 concurrency it is offered.  Each reply leaves in one write.
 """
 
@@ -107,8 +108,8 @@ MAX_LINE_BYTES = 1 << 16
 MAX_HEADER_BYTES = 1 << 16
 MAX_HEADERS = 100
 
-#: Idle acceptors the pool keeps parked in ``accept()``: one more than
-#: this and a finishing acceptor exits instead of rejoining.
+#: Idle acceptors the pool keeps parked in ``accept()``: with more than
+#: this idle, a finishing acceptor exits instead of rejoining.
 SPARE_ACCEPTORS = 2
 
 #: How long :meth:`JsonHttpServer.close` waits for acceptors to finish.
@@ -549,7 +550,7 @@ class JsonHttpServer:
             rejoin = (
                 rejoin
                 and not self._closing
-                and self._idle < SPARE_ACCEPTORS
+                and self._idle <= SPARE_ACCEPTORS
             )
             if rejoin:
                 self._idle += 1

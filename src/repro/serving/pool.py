@@ -573,14 +573,7 @@ class CrossbarPool:
             self._draining = True
             self.scheduler.close()
             if drain:
-                deadline = time.monotonic() + timeout
-                while (
-                    self.scheduler.depth() > 0 or self.results.pending > 0
-                ) and time.monotonic() < deadline:
-                    # The inline runtime has no worker of its own: pump
-                    # any leftover queue from here instead of spinning.
-                    self.runtime.after_submit()
-                    time.sleep(0.01)
+                self.wait_drained(timeout)
             self.runtime.stop(drain=drain, timeout=timeout)
             self._started = False
             if not drain:

@@ -9,12 +9,13 @@ process actually runs each dispatched request.  Three implementations:
   requests execute on the submitting thread.  Deterministic, trivially
   debuggable, the campaign/test default when parallelism is noise.
 - :class:`~repro.serving.runtime.thread.ThreadRuntime` — one daemon
-  thread per shard (the pre-runtime behaviour).  Cheap, shares the GIL,
+  driver thread per shard, executing in-process.  Cheap, shares the GIL,
   right for I/O-light loads and small pools.
-- :class:`~repro.serving.runtime.subprocess.SubprocessRuntime` — one
-  worker *process* per shard behind a frame protocol: true parallelism
-  (GIL escape) and fault containment — a segfaulting shard worker is a
-  respawn, not an outage.
+- :class:`~repro.serving.runtime.subprocess.SubprocessRuntime` — the
+  thread runtime's driver, executing each request in the shard's worker
+  *process* behind a frame protocol: true parallelism (GIL escape) and
+  fault containment — a segfaulting shard worker is a respawn, not an
+  outage.
 
 Runtimes are selected per pool: ``CrossbarPool(runtime="subprocess")`` or
 an instance for custom tuning.
@@ -90,9 +91,11 @@ class ShardRuntime(ABC):
 
         Called by :meth:`CrossbarPool.remove_shard` after the shard left
         ``pool.shards`` (so it receives no new batches).  Implementations
-        must complete the shard's in-flight work before returning — the
-        loss-free half of the live-resize contract — and release any
-        per-shard worker registration.  The default is a no-op.
+        complete the shard's in-flight work — the loss-free half of the
+        live-resize contract — and release its scheduler worker slot,
+        raising :class:`~repro.errors.FleetError` once the slot is
+        released if the work outlives ``timeout``.  The default is a
+        no-op.
         """
 
     def _count(self, field: str, amount: int = 1) -> None:

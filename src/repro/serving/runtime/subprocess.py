@@ -1,11 +1,14 @@
 """Process-per-shard execution: GIL escape with crash containment.
 
-Each shard gets a worker process (`python -m repro.serving.runtime.worker`)
-plus a parent-side driver thread.  The driver pulls batches exactly like
-the thread runtime, but executes each request by round-tripping a frame
-through the worker's pipes — NumPy bit-plane pricing then runs in a
-process of its own, so four shards use four cores instead of fighting
-over one GIL.
+:class:`SubprocessRuntime` is the thread runtime's shard driver — same
+loop, lifecycle and live resize — with three overrides: it executes each
+request by round-tripping a frame through the shard's worker process
+(`python -m repro.serving.runtime.worker`), reaps a worker that died idle
+before each poll, and shuts the worker down as the driver exits (on
+``stop`` and once a removed shard has drained).  NumPy bit-plane pricing
+then runs in a process of its own, so four shards use four cores instead
+of fighting over one GIL.  Workers spawn lazily, on a shard's first
+request.
 
 The supervision ladder, on worker death (pipe EOF after SIGKILL / segfault
 / OOM, or a hang past :data:`HANG_TIMEOUT_S`, or lost framing):
@@ -50,12 +53,12 @@ from repro.observability.instruments import (
 from repro.observability.registry import active_registry, apply_counter_deltas
 from repro.observability.tracing import replay_events
 from repro.runtime.campaign import CampaignPoint
-from repro.serving.runtime.base import IDLE_POLL_S, ShardRuntime
 from repro.serving.runtime.protocol import (
     MAX_FRAME_BYTES,
     read_frame,
     write_frame,
 )
+from repro.serving.runtime.thread import ThreadRuntime
 from repro.serving.scheduler import RESULT_STATUSES
 
 __all__ = ["SubprocessRuntime", "WorkerHandle"]
@@ -225,7 +228,7 @@ class WorkerHandle:
                 pass
 
 
-class SubprocessRuntime(ShardRuntime):
+class SubprocessRuntime(ThreadRuntime):
     """One worker process per shard; see the module docstring."""
 
     name = "subprocess"
@@ -235,81 +238,9 @@ class SubprocessRuntime(ShardRuntime):
         if max_redrives < 0:
             raise ServingError("max_redrives must be non-negative")
         self.max_redrives = max_redrives
-        self._threads: dict[int, threading.Thread] = {}
-        self._shard_stops: dict[int, threading.Event] = {}
-        self._stop = threading.Event()
         self._handles: dict[int, WorkerHandle | None] = {}
         self._streaks: dict[int, int] = {}
         self._worker_cpu_s: dict[int, float] = {}
-        self._spawn_locks: dict[int, threading.Lock] = {}
-
-    # -- lifecycle ------------------------------------------------------------
-
-    def _spawn_driver(self, shard) -> None:
-        pool = self.pool
-        self._handles.setdefault(shard.index, None)
-        self._streaks.setdefault(shard.index, 0)
-        self._worker_cpu_s.setdefault(shard.index, 0.0)
-        self._spawn_locks.setdefault(shard.index, threading.Lock())
-        stop = self._shard_stops[shard.index] = threading.Event()
-        thread = threading.Thread(
-            target=self._drive,
-            args=(shard, stop),
-            name=f"crossbar-{shard.key}-driver",
-            daemon=True,
-        )
-        self._threads[shard.index] = thread
-        thread.start()
-        pool.scheduler.register_worker()
-
-    def start(self) -> None:
-        self._stop.clear()
-        for shard in self.pool.shards:
-            self._spawn_driver(shard)
-
-    def shard_added(self, shard) -> None:
-        self._spawn_driver(shard)
-
-    def shard_removed(self, shard, timeout: float = 30.0) -> None:
-        from repro.errors import FleetError
-
-        stop = self._shard_stops.pop(shard.index, None)
-        thread = self._threads.pop(shard.index, None)
-        if stop is not None:
-            stop.set()
-        alive = False
-        if thread is not None:
-            thread.join(timeout=timeout)
-            alive = thread.is_alive()
-        if not alive:
-            handle = self._handles.pop(shard.index, None)
-            if handle is not None:
-                handle.shutdown()
-        self.pool.scheduler.unregister_worker()
-        if alive:
-            # Worker teardown is skipped — the driver may still be
-            # round-tripping its last request through the process.
-            raise FleetError(
-                f"{shard.key} driver did not drain within {timeout:.1f}s; "
-                "its in-flight batch completes in the background"
-            )
-
-    def stop(self, drain: bool = True, timeout: float = 30.0) -> None:
-        self._stop.set()
-        threads = list(self._threads.values())
-        for thread in threads:
-            thread.join(timeout=timeout)
-        self._threads.clear()
-        self._shard_stops.clear()
-        for index, handle in list(self._handles.items()):
-            if handle is not None:
-                if drain:
-                    handle.shutdown()
-                else:
-                    handle.kill()
-                self._handles[index] = None
-        for _ in threads:
-            self.pool.scheduler.unregister_worker()
 
     # -- worker supervision ---------------------------------------------------
 
@@ -334,11 +265,19 @@ class SubprocessRuntime(ShardRuntime):
             "max_trace_events": pool.traces.max_events,
         }
 
-    def _reap(self, shard) -> None:
-        """Notice a worker that died between requests (idle death)."""
+    def _poll(self, shard) -> None:
+        """Reap a worker that died between requests (idle death)."""
         handle = self._handles.get(shard.index)
         if handle is not None and not handle.alive:
             self._note_death(shard, handle, reason="exited")
+
+    def _release(self, shard) -> None:
+        """Shut the exiting driver's worker down (it holds no request)."""
+        self._streaks.pop(shard.index, None)
+        self._worker_cpu_s.pop(shard.index, None)
+        handle = self._handles.pop(shard.index, None)
+        if handle is not None:
+            handle.shutdown()
 
     def _note_death(self, shard, handle: WorkerHandle, reason: str) -> None:
         self._handles[shard.index] = None
@@ -351,49 +290,32 @@ class SubprocessRuntime(ShardRuntime):
 
     def _ensure_worker(self, shard) -> WorkerHandle:
         """The shard's live worker, (re)spawned under capped backoff."""
-        with self._spawn_locks[shard.index]:
-            handle = self._handles.get(shard.index)
-            if handle is not None and handle.alive:
-                return handle
-            streak = self._streaks.get(shard.index, 0)
-            respawn = streak > 0
-            if respawn:
-                time.sleep(min(
-                    RESPAWN_BACKOFF_CAP_S,
-                    RESPAWN_BACKOFF_BASE_S * (2 ** (streak - 1)),
-                ))
-            try:
-                handle = WorkerHandle(shard.index, self._spec(shard))
-            except (WorkerCrashedError, ProtocolError, OSError) as exc:
-                self._streaks[shard.index] = streak + 1
-                raise WorkerCrashedError(
-                    f"shard {shard.index} worker failed to spawn: {exc}",
-                    shard=shard.index,
-                    reason="spawn",
-                ) from exc
-            self._handles[shard.index] = handle
-            self._count("spawned")
-            WORKER_SPAWNS.inc(shard=shard.index)
-            if respawn:
-                self._count("respawns")
-                WORKER_RESPAWNS.inc(shard=shard.index)
+        handle = self._handles.get(shard.index)
+        if handle is not None and handle.alive:
             return handle
-
-    # -- the driver loop ------------------------------------------------------
-
-    def _drive(self, shard, shard_stop: threading.Event) -> None:
-        pool = self.pool
-        while not self._stop.is_set() and not shard_stop.is_set():
-            self._reap(shard)
-            if not shard.healthy:
-                SERVING_SHARD_HEALTHY.set(0, shard=shard.index)
-                time.sleep(IDLE_POLL_S)
-                continue
-            SERVING_SHARD_HEALTHY.set(1, shard=shard.index)
-            batch = pool.scheduler.next_batch(timeout=IDLE_POLL_S)
-            if not batch:
-                continue
-            pool._run_batch(shard, batch, execute=self.execute)
+        streak = self._streaks.get(shard.index, 0)
+        respawn = streak > 0
+        if respawn:
+            time.sleep(min(
+                RESPAWN_BACKOFF_CAP_S,
+                RESPAWN_BACKOFF_BASE_S * (2 ** (streak - 1)),
+            ))
+        try:
+            handle = WorkerHandle(shard.index, self._spec(shard))
+        except (WorkerCrashedError, ProtocolError, OSError) as exc:
+            self._streaks[shard.index] = streak + 1
+            raise WorkerCrashedError(
+                f"shard {shard.index} worker failed to spawn: {exc}",
+                shard=shard.index,
+                reason="spawn",
+            ) from exc
+        self._handles[shard.index] = handle
+        self._count("spawned")
+        WORKER_SPAWNS.inc(shard=shard.index)
+        if respawn:
+            self._count("respawns")
+            WORKER_RESPAWNS.inc(shard=shard.index)
+        return handle
 
     def execute(self, shard, request):
         """Run one request through the shard's worker process.
@@ -513,19 +435,13 @@ class SubprocessRuntime(ShardRuntime):
         out = super().stats()
         out["hang_timeout_s"] = HANG_TIMEOUT_S
         out["max_redrives"] = self.max_redrives
-        out["shards"] = {
-            str(index): {
+        out["shards"] = {}
+        for index in sorted(shard.index for shard in self.pool.shards):
+            handle = self._handles.get(index)
+            out["shards"][str(index)] = {
                 "pid": None if handle is None else handle.pid,
                 "alive": handle is not None and handle.alive,
                 "death_streak": self._streaks.get(index, 0),
-                "worker_cpu_s": round(
-                    self._worker_cpu_s.get(index, 0.0), 6
-                ),
+                "worker_cpu_s": round(self._worker_cpu_s.get(index, 0.0), 6),
             }
-            for index, handle in sorted(self._handles.items())
-        }
         return out
-
-    def worker_cpu_seconds(self) -> float:
-        """Total CPU seconds burned inside worker processes (benches)."""
-        return sum(self._worker_cpu_s.values())

@@ -1,4 +1,12 @@
-"""One daemon thread per shard: the classic in-process runtime."""
+"""One driver thread per shard: the shard driver every threaded runtime
+shares.
+
+:class:`ThreadRuntime` runs each request in-process.
+:class:`~repro.serving.runtime.subprocess.SubprocessRuntime` is this same
+driver with a different :meth:`ThreadRuntime.execute` and two hooks: a
+per-poll hook that reaps a dead worker, and a per-shard teardown that
+shuts the shard's worker down.
+"""
 
 from __future__ import annotations
 
@@ -13,22 +21,25 @@ __all__ = ["ThreadRuntime"]
 
 
 class ThreadRuntime(ShardRuntime):
-    """The pre-runtime :class:`CrossbarPool` behaviour, factored out.
+    """A daemon driver thread per shard, pulling coalesced batches from
+    the scheduler and running them through the pool's rescue ladder.
 
-    Each shard gets a daemon thread pulling coalesced batches from the
-    scheduler and running them through the pool's rescue ladder.  Shards
-    share the GIL, so NumPy-heavy loads do not scale with shard count —
-    that is :class:`~repro.serving.runtime.subprocess.SubprocessRuntime`'s
-    job — but threads are free to start and right for small pools.
+    Shards share the GIL, so NumPy-heavy loads do not scale with shard
+    count — that is the subprocess runtime's job — but threads are free
+    to start and right for small pools.
 
-    Threads are tracked per shard so the fleet control plane can resize a
-    live pool: :meth:`shard_added` spawns one thread for the newcomer,
-    :meth:`shard_removed` signals the victim's thread and joins it — the
-    thread finishes its current batch first, so every request the shard
+    Drivers are tracked per shard so the fleet control plane can resize a
+    live pool: :meth:`shard_added` spawns one for the newcomer,
+    :meth:`shard_removed` signals the victim's driver and joins it — the
+    driver finishes its current batch first, so every request the shard
     held reaches a terminal result before the resize returns.
     """
 
     name = "thread"
+
+    #: How the driver runs one request: ``None`` is the pool's in-process
+    #: executor; a subclass sets a method with the same contract.
+    execute = None
 
     def __init__(self) -> None:
         super().__init__()
@@ -57,35 +68,44 @@ class ThreadRuntime(ShardRuntime):
         self._spawn(shard)
 
     def shard_removed(self, shard, timeout: float = 30.0) -> None:
-        stop = self._shard_stops.pop(shard.index, None)
-        thread = self._threads.pop(shard.index, None)
-        if stop is not None:
-            stop.set()
-        if thread is not None:
-            thread.join(timeout=timeout)
-            if thread.is_alive():
-                # The batch in flight outlives the deadline.  The thread
-                # still terminates every request it holds (the rescue
-                # ladder guarantees it) — only the resize's bounded-time
-                # promise is broken, which callers must hear about.
-                raise FleetError(
-                    f"{shard.key} did not drain within {timeout:.1f}s; "
-                    "its in-flight batch completes in the background"
-                )
+        self._shard_stops.pop(shard.index).set()
+        thread = self._threads.pop(shard.index)
+        thread.join(timeout=timeout)
+        # The shard takes no new batch either way, so it stops counting
+        # toward the scheduler's service capacity now.
         self.pool.scheduler.unregister_worker()
+        if thread.is_alive():
+            # The batch in flight outlives the deadline.  The driver
+            # still terminates every request it holds (the rescue ladder
+            # guarantees it) and then tears its shard down — only the
+            # resize's bounded-time promise is broken.
+            raise FleetError(
+                f"{shard.key} did not drain within {timeout:.1f}s; "
+                "its in-flight batch completes in the background"
+            )
+
+    def _poll(self, shard) -> None:
+        """Run by the driver before each poll of the queue."""
+
+    def _release(self, shard) -> None:
+        """Run by the driver as it exits: free what the shard holds."""
 
     def _drive(self, shard, shard_stop: threading.Event) -> None:
         pool = self.pool
-        while not self._stop.is_set() and not shard_stop.is_set():
-            if not shard.healthy:
-                SERVING_SHARD_HEALTHY.set(0, shard=shard.index)
-                time.sleep(IDLE_POLL_S)
-                continue
-            SERVING_SHARD_HEALTHY.set(1, shard=shard.index)
-            batch = pool.scheduler.next_batch(timeout=IDLE_POLL_S)
-            if not batch:
-                continue
-            pool._run_batch(shard, batch)
+        try:
+            while not self._stop.is_set() and not shard_stop.is_set():
+                self._poll(shard)
+                if not shard.healthy:
+                    SERVING_SHARD_HEALTHY.set(0, shard=shard.index)
+                    time.sleep(IDLE_POLL_S)
+                    continue
+                SERVING_SHARD_HEALTHY.set(1, shard=shard.index)
+                batch = pool.scheduler.next_batch(timeout=IDLE_POLL_S)
+                if not batch:
+                    continue
+                pool._run_batch(shard, batch, execute=self.execute)
+        finally:
+            self._release(shard)
 
     def stop(self, drain: bool = True, timeout: float = 30.0) -> None:
         self._stop.set()

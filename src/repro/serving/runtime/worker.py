@@ -10,17 +10,19 @@ stdout pipes:
   pool's ``chaos`` policy — plus ``max_trace_events``, the per-request
   trace buffer bound.  The worker builds its shard with that same recipe,
   so harness, retry jitter and chaos stream are those of an in-process
-  shard; it replies ``{"type": "ready", "pid": ...}``;
+  shard; it replies ``{"type": "ready"}``;
 - ``{"type": "run", "id", "workload", "relax_bits", "dataset_bytes"}``
   executes one request through :meth:`~repro.serving.pool.PoolShard.price`
   (the full rescue ladder, called exactly as the pool calls it) and
-  replies a ``result`` frame carrying the
-  terminal :class:`~repro.runtime.campaign.CampaignPoint`, the buffered
-  trace events, the counter deltas this request produced, and wall/CPU
-  service time — everything the supervisor needs to make the subprocess
+  replies ``{"type": "result", "id", "status", "attempts", "error",
+  "point", "events", "metrics", "cpu_s"}``: the terminal
+  :class:`~repro.runtime.campaign.CampaignPoint` as a dict, the buffered
+  trace events, the counter deltas this request produced and the CPU
+  seconds it took — what the parent needs to make the subprocess
   indistinguishable from in-process execution;
-- ``{"type": "ping"}`` → ``{"type": "pong"}`` (liveness probe);
-- ``{"type": "shutdown"}`` → ``{"type": "bye"}`` and a clean exit.
+- ``{"type": "shutdown"}`` → ``{"type": "bye"}`` and a clean exit;
+- any other frame → ``{"type": "error", "error"}``, and the worker keeps
+  serving.
 
 The process grabs the *binary* stdout handle at startup and rebinds
 ``sys.stdout`` to stderr, so a stray ``print`` anywhere below can never
@@ -32,7 +34,6 @@ re-drives the in-flight request.
 from __future__ import annotations
 
 import dataclasses
-import os
 import sys
 import time
 import traceback
@@ -70,15 +71,11 @@ def _shard(spec: dict) -> PoolShard:
 
 def _run(shard: PoolShard, max_trace_events: int, frame: dict) -> dict:
     """Execute one run frame; always returns a terminal result frame."""
-    request_id = str(frame.get("id", ""))
     registry = default_registry()
     before = snapshot_counters(registry)
     buffer = BufferedTraceContext(max_events=max_trace_events)
-    wall_start = time.monotonic()
     cpu_start = time.process_time()
     point = None
-    status = "error"
-    attempts = 0
     error = None
     try:
         point = shard.price(
@@ -87,25 +84,19 @@ def _run(shard: PoolShard, max_trace_events: int, frame: dict) -> dict:
             frame["dataset_bytes"],
             buffer,
         )
-        status = point.status
-        attempts = point.attempts
     except Exception as exc:  # belt and braces: run_point says "never"
         error = f"{type(exc).__name__}: {exc}"
         buffer.event("worker", "error", error, shard=shard.index)
-    shard.served += 1
     return {
         "type": "result",
-        "id": request_id,
-        "status": status,
-        "attempts": attempts,
+        "id": str(frame.get("id", "")),
+        "status": "error" if point is None else point.status,
+        "attempts": 0 if point is None else point.attempts,
         "error": error,
         "point": None if point is None else dataclasses.asdict(point),
         "events": buffer.drain(),
         "metrics": counter_deltas(registry, before),
-        "busy_s": time.monotonic() - wall_start,
         "cpu_s": time.process_time() - cpu_start,
-        "served": shard.served,
-        "pid": os.getpid(),
     }
 
 
@@ -135,39 +126,16 @@ def main() -> int:
             if kind == "init":
                 shard = _shard(frame)
                 max_trace_events = int(frame["max_trace_events"])
-                reply = {
-                    "type": "ready",
-                    "pid": os.getpid(),
-                    "shard": shard.index,
-                }
-            elif kind == "ping":
-                reply = {"type": "pong", "pid": os.getpid()}
+                reply = {"type": "ready"}
             elif kind == "shutdown":
-                write_frame(stdout, {"type": "bye", "pid": os.getpid()})
+                write_frame(stdout, {"type": "bye"})
                 return 0
-            elif kind == "run":
-                if shard is None:
-                    reply = {
-                        "type": "result",
-                        "id": str(frame.get("id", "")),
-                        "status": "error",
-                        "attempts": 0,
-                        "error": "run before init",
-                        "point": None,
-                        "events": [],
-                        "metrics": [],
-                        "busy_s": 0.0,
-                        "cpu_s": 0.0,
-                        "served": 0,
-                        "pid": os.getpid(),
-                    }
-                else:
-                    reply = _run(shard, max_trace_events, frame)
+            elif kind == "run" and shard is not None:
+                reply = _run(shard, max_trace_events, frame)
             else:
                 reply = {
                     "type": "error",
-                    "error": f"unknown frame type {kind!r}",
-                    "pid": os.getpid(),
+                    "error": f"unexpected frame type {kind!r}",
                 }
         except Exception:
             # An init/dispatch failure must not wedge the loop silently:
@@ -178,7 +146,6 @@ def main() -> int:
             reply = {
                 "type": "error",
                 "error": detail.strip().splitlines()[-1],
-                "pid": os.getpid(),
             }
         try:
             write_frame(stdout, reply)

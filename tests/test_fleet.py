@@ -19,6 +19,8 @@ Four contracts pinned here:
 from __future__ import annotations
 
 import json
+import os
+import threading
 
 import pytest
 
@@ -129,6 +131,76 @@ class TestLiveResize:
                 assert result.point.speedup == pytest.approx(
                     direct.speedup, rel=1e-12
                 )
+
+    def test_subprocess_pool_resizes_live(self):
+        """Grow a running subprocess pool, serve on the new shard, then
+        shrink it with requests queued: nothing is lost and the removed
+        shard's worker process has exited."""
+        with _pool(shards=1, runtime="subprocess") as pool:
+            client = Client(pool, tenant="resize")
+            new = pool.add_shard()
+            served_on = set()
+            for _ in range(40):
+                ids = [
+                    client.submit("Sobel", dataset_bytes=1 << 20)
+                    for _ in range(4)
+                ]
+                results = [client.result(i, timeout=120.0) for i in ids]
+                assert all(r.completed for r in results)
+                served_on.update(r.shard for r in results)
+                if served_on == {0, new.index}:
+                    break
+            assert served_on == {0, new.index}
+            pid = pool.runtime.stats()["shards"][str(new.index)]["pid"]
+            ids = [
+                client.submit("Sobel", dataset_bytes=1 << 20)
+                for _ in range(8)
+            ]
+            pool.remove_shard(index=new.index, timeout=60.0)
+            assert pool.shard_count == 1
+            assert all(
+                client.result(i, timeout=120.0).completed for i in ids
+            )
+            assert str(new.index) not in pool.runtime.stats()["shards"]
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)  # exited and reaped
+            assert pool.scheduler.stats()["workers"] == 1
+
+    @pytest.mark.parametrize("runtime", ["thread", "subprocess"])
+    def test_timed_out_shrink_releases_the_worker_slot(self, runtime):
+        """A shrink whose victim outlives the drain deadline reports it,
+        but the pool's worker count still drops with the shard count:
+        deadline admission divides the backlog by that count."""
+        with _pool(shards=2, runtime=runtime) as pool:
+            run_batch = pool._run_batch
+            holding, release = threading.Event(), threading.Event()
+            held_on = []
+
+            def hold(shard, batch, execute=None):
+                if held_on:
+                    return run_batch(shard, batch, execute=execute)
+                held_on.append(shard.index)
+
+                def held(shard, request):
+                    holding.set()
+                    release.wait(60.0)
+                    return (execute or pool._execute_local)(shard, request)
+
+                return run_batch(shard, batch, execute=held)
+
+            pool._run_batch = hold
+            client = Client(pool, tenant="resize")
+            request_id = client.submit("Sobel", dataset_bytes=1 << 20)
+            try:
+                assert holding.wait(60.0)
+                with pytest.raises(FleetError):
+                    pool.remove_shard(index=held_on[0], timeout=0.05)
+                assert pool.shard_count == 1
+            finally:
+                release.set()
+            assert client.result(request_id, timeout=120.0).completed
+            assert pool.scheduler.stats()["workers"] == 1
+            assert client.call("Robert", dataset_bytes=1 << 20).completed
 
     def test_shed_tenant_is_refused_before_acknowledgement(self):
         with _pool(shards=1) as pool:

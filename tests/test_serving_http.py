@@ -258,6 +258,40 @@ class TestAcceptorPool:
             assert reply.startswith(b"HTTP/1.1 200 ")
         assert started == []
 
+    def test_two_concurrent_clients_do_not_churn_acceptors(
+        self, echo_server, monkeypatch
+    ):
+        spawned = []
+        spawn = echo_server._spawn_locked
+
+        def counting_spawn():
+            spawned.append(1)
+            spawn()
+
+        monkeypatch.setattr(echo_server, "_spawn_locked", counting_spawn)
+        statuses = []
+
+        def client():
+            for _ in range(300):
+                connection = http.client.HTTPConnection(
+                    echo_server.host, echo_server.port, timeout=10.0
+                )
+                connection.request(
+                    "GET", "/greet/pool", headers={"Connection": "close"}
+                )
+                response = connection.getresponse()
+                response.read()
+                statuses.append(response.status)
+                connection.close()
+
+        clients = [threading.Thread(target=client) for _ in range(2)]
+        for thread in clients:
+            thread.start()
+        for thread in clients:
+            thread.join(60.0)
+        assert statuses == [200] * 600
+        assert len(spawned) <= 8, len(spawned)
+
     def test_held_keep_alive_connections_do_not_delay_a_new_request(
         self, echo_server
     ):

@@ -442,6 +442,69 @@ class TestRecordOrder:
         assert kinds == ["admitted", "dispatched", "completed"]
 
 
+_SUBMITS = st.lists(
+    st.tuples(
+        st.sampled_from(["keyed", "unkeyed", "duplicate", "search"]),
+        st.integers(0, 3),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(submits=_SUBMITS, stop_at=st.none() | st.integers(0, 9))
+def test_thread_pool_journals_admitted_first(
+    tmp_path_factory, submits, stop_at
+):
+    """Any mix of keyed, unkeyed, duplicate and `/search` submits on the
+    thread runtime, with at most one draining stop racing them: each id's
+    ``admitted`` line precedes its ``dispatched`` and ``completed`` lines,
+    and every acknowledged id completes."""
+    path = tmp_path_factory.mktemp("order") / "requests.jsonl"
+    pool = _pool(path, runtime="thread")
+    pool.start()
+    acknowledged, last_keyed, stopper = set(), ("keyed", 0), None
+    for position, (kind, n) in enumerate(submits):
+        if position == stop_at:
+            stopper = threading.Thread(target=pool.stop)
+            stopper.start()
+        if kind == "duplicate":
+            kind, n = last_keyed  # resubmit the last keyed request
+        elif kind != "unkeyed":
+            last_keyed = kind, n
+        key = None if kind == "unkeyed" else f"{kind}-{n}"
+        try:
+            if kind == "search":
+                query = np.random.default_rng(n).integers(
+                    0, 2, pool.search_index().dim, dtype=np.uint8
+                )
+                request_id, _ = pool.admit_search(
+                    query, k=3, relax_bits=4 * n, idempotency_key=key
+                )
+            else:
+                request_id, _ = pool.admit(
+                    WORKLOAD, relax_bits=8 * (n % 2), dataset_bytes=DATASET,
+                    idempotency_key=key,
+                )
+        except ServingError:  # refused: draining or stopped
+            assert position >= (len(submits) if stop_at is None else stop_at)
+            continue
+        acknowledged.add(request_id)
+    if stopper is None:
+        pool.stop()
+    else:
+        stopper.join(60.0)
+        assert not stopper.is_alive()
+    _assert_admitted_first(path)
+    completed = {
+        record["id"]
+        for record in map(json.loads, path.read_bytes().splitlines())
+        if record["type"] == "completed"
+    }
+    assert acknowledged <= completed
+
+
 def _assert_admitted_first(path) -> None:
     """Each id's ``admitted`` record precedes its other records."""
     admitted = set()
