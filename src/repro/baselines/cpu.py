@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from repro.baselines.dram import DRAMModel
 from repro.baselines.gpu import (
     GPUEstimate,
+    GPUModel,
     WorkloadProfile,
-    model_locality,
     seed_locality,
     tlb_miss_rate,
     walk_cost,
@@ -80,14 +80,10 @@ class CPUModel:
 
     def __init__(self, config: CPUConfig | None = None) -> None:
         self.config = config or CPUConfig()
-        self._measured: dict[tuple[str, int], tuple[float, float, float]] = {}
 
-    def measure_locality(
-        self, profile: WorkloadProfile, tile_elements: int | None = None
-    ) -> tuple[float, float, float]:
-        """Per-access (l1, l2, dram) service fractions, memoised by
-        ``(name, tile)`` over the process-wide memo (as the GPU model)."""
-        return model_locality(self, profile, tile_elements, "cpu")
+    #: The GPU model's lookup in the process-wide locality memo, which
+    #: keys it by this model's config.
+    measure_locality = GPUModel.measure_locality
 
     def estimate(
         self, profile: WorkloadProfile, dataset_bytes: float

@@ -40,7 +40,7 @@ from typing import Callable, Hashable, Iterable
 from repro.baselines.cache import Cache, CacheHierarchy, TLB
 from repro.baselines.dram import DRAMModel
 from repro.errors import ConfigurationError
-from repro.observability.instruments import record_baseline_locality
+from repro.observability.instruments import record_cold_work
 from repro.observability.tracing import trace_event
 from repro.units import PJ, US
 
@@ -49,7 +49,6 @@ __all__ = [
     "GPUModel",
     "WorkloadProfile",
     "GPUEstimate",
-    "model_locality",
     "seed_locality",
     "shared_locality",
     "simulate_locality",
@@ -138,14 +137,10 @@ class GPUConfig:
 
 
 #: Process-wide locality memo: ``(config, profile name, tile) -> (l1, l2,
-#: dram)``.  Every model instance with an equal config reuses one
+#: dram)``.  Every model with an equal config, GPU or CPU, reads one
 #: simulation per profile and tile.  At import each baseline module seeds
 #: it from the shipped table (:func:`seed_locality`).
 _LOCALITY_MEMO: dict[tuple, tuple[float, float, float]] = {}
-
-#: The memo entries that came from the shipped table, so a memo hit on one
-#: is reported as ``source="table"``.
-_TABLE_ENTRIES: dict[tuple, tuple[float, float, float]] = {}
 
 #: Package data: the fractions of every registered workload at the default
 #: tile, by model, for the cache geometry recorded beside them.  Pinned
@@ -167,7 +162,7 @@ def seed_locality(config: Hashable, model: str) -> None:
     for tile, by_name in table["tiles"].items():
         for name, fractions in by_name.items():
             key = (config, name, int(tile))
-            _TABLE_ENTRIES[key] = _LOCALITY_MEMO.setdefault(key, tuple(fractions))
+            _LOCALITY_MEMO.setdefault(key, tuple(fractions))
 
 
 def simulate_locality(
@@ -187,49 +182,28 @@ def simulate_locality(
 
 
 def shared_locality(
-    config: Hashable, profile: WorkloadProfile, tile: int, model: str
+    config: Hashable, profile: WorkloadProfile, tile: int
 ) -> tuple[float, float, float]:
     """Per-access service fractions ``(l1, l2, dram)`` of a profile's tile
     trace through ``config``'s caches.
 
-    The process-wide memo answers repeats and table keys; a miss runs
-    :func:`simulate_locality`.  Concurrent misses may both simulate: the
-    results are identical and the first write wins.  Each call is one
-    model memo miss, so each is counted (``model`` labels it) and traced,
-    by source: ``simulated``, ``table`` or ``shared``.
+    The process-wide memo answers repeats and table keys, and a hit
+    records nothing.  A miss runs :func:`simulate_locality`, counted and
+    traced as ``simulated`` cold work.  Concurrent misses may both
+    simulate: the results are identical and the first write wins.
     """
-    start = time.perf_counter()
     key = (config, profile.name, tile)
     fractions = _LOCALITY_MEMO.get(key)
     if fractions is None:
-        source = "simulated"
+        start = time.perf_counter()
         fractions = _LOCALITY_MEMO.setdefault(
             key, simulate_locality(config, profile, tile)
         )
-    elif fractions is _TABLE_ENTRIES.get(key):
-        source = "table"
-    else:
-        source = "shared"
-    seconds = time.perf_counter() - start
-    record_baseline_locality(model, source, seconds)
-    trace_event(
-        "locality", "measure", profile.name, model=model, tile=tile,
-        source=source, seconds=round(seconds, 6),
-    )
-    return fractions
-
-
-def model_locality(
-    model, profile: WorkloadProfile, tile_elements: int | None, label: str
-) -> tuple[float, float, float]:
-    """A baseline model's ``measure_locality``: memoised per model by
-    ``(profile name, tile)`` (the warm path, one dict lookup) over the
-    process-wide :func:`shared_locality` memo."""
-    key = (profile.name, tile_elements or model.DEFAULT_TILE_ELEMENTS)
-    fractions = model._measured.get(key)
-    if fractions is None:
-        fractions = model._measured[key] = shared_locality(
-            model.config, profile, key[1], label
+        seconds = time.perf_counter() - start
+        record_cold_work("simulated", seconds)
+        trace_event(
+            "locality", "measure", profile.name, tile=tile,
+            source="simulated", seconds=round(seconds, 6),
         )
     return fractions
 
@@ -286,7 +260,13 @@ class GPUModel:
 
     def __init__(self, config: GPUConfig | None = None) -> None:
         self.config = config or GPUConfig()
-        self._measured: dict[tuple[str, int], tuple[float, float, float]] = {}
+
+    @property
+    def _measured(self) -> dict[tuple, tuple[float, float, float]]:
+        """The process-wide locality memo, read-only.  Its one reader is
+        ``perfbench/spans.py::cold_work``, which compares its length
+        before and after a serving window."""
+        return _LOCALITY_MEMO
 
     # -- trace measurement ------------------------------------------------
 
@@ -296,11 +276,12 @@ class GPUModel:
         """Per-access service fractions ``(l1, l2, dram)`` for a profile.
 
         Runs the profile's address trace over a tile through the L1/L2
-        simulators.  Results are memoised by ``(profile name, tile)``: per
-        model (the warm path, one dict lookup) over the process-wide
-        :func:`shared_locality` memo.
+        simulators, memoised process-wide by ``(config, profile name,
+        tile)`` (:func:`shared_locality`).
         """
-        return model_locality(self, profile, tile_elements, "gpu")
+        return shared_locality(
+            self.config, profile, tile_elements or self.DEFAULT_TILE_ELEMENTS
+        )
 
     # -- pricing ------------------------------------------------------------
 

@@ -205,21 +205,15 @@ EXECUTOR_ENERGY_HIST = Instrument(
     "histogram", "repro_executor_energy_joules",
     "Simulated tile energy per execution.", ("workload",),
     DEFAULT_ENERGY_BUCKETS)
-# baselines
-BASELINE_LOCALITY_RUNS = Instrument(
-    "counter", "repro_baseline_locality_simulations_total",
-    "Baseline locality measurements on a model's memo miss, by source "
-    "(simulated / table from the shipped locality table / shared from the "
-    "process-wide memo).", ("model", "source"))
-BASELINE_LOCALITY_SECONDS = Instrument(
-    "histogram", "repro_baseline_locality_seconds",
-    "Wall-clock cost of one baseline locality memo miss.",
-    ("model", "source"))
-# comparison harness
-COMPARISON_TILE_MISSES = Instrument(
-    "counter", "repro_comparison_tile_misses_total",
-    "APIM tile lookups that missed a harness's own tile cache, by source "
-    "(executed / shared from the process-wide tile memo).", ("source",))
+# pricing (APIM tiles and baseline locality)
+COLD_WORK = Instrument(
+    "counter", "repro_pricing_cold_work_total",
+    "Pricing work a memo miss ran, by source (executed: an APIM tile; "
+    "simulated: a baseline locality simulation).", ("source",))
+COLD_WORK_SECONDS = Instrument(
+    "histogram", "repro_pricing_cold_work_seconds",
+    "Wall-clock cost of one tile execution or locality simulation.",
+    ("source",))
 # supervisor
 SUPERVISOR_EVENTS = Instrument(
     "counter", "repro_supervisor_events_total",
@@ -442,12 +436,11 @@ def record_execution(result: "ExecutionResult") -> None:
             EXECUTOR_FAULTS.inc(count, workload=w, kind=kind)
 
 
-def record_baseline_locality(model: str, source: str, seconds: float) -> None:
-    """Count one locality memo miss of a baseline model (``gpu``/``cpu``)
-    and observe its cost; ``source`` is ``simulated``, ``table`` or
-    ``shared``."""
-    BASELINE_LOCALITY_RUNS.inc(model=model, source=source)
-    BASELINE_LOCALITY_SECONDS.observe(seconds, model=model, source=source)
+def record_cold_work(source: str, seconds: float) -> None:
+    """Count one tile execution (``executed``) or locality simulation
+    (``simulated``) and observe its cost; a memo hit records nothing."""
+    COLD_WORK.inc(source=source)
+    COLD_WORK_SECONDS.observe(seconds, source=source)
 
 
 #: One series per supervision event kind, and the retry counter.

@@ -20,22 +20,30 @@ from repro.baselines.gpu import GPUEstimate, GPUModel
 from repro.core.approximation import EXACT, ApproxSpec
 from repro.core.config import APIMConfig, default_config
 from repro.errors import ConfigurationError
-from repro.observability.instruments import COMPARISON_TILE_MISSES
+from repro.observability.instruments import record_cold_work
 from repro.observability.tracing import trace_event
 from repro.runtime.executor import APIMExecutor, ExecutionResult
 
 __all__ = ["ComparisonHarness", "ComparisonResult"]
 
-#: Process-wide APIM tile memo: ``(config, workload name, spec, tile
-#: elements, rng seed) -> ExecutionResult``.  A tile execution is a pure
-#: function of its key, so every harness in the process (every in-process
-#: shard) reuses one execution per key; the stored result's arrays are
-#: read-only.
+#: The pricing memos, process-wide, so every harness in the process (every
+#: in-process shard) reuses one result per key; the third layer is
+#: ``repro.baselines.gpu._LOCALITY_MEMO``.  Keys start with the harness's
+#: interned identity: priced points ``(identity, workload name, spec,
+#: dataset_bytes)``, at most :data:`PRICED_CAPACITY`, oldest evicted first
+#: (sizes come from clients); tile executions ``(identity, workload name,
+#: spec)``, with read-only arrays.  Lookups take no lock: racing misses
+#: compute identical results (seeded RNG) and the first ``setdefault`` wins.
+_PRICED: dict[tuple, ComparisonResult] = {}
 _TILE_MEMO: dict[tuple, ExecutionResult] = {}
-
-#: Priced points each harness keeps, oldest evicted first.  Dataset sizes
-#: come from clients, so the memo is bounded however many a server sees.
 PRICED_CAPACITY = 4096
+
+#: ``(APIM config, GPU config, tile elements, rng seed) -> small int``,
+#: interned once per harness so a lookup never rehashes the frozen configs.
+#: Never emptied, so an int never names two identities.
+_IDENTITIES: dict[tuple, int] = {}
+#: Guards interning, and the priced memo's inserts and evictions.
+_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,55 +98,44 @@ class ComparisonHarness:
         self.executor = APIMExecutor(self.config)
         self.tile_elements = tile_elements
         self.rng_seed = rng_seed
-        #: Per-harness front of the process-wide :data:`_TILE_MEMO`, keyed
-        #: ``(workload name, spec)``: the warm path is one dict lookup.
-        self._tile_cache: dict[tuple[str, ApproxSpec], ExecutionResult] = {}
-        #: Priced points in front of the tile cache, keyed ``(workload
-        #: name, spec, dataset_bytes)``: a point is a pure function of its
-        #: key, so a warm :meth:`compare` is one dict lookup.  At most
-        #: :data:`PRICED_CAPACITY` entries, in insertion order.
-        self._priced: dict[tuple, ComparisonResult] = {}
-        self._cpu = None  # lazy CPUModel, built on first cpu_fallback
-        # Guards the lazy CPU model, so one harness shared across threads
-        # builds it once, and the priced memo's inserts and evictions.
-        # Lookups need no lock: ``get`` and ``setdefault`` are atomic, and
-        # racing misses compute identical results (seeded RNG), so the
-        # first write wins.
-        self._lock = threading.Lock()
+        identity = (self.config, self.gpu.config, tile_elements, rng_seed)
+        with _LOCK:
+            self._identity = _IDENTITIES.setdefault(identity, len(_IDENTITIES))
+
+    @property
+    def _tile_cache(self) -> dict[tuple, ExecutionResult]:
+        """The process-wide tile memo, read-only.  Its one reader is
+        ``perfbench/spans.py::cold_work``, which compares its length
+        before and after a serving window."""
+        return _TILE_MEMO
 
     # -- APIM side ----------------------------------------------------------
 
     def _tile_result(self, workload, spec: ApproxSpec) -> ExecutionResult:
-        key = (workload.name, spec)
-        cached = self._tile_cache.get(key)
-        if cached is not None:
-            return cached
+        key = (self._identity, workload.name, spec)
+        result = _TILE_MEMO.get(key)
+        if result is not None:
+            return result
         start = time.perf_counter()
-        shared_key = (
-            self.config, workload.name, spec, self.tile_elements, self.rng_seed
+        result = self.executor.run(
+            workload,
+            spec=spec,
+            elements=self.tile_elements,
+            rng=np.random.default_rng(self.rng_seed),
         )
-        result = _TILE_MEMO.get(shared_key)
-        source = "shared"
-        if result is None:
-            source = "executed"
-            result = self.executor.run(
-                workload,
-                spec=spec,
-                elements=self.tile_elements,
-                rng=np.random.default_rng(self.rng_seed),
-            )
-            # Every harness in the process reads this one result.
-            result.output.flags.writeable = False
-            result.reference.flags.writeable = False
-            result = _TILE_MEMO.setdefault(shared_key, result)
+        # Every harness in the process reads this one result.
+        result.output.flags.writeable = False
+        result.reference.flags.writeable = False
+        result = _TILE_MEMO.setdefault(key, result)
         seconds = time.perf_counter() - start
-        COMPARISON_TILE_MISSES.inc(source=source)
+        record_cold_work("executed", seconds)
         trace_event(
             "comparison", "tile", workload.name,
             masked_bits=spec.masked_bits, relax_bits=spec.relax_bits,
-            tile=self.tile_elements, source=source, seconds=round(seconds, 6),
+            tile=self.tile_elements, source="executed",
+            seconds=round(seconds, 6),
         )
-        return self._tile_cache.setdefault(key, result)
+        return result
 
     def apim_estimate(
         self, workload, dataset_bytes: float, spec: ApproxSpec = EXACT
@@ -183,11 +180,8 @@ class ComparisonHarness:
         from repro.baselines.cpu import CPUModel  # deferred: keeps the
         # CPU baseline out of every non-degraded campaign's import path.
 
-        with self._lock:
-            if self._cpu is None:
-                self._cpu = CPUModel()
         profile = workload.profile()
-        cpu = self._cpu.estimate(profile, dataset_bytes)
+        cpu = CPUModel().estimate(profile, dataset_bytes)
         gpu: GPUEstimate = self.gpu.estimate(profile, dataset_bytes)
         return ComparisonResult(
             workload=workload.name,
@@ -205,8 +199,8 @@ class ComparisonHarness:
         self, workload, dataset_bytes: float, spec: ApproxSpec = EXACT
     ) -> ComparisonResult:
         """Full APIM-vs-GPU comparison at one point."""
-        key = (workload.name, spec, dataset_bytes)
-        priced = self._priced.get(key)
+        key = (self._identity, workload.name, spec, dataset_bytes)
+        priced = _PRICED.get(key)
         if priced is not None:
             return priced
         tile = self._tile_result(workload, spec)
@@ -224,8 +218,8 @@ class ComparisonHarness:
             qol_percent=tile.qol_percent,
             qos_ok=tile.qos_ok,
         )
-        memo = self._priced
-        with self._lock:  # an eviction's iterator must not race an insert
+        with _LOCK:
+            memo = _PRICED
             priced = memo.setdefault(key, priced)
             if len(memo) > PRICED_CAPACITY:
                 del memo[next(iter(memo))]

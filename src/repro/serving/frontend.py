@@ -170,8 +170,8 @@ def _admission_handler(pool: CrossbarPool, endpoint: str):
             if exc.retry_after_s is None:
                 return 503, {"error": str(exc)}
             return _retry_later(503, exc)
-        except (SearchError, ServingError, ValueError, TypeError) as exc:
-            # A malformed field is the client's fault: self-correcting 400.
+        except (SearchError, ServingError, ValueError, TypeError, OverflowError) as exc:
+            # A malformed field (int(inf) overflows) is the client's fault: 400.
             return 400, {"error": str(exc)}
         except ReproError as exc:
             return 400, {"error": f"{type(exc).__name__}: {exc}"}

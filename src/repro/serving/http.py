@@ -47,7 +47,8 @@ It refuses, each with a JSON ``{"error"}`` body:
 - on a POST route: ``Transfer-Encoding`` (chunked bodies are not read)
   or no ``Content-Length``: 411; a ``Content-Length`` that is not
   digits, or repeated with different values: 400; one above
-  ``max_body_bytes``: 413; a body that is not JSON: 400.
+  ``max_body_bytes``: 413; a body that is not strict JSON (``NaN`` and
+  ``Infinity`` included): 400.
 
 A request whose declared body is left unread (every refusal above that
 happens before the body is read, and a GET that carries one) is
@@ -143,6 +144,11 @@ def _encode_json(payload) -> bytes:
     except ValueError:
         text = json.dumps(_sanitize(payload), sort_keys=True)
     return text.encode("utf-8")
+
+
+def _refuse_constant(name: str):
+    """``json.loads`` hook: strict JSON, as the replies, has no NaN/Infinity."""
+    raise ValueError(f"{name} is not JSON")
 
 
 def _sanitize(obj):
@@ -425,7 +431,8 @@ class JsonHttpServer:
                 else:
                     unread = False
                     try:
-                        body = json.loads(raw.decode("utf-8")) if raw else {}
+                        text = raw.decode("utf-8") if raw else "{}"
+                        body = json.loads(text, parse_constant=_refuse_constant)
                     except ValueError:
                         result = 400, {"error": "body is not valid JSON"}
         keep_alive = keep_alive and not unread

@@ -1,8 +1,8 @@
 """The sharded crossbar pool: N independent executors serving one queue.
 
 Each shard owns a private :class:`~repro.runtime.comparison.ComparisonHarness`
-(its own :class:`~repro.runtime.executor.APIMExecutor`, tile cache and GPU
-baseline — no mutable state crosses shard boundaries) wrapped in a PR-2
+(its own :class:`~repro.runtime.executor.APIMExecutor` and GPU baseline,
+over the process-wide pricing memos every shard shares) wrapped in a
 :class:`~repro.runtime.supervisor.Supervisor`.  Worker threads pull
 coalesced batches from the :class:`~repro.serving.scheduler.BatchingScheduler`
 and run each request through
@@ -38,6 +38,7 @@ generators.
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 import time
 from collections.abc import Callable
@@ -808,6 +809,13 @@ class CrossbarPool:
         request, touching nothing.  A new request's id stays empty until
         the commit step mints it, and its deadline starts counting once
         the pool's refusals pass (:meth:`_admit_new`)."""
+        numbers = {"relax_bits": relax_bits, "dataset_bytes": dataset_bytes,
+                   "priority": priority, "deadline_s": deadline_s}
+        for name, value in numbers.items():
+            # NaN passes every check below and int(inf) overflows;
+            # math.isfinite itself overflows on an int beyond float range.
+            if value is not None and (value != value or abs(value) == math.inf):
+                raise ServingError(f"{name} must be finite: {value}")
         if relax_bits < 0:
             raise ServingError(f"relax_bits must be non-negative: {relax_bits}")
         if dataset_bytes <= 0:

@@ -8,7 +8,7 @@ coalesces queued requests that share a *batch key* — identical
 ``(workload, relax_bits, dataset_bytes)`` — up to ``max_batch_size``,
 optionally waiting up to ``max_wait_s`` for stragglers (default 0: no
 wait).  Coalescing used to buy tile-cache locality; now that every shard
-front sits over one process-wide tile memo, a batch mostly saves
+reads one process-wide priced-point and tile memo, a batch mostly saves
 per-batch dispatch work, so only requests already queued are joined.
 
 Admission control runs at :meth:`submit` time and never over-admits:

@@ -51,10 +51,10 @@ def vteam() -> VTEAMModel:
 
 @contextmanager
 def emptied_memos():
-    """Run a block with the process-wide locality and tile memos empty.
+    """Run a block with the process-wide pricing memos empty.
 
-    Both memos outlive every harness and model, so without this whether a
-    lookup is ``simulated``/``executed`` or ``shared`` (and how many
+    The priced-point, tile and locality memos outlive every harness and
+    model, so without this whether a lookup runs cold work (and how many
     executor runs a scenario makes) would depend on which tests ran
     before.  The shipped locality table's entries are emptied too; the
     saved memos come back afterwards.
@@ -62,12 +62,12 @@ def emptied_memos():
     from repro.baselines import gpu
     from repro.runtime import comparison
 
-    saved = gpu._LOCALITY_MEMO, comparison._TILE_MEMO
-    gpu._LOCALITY_MEMO, comparison._TILE_MEMO = {}, {}
+    saved = gpu._LOCALITY_MEMO, comparison._TILE_MEMO, comparison._PRICED
+    gpu._LOCALITY_MEMO, comparison._TILE_MEMO, comparison._PRICED = {}, {}, {}
     try:
         yield
     finally:
-        gpu._LOCALITY_MEMO, comparison._TILE_MEMO = saved
+        gpu._LOCALITY_MEMO, comparison._TILE_MEMO, comparison._PRICED = saved
 
 
 @pytest.fixture

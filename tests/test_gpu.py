@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.baselines import gpu as gpu_module
@@ -81,17 +84,19 @@ class TestLocalityMeasurement:
         monkeypatch.setattr(gpu_module, "CacheHierarchy", hierarchy)
         profile = _simple_profile(name="shared")
         first, second = GPUModel(), GPUModel()
-        assert first.measure_locality(profile, 512) == (
+        assert first.measure_locality(profile, 512) is (
             second.measure_locality(profile, 512)
         )
         assert len(built) == 1  # one simulation per process
-        assert list(second._measured) == [("shared", 512)]
+        assert list(gpu_module._LOCALITY_MEMO) == [
+            (GPUConfig(), "shared", 512)
+        ]
         GPUModel(GPUConfig(l2_bytes=2 << 20)).measure_locality(profile, 512)
         assert len(built) == 2  # another config simulates afresh
 
     def test_memo_misses_counted_and_traced(self, cold_memos):
-        """Cold work is visible: each model memo miss counts once by source
-        and lands in the ambient trace; a warm hit adds nothing."""
+        """Cold work is visible: each simulation counts once and lands in
+        the ambient trace; a memo hit, from any model, adds nothing."""
         registry = MetricsRegistry()
         previous = set_default_registry(registry)
         store = TraceStore(id_prefix="t")
@@ -101,19 +106,47 @@ class TestLocalityMeasurement:
                 profile = _simple_profile(name="visible")
                 first, second = GPUModel(), GPUModel()
                 first.measure_locality(profile, 256)
-                second.measure_locality(profile, 256)
+                second.measure_locality(profile, 256)  # another model's hit
                 first.measure_locality(profile, 256)  # warm hit
         finally:
             set_default_registry(previous)
-        runs = registry.get("repro_baseline_locality_simulations_total")
-        assert runs.labels(model="gpu", source="simulated").value == 1
-        assert runs.labels(model="gpu", source="shared").value == 1
-        seconds = registry.get("repro_baseline_locality_seconds")
-        assert seconds.labels(model="gpu", source="simulated").count == 1
+        runs = registry.get("repro_pricing_cold_work_total")
+        assert [(labels, child.value) for labels, child in runs.samples()] == [
+            ({"source": "simulated"}, 1)
+        ]
+        seconds = registry.get("repro_pricing_cold_work_seconds")
+        assert seconds.labels(source="simulated").count == 1
         events = [e for e in store.get(ctx.trace_id).events
                   if e.layer == "locality"]
-        assert [e.attrs["source"] for e in events] == ["simulated", "shared"]
+        assert [e.attrs["source"] for e in events] == ["simulated"]
         assert {e.detail for e in events} == {"visible"}
+
+    def test_racing_misses_keep_the_first_write(self, cold_memos):
+        """Fresh models on 8 threads miss one uncached profile at once:
+        however many simulate, each gets the one tuple the memo kept."""
+        profile = _simple_profile(name="racing")
+        models = [GPUModel() for _ in range(8)]
+        barrier = threading.Barrier(len(models))
+        seen = [None] * len(models)
+
+        def measure(index):
+            barrier.wait(timeout=10.0)
+            seen[index] = models[index].measure_locality(profile, 1024)
+
+        threads = [threading.Thread(target=measure, args=(i,))
+                   for i in range(len(models))]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        (kept,) = gpu_module._LOCALITY_MEMO.values()
+        assert all(fractions is kept for fractions in seen)
 
     def test_empty_trace_rejected(self, gpu):
         profile = WorkloadProfile(

@@ -99,12 +99,19 @@ def _count_hierarchies(monkeypatch) -> list:
     return built
 
 
+def _table_only_memo(monkeypatch) -> dict:
+    """Swap in a locality memo holding just the shipped table's entries."""
+    memo = {}
+    monkeypatch.setattr(gpu_module, "_LOCALITY_MEMO", memo)
+    for model, (_, config_type) in MODELS.items():
+        seed_locality(config_type(), model)
+    return memo
+
+
 def test_default_config_served_from_table(monkeypatch):
-    """At the default config every model miss is a table hit, counted as
-    ``source="table"``; no cache hierarchy is built."""
-    monkeypatch.setattr(
-        gpu_module, "_LOCALITY_MEMO", dict(gpu_module._TABLE_ENTRIES)
-    )
+    """At the default config every lookup is a table hit: no cache
+    hierarchy is built and no cold work is recorded."""
+    _table_only_memo(monkeypatch)
     built = _count_hierarchies(monkeypatch)
     registry = MetricsRegistry()
     previous = set_default_registry(registry)
@@ -117,18 +124,19 @@ def test_default_config_served_from_table(monkeypatch):
     finally:
         set_default_registry(previous)
     assert built == []
-    runs = registry.get("repro_baseline_locality_simulations_total")
-    assert runs.labels(model="gpu", source="table").value == 1
-    assert runs.labels(model="cpu", source="table").value == 1
+    for name in ("repro_pricing_cold_work_total",
+                 "repro_pricing_cold_work_seconds"):
+        family = registry.get(name)
+        assert family is None or family.samples() == []
 
 
 def test_non_default_config_misses_table(monkeypatch):
     """Another cache geometry is never seeded, so it simulates."""
-    memo = dict(gpu_module._TABLE_ENTRIES)
-    monkeypatch.setattr(gpu_module, "_LOCALITY_MEMO", memo)
+    memo = _table_only_memo(monkeypatch)
+    seeded = len(memo)
     config = GPUConfig(l2_bytes=2 << 20)
     seed_locality(config, "gpu")
-    assert len(memo) == len(gpu_module._TABLE_ENTRIES)
+    assert len(memo) == seeded
     built = _count_hierarchies(monkeypatch)
     GPUModel(config).measure_locality(workload_by_name("Sobel").profile())
     assert len(built) == 1

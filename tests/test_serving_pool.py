@@ -486,12 +486,13 @@ class TestPooledCampaign:
 
 
 class TestConcurrencyRegression:
-    def test_shared_harness_is_thread_safe(self):
+    def test_shared_harness_is_thread_safe(self, cold_memos):
         """One harness hammered from 8 threads on the same key: the tile
-        cache must end with exactly one entry per key and every thread
-        must see identical numbers (the pre-lock code could race the
-        cache dict and duplicate executor runs)."""
+        memo must end with exactly one entry per key and every thread
+        must see the one priced instance (the pre-lock code could race
+        the cache dict and duplicate executor runs)."""
         from repro.core.approximation import ApproxSpec
+        from repro.runtime import comparison
 
         harness = ComparisonHarness(tile_elements=TILE)
         workload = workload_by_name("Robert")
@@ -514,8 +515,10 @@ class TestConcurrencyRegression:
             thread.join(timeout=60.0)
         assert not errors
         assert len(results) == 24
-        assert len({r.speedup for r in results}) == 1
-        assert len(harness._tile_cache) == 1
+        assert len({id(r) for r in results}) == 1
+        assert list(comparison._TILE_MEMO) == [
+            (harness._identity, "Robert", spec)
+        ]
 
     def test_shared_chaos_injector_counts_exactly(self):
         """Concurrent wraps of one injector must hand out each

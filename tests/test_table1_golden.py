@@ -4,9 +4,9 @@
 workloads, tile 4096).  This file pins the full grid EXPERIMENTS.md
 quotes: all six applications at tile 8192 and 1 GiB.  Floats are stored
 as their ``repr`` strings, so a change of one ulp in any QoL or EDP cell
-fails here.  The process-wide tile memo is emptied first, so every cell
-is priced by a fresh tile execution rather than read back from an
-earlier test.
+fails here.  The process-wide priced-point and tile memos are emptied
+first, so every cell is priced by a fresh tile execution rather than
+read back from an earlier test.
 
 Regenerate with ``PYTHONPATH=src python -c "import
 tests.test_table1_golden as t; t.write_golden()"`` only for an intended
@@ -49,12 +49,12 @@ def _snapshot(result) -> dict:
 
 
 def _fresh_table1():
-    saved = comparison._TILE_MEMO
-    comparison._TILE_MEMO = {}
+    saved = comparison._TILE_MEMO, comparison._PRICED
+    comparison._TILE_MEMO, comparison._PRICED = {}, {}
     try:
         return run_table1()
     finally:
-        comparison._TILE_MEMO = saved
+        comparison._TILE_MEMO, comparison._PRICED = saved
 
 
 def write_golden() -> None:

@@ -1,10 +1,10 @@
-"""The process-wide APIM tile memo behind every harness's tile cache.
+"""The process-wide APIM tile memo that every harness reads.
 
-A tile execution is a pure function of ``(config, workload, spec, tile
-elements, rng seed)``, so every harness in a process — every in-process
+A tile execution is a pure function of the harness identity and
+``(workload, spec)``, so every harness in a process — every in-process
 serving shard — reuses one execution per key.  Pinned here: one
 ``executor.run`` per key across pools, results bit-identical to direct
-pricing, read-only shared arrays, and misses visible by source.
+pricing, read-only shared arrays, and cold work visible by source.
 """
 
 from __future__ import annotations
@@ -107,8 +107,9 @@ def test_shared_tile_arrays_are_read_only(cold_memos):
 
 
 def test_misses_counted_and_traced_by_source(cold_memos):
-    """Each harness-front miss counts once by source and lands in the
-    ambient trace; a warm hit writes nothing."""
+    """Each tile execution and locality simulation counts once as cold
+    work by source and lands in the ambient trace; a memo hit, whichever
+    harness makes it, writes nothing."""
     registry = MetricsRegistry()
     previous = set_default_registry(registry)
     store = TraceStore(id_prefix="t")
@@ -123,16 +124,22 @@ def test_misses_counted_and_traced_by_source(cold_memos):
                 workload, SIZE
             )
             before = len(store.get(ctx.trace_id).events)
-            first.compare(workload, SIZE)  # warm hit
+            first.compare(workload, SIZE)  # priced hit
+            first.compare(workload, 2 * SIZE)  # tile and locality hits
             assert len(store.get(ctx.trace_id).events) == before
     finally:
         set_default_registry(previous)
-    misses = registry.get("repro_comparison_tile_misses_total")
-    assert misses.labels(source="executed").value == 2
-    assert misses.labels(source="shared").value == 1
+    counts = {labels["source"]: child.value for labels, child in
+              registry.get("repro_pricing_cold_work_total").samples()}
+    assert counts == {"executed": 2, "simulated": 1}
+    seconds = {labels["source"]: child.count for labels, child in
+               registry.get("repro_pricing_cold_work_seconds").samples()}
+    assert seconds == counts
     events = [e for e in store.get(ctx.trace_id).events
-              if e.layer == "comparison"]
-    assert [e.attrs["source"] for e in events] == [
-        "executed", "shared", "executed"
+              if e.layer in ("comparison", "locality")]
+    assert [(e.layer, e.attrs["source"]) for e in events] == [
+        ("comparison", "executed"),
+        ("locality", "simulated"),
+        ("comparison", "executed"),
     ]
     assert {e.detail for e in events} == {"Robert"}
