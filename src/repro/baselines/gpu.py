@@ -202,8 +202,9 @@ def shared_locality(
         seconds = time.perf_counter() - start
         record_cold_work("simulated", seconds)
         trace_event(
-            "locality", "measure", profile.name, tile=tile,
-            source="simulated", seconds=round(seconds, 6),
+            "locality", "measure", profile.name,
+            model=type(config).__name__, tile=tile, source="simulated",
+            seconds=round(seconds, 6),
         )
     return fractions
 

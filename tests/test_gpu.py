@@ -119,6 +119,7 @@ class TestLocalityMeasurement:
         events = [e for e in store.get(ctx.trace_id).events
                   if e.layer == "locality"]
         assert [e.attrs["source"] for e in events] == ["simulated"]
+        assert [e.attrs["model"] for e in events] == ["GPUConfig"]
         assert {e.detail for e in events} == {"visible"}
 
     def test_racing_misses_keep_the_first_write(self, cold_memos):

@@ -7,11 +7,12 @@ of ``Content-Length`` (missing, negative, non-integer, oversized,
 repeated, conflicting, disagreeing with the body) — and then half-closes
 it.  Whatever it sent, the server must end the exchange within a timeout,
 every reply must be a well-formed response with a JSON body, and it may
-never send more replies than the stream frames requests: a body read as
-the next request would be one more.  (A Content-Length one short of the
-body frames one more request: the byte it leaves after the declared
-body.)  Streams of clean requests must be
-answered exactly, in order.  Fixed cases pin the status of each refusal.
+never send more replies than there were requests: a body read as the
+next request would be one more.  (The one exception: a last request whose
+Content-Length is one short of its body leaves that body's last byte
+alone at the end of the stream, and it is answered as a request of its
+own.)  Streams of clean requests must be answered exactly, in order.
+Fixed cases pin the status of each refusal.
 """
 
 from __future__ import annotations
@@ -144,10 +145,9 @@ _extra_headers = st.lists(st.sampled_from([
 
 @st.composite
 def any_request(draw):
-    """``(raw bytes, requests they frame)`` of one request that may be
-    malformed in any part.  A Content-Length one short of a non-empty
-    body leaves the body's last byte after the declared body: like
-    undeclared bytes, it frames one more request."""
+    """``(raw bytes, short)`` of one request that may be malformed in any
+    part; ``short`` is whether its only Content-Length is one short of a
+    non-empty body, which leaves the body's last byte unread."""
     line = draw(_request_lines)
     body = draw(_json_bodies | st.binary(max_size=12))
     n = len(body)
@@ -163,8 +163,8 @@ def any_request(draw):
     headers = draw(st.permutations(headers))
     newline = draw(st.sampled_from(["\r\n", "\n"]))
     head = newline.join([line, *headers, "", ""])
-    framed = 2 if lengths == ["{short}"] and body else 1
-    return head.encode("latin-1") + body, framed
+    short = lengths == ["{short}"] and bool(body)
+    return head.encode("latin-1") + body, short
 
 
 @given(requests=st.lists(any_request(), min_size=1, max_size=4),
@@ -173,10 +173,13 @@ def any_request(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_any_stream_ends_in_replies_or_a_close(server, requests, cut):
     stream = b"".join(data for data, _ in requests)
+    # A short request's unread byte is read as part of the next request's
+    # head; only at the end of an uncut stream is it a request of its own.
+    spare = 1 if requests[-1][1] else 0
     if cut and cut < len(stream):
-        stream = stream[:cut]
+        stream, spare = stream[:cut], 0
     replies = parse_replies(exchange(server, stream))
-    assert len(replies) <= sum(framed for _, framed in requests)
+    assert len(replies) <= len(requests) + spare
     for status, _headers, body in replies:
         assert status in {200, 400, 404, 411, 413, 414, 431, 501, 505}
         if status != 200:
@@ -236,6 +239,19 @@ def test_refusals_are_json_and_close(server, request_bytes, status):
     assert got == status
     assert headers["connection"] == "close"
     assert isinstance(body["error"], str) and body["error"]
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_json_constants_are_400(server, token):
+    # Bodies are read as strictly as replies are written: json.loads
+    # alone would take these tokens for floats.
+    body = f'{{"a": {token}}}'.encode()
+    request = (
+        f"POST /echo HTTP/1.1\r\nContent-Length: {len(body)}\r\n"
+        "Connection: close\r\n\r\n"
+    ).encode() + body
+    status, _, reply = only_reply(server, request)
+    assert (status, reply) == (400, {"error": "body is not valid JSON"})
 
 
 def test_exactly_max_headers_are_accepted(server):

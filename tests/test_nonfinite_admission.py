@@ -1,26 +1,24 @@
-"""Non-finite numbers are refused at admission, on every door.
+"""Non-finite numbers are refused at the `/submit` handler.
 
 ``NaN`` fails every comparison, so a check such as ``deadline_s <= 0``
 lets it through, and ``int()`` of an infinity raises ``OverflowError``
-rather than ``ValueError``.  Each numeric admission field is tried with
-NaN, +Infinity and -Infinity through the `/submit` handler, through the
-HTTP reader (whose strict parser refuses the ``NaN``/``Infinity``
-tokens) and through ``pool.submit``.  Every refusal is a 400 or a
-``ServingError`` that mints no id and writes no journal line.
+rather than ``ValueError``.  Each numeric admission field is given NaN,
++Infinity and -Infinity as a decoded body would carry them; every
+refusal is a 400 that mints no id and writes no journal line.  The HTTP
+reader refuses the ``NaN``/``Infinity`` tokens before any handler runs
+(``tests/test_http_reader.py``), and ``pool.submit`` refuses the values
+with ``ServingError`` (``tests/test_serving_pool.py::TestAdmissionLadder``).
 """
 
 from __future__ import annotations
 
-import http.client
-import json
 import math
 import os
 
 import pytest
 
-from repro.errors import ServingError
 from repro.serving import CrossbarPool
-from repro.serving.frontend import build_routes, build_server
+from repro.serving.frontend import build_routes
 
 FIELDS = ("dataset_bytes", "relax_bits", "priority", "deadline_s")
 VALUES = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}
@@ -53,40 +51,5 @@ def test_handler_answers_400(pool, field, token):
     def refuse():
         reply = handler(None, {"workload": "Robert", field: VALUES[token]})
         assert reply[0] == 400, reply
-
-    _refused_cleanly(pool, refuse)
-
-
-@pytest.mark.parametrize("token", sorted(VALUES))
-@pytest.mark.parametrize("field", FIELDS)
-def test_http_reader_answers_400(pool, field, token):
-    body = f'{{"workload": "Robert", "{field}": {token}}}'.encode()
-
-    def refuse():
-        with build_server(pool) as server:
-            connection = http.client.HTTPConnection(
-                server.host, server.port, timeout=10.0
-            )
-            try:
-                connection.request(
-                    "POST", "/submit", body,
-                    {"Content-Type": "application/json"},
-                )
-                reply = connection.getresponse()
-                payload = json.loads(reply.read())
-            finally:
-                connection.close()
-        assert reply.status == 400, payload
-        assert payload["error"] == "body is not valid JSON"
-
-    _refused_cleanly(pool, refuse)
-
-
-@pytest.mark.parametrize("token", sorted(VALUES))
-@pytest.mark.parametrize("field", FIELDS)
-def test_pool_submit_raises_serving_error(pool, field, token):
-    def refuse():
-        with pytest.raises(ServingError, match=field):
-            pool.submit("Robert", **{field: VALUES[token]})
 
     _refused_cleanly(pool, refuse)

@@ -9,6 +9,7 @@ through the pool equal to the sequential sweep.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 
@@ -396,6 +397,10 @@ class TestAdmissionLadder:
                     shard.breaker.record_failure(shard.key)
             refused(ShardUnavailableError, priority=0)
             refused(ServingError, priority=9)
+            for field in ("dataset_bytes", "relax_bits", "priority",
+                          "deadline_s"):
+                for value in (math.nan, math.inf, -math.inf):
+                    refused(ServingError, **{field: value})
             refused(ServingError, workload="NotAWorkload")
             pool.begin_drain()
             refused(ShardUnavailableError, priority=0)
