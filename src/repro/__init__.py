@@ -28,20 +28,16 @@ Package map (see DESIGN.md for the full inventory):
 - :mod:`repro.analysis` — one driver per paper table/figure.
 """
 
-from repro.core import (
-    APIMAdder,
-    APIMConfig,
-    APIMEngine,
-    APIMMultiplier,
-    ApproxSpec,
-    Cost,
-    EXACT,
-    default_config,
-)
-from repro.quality import QoSPolicy
-from repro.runtime import AdaptiveTuner, APIMExecutor, ComparisonHarness
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "core": ("APIMAdder", "APIMConfig", "APIMEngine", "APIMMultiplier",
+             "ApproxSpec", "Cost", "EXACT", "default_config"),
+    "quality": ("QoSPolicy",),
+    "runtime": ("AdaptiveTuner", "APIMExecutor", "ComparisonHarness"),
+})
 
 __all__ = [
     "APIMConfig",

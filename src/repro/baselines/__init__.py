@@ -11,12 +11,16 @@ hierarchy, and the two prior in-memory adders of Figure 6.
 - :mod:`repro.baselines.pc_adder` — CRS PC-Adder of [Siemon, JETCAS'15].
 """
 
-from repro.baselines.cache import Cache, CacheHierarchy, TLB
-from repro.baselines.cpu import CPUConfig, CPUModel
-from repro.baselines.dram import DRAMModel
-from repro.baselines.gpu import GPUConfig, GPUModel, WorkloadProfile
-from repro.baselines.talati import TalatiAdderModel
-from repro.baselines.pc_adder import PCAdderModel
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "cache": ("Cache", "CacheHierarchy", "TLB"),
+    "cpu": ("CPUConfig", "CPUModel"),
+    "dram": ("DRAMModel",),
+    "gpu": ("GPUConfig", "GPUModel", "WorkloadProfile"),
+    "talati": ("TalatiAdderModel",),
+    "pc_adder": ("PCAdderModel",),
+})
 
 __all__ = [
     "Cache",

@@ -47,7 +47,12 @@ from repro.core.approximation import (
 )
 from repro.core.config import APIMConfig, default_config
 from repro.core.cost import Cost
-from repro.core.timing import cost_multiply
+from repro.core.timing import (
+    cost_hybrid_final_add,
+    cost_multiply,
+    cost_ppgen,
+    cost_wallace_reduce,
+)
 from repro.core.wallace import reduce_partial_products, reduce_to_two
 from repro.errors import ConfigurationError
 
@@ -193,8 +198,21 @@ def _survivor_half_sum(
 @functools.cache
 def _cost_matrix(word_bits: int, relax_bits: int) -> np.ndarray:
     """``(word_bits + 1) x 6`` matrix: row ``c`` holds the :class:`Cost`
-    fields of one multiply whose multiplier has ``c`` set bits."""
-    rows = [cost_multiply(word_bits, c, relax_bits) for c in range(word_bits + 1)]
-    matrix = np.array([astuple(row) for row in rows], dtype=np.float64)
+    fields of one multiply whose multiplier has ``c`` set bits, i.e. of
+    ``cost_multiply(word_bits, c, relax_bits)``."""
+    matrix = _stage_cost_matrix(word_bits).copy()
+    # Rows 0 and 1 have no final add: their lone product is in place.
+    matrix[2:] += astuple(cost_hybrid_final_add(2 * word_bits, relax_bits))
     matrix.flags.writeable = False  # one instance serves every caller
     return matrix
+
+
+@functools.cache
+def _stage_cost_matrix(word_bits: int) -> np.ndarray:
+    """The relax-independent rows of :func:`_cost_matrix`: partial-product
+    generation and, from two set bits on, the Wallace reduction."""
+    width = 2 * word_bits
+    rows = [cost_ppgen(word_bits, c) for c in range(word_bits + 1)]
+    for c in range(2, word_bits + 1):
+        rows[c] += cost_wallace_reduce(c, width, max_width=width)
+    return np.array([astuple(row) for row in rows], dtype=np.float64)

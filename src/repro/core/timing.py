@@ -236,18 +236,21 @@ def cost_ppgen(n: int, set_bits: int) -> Cost:
     """Partial-product generation for an N-bit multiplicand.
 
     Reads all N multiplier bits through the SA, then performs one gated
-    shifted copy per set bit (first copy pays the extra inversion cycle).
+    shifted copy per set bit: the sum of one :func:`cost_copy` and
+    ``set_bits - 1`` shared-NOT copies (the first copy pays the extra
+    inversion cycle).
     """
     _check_width(n)
     if set_bits < 0 or set_bits > n:
         raise ConfigurationError(f"set_bits {set_bits} outside [0, {n}]")
-    cost = Cost(sa_reads=n)
     if set_bits == 0:
-        return cost
-    cost += cost_copy(n, shared_not=False)
-    for _ in range(set_bits - 1):
-        cost += cost_copy(n, shared_not=True)
-    return cost
+        return Cost(sa_reads=n)
+    return Cost(
+        cycles=float(set_bits + 1),
+        nor_ops=float(n * (set_bits + 1)),
+        sa_reads=float(n),
+        interconnect_bits=float(n * set_bits),
+    )
 
 
 def cost_multiply(n: int, set_bits: int, relax_bits: int = 0) -> Cost:

@@ -13,14 +13,18 @@ validate the fast functional models in :mod:`repro.core` (see
 ``tests/test_cross_validation.py``) and to serve device-level experiments.
 """
 
-from repro.crossbar.array import CrossbarArray
-from repro.crossbar.block import BlockedCrossbar
-from repro.crossbar.interconnect import ConfigurableInterconnect
-from repro.crossbar.magic import MagicEngine
-from repro.crossbar.sense_amp import SenseAmplifier
-from repro.crossbar.structural_adder import StructuralAdder
-from repro.crossbar.structural_multiplier import StructuralMultiplier
-from repro.crossbar.controller import MemoryController
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "array": ("CrossbarArray",),
+    "block": ("BlockedCrossbar",),
+    "interconnect": ("ConfigurableInterconnect",),
+    "magic": ("MagicEngine",),
+    "sense_amp": ("SenseAmplifier",),
+    "structural_adder": ("StructuralAdder",),
+    "structural_multiplier": ("StructuralMultiplier",),
+    "controller": ("MemoryController",),
+})
 
 __all__ = [
     "CrossbarArray",

@@ -9,14 +9,14 @@ This subpackage models the RRAM bit cell used by APIM:
   write/read semantics, pulse application with energy integration.
 """
 
-from repro.device.vteam import VTEAMModel, VTEAMParameters, default_parameters
-from repro.device.cell import MemristorCell
-from repro.device.variation import FaultInjector, VariationModel, nor_margin
-from repro.device.endurance import (
-    EnduranceModel,
-    RotatingAllocator,
-    WearTracker,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "vteam": ("VTEAMModel", "VTEAMParameters", "default_parameters"),
+    "cell": ("MemristorCell",),
+    "variation": ("FaultInjector", "VariationModel", "nor_margin"),
+    "endurance": ("EnduranceModel", "WearTracker", "RotatingAllocator"),
+})
 
 __all__ = [
     "VTEAMModel",

@@ -31,50 +31,23 @@ The subsystem's parts:
 See ``docs/observability.md`` for naming conventions and usage.
 """
 
-from repro.observability.export import JsonlSnapshotSink, snapshot, to_prometheus
-from repro.observability.registry import (
-    DEFAULT_ENERGY_BUCKETS,
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    active_registry,
-    default_registry,
-    disable,
-    enable,
-    enabled,
-    exponential_buckets,
-    set_default_registry,
-)
-from repro.observability.sketch import (
-    TAIL_QUANTILES,
-    LatencyAnalytics,
-    QuantileSketch,
-)
-from repro.observability.slo import BurnRateEvaluator, SLOPolicy, evaluate_points
-from repro.observability.timeseries import (
-    AlertRule,
-    RingSeries,
-    SlopeVerdictSource,
-    TelemetryPipeline,
-    TimeSeriesStore,
-    counter_rate,
-    derive,
-    series_key,
-    slope,
-)
-from repro.observability.tracing import (
-    TraceContext,
-    TraceEvent,
-    TraceRecord,
-    TraceStore,
-    current_trace,
-    format_timeline,
-    timed_event,
-    trace_event,
-    use_trace,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "export": ("JsonlSnapshotSink", "snapshot", "to_prometheus"),
+    "registry": ("DEFAULT_ENERGY_BUCKETS", "DEFAULT_LATENCY_BUCKETS",
+                 "Counter", "Gauge", "Histogram", "MetricsRegistry",
+                 "active_registry", "default_registry", "disable", "enable",
+                 "enabled", "exponential_buckets", "set_default_registry"),
+    "sketch": ("TAIL_QUANTILES", "LatencyAnalytics", "QuantileSketch"),
+    "slo": ("BurnRateEvaluator", "SLOPolicy", "evaluate_points"),
+    "timeseries": ("AlertRule", "RingSeries", "SlopeVerdictSource",
+                   "TelemetryPipeline", "TimeSeriesStore", "counter_rate",
+                   "derive", "series_key", "slope"),
+    "tracing": ("TraceContext", "TraceEvent", "TraceRecord", "TraceStore",
+                "current_trace", "format_timeline", "timed_event",
+                "trace_event", "use_trace"),
+})
 
 __all__ = [
     "AlertRule",

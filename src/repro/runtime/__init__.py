@@ -14,32 +14,21 @@
   the recovery-yield campaign around it.
 """
 
-from repro.runtime.campaign import (
-    TERMINAL_STATUSES,
-    CampaignPoint,
-    CampaignResult,
-    point_key,
-    run_campaign,
-)
-from repro.runtime.chaos import (
-    ChaosInjector,
-    ChaosOutcome,
-    ChaosPolicy,
-    chaos_table,
-    run_chaos_campaign,
-)
-from repro.runtime.checkpoint import CheckpointJournal, load_journal, recover
-from repro.runtime.comparison import ComparisonHarness, ComparisonResult
-from repro.runtime.executor import APIMExecutor, ExecutionResult
-from repro.runtime.supervisor import (
-    CircuitBreaker,
-    ManualClock,
-    RetryPolicy,
-    RunReport,
-    Supervisor,
-)
-from repro.runtime.trace import ChromeTraceWriter
-from repro.runtime.tuner import AdaptiveTuner, TuningResult, TuningTrial
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "campaign": ("TERMINAL_STATUSES", "CampaignPoint", "CampaignResult",
+                 "point_key", "run_campaign"),
+    "chaos": ("ChaosInjector", "ChaosOutcome", "ChaosPolicy", "chaos_table",
+              "run_chaos_campaign"),
+    "checkpoint": ("CheckpointJournal", "load_journal", "recover"),
+    "comparison": ("ComparisonHarness", "ComparisonResult"),
+    "executor": ("APIMExecutor", "ExecutionResult"),
+    "supervisor": ("CircuitBreaker", "ManualClock", "RetryPolicy",
+                   "RunReport", "Supervisor"),
+    "trace": ("ChromeTraceWriter",),
+    "tuner": ("AdaptiveTuner", "TuningResult", "TuningTrial"),
+})
 
 __all__ = [
     "APIMExecutor",

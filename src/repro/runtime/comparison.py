@@ -19,12 +19,13 @@ import numpy as np
 from repro.baselines.gpu import GPUEstimate, GPUModel
 from repro.core.approximation import EXACT, ApproxSpec
 from repro.core.config import APIMConfig, default_config
+from repro.core.cost import Cost
 from repro.errors import ConfigurationError
 from repro.observability.instruments import record_cold_work
 from repro.observability.tracing import trace_event
-from repro.runtime.executor import APIMExecutor, ExecutionResult
+from repro.runtime.executor import APIMExecutor
 
-__all__ = ["ComparisonHarness", "ComparisonResult"]
+__all__ = ["ComparisonHarness", "ComparisonResult", "TileCost"]
 
 #: The pricing memos, process-wide, so every harness in the process (every
 #: in-process shard) reuses one result per key; the third layer is
@@ -32,10 +33,11 @@ __all__ = ["ComparisonHarness", "ComparisonResult"]
 #: interned identity: priced points ``(identity, workload name, spec,
 #: dataset_bytes)``, at most :data:`PRICED_CAPACITY`, oldest evicted first
 #: (sizes come from clients); tile executions ``(identity, workload name,
-#: spec)``, with read-only arrays.  Lookups take no lock: racing misses
-#: compute identical results (seeded RNG) and the first ``setdefault`` wins.
+#: spec)``, each kept as the :class:`TileCost` pricing reads, not the
+#: executed arrays.  Lookups take no lock: racing misses compute identical
+#: results (seeded RNG) and the first ``setdefault`` wins.
 _PRICED: dict[tuple, ComparisonResult] = {}
-_TILE_MEMO: dict[tuple, ExecutionResult] = {}
+_TILE_MEMO: dict[tuple, TileCost] = {}
 PRICED_CAPACITY = 4096
 
 #: ``(APIM config, GPU config, tile elements, rng seed) -> small int``,
@@ -44,6 +46,18 @@ PRICED_CAPACITY = 4096
 _IDENTITIES: dict[tuple, int] = {}
 #: Guards interning, and the priced memo's inserts and evictions.
 _LOCK = threading.Lock()
+
+
+@dataclass(frozen=True, slots=True)
+class TileCost:
+    """What pricing reads of one executed tile: its element count, its
+    measured cost and its quality verdict.  The tile's output and
+    reference arrays are dropped once it is scored."""
+
+    elements: int
+    cost: Cost
+    qol_percent: float
+    qos_ok: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,7 +117,7 @@ class ComparisonHarness:
             self._identity = _IDENTITIES.setdefault(identity, len(_IDENTITIES))
 
     @property
-    def _tile_cache(self) -> dict[tuple, ExecutionResult]:
+    def _tile_cache(self) -> dict[tuple, TileCost]:
         """The process-wide tile memo, read-only.  Its one reader is
         ``perfbench/spans.py::cold_work``, which compares its length
         before and after a serving window."""
@@ -111,11 +125,11 @@ class ComparisonHarness:
 
     # -- APIM side ----------------------------------------------------------
 
-    def _tile_result(self, workload, spec: ApproxSpec) -> ExecutionResult:
+    def _tile_result(self, workload, spec: ApproxSpec) -> TileCost:
         key = (self._identity, workload.name, spec)
-        result = _TILE_MEMO.get(key)
-        if result is not None:
-            return result
+        tile = _TILE_MEMO.get(key)
+        if tile is not None:
+            return tile
         start = time.perf_counter()
         result = self.executor.run(
             workload,
@@ -123,10 +137,9 @@ class ComparisonHarness:
             elements=self.tile_elements,
             rng=np.random.default_rng(self.rng_seed),
         )
-        # Every harness in the process reads this one result.
-        result.output.flags.writeable = False
-        result.reference.flags.writeable = False
-        result = _TILE_MEMO.setdefault(key, result)
+        tile = _TILE_MEMO.setdefault(key, TileCost(
+            result.elements, result.cost, result.qol_percent, result.qos_ok,
+        ))
         seconds = time.perf_counter() - start
         record_cold_work("executed", seconds)
         trace_event(
@@ -135,12 +148,12 @@ class ComparisonHarness:
             tile=self.tile_elements, source="executed",
             seconds=round(seconds, 6),
         )
-        return result
+        return tile
 
     def apim_estimate(
         self, workload, dataset_bytes: float, spec: ApproxSpec = EXACT
-    ) -> tuple[float, float, ExecutionResult]:
-        """(time, energy, tile result) of APIM at a dataset size.
+    ) -> tuple[float, float, TileCost]:
+        """(time, energy, tile cost) of APIM at a dataset size.
 
         Cost counters measured on the tile scale by element count and by
         the pass-count ratio (FFT does more sweeps over bigger datasets);
@@ -152,7 +165,7 @@ class ComparisonHarness:
         return time, energy, tile
 
     def _scaled(
-        self, tile: ExecutionResult, profile, dataset_bytes: float
+        self, tile: TileCost, profile, dataset_bytes: float
     ) -> tuple[float, float]:
         elements = profile.elements(dataset_bytes)
         pass_ratio = profile.passes(elements) / profile.passes(tile.elements)

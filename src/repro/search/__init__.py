@@ -10,16 +10,14 @@ keyed to the relax-bits QoS ladder.  The `Similarity` workload
 build on these.
 """
 
-from repro.search.codebook import WORD_BITS, BinaryCodebook, pack_bits, popcount
-from repro.search.index import (
-    SearchIndex,
-    TopK,
-    build_planted_index,
-    default_search_index,
-    distance_shift,
-    recall_at_k,
-)
-from repro.search.kernel import MagicHammingKernel
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "codebook": ("WORD_BITS", "BinaryCodebook", "pack_bits", "popcount"),
+    "index": ("SearchIndex", "TopK", "build_planted_index",
+              "default_search_index", "distance_shift", "recall_at_k"),
+    "kernel": ("MagicHammingKernel",),
+})
 
 __all__ = [
     "WORD_BITS",

@@ -45,7 +45,7 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
         )
     if bits.dtype == bool:
         bits = bits.astype(np.uint8)
-    elif not np.isin(bits, (0, 1)).all():
+    elif not ((bits == 0) | (bits == 1)).all():
         raise SearchError("bit-vectors must contain only 0 and 1")
     packed = np.packbits(bits.astype(np.uint8), axis=1)
     pad = (-packed.shape[1]) % (WORD_BITS // 8)

@@ -24,21 +24,16 @@ is the tier that turns the single-process reproduction into a service:
 See ``docs/serving.md`` for the architecture and tuning guide.
 """
 
-from repro.serving.http import JsonHttpServer
-from repro.serving.pool import Client, CrossbarPool, PoolShard
-from repro.serving.runtime import (
-    InlineRuntime,
-    ShardRuntime,
-    SubprocessRuntime,
-    ThreadRuntime,
-)
-from repro.serving.scheduler import (
-    BatchingScheduler,
-    ResultStore,
-    ServeRequest,
-    ServeResult,
-    ServingConfig,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "http": ("JsonHttpServer",),
+    "pool": ("Client", "CrossbarPool", "PoolShard"),
+    "runtime": ("InlineRuntime", "ShardRuntime", "SubprocessRuntime",
+                "ThreadRuntime"),
+    "scheduler": ("BatchingScheduler", "ResultStore", "ServeRequest",
+                  "ServeResult", "ServingConfig"),
+})
 
 __all__ = [
     "BatchingScheduler",

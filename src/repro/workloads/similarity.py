@@ -33,7 +33,6 @@ from repro.core.cost import Cost
 from repro.core.engine import APIMEngine
 from repro.search.codebook import BinaryCodebook, pack_bits, popcount
 from repro.search.index import distance_shift, recall_at_k
-from repro.search.kernel import MagicHammingKernel
 from repro.workloads.base import Workload, WorkloadData
 from repro.workloads.registry import register_workload
 
@@ -52,6 +51,10 @@ NEIGHBOURS = 12
 @functools.lru_cache(maxsize=1)
 def _word_cost() -> Cost:
     """Measured MAGIC price of one 64-bit XNOR+popcount evaluation."""
+    # Deferred: the kernel runs on the structural crossbar simulator,
+    # which nothing else on a serving path loads.
+    from repro.search.kernel import MagicHammingKernel
+
     return MagicHammingKernel().measure_word_cost()
 
 

@@ -1,0 +1,95 @@
+"""A serving process loads only the code pricing and serving run.
+
+The packages resolve their re-exports on first use (``repro._lazy``), so
+a server never compiles the structural crossbar simulator, the device
+models, the adaptive tuner, the telemetry pipeline or the prior-adder
+baselines, and never imports ``numpy.ma``.  Every public name still
+resolves where it always did.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+
+SCRIPT = """
+import json, os, sys, tempfile
+from repro.serving import CrossbarPool
+
+with tempfile.TemporaryDirectory() as tmp:
+    journal = os.path.join(tmp, "requests.jsonl")
+    with CrossbarPool(shards=1, tile_elements=512, runtime="thread",
+                      journal=journal) as pool:
+        priced = pool.submit("Sobel", relax_bits=8, dataset_bytes=64 << 20)
+        searched, _ = pool.admit_search([0, 1] * 128, k=5)
+        for request_id in (priced, searched):
+            assert pool.result(request_id, timeout=60.0).status == "ok"
+import repro.serving.frontend
+print(json.dumps(sorted(sys.modules)))
+"""
+
+#: Modules (and their submodules) a serving process must not load.
+NOT_LOADED = (
+    "numpy.ma",
+    "repro.crossbar",
+    "repro.device",
+    "repro.runtime.tuner",
+    "repro.observability.timeseries",
+    "repro.baselines.pc_adder",
+)
+
+PACKAGES = (
+    "repro",
+    "repro.runtime",
+    "repro.baselines",
+    "repro.observability",
+    "repro.search",
+    "repro.serving",
+    "repro.crossbar",
+    "repro.device",
+)
+
+
+def test_serving_process_loads_no_unused_code():
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", SCRIPT], env=env, check=True,
+        capture_output=True, text=True, timeout=120,
+    ).stdout
+    loaded = json.loads(out)
+    assert {"repro.serving.frontend", "repro.search.index"} <= set(loaded)
+    assert [
+        name for name in loaded
+        if name in NOT_LOADED or name.startswith(
+            tuple(f"{module}." for module in NOT_LOADED))
+    ] == []
+
+
+def test_public_names_still_resolve():
+    import repro
+    from repro.baselines import PCAdderModel
+    from repro.core.engine import APIMEngine
+    from repro.runtime.tuner import AdaptiveTuner
+    from repro.search import MagicHammingKernel
+
+    assert repro.APIMEngine is APIMEngine
+    assert repro.AdaptiveTuner is AdaptiveTuner
+    assert MagicHammingKernel.__module__ == "repro.search.kernel"
+    assert PCAdderModel.__module__ == "repro.baselines.pc_adder"
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_every_exported_name_resolves(package):
+    module = importlib.import_module(package)
+    namespace: dict = {}
+    exec(f"from {package} import *", namespace)
+    assert set(module.__all__) <= set(namespace) & set(dir(module))
+    with pytest.raises(AttributeError):
+        module.no_such_name

@@ -68,6 +68,19 @@ class TestCodebook:
         # A 1-D vector is promoted to one row, not rejected.
         assert pack_bits(np.ones(8, dtype=np.uint8)).shape == (1, 1)
 
+    @pytest.mark.parametrize("value", [2, -1, 0.5])
+    def test_pack_rejects_values_other_than_0_and_1(self, value):
+        bits = np.zeros(256, dtype=type(value))
+        bits[7] = value
+        with pytest.raises(SearchError):
+            pack_bits(bits)
+        with pytest.raises(SearchError):
+            pack_bits(bits.tolist())  # as a /search query arrives
+
+    def test_pack_accepts_bool_vectors(self):
+        bits = np.random.default_rng(3).integers(0, 2, (3, 70))
+        assert np.array_equal(pack_bits(bits.astype(bool)), pack_bits(bits))
+
     def test_pack_query_validates_dim(self):
         book = BinaryCodebook.from_bits(
             np.zeros((4, 32), dtype=np.uint8)

@@ -4,16 +4,18 @@ A tile execution is a pure function of the harness identity and
 ``(workload, spec)``, so every harness in a process — every in-process
 serving shard — reuses one execution per key.  Pinned here: one
 ``executor.run`` per key across pools, results bit-identical to direct
-pricing, read-only shared arrays, and cold work visible by source.
+pricing, entries that keep the tile's price and not its arrays, and cold
+work visible by source.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 import threading
 from collections import Counter
 
-import pytest
+import numpy as np
 
 from repro.core.approximation import EXACT, ApproxSpec
 from repro.observability import MetricsRegistry, set_default_registry
@@ -96,14 +98,25 @@ def test_concurrent_misses_keep_the_first_write(cold_memos):
     assert all(result is kept for result in seen)
 
 
-def test_shared_tile_arrays_are_read_only(cold_memos):
+def test_memo_keeps_prices_not_arrays(cold_memos):
+    """A memo entry holds only what pricing reads (no executed output or
+    reference array), and every later lookup, from any harness of the
+    same identity, returns the stored instance."""
     harness = ComparisonHarness(tile_elements=TILE)
-    tile = harness._tile_result(workload_by_name("Robert"), EXACT)
-    for array in (tile.output, tile.reference):
-        with pytest.raises(ValueError):
-            array[0] = 0
+    for name, relax in KEYS:
+        spec = ApproxSpec.last_stage(relax) if relax else EXACT
+        harness.compare(workload_by_name(name), SIZE, spec)
+    assert len(comparison._TILE_MEMO) == len(KEYS)
+    for tile in comparison._TILE_MEMO.values():
+        fields = [getattr(tile, f.name) for f in dataclasses.fields(tile)]
+        fields += [getattr(tile.cost, f.name)
+                   for f in dataclasses.fields(tile.cost)]
+        assert not any(isinstance(value, np.ndarray) for value in fields)
     other = ComparisonHarness(tile_elements=TILE)
-    assert other._tile_result(workload_by_name("Robert"), EXACT) is tile
+    for (_, name, spec), stored in comparison._TILE_MEMO.items():
+        assert other._tile_result(workload_by_name(name), spec) is stored
+        assert harness.apim_estimate(
+            workload_by_name(name), SIZE, spec)[2] is stored
 
 
 def test_misses_counted_and_traced_by_source(cold_memos):

@@ -6,9 +6,12 @@ the worked examples of Sections 3.2-3.4.
 
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import pytest
 
 from repro.core.cost import Cost
+from repro.core.multiplier import _cost_matrix
 from repro.core.timing import (
     FULL_ADDER_CYCLES,
     NOR_OPS_PER_FA,
@@ -253,3 +256,42 @@ class TestMultiplyCost:
 
     def test_cost_is_cost_instance(self):
         assert isinstance(cost_multiply(8, 3), Cost)
+
+
+def _looped_ppgen(n: int, set_bits: int) -> Cost:
+    """Partial-product generation as the sum of its copies, one
+    :func:`cost_copy` per set bit."""
+    cost = Cost(sa_reads=n)
+    if set_bits == 0:
+        return cost
+    cost += cost_copy(n, shared_not=False)
+    for _ in range(set_bits - 1):
+        cost += cost_copy(n, shared_not=True)
+    return cost
+
+
+@pytest.mark.parametrize("n", range(1, 33))
+def test_closed_forms_equal_the_copy_and_stage_loops(n):
+    """``cost_ppgen`` equals the sum of its copies, field by field and
+    type by type, and row ``c`` of the multiply cost matrix equals the
+    three stages summed per multiply, for every set-bit count and every
+    relax level of an ``n``-bit word."""
+    width = 2 * n
+    wallace = [
+        cost_wallace_reduce(c, width, max_width=width) if c >= 2 else None
+        for c in range(n + 1)
+    ]
+    for c in range(n + 1):
+        closed, looped = astuple(cost_ppgen(n, c)), astuple(_looped_ppgen(n, c))
+        assert closed == looped
+        assert list(map(type, closed)) == list(map(type, looped))
+    for relax in range(width + 1):
+        final = cost_hybrid_final_add(width, relax)
+        rows = [
+            _looped_ppgen(n, c) + wallace[c] + final if c >= 2
+            else _looped_ppgen(n, c)
+            for c in range(n + 1)
+        ]
+        assert _cost_matrix(n, relax).tolist() == [
+            list(astuple(row)) for row in rows
+        ]
