@@ -33,7 +33,7 @@ Commands:
   tail latency (p50/p95/p99/p999) plus multi-window burn-rate verdicts
   against an SLO policy.
 - ``trace`` — pretty-print one request's end-to-end trace timeline from
-  a JSONL spill file, by trace id or request id.
+  a JSONL spill file, by trace id (a served request's is its id).
 - ``search`` — in-memory binarized similarity search: the MAGIC Hamming
   kernel witness and a recall-vs-relax ladder over a seeded codebook.
 - ``workloads`` — list available workloads.
@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "trace_id", nargs="?", default=None,
-        help="trace id (or request id) to print",
+        help="trace id to print (a served request's is its request id)",
     )
     p.add_argument(
         "--file", default=None,
@@ -1010,11 +1010,6 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     return 1 if live["verdict"] == "fast_burn" else 0
 
 
-#: The trace events that stamp the id of the request a trace served (a
-#: spill file keeps no alias index, so ``repro trace`` matches on these).
-_REQUEST_ID_EVENTS = {("frontend", "admitted"), ("journal", "replayed")}
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Pretty-print a trace timeline from a spill file."""
     from repro.observability.tracing import format_timeline, load_spilled
@@ -1032,11 +1027,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             print(f"  {record.trace_id}  events={len(record.events)}")
         return 0
     for record in records:
-        if args.trace_id == record.trace_id or any(
-            (event.layer, event.kind) in _REQUEST_ID_EVENTS
-            and event.attrs.get("request_id") == args.trace_id
-            for event in record.events
-        ):
+        if record.trace_id == args.trace_id:
             print(format_timeline(record))
             return 0
     print(f"trace {args.trace_id!r} not found in {args.file}")

@@ -1,12 +1,13 @@
 """End-to-end request tracing across the serving stack.
 
 A request admitted through :meth:`repro.serving.pool.CrossbarPool.submit`
-(or the HTTP frontend) gets a :class:`TraceContext` — a trace id, a span
-id, and a baggage dict — and every layer it crosses appends structured
-:class:`TraceEvent` records: queue entry, batch coalescing links,
-supervision attempts and retries, degradation rungs, executor runs,
-controller command batches.  The result answers the question aggregate
-metrics cannot: "why was *this* request slow / degraded / rerouted?"
+(or the HTTP frontend) gets a :class:`TraceContext` — its trace id, which
+is the request id, and a baggage dict — and every layer it crosses
+appends structured :class:`TraceEvent` records: queue entry, batch
+coalescing links, supervision attempts and retries, degradation rungs,
+executor runs, controller command batches.  The result answers the
+question aggregate metrics cannot: "why was *this* request slow /
+degraded / rerouted?"
 
 Propagation is explicit at layer boundaries — the context rides on the
 :class:`~repro.serving.scheduler.ServeRequest` and is handed to
@@ -72,17 +73,11 @@ class TraceEvent:
     ts: float     #: store-clock timestamp (seconds)
     layer: str    #: frontend / scheduler / pool / supervisor / executor / ...
     kind: str     #: queue_enter, batch_join, attempt, retry, degrade, ...
-    span_id: str  #: the span the event belongs to
     detail: str = ""
     attrs: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
-            "ts": self.ts,
-            "layer": self.layer,
-            "kind": self.kind,
-            "span_id": self.span_id,
-        }
+        out = {"ts": self.ts, "layer": self.layer, "kind": self.kind}
         if self.detail:
             out["detail"] = self.detail
         if self.attrs:
@@ -99,9 +94,6 @@ class TraceRecord:
     baggage: dict = field(default_factory=dict)
     events: list[TraceEvent] = field(default_factory=list)
     dropped_events: int = 0
-    #: request ids bound to this trace (the store's reverse alias index;
-    #: not serialised)
-    aliases: list[str] = field(default_factory=list, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -124,7 +116,6 @@ class TraceRecord:
                     ts=e["ts"],
                     layer=e["layer"],
                     kind=e["kind"],
-                    span_id=e.get("span_id", ""),
                     detail=e.get("detail", ""),
                     attrs=e.get("attrs", {}),
                 )
@@ -142,6 +133,11 @@ class TraceStore:
     (the same tolerant-reader shape as the checkpoint journal and the
     metrics snapshot sink).  ``max_events`` bounds each trace's event
     list.  The clock is injectable for deterministic tests.
+
+    A served request's trace is keyed by its request id.  Traces opened
+    without one (autoscaler decisions, benchmarks) get a store-made
+    ``{id_prefix}.{seq:x}`` id, which never ends in ``-<digits>`` as a
+    request id does, so the two kinds cannot collide.
     """
 
     def __init__(
@@ -169,7 +165,6 @@ class TraceStore:
         self._id_prefix = id_prefix
         self._seq = itertools.count()
         self._records: "OrderedDict[str, TraceRecord]" = OrderedDict()
-        self._aliases: dict[str, str] = {}  # request id -> trace id
         self._lock = threading.Lock()
         # Spill I/O gets its own lock and never runs under the store
         # lock, so readers of the in-memory store are never blocked
@@ -180,29 +175,34 @@ class TraceStore:
 
     # -- creation -------------------------------------------------------------
 
-    def _next_span_id(self) -> str:
-        return f"s{next(self._seq):06x}"
+    def new_trace(
+        self, trace_id: str | None = None, **baggage
+    ) -> "TraceContext":
+        """Open a trace under ``trace_id`` (a store-made id without one);
+        returns its :class:`TraceContext`.
 
-    def new_trace(self, **baggage) -> "TraceContext":
-        """Open a trace; returns its root :class:`TraceContext`."""
+        A resident trace with the same id is replaced, and spilled like
+        an eviction.
+        """
         evicted: list[TraceRecord] = []
         with self._lock:
-            trace_id = f"{self._id_prefix}-{next(self._seq):08x}"
+            if trace_id is None:
+                trace_id = f"{self._id_prefix}.{next(self._seq):x}"
+            else:
+                replaced = self._records.pop(trace_id, None)
+                if replaced is not None:
+                    self.evicted += 1
+                    evicted.append(replaced)
             self._records[trace_id] = TraceRecord(
                 trace_id, self.clock(), baggage
             )
             while len(self._records) > self.capacity:
-                evicted_id, record = self._records.popitem(last=False)
                 self.evicted += 1
-                for alias in record.aliases:
-                    # A re-bound alias now names a newer trace; keep it.
-                    if self._aliases.get(alias) == evicted_id:
-                        del self._aliases[alias]
-                evicted.append(record)
+                evicted.append(self._records.popitem(last=False)[1])
         # Spilled after the lock is released: an evicted record is out
         # of the store, so nothing appends to it any more.
         self._spill_batch(evicted)
-        return TraceContext(trace_id, self._next_span_id(), dict(baggage), self)
+        return TraceContext(trace_id, dict(baggage), self)
 
     def _spill_batch(self, records: list[TraceRecord]) -> None:
         """Append ``records`` to the spill file: one write, then fsync.
@@ -232,13 +232,6 @@ class TraceStore:
                     f"cannot spill trace to {self.spill_path!r}: {exc}"
                 ) from exc
 
-    def spill_all(self) -> int:
-        """Spill every resident trace (end-of-run flush); returns count."""
-        with self._lock:
-            records = list(self._records.values())
-        self._spill_batch(records)
-        return len(records)
-
     # -- writes ---------------------------------------------------------------
 
     def append(
@@ -246,7 +239,6 @@ class TraceStore:
         trace_id: str,
         layer: str,
         kind: str,
-        span_id: str,
         detail: str = "",
         attrs: dict | None = None,
     ) -> None:
@@ -262,47 +254,21 @@ class TraceStore:
                 return
             events.append(
                 TraceEvent(
-                    self.clock(), layer, kind, span_id, detail,
+                    self.clock(), layer, kind, detail,
                     {} if attrs is None else attrs,
                 )
             )
 
-    def bind(self, alias: str, trace_id: str) -> None:
-        """Also make the trace findable by ``alias`` (the request id).
-
-        The alias lives exactly as long as the trace: evicting the trace
-        forgets it.  Binding to a trace that is not resident is a no-op.
-        """
-        with self._lock:
-            record = self._records.get(trace_id)
-            if record is None:
-                return
-            self._aliases[alias] = trace_id
-            record.aliases.append(alias)
-
-    def discard(self, trace_id: str) -> None:
-        """Forget a trace opened for a request that was then refused
-        (before any alias was bound to it)."""
-        with self._lock:
-            self._records.pop(trace_id, None)
-
     # -- reads ----------------------------------------------------------------
 
-    def get(self, trace_or_request_id: str) -> TraceRecord | None:
-        """Look a trace up by trace id or bound request id."""
+    def get(self, trace_id: str) -> TraceRecord | None:
+        """The resident trace ``trace_id`` (None once evicted)."""
         with self._lock:
-            trace_id = self._aliases.get(
-                trace_or_request_id, trace_or_request_id
-            )
             return self._records.get(trace_id)
 
-    def trace_id_for(self, request_id: str) -> str | None:
-        with self._lock:
-            return self._aliases.get(request_id)
-
-    def timeline(self, trace_or_request_id: str) -> dict | None:
+    def timeline(self, trace_id: str) -> dict | None:
         """The JSON-able timeline served by ``GET /trace/<id>``."""
-        record = self.get(trace_or_request_id)
+        record = self.get(trace_id)
         return None if record is None else record.to_dict()
 
     def __len__(self) -> int:
@@ -312,24 +278,19 @@ class TraceStore:
 
 @dataclass(slots=True)
 class TraceContext:
-    """The propagated identity of one traced request.
-
-    Carries the trace id, the span id its events are stamped with and a
+    """The propagated identity of one traced request: the trace id and a
     baggage dict (tenant, workload, ...).  The context is what crosses
     layer boundaries; events go to the owning store.
     """
 
     trace_id: str
-    span_id: str
     baggage: dict
     store: TraceStore
 
     def event(self, layer: str, kind: str, detail: str = "", **attrs) -> None:
-        """Append one event under this context's span (``attrs`` goes to
-        the store as is)."""
-        self.store.append(
-            self.trace_id, layer, kind, self.span_id, detail, attrs
-        )
+        """Append one event to this trace (``attrs`` goes to the store as
+        is)."""
+        self.store.append(self.trace_id, layer, kind, detail, attrs)
 
 
 class BufferedTraceContext:

@@ -15,21 +15,23 @@ Endpoints (all JSON unless noted):
   rung's shift.
 
   Both admission endpoints reply alike: ``202 {"id", "status":
-  "queued", "trace_id"}``; ``200 {"status": "duplicate"}`` with the
-  *original* id for a keyed repeat of the identical payload; ``409``
-  for a used key with a different payload; ``429`` + ``Retry-After``
-  on admission rejection; ``503`` while draining (with
-  ``Retry-After``) or with every shard breaker open (without); ``500``
-  when the journal cannot make the admission durable; ``400`` for any
-  malformed body or field, including a ``tenant`` outside the
-  request-id characters ``[A-Za-z0-9._:-]``.
+  "queued", "trace_id"}``, where the trace id is the request id; ``200
+  {"status": "duplicate"}`` with the *original* id for a keyed repeat
+  of the identical payload; ``409`` for a used key with a different
+  payload; ``429`` + ``Retry-After`` on admission rejection; ``503``
+  while draining (with ``Retry-After``) or with every shard breaker
+  open (without); ``500`` when the journal cannot make the admission
+  durable; ``400`` for any malformed body or field, including a
+  ``tenant`` outside the request-id characters ``[A-Za-z0-9._:-]``.
 - ``GET /result/<id>`` — ``200`` with the terminal
   :class:`~repro.serving.scheduler.ServeResult` once done, ``202
   {"status": "pending"}`` while queued/executing, ``404`` for unknown
   ids, ``410`` once the result was evicted (capacity/TTL bound).
-- ``GET /trace/<id>`` — the request's trace timeline (by trace id or
-  request id): every hop from admission through scheduler, pool worker,
-  supervisor, executor and controller; ``404`` once evicted/unknown.
+- ``GET /trace/<id>`` — the request's trace timeline, keyed by the
+  request id (or a store-made id for a trace no request owns, such as
+  an autoscaler decision): every hop from admission through scheduler,
+  pool worker, supervisor, executor and controller; ``404`` once
+  evicted/unknown.
 - ``GET /healthz`` — ``200`` while at least one shard admits traffic and
   the SLO error budget is not fast-burning, ``503`` otherwise.
 - ``GET /stats`` — scheduler depths, admission counters, per-shard
@@ -180,7 +182,7 @@ def _admission_handler(pool: CrossbarPool, endpoint: str):
         return (200 if duplicate else 202), {
             "id": request_id,
             "status": "duplicate" if duplicate else "queued",
-            "trace_id": pool.trace_id_for(request_id) or "",
+            "trace_id": request_id,
         }
 
     return handle
@@ -207,7 +209,7 @@ def _result_handler(pool: CrossbarPool):
         return 202, {
             "id": request_id,
             "status": "pending",
-            "trace_id": pool.trace_id_for(request_id) or "",
+            "trace_id": request_id,
         }
 
     return handle

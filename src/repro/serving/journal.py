@@ -14,11 +14,12 @@ reconstructs exactly what it had promised:
   (synced);
 - ``{"type": "admitted", "id", "workload", "relax_bits",
   "dataset_bytes", "tenant", "priority", "deadline_s",
-  "idempotency_key", "fingerprint", "trace_id"[, "search"]}`` — written
-  in the admission's commit step, once the scheduler's refusals have
-  passed and the id is minted but before the request is queued; the
-  pool calls :meth:`RequestJournal.sync` before the id reaches the
-  client (the write-ahead part: an acknowledged id is always on disk);
+  "idempotency_key", "fingerprint"[, "search"]}`` — written in the
+  admission's commit step, once the scheduler's refusals have passed
+  and the id is minted but before the request is queued; the pool
+  calls :meth:`RequestJournal.sync` before the id reaches the client
+  (the write-ahead part: an acknowledged id is always on disk).  The id
+  also names the request's trace, so no separate trace id is kept;
 - ``{"type": "dispatched", "id", "shard"}`` — a shard picked it up;
 - ``{"type": "completed", "id", "status", "digest", "result": {...}}``
   — the full terminal :class:`~repro.serving.scheduler.ServeResult`
@@ -168,7 +169,6 @@ class JournalEntry:
     priority: int
     idempotency_key: str | None
     fingerprint: str | None
-    trace_id: str
     #: ``dispatched`` records seen (how many times a shard picked it up
     #: before the crash — diagnostic, not behavioural).
     dispatches: int
@@ -241,7 +241,6 @@ def load_request_journal(path: str) -> RequestJournalState:
                 priority=int(record.get("priority", 0)),
                 idempotency_key=record.get("idempotency_key"),
                 fingerprint=record.get("fingerprint"),
-                trace_id=record.get("trace_id", ""),
                 dispatches=0,
                 search=record.get("search"),
             )
@@ -347,9 +346,6 @@ class RequestJournal:
                 "deadline_s": deadline_s,
                 "idempotency_key": idempotency_key,
                 "fingerprint": fingerprint,
-                "trace_id": (
-                    request.trace.trace_id if request.trace else ""
-                ),
                 **(
                     {"search": request.search}
                     if request.search is not None

@@ -43,6 +43,7 @@ import threading
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -81,7 +82,6 @@ from repro.observability.sketch import LatencyAnalytics
 from repro.observability.slo import BurnRateEvaluator, SLOPolicy
 from repro.observability.tracing import TraceStore, use_trace
 from repro.runtime.campaign import CampaignPoint, run_point
-from repro.runtime.chaos import ChaosInjector, ChaosPolicy
 from repro.runtime.comparison import ComparisonHarness
 from repro.runtime.supervisor import CircuitBreaker, RetryPolicy, Supervisor
 from repro.serving.journal import (
@@ -101,6 +101,9 @@ from repro.serving.scheduler import (
 from repro.units import MIB
 from repro.workloads import workload_by_name
 from repro.workloads.registry import workload_class
+
+if TYPE_CHECKING:
+    from repro.runtime.chaos import ChaosInjector, ChaosPolicy
 
 __all__ = [
     "Client", "CrossbarPool", "PoolShard", "SEARCH_WORKLOAD", "build_shard",
@@ -198,6 +201,11 @@ def build_shard(
     its shard with it from the init frame, so all three runtimes draw the
     same retry and fault streams and price bit-identically.
     """
+    injector = None
+    if chaos is not None:
+        from repro.runtime.chaos import ChaosInjector
+
+        injector = ChaosInjector(replace(chaos, seed=chaos.seed + index))
     return PoolShard(
         index=index,
         harness=ComparisonHarness(
@@ -211,11 +219,7 @@ def build_shard(
                 jitter_seed=seed + index,
             )
         ),
-        chaos=(
-            None
-            if chaos is None
-            else ChaosInjector(replace(chaos, seed=chaos.seed + index))
-        ),
+        chaos=injector,
     )
 
 
@@ -921,42 +925,34 @@ class CrossbarPool:
         step, shared by new admissions and journal replays.
 
         The scheduler runs the step only once its own refusals have
-        passed: mint the id (a replay keeps its journaled one), open the
-        trace, append the ``admitted`` record when ``journaled`` carries
-        its fields, bind the trace, append its first event (``event`` is
+        passed: mint the id (a replay keeps its journaled one), append
+        the ``admitted`` record when ``journaled`` carries its fields,
+        open the trace under the id with its first event (``event`` is
         its layer, kind and optional detail), and register the id with
         the result store.  The record is written before the push, so no
         worker record of the id can precede it in the journal, and a
-        ``JournalError`` refuses the request with nothing queued and its
-        trace discarded (a 500: the id was never handed out).  It is
-        written without a barrier; :meth:`_acknowledge` syncs it.
-        Replays pass no ``journaled``: their record is already on file.
+        ``JournalError`` refuses the request with nothing queued or
+        traced (a 500: the id was never handed out).  It is written
+        without a barrier; :meth:`_acknowledge` syncs it.  Replays pass
+        no ``journaled``: their record is already on file.
         """
         def commit(request: ServeRequest) -> None:
             if not request.id:
                 request.id = self.scheduler.next_id(request.tenant)
+            if journaled is not None:
+                self.journal.admitted(request, **journaled)
             trace = request.trace = self.traces.new_trace(
+                request.id,
                 workload=request.workload,
                 tenant=request.tenant,
                 relax_bits=request.relax_bits,
             )
+            trace.event(*event, **attrs)
             if journaled is not None:
-                try:
-                    self.journal.admitted(request, **journaled)
-                except JournalError:
-                    self.traces.discard(trace.trace_id)
-                    raise
-            self.traces.bind(request.id, trace.trace_id)
-            trace.event(*event, request_id=request.id, **attrs)
-            if journaled is not None:
-                trace.event("journal", "admitted", request_id=request.id)
+                trace.event("journal", "admitted")
             self.results.register(request.id)
 
         self.scheduler.submit(request, block, commit)
-
-    def trace_id_for(self, request_id: str) -> str | None:
-        """The trace id bound to a request id (None once evicted)."""
-        return self.traces.trace_id_for(request_id)
 
     def result(
         self, request_id: str, timeout: float | None = None

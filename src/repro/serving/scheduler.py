@@ -171,7 +171,8 @@ class ServeResult:
     batch_size: int = 0
     point: "CampaignPoint | None" = None
     error: str | None = None
-    #: Trace id for ``GET /trace/<id>`` (empty when tracing was off).
+    #: Trace id for ``GET /trace/<id>``: the request id (empty when
+    #: tracing was off).
     trace_id: str = ""
     #: Top-k retrieval (``{"ids": [...], "distances": [...], ...}``) for
     #: `/search` requests, or None for campaign pricing requests.

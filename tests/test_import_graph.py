@@ -1,9 +1,10 @@
 """A serving process loads only the code pricing and serving run.
 
 The packages resolve their re-exports on first use (``repro._lazy``), so
-a server never compiles the structural crossbar simulator, the device
-models, the adaptive tuner, the telemetry pipeline or the prior-adder
-baselines, and never imports ``numpy.ma``.  Every public name still
+a thread-runtime server never compiles the structural crossbar simulator,
+the device models, the adaptive tuner, the telemetry pipeline, the
+prior-adder baselines, the subprocess runtime or the chaos injector, and
+never imports ``numpy.ma``.  Every public name still
 resolves where it always did.
 """
 
@@ -43,6 +44,9 @@ NOT_LOADED = (
     "repro.runtime.tuner",
     "repro.observability.timeseries",
     "repro.baselines.pc_adder",
+    "repro.serving.runtime.subprocess",
+    "repro.serving.runtime.protocol",
+    "repro.runtime.chaos",
 )
 
 PACKAGES = (
@@ -52,6 +56,7 @@ PACKAGES = (
     "repro.observability",
     "repro.search",
     "repro.serving",
+    "repro.serving.runtime",
     "repro.crossbar",
     "repro.device",
 )

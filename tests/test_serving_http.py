@@ -488,10 +488,12 @@ class TestOverload:
             for request_id in accepted:
                 assert pool.result(request_id, timeout=60.0).status == "ok"
             admitted = {
-                event.attrs["request_id"]
+                record.trace_id
                 for record in list(pool.traces._records.values())
-                for event in record.events
-                if (event.layer, event.kind) == ("frontend", "admitted")
+                if any(
+                    (event.layer, event.kind) == ("frontend", "admitted")
+                    for event in record.events
+                )
             }
         assert len(statuses) == 8
         assert 429 in statuses
@@ -617,15 +619,21 @@ class TestAdmissionContract:
         journal = str(tmp_path / "requests.jsonl")
         with idle_frontend(journal=journal) as (pool, server):
 
-            def refuse(*_args, **_kwargs):
+            minted = []
+
+            def refuse(request, **_kwargs):
+                minted.append(request.id)
                 raise JournalError("disk full")
 
             monkeypatch.setattr(pool.journal, "admitted", refuse)
             status, _, reply = fetch(f"{server.url}{endpoint}", body)
-            # Refused in the commit step: nothing queued, traced or
-            # registered.
+            # Refused in the commit step after the id was minted: nothing
+            # queued, traced or registered, under that id or any other.
             assert pool.scheduler.depth() == 0
             assert len(pool.traces) == 0
             assert pool.results.pending == 0
+            (request_id,) = minted
+            assert pool.traces.get(request_id) is None
+            assert pool.results.lookup(request_id) == ("unknown", None)
         assert status == 500
         assert "JournalError" in reply["error"]

@@ -991,7 +991,7 @@ class TestResultStoreBounds:
 
         store._lock = EvictAfterFirstRelease()
         handler = _result_handler(
-            SimpleNamespace(results=store, trace_id_for=lambda _id: "")
+            SimpleNamespace(results=store)
         )
         match = re.match(r"/result/(?P<id>.+)", "/result/a-00000001")
         # One locked lookup answers from the snapshot it took ...
@@ -1084,19 +1084,11 @@ class TestAtomicSpill:
             evicting.join(10.0)
         assert store.spilled == 1
 
-    def test_spill_all_appends_to_prior_content(self, tmp_path):
-        store = self._store(tmp_path, capacity=1)
-        store.new_trace(index=0)
-        store.new_trace(index=1)  # index=0 evicted and spilled
-        assert store.spill_all() == 1  # spills resident index=1
-        records = load_spilled(str(tmp_path / "traces.jsonl"))
-        assert [r.baggage["index"] for r in records] == [0, 1]
-        assert store.spilled == 2
-
     def test_unwritable_spill_path_raises_tracing_error(self, tmp_path):
         store = self._store(
             tmp_path, spill_path=str(tmp_path / "no-such-dir" / "t.jsonl")
         )
         store.new_trace(index=0)
+        store.new_trace(index=1)
         with pytest.raises(TracingError):
-            store.spill_all()
+            store.new_trace(index=2)  # evicts index=0

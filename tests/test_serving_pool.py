@@ -368,7 +368,7 @@ class TestAdmissionLadder:
     def _footprint(pool, request_id):
         return (
             len(pool.traces), pool.traces.evicted,
-            pool.trace_id_for(request_id), pool.results.pending,
+            pool.traces.timeline(request_id), pool.results.pending,
         )
 
     def test_refusals_leave_no_trace_id_or_result(self):
@@ -413,7 +413,8 @@ class TestAdmissionLadder:
         finally:
             set_default_registry(previous)
             pool.stop(drain=False)
-        assert before[:3] == (1, 0, pool.traces.get(acknowledged).trace_id)
+        assert before[:2] == (1, 0)
+        assert before[2]["trace_id"] == acknowledged
         assert outcomes == {
             "admitted": 1.0,
             "rejected_queue_full": 1.0,

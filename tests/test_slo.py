@@ -234,19 +234,21 @@ class TestCLI:
         from repro.serving import Client
 
         path = str(tmp_path / "traces.jsonl")
-        store = TraceStore(spill_path=path)
+        store = TraceStore(capacity=1, spill_path=path)
         pool = CrossbarPool(
             shards=1, tile_elements=TILE, runtime="inline", trace_store=store
         )
         with pool:
-            result = Client(pool).call("Robert", relax_bits=8)
-        assert store.spill_all() == 1
+            client = Client(pool)
+            result = client.call("Robert", relax_bits=8)
+            client.call("Robert", relax_bits=8)  # spills the first trace
+        assert store.spilled == 1
         capsys.readouterr()
-        for lookup in (result.trace_id, result.id):
-            assert main(["trace", lookup, "--file", path]) == 0, lookup
-            out = capsys.readouterr().out
-            assert f"trace {result.trace_id}" in out
-            assert "executor" in out
+        assert result.trace_id == result.id
+        assert main(["trace", result.id, "--file", path]) == 0
+        out = capsys.readouterr().out
+        assert f"trace {result.id}" in out
+        assert "executor" in out
         assert main(["trace", "no-such-id", "--file", path]) == 1
 
     def test_trace_without_arguments_is_a_usage_error(self, capsys):

@@ -28,6 +28,7 @@ from repro.observability.tracing import (
 from repro.runtime.chaos import ChaosPolicy
 from repro.runtime.supervisor import ManualClock
 from repro.serving import Client, CrossbarPool
+from repro.serving.journal import RequestJournal
 from repro.serving.scheduler import BatchingScheduler, ServeRequest
 
 TILE = 1 << 9
@@ -44,8 +45,10 @@ class TestTraceStore:
         store = _store()
         first = store.new_trace()
         second = store.new_trace()
-        assert first.trace_id.startswith("t-")
-        assert first.trace_id != second.trace_id
+        assert (first.trace_id, second.trace_id) == ("t.0", "t.1")
+        # A request's trace is keyed by the request id as given.
+        assert store.new_trace("t-00000000").trace_id == "t-00000000"
+        assert store.new_trace().trace_id == "t.2"
 
     def test_events_append_in_order_with_clock_stamps(self):
         clock = ManualClock()
@@ -64,18 +67,16 @@ class TestTraceStore:
     def test_capacity_evicts_oldest_and_spills(self, tmp_path):
         path = str(tmp_path / "spill.jsonl")
         store = _store(capacity=2, spill_path=path)
-        oldest = store.new_trace(n=1)
+        oldest = store.new_trace("req-00000001", n=1)
         oldest.event("pool", "dispatch")
-        store.bind("req-1", oldest.trace_id)
         store.new_trace(n=2)
         store.new_trace(n=3)
         assert len(store) == 2
         assert store.evicted == 1
         assert store.spilled == 1
-        assert store.get(oldest.trace_id) is None
-        assert store.get("req-1") is None  # alias cleaned with the record
+        assert store.get("req-00000001") is None
         (spilled,) = load_spilled(path)
-        assert spilled.trace_id == oldest.trace_id
+        assert spilled.trace_id == "req-00000001"
         assert spilled.baggage == {"n": 1}
         assert [e.kind for e in spilled.events] == ["dispatch"]
 
@@ -98,28 +99,26 @@ class TestTraceStore:
 
     def test_append_to_unknown_trace_is_a_noop(self):
         store = _store()
-        store.append("no-such-trace", "pool", "dispatch", "s0")
+        store.append("no-such-trace", "pool", "dispatch")
         assert len(store) == 0
 
-    def test_alias_lookup_and_timeline(self):
+    def test_lookup_by_id_and_timeline(self):
         store = _store()
-        ctx = store.new_trace(workload="Sobel")
-        store.bind("request-1", ctx.trace_id)
-        assert store.trace_id_for("request-1") == ctx.trace_id
-        assert store.get("request-1").trace_id == ctx.trace_id
-        timeline = store.timeline("request-1")
-        assert timeline["trace_id"] == ctx.trace_id
+        ctx = store.new_trace("request-00000001", workload="Sobel")
+        ctx.event("pool", "dispatch", shard=0)
+        ctx.event("pool", "complete", "done")
+        assert ctx.trace_id == "request-00000001"
+        assert store.get("request-00000001").baggage == {"workload": "Sobel"}
+        timeline = store.timeline("request-00000001")
+        assert timeline["trace_id"] == "request-00000001"
         assert timeline["baggage"] == {"workload": "Sobel"}
+        # Events carry no span id: a trace is one span.
+        assert [sorted(event) for event in timeline["events"]] == [
+            ["attrs", "kind", "layer", "ts"],
+            ["detail", "kind", "layer", "ts"],
+        ]
+        assert store.get("unknown") is None
         assert store.timeline("unknown") is None
-        assert store.trace_id_for("unknown") is None
-
-    def test_spill_all_flushes_every_resident_trace(self, tmp_path):
-        path = str(tmp_path / "flush.jsonl")
-        store = _store(spill_path=path)
-        store.new_trace()
-        store.new_trace()
-        assert store.spill_all() == 2
-        assert len(load_spilled(path)) == 2
 
     def test_bad_config_raises(self):
         with pytest.raises(TracingError):
@@ -140,30 +139,25 @@ class TestTraceStore:
         with pytest.raises(TracingError):
             load_spilled(str(tmp_path / "absent.jsonl"))
 
-    def test_aliases_stay_bounded_under_eviction(self):
-        capacity = 8
-        store = _store(capacity=capacity)
-        bound = []
-        for n in range(10 * capacity):
-            ctx = store.new_trace()
-            store.bind(f"req-{n}", ctx.trace_id)
-            bound.append((f"req-{n}", ctx.trace_id))
-        assert len(store._aliases) <= capacity
-        evicted, resident = bound[:-capacity], bound[-capacity:]
-        for alias, _ in evicted:
-            assert store.trace_id_for(alias) is None
-            assert store.get(alias) is None
-        for alias, trace_id in resident:
-            assert store.trace_id_for(alias) == trace_id
-
-    def test_rebound_alias_survives_the_old_traces_eviction(self):
-        store = _store(capacity=2)
-        old = store.new_trace()
-        store.bind("req", old.trace_id)
-        new = store.new_trace()
-        store.bind("req", new.trace_id)
-        store.new_trace()  # evicts ``old``
-        assert store.trace_id_for("req") == new.trace_id
+    def test_reopened_id_replaces_the_resident_trace(self, tmp_path):
+        """Opening a resident id again (a journal replay in the same
+        store) replaces its trace, spills the old one like an eviction
+        and makes the id the newest entry."""
+        path = str(tmp_path / "spill.jsonl")
+        store = _store(capacity=2, spill_path=path)
+        store.new_trace("req-00000001", life=1).event("pool", "dispatch")
+        decision = store.new_trace()
+        store.new_trace("req-00000001", life=2)
+        assert (len(store), store.evicted, store.spilled) == (2, 1, 1)
+        assert store.get("req-00000001").baggage == {"life": 2}
+        assert store.get("req-00000001").events == []
+        (spilled,) = load_spilled(path)
+        assert (spilled.trace_id, spilled.baggage) == (
+            "req-00000001", {"life": 1},
+        )
+        store.new_trace()  # evicts the oldest: the decision, not the id
+        assert store.get(decision.trace_id) is None
+        assert store.get("req-00000001").baggage == {"life": 2}
 
 
 class TestAmbientPropagation:
@@ -258,7 +252,7 @@ class TestPoolTracing:
         ) as pool:
             result = Client(pool, tenant="tr").call("Robert", relax_bits=8)
         assert result.status == "ok"
-        assert result.trace_id.startswith("t-")
+        assert result.trace_id == result.id
         record = store.get(result.trace_id)
         layers = {event.layer for event in record.events}
         assert REQUIRED_LAYERS <= layers
@@ -278,10 +272,63 @@ class TestPoolTracing:
             shards=1, tile_elements=TILE, trace_store=store
         ) as pool:
             request_id = pool.submit(workload="Robert", relax_bits=8)
-            trace_id = pool.trace_id_for(request_id)
+            admitted = store.get(request_id)
             result = pool.result(request_id, timeout=120.0)
-        assert trace_id == result.trace_id
-        assert store.get(request_id).trace_id == trace_id
+        assert result.trace_id == request_id
+        assert store.get(request_id) is admitted
+        assert admitted.events[-1].kind == "complete"
+
+    def test_request_ids_and_store_ids_never_collide(self, cold_memos):
+        """A store-named trace (an autoscaler decision) and requests of
+        a tenant named like the store's prefix share one store: every
+        result's trace id resolves to its own request's trace, and the
+        store-named trace to itself."""
+        store = TraceStore(id_prefix="t")
+        decision = store.new_trace(workload="fleet", tenant="-")
+        with CrossbarPool(
+            shards=1, tile_elements=TILE, runtime="inline",
+            trace_store=store,
+        ) as pool:
+            client = Client(pool, tenant="t")
+            results = [
+                client.call(workload, relax_bits=8)
+                for workload in ("Robert", "Sobel", "Sobel")
+            ]
+        records = [store.get(result.trace_id) for result in results]
+        assert [record.baggage["workload"] for record in records] == [
+            "Robert", "Sobel", "Sobel",
+        ]
+        assert len({id(record) for record in records}) == 3
+        for result, record in zip(results, records):
+            assert result.trace_id == result.id == record.trace_id
+            assert record.events[-1].kind == "complete"
+        assert store.get(decision.trace_id).baggage["workload"] == "fleet"
+
+    def test_replay_reopens_its_id_in_the_same_store(self, tmp_path):
+        """A journal replay opens the acknowledged id's trace again: in a
+        store that still holds the first life's trace, the replay's
+        replaces it."""
+        path = str(tmp_path / "requests.jsonl")
+        request_id = "default-00000041"
+        with RequestJournal(path) as journal:
+            journal.admitted(ServeRequest(
+                id=request_id, workload="Robert", relax_bits=8,
+                tenant="default",
+            ))
+        store = TraceStore(id_prefix="t")
+        store.new_trace(request_id, life=1).event("pool", "dispatch")
+        with CrossbarPool(
+            shards=1, tile_elements=TILE, runtime="inline", journal=path,
+            trace_store=store,
+        ) as pool:
+            result = pool.result(request_id, timeout=60.0)
+        assert (result.status, result.trace_id) == ("ok", request_id)
+        record = store.get(request_id)
+        assert "life" not in record.baggage
+        assert (record.events[0].layer, record.events[0].kind) == (
+            "journal", "replayed",
+        )
+        assert (len(store), store.evicted) == (1, 1)
 
     def test_chaos_rescue_activity_lands_in_traces(self):
         """Under injected faults the timelines show the rescue ladder:

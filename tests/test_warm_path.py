@@ -18,7 +18,7 @@ from repro.observability.tracing import TraceStore
 from repro.serving import Client, CrossbarPool
 
 WARM_TIMELINE = [
-    ("frontend", "admitted", "", ["priority", "request_id"]),
+    ("frontend", "admitted", "", ["priority"]),
     ("scheduler", "queue_enter", "", ["depth", "priority"]),
     ("pool", "dispatch", "", ["batch_size", "queue_wait_s", "shard"]),
     ("supervisor", "attempt", "attempt 1", ["key"]),
