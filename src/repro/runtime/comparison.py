@@ -10,9 +10,11 @@ the analytic model fed by the trace-driven cache simulator.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from importlib import resources
 
 import numpy as np
 
@@ -20,12 +22,12 @@ from repro.baselines.gpu import GPUEstimate, GPUModel
 from repro.core.approximation import EXACT, ApproxSpec
 from repro.core.config import APIMConfig, default_config
 from repro.core.cost import Cost
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError, TransientError
 from repro.observability.instruments import record_cold_work
 from repro.observability.tracing import trace_event
 from repro.runtime.executor import APIMExecutor
 
-__all__ = ["ComparisonHarness", "ComparisonResult", "TileCost"]
+__all__ = ["ComparisonHarness", "ComparisonResult", "TileCost", "TileFailure"]
 
 #: The pricing memos, process-wide, so every harness in the process (every
 #: in-process shard) reuses one result per key; the third layer is
@@ -34,10 +36,11 @@ __all__ = ["ComparisonHarness", "ComparisonResult", "TileCost"]
 #: dataset_bytes)``, at most :data:`PRICED_CAPACITY`, oldest evicted first
 #: (sizes come from clients); tile executions ``(identity, workload name,
 #: spec)``, each kept as the :class:`TileCost` pricing reads, not the
-#: executed arrays.  Lookups take no lock: racing misses compute identical
-#: results (seeded RNG) and the first ``setdefault`` wins.
+#: executed arrays, or as the :class:`TileFailure` it raised.  Lookups take
+#: no lock: racing misses compute identical results (seeded RNG) and the
+#: first ``setdefault`` wins.
 _PRICED: dict[tuple, ComparisonResult] = {}
-_TILE_MEMO: dict[tuple, TileCost] = {}
+_TILE_MEMO: dict[tuple, TileCost | TileFailure] = {}
 PRICED_CAPACITY = 4096
 
 #: ``(APIM config, GPU config, tile elements, rng seed) -> small int``,
@@ -46,6 +49,34 @@ PRICED_CAPACITY = 4096
 _IDENTITIES: dict[tuple, int] = {}
 #: Guards interning, and the priced memo's inserts and evictions.
 _LOCK = threading.Lock()
+
+#: Package data: the tile of every registered workload at every relax level
+#: that executes, for the APIM config, tile and seed recorded beside them
+#: (the serving defaults).  Pinned against the executor, and regenerated,
+#: by tests/test_tile_table.py.
+TILE_TABLE = "tile_table.json"
+
+
+def seed_tiles(
+    identity: int, config: APIMConfig, tile_elements: int, rng_seed: int
+) -> None:
+    """Pre-fill the tile memo with the shipped table's entries under
+    ``identity`` when the table was generated for this APIM config, tile
+    and seed; otherwise leave the memo alone, so every key executes.  The
+    GPU config does not enter a tile's cost."""
+    text = resources.files(__package__).joinpath(TILE_TABLE).read_text()
+    table = json.loads(text)
+    recorded = {f.name: getattr(config, f.name) for f in fields(config)}
+    if (table["tile"], table["seed"], table["config"]) != (
+        tile_elements, rng_seed, recorded
+    ):
+        return
+    for name, levels in table["entries"].items():
+        for relax, (elements, *cost, qol, qos) in levels.items():
+            key = (identity, name, ApproxSpec(relax_bits=int(relax)))
+            _TILE_MEMO.setdefault(
+                key, TileCost(elements, Cost(*cost), qol, qos)
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,6 +89,16 @@ class TileCost:
     cost: Cost
     qol_percent: float
     qos_ok: bool
+
+
+@dataclass(frozen=True, slots=True)
+class TileFailure:
+    """The :class:`~repro.errors.ReproError` one tile execution raised,
+    kept so every later lookup of the key raises it again (same type and
+    message) instead of executing again."""
+
+    error: type[ReproError]
+    message: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,10 +155,14 @@ class ComparisonHarness:
         self.rng_seed = rng_seed
         identity = (self.config, self.gpu.config, tile_elements, rng_seed)
         with _LOCK:
-            self._identity = _IDENTITIES.setdefault(identity, len(_IDENTITIES))
+            interned = _IDENTITIES.get(identity)
+            if interned is None:
+                interned = _IDENTITIES[identity] = len(_IDENTITIES)
+                seed_tiles(interned, self.config, tile_elements, rng_seed)
+            self._identity = interned
 
     @property
-    def _tile_cache(self) -> dict[tuple, TileCost]:
+    def _tile_cache(self) -> dict[tuple, TileCost | TileFailure]:
         """The process-wide tile memo, read-only.  Its one reader is
         ``perfbench/spans.py::cold_work``, which compares its length
         before and after a serving window."""
@@ -128,18 +173,32 @@ class ComparisonHarness:
     def _tile_result(self, workload, spec: ApproxSpec) -> TileCost:
         key = (self._identity, workload.name, spec)
         tile = _TILE_MEMO.get(key)
-        if tile is not None:
-            return tile
+        if tile is None:
+            tile = _TILE_MEMO.setdefault(key, self._execute(workload, spec))
+        if type(tile) is TileFailure:
+            raise tile.error(tile.message)
+        return tile
+
+    def _execute(self, workload, spec: ApproxSpec) -> TileCost | TileFailure:
+        """Execute one tile, counted and traced as ``executed`` cold work
+        whether it prices or raises.  A transient error is expected to
+        clear on re-execution, so it propagates unkept."""
         start = time.perf_counter()
-        result = self.executor.run(
-            workload,
-            spec=spec,
-            elements=self.tile_elements,
-            rng=np.random.default_rng(self.rng_seed),
-        )
-        tile = _TILE_MEMO.setdefault(key, TileCost(
-            result.elements, result.cost, result.qol_percent, result.qos_ok,
-        ))
+        try:
+            result = self.executor.run(
+                workload,
+                spec=spec,
+                elements=self.tile_elements,
+                rng=np.random.default_rng(self.rng_seed),
+            )
+            tile = TileCost(
+                result.elements, result.cost, result.qol_percent,
+                result.qos_ok,
+            )
+        except TransientError:
+            raise
+        except ReproError as exc:
+            tile = TileFailure(type(exc), str(exc))
         seconds = time.perf_counter() - start
         record_cold_work("executed", seconds)
         trace_event(

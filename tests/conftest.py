@@ -56,18 +56,22 @@ def emptied_memos():
     The priced-point, tile and locality memos outlive every harness and
     model, so without this whether a lookup runs cold work (and how many
     executor runs a scenario makes) would depend on which tests ran
-    before.  The shipped locality table's entries are emptied too; the
-    saved memos come back afterwards.
+    before.  The shipped locality and tile tables' entries are emptied
+    too, and a harness whose identity is first interned inside the block
+    does not seed the tile table; the saved memos come back afterwards.
     """
     from repro.baselines import gpu
     from repro.runtime import comparison
 
-    saved = gpu._LOCALITY_MEMO, comparison._TILE_MEMO, comparison._PRICED
+    saved = (gpu._LOCALITY_MEMO, comparison._TILE_MEMO, comparison._PRICED,
+             comparison.seed_tiles)
     gpu._LOCALITY_MEMO, comparison._TILE_MEMO, comparison._PRICED = {}, {}, {}
+    comparison.seed_tiles = lambda *identity: None
     try:
         yield
     finally:
-        gpu._LOCALITY_MEMO, comparison._TILE_MEMO, comparison._PRICED = saved
+        (gpu._LOCALITY_MEMO, comparison._TILE_MEMO, comparison._PRICED,
+         comparison.seed_tiles) = saved
 
 
 @pytest.fixture

@@ -4,8 +4,10 @@ The packages resolve their re-exports on first use (``repro._lazy``), so
 a thread-runtime server never compiles the structural crossbar simulator,
 the device models, the adaptive tuner, the telemetry pipeline, the
 prior-adder baselines, the subprocess runtime or the chaos injector, and
-never imports ``numpy.ma``.  Every public name still
-resolves where it always did.
+never imports ``numpy.ma``.  A default pool that serves no search prices
+from the shipped tile table, so it executes no tile and never imports
+``numpy.random`` or ``numpy.fft``.  Every public name still resolves
+where it always did.
 """
 
 from __future__ import annotations
@@ -49,6 +51,25 @@ NOT_LOADED = (
     "repro.runtime.chaos",
 )
 
+#: A default-config inline pool without search: the six paper workloads and
+#: GEMM at three relax levels, then the modules loaded and the tile runs.
+TABLE_SCRIPT = """
+import json, sys
+from repro.observability.registry import default_registry
+from repro.serving import Client, CrossbarPool
+
+with CrossbarPool(shards=1, runtime="inline") as pool:
+    client = Client(pool)
+    for name in ("Sobel", "Robert", "FFT", "DwtHaar1D", "Sharpen",
+                 "QuasiR", "GEMM"):
+        for relax in (0, 8, 32):
+            assert client.call(name, relax_bits=relax).status == "ok"
+family = default_registry().get("repro_pricing_cold_work_total")
+executed = [child.value for labels, child in family.samples()
+            if labels["source"] == "executed"] if family else []
+print(json.dumps([sorted(sys.modules), sum(executed)]))
+"""
+
 PACKAGES = (
     "repro",
     "repro.runtime",
@@ -75,6 +96,19 @@ def test_serving_process_loads_no_unused_code():
         if name in NOT_LOADED or name.startswith(
             tuple(f"{module}." for module in NOT_LOADED))
     ] == []
+
+
+def test_default_pool_prices_from_the_tile_table():
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", TABLE_SCRIPT], env=env, check=True,
+        capture_output=True, text=True, timeout=120,
+    ).stdout
+    loaded, executed = json.loads(out)
+    assert "repro.serving.pool" in loaded
+    assert [name for name in loaded
+            if name.startswith(("numpy.random", "numpy.fft"))] == []
+    assert executed == 0
 
 
 def test_public_names_still_resolve():

@@ -24,7 +24,7 @@ from repro.runtime import comparison
 from repro.runtime.campaign import run_point
 from repro.runtime.comparison import ComparisonHarness
 from repro.runtime.executor import APIMExecutor
-from repro.serving import CrossbarPool
+from repro.serving import Client, CrossbarPool
 from repro.units import MIB
 from repro.workloads import workload_by_name
 from tests.conftest import emptied_memos
@@ -156,3 +156,24 @@ def test_misses_counted_and_traced_by_source(cold_memos):
         ("comparison", "executed"),
     ]
     assert {e.detail for e in events} == {"Robert"}
+
+
+def test_a_tile_that_raises_executes_once(cold_memos, monkeypatch):
+    """FFT at relax 50 overflows the 32-bit range and falls back to the
+    CPU.  The failed execution is kept and counted as cold work once:
+    later requests re-raise it without executing and fall back alike."""
+    runs = _count_runs(monkeypatch)
+    registry = MetricsRegistry()
+    previous = set_default_registry(registry)
+    try:
+        with CrossbarPool(shards=1, runtime="inline") as pool:
+            client = Client(pool)
+            served = [client.call("FFT", relax_bits=50) for _ in range(4)]
+    finally:
+        set_default_registry(previous)
+    assert runs == Counter({("FFT", 50): 1})
+    assert {result.status for result in served} == {"fallback"}
+    assert all(result.point == served[0].point for result in served)
+    counts = {labels["source"]: child.value for labels, child in
+              registry.get("repro_pricing_cold_work_total").samples()}
+    assert counts["executed"] == 1
