@@ -235,7 +235,28 @@ def run_point(
     A point priced clean on its first supervised attempt builds no
     closure and no QoS policy: the supervisor calls a module function
     with the point's arguments, and only the rescue ladder reads ``qos``.
+
+    Without ``chaos``, a point already in the harness's priced memo skips
+    the ladder: pricing is deterministic and a raising tile stays raising,
+    so a priced key is one whose first supervised attempt is clean.  The
+    hit records one ``campaign`` ``hit`` event (the warm tag) and returns
+    the entry's one shared ``ok`` point.  It neither counts a supervisor
+    attempt nor consults the breaker.
     """
+    # A negative level is left to the ladder, which raises it inside
+    # supervision like any other bad level.
+    if chaos is None and level >= 0:
+        entry = harness.priced(workload, dataset_bytes, _relax_spec(level))
+        if entry is not None:
+            point = entry.point
+            if point is None:
+                # Racing first hits build equal points; either one stays.
+                point = entry.point = _point_from_comparison(
+                    entry.comparison, level, "ok", 1, level
+                )
+            if trace is not None:
+                trace.event("campaign", "hit")
+            return point
     with use_trace(trace):
         key = key_prefix + point_key(workload.name, level, int(dataset_bytes))
         fn, args = _pricing(harness, workload, dataset_bytes, level, chaos, key)

@@ -15,6 +15,7 @@ import threading
 import time
 from dataclasses import dataclass, fields
 from importlib import resources
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,19 +28,29 @@ from repro.observability.instruments import record_cold_work
 from repro.observability.tracing import trace_event
 from repro.runtime.executor import APIMExecutor
 
-__all__ = ["ComparisonHarness", "ComparisonResult", "TileCost", "TileFailure"]
+if TYPE_CHECKING:
+    from repro.runtime.campaign import CampaignPoint
+
+__all__ = [
+    "ComparisonHarness",
+    "ComparisonResult",
+    "PricedEntry",
+    "TileCost",
+    "TileFailure",
+]
 
 #: The pricing memos, process-wide, so every harness in the process (every
 #: in-process shard) reuses one result per key; the third layer is
 #: ``repro.baselines.gpu._LOCALITY_MEMO``.  Keys start with the harness's
 #: interned identity: priced points ``(identity, workload name, spec,
-#: dataset_bytes)``, at most :data:`PRICED_CAPACITY`, oldest evicted first
-#: (sizes come from clients); tile executions ``(identity, workload name,
-#: spec)``, each kept as the :class:`TileCost` pricing reads, not the
-#: executed arrays, or as the :class:`TileFailure` it raised.  Lookups take
-#: no lock: racing misses compute identical results (seeded RNG) and the
-#: first ``setdefault`` wins.
-_PRICED: dict[tuple, ComparisonResult] = {}
+#: dataset_bytes)``, each kept as a :class:`PricedEntry`, at most
+#: :data:`PRICED_CAPACITY`, oldest evicted first (sizes come from
+#: clients); tile executions ``(identity, workload name, spec)``, each kept
+#: as the :class:`TileCost` pricing reads, not the executed arrays, or as
+#: the :class:`TileFailure` it raised.  Lookups take no lock: racing misses
+#: compute identical results (seeded RNG) and the first ``setdefault``
+#: wins.
+_PRICED: dict[tuple, PricedEntry] = {}
 _TILE_MEMO: dict[tuple, TileCost | TileFailure] = {}
 PRICED_CAPACITY = 4096
 
@@ -63,15 +74,19 @@ def seed_tiles(
     """Pre-fill the tile memo with the shipped table's entries under
     ``identity`` when the table was generated for this APIM config, tile
     and seed; otherwise leave the memo alone, so every key executes.  The
-    GPU config does not enter a tile's cost."""
+    GPU config does not enter a tile's cost.
+
+    The table's ``entries`` come last, so the header before them parses
+    alone and rules an identity out before the entries are decoded."""
     text = resources.files(__package__).joinpath(TILE_TABLE).read_text()
-    table = json.loads(text)
+    head, _, _ = text.partition('"entries"')
+    header = json.loads(head.rstrip(", \n") + "}")
     recorded = {f.name: getattr(config, f.name) for f in fields(config)}
-    if (table["tile"], table["seed"], table["config"]) != (
+    if (header["tile"], header["seed"], header["config"]) != (
         tile_elements, rng_seed, recorded
     ):
         return
-    for name, levels in table["entries"].items():
+    for name, levels in json.loads(text)["entries"].items():
         for relax, (elements, *cost, qol, qos) in levels.items():
             key = (identity, name, ApproxSpec(relax_bits=int(relax)))
             _TILE_MEMO.setdefault(
@@ -134,6 +149,17 @@ class ComparisonResult:
         return (self.gpu_energy * self.gpu_time) / (
             self.apim_energy * self.apim_time
         )
+
+
+@dataclass(slots=True)
+class PricedEntry:
+    """One priced-memo entry: the point's comparison, and the clean
+    :class:`~repro.runtime.campaign.CampaignPoint` that
+    :func:`~repro.runtime.campaign.run_point` builds on the entry's first
+    hit and hands to every later one."""
+
+    comparison: ComparisonResult
+    point: CampaignPoint | None = None
 
 
 class ComparisonHarness:
@@ -267,14 +293,21 @@ class ComparisonHarness:
             qos_ok=True,
         )
 
+    def priced(
+        self, workload, dataset_bytes: float, spec: ApproxSpec
+    ) -> PricedEntry | None:
+        """The priced memo's entry for one point, or None when it is not
+        priced yet; prices nothing and records nothing."""
+        return _PRICED.get((self._identity, workload.name, spec, dataset_bytes))
+
     def compare(
         self, workload, dataset_bytes: float, spec: ApproxSpec = EXACT
     ) -> ComparisonResult:
         """Full APIM-vs-GPU comparison at one point."""
         key = (self._identity, workload.name, spec, dataset_bytes)
-        priced = _PRICED.get(key)
-        if priced is not None:
-            return priced
+        entry = _PRICED.get(key)
+        if entry is not None:
+            return entry.comparison
         tile = self._tile_result(workload, spec)
         profile = workload.profile()
         apim_time, apim_energy = self._scaled(tile, profile, dataset_bytes)
@@ -292,10 +325,10 @@ class ComparisonHarness:
         )
         with _LOCK:
             memo = _PRICED
-            priced = memo.setdefault(key, priced)
+            entry = memo.setdefault(key, PricedEntry(priced))
             if len(memo) > PRICED_CAPACITY:
                 del memo[next(iter(memo))]
-        return priced
+        return entry.comparison
 
     def sweep_sizes(
         self, workload, sizes: list[float], spec: ApproxSpec = EXACT

@@ -159,18 +159,28 @@ class TestTornTail:
 
 class TestKillAndResume:
     class _KillingHarness:
-        """Delegates to a real harness, dying after N compare calls —
-        the in-process stand-in for SIGKILL mid-grid."""
+        """Delegates to a real harness, dying on pricing N + 1, whether a
+        priced-memo hit or a compare call — the in-process stand-in for
+        SIGKILL mid-grid."""
 
         def __init__(self, inner, die_after: int) -> None:
             self.inner = inner
             self.die_after = die_after
-            self.compare_calls = 0
+            self.pricings = 0
+
+        def _pricing(self) -> None:
+            if self.pricings >= self.die_after:
+                raise KeyboardInterrupt("simulated SIGKILL")
+            self.pricings += 1
+
+        def priced(self, workload, dataset_bytes, spec):
+            entry = self.inner.priced(workload, dataset_bytes, spec)
+            if entry is not None:
+                self._pricing()
+            return entry
 
         def compare(self, workload, dataset_bytes, spec):
-            if self.compare_calls >= self.die_after:
-                raise KeyboardInterrupt("simulated SIGKILL")
-            self.compare_calls += 1
+            self._pricing()
             return self.inner.compare(workload, dataset_bytes, spec)
 
         def cpu_fallback(self, workload, dataset_bytes):
@@ -202,7 +212,7 @@ class TestKillAndResume:
         )
         # Only the killed point re-ran; completed points came from the
         # journal.
-        assert survivor.compare_calls == 1
+        assert survivor.pricings == 1
         assert len(result.points) == 3
         assert [p.relax_bits for p in result.points] == [0, 16, 32]
         final = load_journal(path)

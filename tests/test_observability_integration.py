@@ -250,8 +250,12 @@ class TestTraceWriterConcurrency:
         path = tmp_path / "trace.json"
         writer = ChromeTraceWriter(str(path), flush_every=7)
         per_thread, threads = 50, 4
+        # Every emitter is alive until all have started, so no finished
+        # thread can hand its ident to the next one.
+        started = threading.Barrier(threads)
 
         def emit(tag: int):
+            started.wait(timeout=10.0)
             for i in range(per_thread):
                 writer.event("test", f"t{tag}.{i}", duration_s=1e-6)
 

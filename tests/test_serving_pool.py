@@ -163,12 +163,14 @@ class TestChaosResilience:
     def test_inline_health_gauge_recovers_after_probe(self):
         """A tripped shard's health gauge returns to 1 once its breaker
         cools down and the probe request succeeds — inline too, where no
-        shard thread re-sets the gauge every poll."""
+        shard thread re-sets the gauge every poll.  The pool's seed is
+        its own, so its first request misses the priced memo and reaches
+        the broken ``compare``."""
         registry = MetricsRegistry()
         previous = set_default_registry(registry)
         try:
             with CrossbarPool(shards=1, tile_elements=TILE, runtime="inline",
-                              shard_failure_threshold=1,
+                              seed=4099, shard_failure_threshold=1,
                               shard_cooldown_s=0.3) as pool:
                 shard = pool.shards[0]
                 gauge = registry.get("repro_serving_shard_healthy")

@@ -190,10 +190,20 @@ def test_default_identity_served_from_table(monkeypatch):
      "config": default_config().with_overrides(e_nor=9e-15)},
 ])
 def test_other_identities_are_not_seeded(monkeypatch, identity):
-    monkeypatch.setattr(comparison, "_TILE_MEMO", {})
+    """The table's header rules another identity out before its entries
+    are decoded, and the tile memo is left exactly as it was."""
+    kept = {(0, "Sobel", EXACT): "kept"}
+    monkeypatch.setattr(comparison, "_TILE_MEMO", dict(kept))
+    decoded = []
+    loads = json.loads
+    monkeypatch.setattr(
+        json, "loads", lambda text: decoded.append(text) or loads(text)
+    )
     config = identity.get("config", default_config())
     seed_tiles(0, config, identity["tile_elements"], identity["rng_seed"])
-    assert comparison._TILE_MEMO == {}
+    assert comparison._TILE_MEMO == kept
+    assert len(decoded) == 1 and '"entries"' not in decoded[0]
+    assert list(TABLE)[-1] == "entries"
 
 
 def test_subprocess_worker_starts_from_the_table():

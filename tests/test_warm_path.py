@@ -1,12 +1,14 @@
 """Behaviour pin for one warm served request.
 
-The warm path (admission, scheduler, supervision, publish) is tuned for
-per-request cost; this pins what it must keep doing while it gets
+The warm path (admission, scheduler, priced-memo hit, publish) is tuned
+for per-request cost; this pins what it must keep doing while it gets
 cheaper.  One warm inline request, in the full-store regime the serving
 benchmark runs in (the result and trace stores evict on every request),
 must record the same timeline — ``(layer, kind, detail, sorted attr
-keys)`` in order, timestamps dropped — append exactly six trace events
-and touch the same metric series.
+keys)`` in order, timestamps dropped — append exactly five trace events
+and touch the same metric series.  A warm request is a priced-memo hit:
+it skips supervision, so its one pricing event is ``campaign`` ``hit``
+(the warm tag) and it writes no supervisor series.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ WARM_TIMELINE = [
     ("frontend", "admitted", "", ["priority"]),
     ("scheduler", "queue_enter", "", ["depth", "priority"]),
     ("pool", "dispatch", "", ["batch_size", "queue_wait_s", "shard"]),
-    ("supervisor", "attempt", "attempt 1", ["key"]),
-    ("supervisor", "success", "ok after 1 attempt(s)", ["key"]),
+    ("campaign", "hit", "", []),
     ("pool", "complete", "", ["attempts", "service_s", "status"]),
 ]
 
@@ -36,25 +37,40 @@ WARM_SERIES = [
     ("repro_serving_result_evictions_total", [("reason", "capacity")]),
     ("repro_serving_shard_busy_seconds_total", [("shard", "0")]),
     ("repro_serving_shard_requests_total", [("shard", "0"), ("status", "ok")]),
+]
+
+
+#: A cold first request (a priced-memo miss) is supervised: its rescue
+#: ladder records the attempt and its success, and touches these series.
+COLD_LADDER = [
+    ("frontend", "admitted", "", ["priority"]),
+    ("scheduler", "queue_enter", "", ["depth", "priority"]),
+    ("pool", "dispatch", "", ["batch_size", "queue_wait_s", "shard"]),
+    ("supervisor", "attempt", "attempt 1", ["key"]),
+    ("supervisor", "success", "ok after 1 attempt(s)", ["key"]),
+    ("pool", "complete", "", ["attempts", "service_s", "status"]),
+]
+
+SUPERVISOR_SERIES = [
     ("repro_supervisor_events_total", [("kind", "attempt")]),
     ("repro_supervisor_events_total", [("kind", "success")]),
     ("repro_supervisor_retries_total", []),
 ]
 
 
-@pytest.fixture(scope="module")
-def warm_request():
-    """``(timeline, appends, series)`` of the third identical request on
-    a two-shard inline pool whose stores hold two entries each."""
+def _pinned_request(warmups: int, seed: int) -> tuple:
+    """``(timeline, appends, series)`` of the request after ``warmups``
+    identical ones on a two-shard inline pool whose stores hold two
+    entries each."""
     store = TraceStore(capacity=2)
     pool = CrossbarPool(
-        shards=2, tile_elements=1 << 9, runtime="inline",
+        shards=2, tile_elements=1 << 9, runtime="inline", seed=seed,
         result_capacity=2, trace_store=store,
     )
     client = Client(pool, tenant="pin")
     with pool:
-        client.call("Sobel", relax_bits=8)
-        client.call("Sobel", relax_bits=8)  # both shards now warm
+        for _ in range(warmups):
+            client.call("Sobel", relax_bits=8)
         appends = []
         append = store.append
 
@@ -83,16 +99,39 @@ def warm_request():
     return timeline, appends, series
 
 
+@pytest.fixture(scope="module")
+def warm_request():
+    """The third identical request: both shards are warm."""
+    return _pinned_request(warmups=2, seed=2017)
+
+
+@pytest.fixture(scope="module")
+def cold_request():
+    """The first request at an identity no other test interns."""
+    return _pinned_request(warmups=0, seed=4243)
+
+
 def test_warm_timeline_is_pinned(warm_request):
     timeline, _, _ = warm_request
     assert timeline == WARM_TIMELINE
 
 
-def test_warm_request_appends_six_events(warm_request):
+def test_warm_request_appends_five_events(warm_request):
     _, appends, _ = warm_request
-    assert len(appends) == 6
+    assert len(appends) == 5
 
 
 def test_warm_request_touches_the_pinned_series(warm_request):
     _, _, series = warm_request
     assert series == WARM_SERIES
+
+
+def test_cold_request_runs_the_supervised_ladder(cold_request):
+    """Outside its cold pricing work (tile execution), a memo miss
+    records the supervised attempt and its success, not a hit, and
+    touches the supervisor series, the retry counter included."""
+    timeline, _, series = cold_request
+    ladder = [event for event in timeline
+              if event[0] not in ("executor", "comparison", "locality")]
+    assert ladder == COLD_LADDER
+    assert all(entry in series for entry in SUPERVISOR_SERIES)
