@@ -49,6 +49,11 @@ MIX = [
     ("GEMM", 16, 64 * MIB),
     ("Sobel", 8, 64 * MIB),
 ]
+#: Seeds of the two chaos-free arms: a point already priced at a pool's
+#: identity is answered at admission and never queues, so each arm's
+#: burst must price at an identity nothing else in the process prices.
+OPEN_LOOP_SEED = 4322
+BATCHING_SEED = 4323
 CLIENTS = 4
 REQUESTS_PER_CLIENT = 25
 TERMINAL = ("ok", "retried", "degraded", "fallback", "failed")
@@ -181,7 +186,7 @@ def _open_loop() -> dict:
     pool = CrossbarPool(
         shards=1,
         tile_elements=TILE,
-        seed=SEED,
+        seed=OPEN_LOOP_SEED,
         serving_config=ServingConfig(queue_capacity=8, retry_after_s=0.02),
     )
     admitted, rejected = [], 0
@@ -211,18 +216,19 @@ def _open_loop() -> dict:
 
 
 def _batching() -> dict:
-    """Concurrent same-key submissions must coalesce into real batches."""
+    """Concurrent same-key submissions must coalesce into real batches.
+
+    The burst's key is cold: its first request prices it while the rest
+    queue behind it (a warm key would be answered at admission)."""
     pool = CrossbarPool(
         shards=1,
         tile_elements=TILE,
-        seed=SEED,
+        seed=BATCHING_SEED,
         serving_config=ServingConfig(
             max_batch_size=8, max_wait_s=0.005, queue_capacity=256
         ),
     )
     with pool:
-        warm = Client(pool, tenant="warm")
-        warm.call("GEMM", relax_bits=8, timeout=120.0)
         ids = [
             pool.submit(workload="GEMM", relax_bits=8, tenant="burst",
                         block=True)

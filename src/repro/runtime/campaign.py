@@ -54,6 +54,7 @@ __all__ = [
     "CampaignPoint",
     "CampaignResult",
     "TERMINAL_STATUSES",
+    "memo_hit",
     "point_key",
     "run_campaign",
     "run_point",
@@ -236,27 +237,13 @@ def run_point(
     closure and no QoS policy: the supervisor calls a module function
     with the point's arguments, and only the rescue ladder reads ``qos``.
 
-    Without ``chaos``, a point already in the harness's priced memo skips
-    the ladder: pricing is deterministic and a raising tile stays raising,
-    so a priced key is one whose first supervised attempt is clean.  The
-    hit records one ``campaign`` ``hit`` event (the warm tag) and returns
-    the entry's one shared ``ok`` point.  It neither counts a supervisor
-    attempt nor consults the breaker.
+    A point already in the harness's priced memo skips the ladder
+    (:func:`memo_hit`): it neither counts a supervisor attempt nor
+    consults the breaker.
     """
-    # A negative level is left to the ladder, which raises it inside
-    # supervision like any other bad level.
-    if chaos is None and level >= 0:
-        entry = harness.priced(workload, dataset_bytes, _relax_spec(level))
-        if entry is not None:
-            point = entry.point
-            if point is None:
-                # Racing first hits build equal points; either one stays.
-                point = entry.point = _point_from_comparison(
-                    entry.comparison, level, "ok", 1, level
-                )
-            if trace is not None:
-                trace.event("campaign", "hit")
-            return point
+    point = memo_hit(workload, level, dataset_bytes, harness, chaos, trace)
+    if point is not None:
+        return point
     with use_trace(trace):
         key = key_prefix + point_key(workload.name, level, int(dataset_bytes))
         fn, args = _pricing(harness, workload, dataset_bytes, level, chaos, key)
@@ -321,6 +308,43 @@ def run_point(
             return _failed_point(
                 workload.name, level, int(dataset_bytes), calls
             )
+
+
+def memo_hit(
+    workload: Workload,
+    level: int,
+    dataset_bytes: float,
+    harness,
+    chaos=None,
+    trace=None,
+) -> CampaignPoint | None:
+    """The priced memo's point for one grid point, or None on a miss.
+
+    The one hit check: :func:`run_point` calls it before its ladder, and
+    the serving pool's commit step calls it to answer a request at
+    admission.  Without a ``chaos`` injector (chaos turns hits off: it
+    faults a call before it reaches the harness), a point already in the
+    harness's priced memo needs no ladder: pricing is deterministic and a
+    raising tile stays raising, so a priced key is one whose first
+    supervised attempt is clean.  A hit records one ``campaign`` ``hit``
+    event (the warm tag) on ``trace`` and returns the entry's one shared
+    ``ok`` point.  A negative level is a miss, left to the ladder, which
+    raises it inside supervision like any other bad level.
+    """
+    if chaos is not None or level < 0:
+        return None
+    entry = harness.priced(workload, dataset_bytes, _relax_spec(level))
+    if entry is None:
+        return None
+    point = entry.point
+    if point is None:
+        # Racing first hits build equal points; either one stays.
+        point = entry.point = _point_from_comparison(
+            entry.comparison, level, "ok", 1, level
+        )
+    if trace is not None:
+        trace.event("campaign", "hit")
+    return point
 
 
 @lru_cache(maxsize=64)

@@ -15,7 +15,7 @@ Endpoints (all JSON unless noted):
   rung's shift.
 
   Both admission endpoints reply alike: ``202 {"id", "status":
-  "queued", "trace_id"}``, where the trace id is the request id; ``200
+  "queued"}`` (the id also names the request's trace); ``200
   {"status": "duplicate"}`` with the *original* id for a keyed repeat
   of the identical payload; ``409`` for a used key with a different
   payload; ``429`` + ``Retry-After`` on admission rejection; ``503``
@@ -182,7 +182,6 @@ def _admission_handler(pool: CrossbarPool, endpoint: str):
         return (200 if duplicate else 202), {
             "id": request_id,
             "status": "duplicate" if duplicate else "queued",
-            "trace_id": request_id,
         }
 
     return handle
@@ -206,11 +205,7 @@ def _result_handler(pool: CrossbarPool):
                 "id": request_id,
                 "reason": found,
             }
-        return 202, {
-            "id": request_id,
-            "status": "pending",
-            "trace_id": request_id,
-        }
+        return 202, {"id": request_id, "status": "pending"}
 
     return handle
 

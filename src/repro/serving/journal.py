@@ -143,9 +143,12 @@ def serve_result_from_dict(payload: dict) -> ServeResult:
 
     Raises :class:`~repro.errors.JournalError` on payloads this version
     cannot interpret (foreign fields, missing requireds) — the caller
-    treats such records as unrecoverable and re-executes instead.
+    treats such records as unrecoverable and re-executes instead.  A
+    ``trace_id`` field, which older versions wrote as a copy of the id,
+    is dropped.
     """
     data = dict(payload)
+    data.pop("trace_id", None)
     point = data.get("point")
     try:
         if point is not None:

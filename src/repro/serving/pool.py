@@ -10,6 +10,9 @@ and run each request through
 runtime's whole rescue ladder: retry with jittered backoff, degrade up the
 relax rungs, fall back to the CPU baseline — every admitted request ends
 in exactly one terminal :class:`~repro.serving.scheduler.ServeResult`.
+A request whose point is already priced never reaches a shard: without a
+chaos policy, admission answers it from the priced memo
+(:meth:`CrossbarPool._answer_hit`).
 
 Shard health is a per-shard :class:`CircuitBreaker`: requests that end
 ``failed``/``error`` count as consecutive failures, and a tripped shard
@@ -81,7 +84,7 @@ from repro.observability.instruments import (
 from repro.observability.sketch import LatencyAnalytics
 from repro.observability.slo import BurnRateEvaluator, SLOPolicy
 from repro.observability.tracing import TraceStore, use_trace
-from repro.runtime.campaign import CampaignPoint, run_point
+from repro.runtime.campaign import CampaignPoint, memo_hit, run_point
 from repro.runtime.comparison import ComparisonHarness
 from repro.runtime.supervisor import CircuitBreaker, RetryPolicy, Supervisor
 from repro.serving.journal import (
@@ -928,15 +931,17 @@ class CrossbarPool:
         passed: mint the id (a replay keeps its journaled one), append
         the ``admitted`` record when ``journaled`` carries its fields,
         open the trace under the id with its first event (``event`` is
-        its layer, kind and optional detail), and register the id with
-        the result store.  The record is written before the push, so no
-        worker record of the id can precede it in the journal, and a
+        its layer, kind and optional detail), register the id with the
+        result store, and answer a priced-memo hit on the spot
+        (:meth:`_answer_hit`).  The record is written before the push, so
+        no worker record of the id can precede it in the journal, and a
         ``JournalError`` refuses the request with nothing queued or
         traced (a 500: the id was never handed out).  It is written
-        without a barrier; :meth:`_acknowledge` syncs it.  Replays pass
-        no ``journaled``: their record is already on file.
+        without a barrier; :meth:`_acknowledge` syncs it (and a hit's
+        ``completed`` record with it).  Replays pass no ``journaled``:
+        their record is already on file.
         """
-        def commit(request: ServeRequest) -> None:
+        def commit(request: ServeRequest) -> bool:
             if not request.id:
                 request.id = self.scheduler.next_id(request.tenant)
             if journaled is not None:
@@ -951,8 +956,39 @@ class CrossbarPool:
             if journaled is not None:
                 trace.event("journal", "admitted")
             self.results.register(request.id)
+            return request.search is None and self._answer_hit(request)
 
         self.scheduler.submit(request, block, commit)
+
+    def _answer_hit(self, request: ServeRequest) -> bool:
+        """Finish a registered request at admission if its point is
+        already priced; True when it did.
+
+        The lookup is :func:`~repro.runtime.campaign.memo_hit`, the one
+        ``run_point`` makes, on any shard's harness (every shard shares
+        one harness identity) and under its chaos injector, so a pool
+        with a chaos policy never answers here.  A hit uses no shard and
+        no queue slot: it ends through :meth:`_finish` with shard -1, no
+        queue wait and the entry's one shared point, and its service time
+        runs from the lookup to the publish.
+        """
+        start = time.monotonic()
+        shard = self.shards[0]
+        point = memo_hit(
+            shard.workload(request.workload),
+            request.relax_bits,
+            float(request.dataset_bytes),
+            shard.harness,
+            shard.chaos,
+            request.trace,
+        )
+        if point is None:
+            return False
+        self._finish(
+            request, 0.0, point.status, attempts=point.attempts, point=point,
+            service_s=time.monotonic() - start,
+        )
+        return True
 
     def result(
         self, request_id: str, timeout: float | None = None
@@ -1275,17 +1311,18 @@ class CrossbarPool:
         error: str | None = None,
         search: dict | None = None,
     ) -> None:
-        """The one terminal step of every request: executed, expired, or
-        aborted by ``stop(drain=False)`` (no ``shard``).
+        """The one terminal step of every request: executed, expired,
+        answered at admission or aborted by ``stop(drain=False)`` (the
+        last two with no ``shard``).
 
         Builds the request's :class:`ServeResult`, journals and publishes
         it through :meth:`_complete`, then derives every aggregate from
         that result alone: the requests and shard counters, the queue-wait
         and request-duration histograms, the three latency sketches and
-        the SLO window.  An executed request (``service_s`` given) also
-        feeds the service-time EMA and its shard's totals.
+        the SLO window.  An executed request (a ``shard`` and
+        ``service_s`` given) also feeds the service-time EMA and its
+        shard's totals.
         """
-        trace = request.trace
         result = ServeResult(
             id=request.id,
             tenant=request.tenant,
@@ -1300,7 +1337,6 @@ class CrossbarPool:
             batch_size=batch_size,
             point=point,
             error=error,
-            trace_id="" if trace is None else trace.trace_id,
             search=search,
         )
         self._complete(result)
@@ -1317,7 +1353,7 @@ class CrossbarPool:
         self.latency.observe("service", result.service_s)
         self.latency.observe("e2e", e2e_s)
         self.slo.record(e2e_s, ok=result.completed)
-        record_request_duration(e2e_s, result.trace_id or None)
+        record_request_duration(e2e_s, request.id)
 
 
 class Client:

@@ -171,9 +171,6 @@ class ServeResult:
     batch_size: int = 0
     point: "CampaignPoint | None" = None
     error: str | None = None
-    #: Trace id for ``GET /trace/<id>``: the request id (empty when
-    #: tracing was off).
-    trace_id: str = ""
     #: Top-k retrieval (``{"ids": [...], "distances": [...], ...}``) for
     #: `/search` requests, or None for campaign pricing requests.
     search: dict | None = None
@@ -381,7 +378,7 @@ class BatchingScheduler:
         self,
         request: ServeRequest,
         block: bool,
-        commit: Callable[[ServeRequest], None],
+        commit: Callable[[ServeRequest], bool],
     ) -> None:
         """Admit ``request`` or raise :class:`AdmissionRejectedError`.
 
@@ -392,9 +389,12 @@ class BatchingScheduler:
         reserved slot in its class while ``commit(request)`` runs outside
         the lock (the pool's step that mints the id and opens the trace,
         so its spill I/O never stalls a worker), and is pushed after it:
-        the class never over-admits.  A ``commit`` that raises gives the
-        slot back and queues nothing.  :meth:`close` waits for every
-        reserved slot, so a commit in flight lands before it returns.
+        the class never over-admits.  A ``commit`` that returns True has
+        already finished the request (a priced-memo hit answered at
+        admission): its slot is given back and nothing is pushed.  A
+        ``commit`` that raises gives the slot back and queues nothing.
+        :meth:`close` waits for every reserved slot, so a commit in flight
+        lands before it returns.
         """
         priority = request.priority
         with self._lock:
@@ -436,18 +436,20 @@ class BatchingScheduler:
             ring.reserved += 1
             self._reserved += 1
         try:
-            commit(request)
+            terminal = commit(request)
         except BaseException:
             with self._lock:
                 self._release_locked(ring)
             raise
         with self._lock:
             self._release_locked(ring)
+            self.admitted += 1
+            _ADMITTED.inc()
+            if terminal:
+                return
             request.submitted_at = self.clock()
             ring.push(request)
             self.queued += 1
-            self.admitted += 1
-            _ADMITTED.inc()
             ring.depth.set(ring.size)
             if request.trace is not None:
                 request.trace.event(

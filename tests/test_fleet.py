@@ -135,8 +135,9 @@ class TestLiveResize:
     def test_subprocess_pool_resizes_live(self):
         """Grow a running subprocess pool, serve on the new shard, then
         shrink it with requests queued: nothing is lost and the removed
-        shard's worker process has exited."""
-        with _pool(shards=1, runtime="subprocess") as pool:
+        shard's worker process has exited.  The pool's seed is its own,
+        so no request is a priced-memo hit answered at admission."""
+        with _pool(shards=1, runtime="subprocess", seed=4311) as pool:
             client = Client(pool, tenant="resize")
             new = pool.add_shard()
             served_on = set()
@@ -170,8 +171,10 @@ class TestLiveResize:
     def test_timed_out_shrink_releases_the_worker_slot(self, runtime):
         """A shrink whose victim outlives the drain deadline reports it,
         but the pool's worker count still drops with the shard count:
-        deadline admission divides the backlog by that count."""
-        with _pool(shards=2, runtime=runtime) as pool:
+        deadline admission divides the backlog by that count.  Each arm's
+        seed is its own, so the held request misses the priced memo."""
+        seed = {"thread": 4312, "subprocess": 4313}[runtime]
+        with _pool(shards=2, runtime=runtime, seed=seed) as pool:
             run_batch = pool._run_batch
             holding, release = threading.Event(), threading.Event()
             held_on = []

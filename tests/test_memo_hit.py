@@ -90,7 +90,7 @@ def test_chaos_pool_never_records_a_hit():
         results = [client.call("Robert", relax_bits=8) for _ in range(6)]
         kinds = [
             {(event.layer, event.kind)
-             for event in pool.traces.get(result.trace_id).events}
+             for event in pool.traces.get(result.id).events}
             for result in results
         ]
     assert all(result.status != "failed" for result in results)

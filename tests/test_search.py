@@ -335,7 +335,7 @@ class TestSearchEndpoint:
             assert served["distances"] == [int(d) for d in distances[order]]
             assert served["shift"] == 0
             status, timeline = _http_json(
-                f"{base}/trace/{result['trace_id']}"
+                f"{base}/trace/{result['id']}"
             )
             assert status == 200
             kinds = {(e["layer"], e["kind"]) for e in timeline["events"]}

@@ -375,7 +375,7 @@ class TestFrontend:
                 assert result["status"] == "ok"
                 served[runtime] = result["point"]["speedup"]
                 status, _, timeline = fetch(
-                    f"{server.url}/trace/{result['trace_id']}"
+                    f"{server.url}/trace/{result['id']}"
                 )
                 assert status == 200
                 layers = {event["layer"] for event in timeline["events"]}
@@ -407,10 +407,11 @@ class TestFrontend:
 
         config = ServingConfig(queue_capacity=1, max_wait_s=0.0)
         pool = CrossbarPool(
-            shards=1, tile_elements=TILE, serving_config=config
+            shards=1, tile_elements=TILE, serving_config=config, seed=4308
         )
         # Deliberately not started: nothing drains, the second submit
-        # must bounce off the full queue.
+        # must bounce off the full queue (the seed prices nothing, so the
+        # first is no priced-memo hit answered at admission).
         with build_server(pool) as server:
             pool._started = True  # keep submit from starting workers
             first = fetch(
@@ -451,11 +452,12 @@ class TestOverload:
         """Eight simultaneous POSTs against a one-slot queue whose only
         worker is held: every reply is 202 or 429, every 202 id reaches a
         terminal result, and every resident trace belongs to a 202 id (a
-        429 opens no trace)."""
+        429 opens no trace).  The pool's seed is its own, so no post is a
+        priced-memo hit answered at admission."""
         from repro.serving import ServingConfig
 
         pool = CrossbarPool(
-            shards=1, tile_elements=TILE,
+            shards=1, tile_elements=TILE, seed=4309,
             serving_config=ServingConfig(queue_capacity=1),
         )
         shard = pool.shards[0]
@@ -524,9 +526,11 @@ ADMISSION_BODIES = {
 @contextmanager
 def idle_frontend(**pool_kwargs):
     """A frontend over a pool whose workers never run: admissions stay
-    queued, so every reply is admission's alone."""
+    queued, so every reply is admission's alone.  Its seed prices
+    nothing, so no admission is a priced-memo hit."""
     pool = CrossbarPool(
-        shards=2, tile_elements=TILE, shard_cooldown_s=60.0, **pool_kwargs
+        shards=2, tile_elements=TILE, shard_cooldown_s=60.0, seed=4310,
+        **pool_kwargs,
     )
     pool._started = True  # keep admission from starting workers
     try:
@@ -541,13 +545,14 @@ def idle_frontend(**pool_kwargs):
 class TestAdmissionContract:
     """The reply ladder `/submit` and `/search` share, pinned per status."""
 
-    def test_accepted_is_202_with_trace_id(self, endpoint):
+    def test_accepted_is_202_with_its_id(self, endpoint):
+        """The id alone names the request and its trace."""
         body = ADMISSION_BODIES[endpoint][0]
         with idle_frontend() as (_, server):
             status, _, reply = fetch(f"{server.url}{endpoint}", body)
         assert status == 202
         assert reply["status"] == "queued" and reply["id"]
-        assert reply["trace_id"]
+        assert set(reply) == {"id", "status"}
 
     def test_keyed_repeat_is_duplicate_and_conflict_is_409(self, endpoint):
         body, changed, _, _ = ADMISSION_BODIES[endpoint]

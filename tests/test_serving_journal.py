@@ -100,7 +100,7 @@ def _encoded_results():
         _result(
             "t-00000001", status="degraded", relax_bits=8, shard=1,
             attempts=2, queue_wait_s=0.00125, service_s=0.0005,
-            batch_size=3, point=point, trace_id="0123456789abcdef",
+            batch_size=3, point=point,
         ),
         _result(
             "t-00000002", workload="search", relax_bits=8,
@@ -406,9 +406,10 @@ class TestRecordOrder:
         """A submit held just after the scheduler queued it while
         ``stop(drain=True)`` drains the request and closes the journal:
         the id is acknowledged, and its ``admitted`` record was written
-        before anything a worker journaled for it."""
+        before anything a worker journaled for it.  The pool's seed is its
+        own, so the request misses the priced memo and reaches a worker."""
         path = tmp_path / "requests.jsonl"
-        pool = _pool(path, runtime="thread")
+        pool = _pool(path, runtime="thread", seed=4305)
         pool.start()
         queued, release = threading.Event(), threading.Event()
         submit = pool.scheduler.submit
@@ -701,7 +702,9 @@ class TestCrashModel:
         path = tmp_path / "requests.jsonl"
         offsets = _record_fsyncs(monkeypatch, str(path))
         first_life = {}
-        with _pool(path, shards=2) as pool:
+        # A seed of its own, and late keys the early ones do not price:
+        # every late request misses the priced memo and queues.
+        with _pool(path, shards=2, seed=4306) as pool:
             for index in range(3):
                 request_id = pool.submit(
                     WORKLOAD, relax_bits=4 * index, dataset_bytes=DATASET,
@@ -714,7 +717,7 @@ class TestCrashModel:
             monkeypatch.setattr(pool.runtime, "after_submit", lambda: None)
             late = [
                 pool.submit(
-                    WORKLOAD, relax_bits=8, dataset_bytes=DATASET,
+                    WORKLOAD, relax_bits=12, dataset_bytes=DATASET,
                     idempotency_key="late",
                 ),
                 pool.submit("Sobel", relax_bits=16, dataset_bytes=DATASET),
@@ -743,7 +746,7 @@ class TestCrashModel:
                 request_id in state.completed
                 or request_id in state.replayable
             )
-        with _pool(path, shards=2) as pool:
+        with _pool(path, shards=2, seed=4306) as pool:
             recovery = pool.stats()["journal"]["recovery"]
             assert recovery["replayed"] == len(late)
             assert recovery["restored"] == len(first_life) - len(late)
@@ -757,7 +760,7 @@ class TestCrashModel:
                 else:
                     assert result == original
             again, duplicate = pool.admit(
-                WORKLOAD, relax_bits=8, dataset_bytes=DATASET,
+                WORKLOAD, relax_bits=12, dataset_bytes=DATASET,
                 idempotency_key="late",
             )
             assert (again, duplicate) == (late[0], True)
@@ -852,6 +855,49 @@ class TestCrashSafeRestart:
         state = load_request_journal(str(path))
         assert state.duplicate_completions == 0
         assert state.replayable == ()
+
+    def test_a_journal_whose_results_carry_trace_ids_restores(
+        self, tmp_path
+    ):
+        """Results journaled before ``ServeResult.trace_id`` was deleted
+        carry it as a copy of the id: restart restores them, drops none
+        and serves every other field unchanged."""
+        completed = (
+            '{"digest":"47dfac740d908a11","id":"head-00000000","result":'
+            '{"attempts":1,"batch_size":1,"dataset_bytes":1048576,'
+            '"error":null,"id":"head-00000000","point":{"apim_energy_j":'
+            '0.00037437032077176495,"apim_time_s":0.025476682680378077,'
+            '"attempts":1,"dataset_bytes":1048576,"edp_improvement":'
+            '0.10429356040421298,"effective_relax_bits":8,'
+            '"energy_improvement":25.832823311731413,"qol_percent":'
+            '0.00013205631175080458,"qos_ok":true,"relax_bits":8,'
+            '"speedup":0.004037249786663866,"status":"ok","workload":'
+            '"Robert"},"queue_wait_s":9.915199916576967e-05,"relax_bits":8,'
+            '"search":null,"service_s":0.017430380001314916,"shard":0,'
+            '"status":"ok","tenant":"head","trace_id":"head-00000000",'
+            '"workload":"Robert"},"status":"ok","type":"completed","v":1}'
+        )
+        lines = [
+            '{"meta":{"runtime":"inline","seed":7,"shards":1,'
+            '"tile_elements":512},"type":"serve","v":1}',
+            '{"dataset_bytes":1048576,"deadline_s":null,"fingerprint":null,'
+            '"id":"head-00000000","idempotency_key":null,"priority":1,'
+            '"relax_bits":8,"tenant":"head","type":"admitted","v":1,'
+            '"workload":"Robert"}',
+            '{"id":"head-00000000","shard":0,"type":"dispatched","v":1}',
+            completed,
+        ]
+        path = tmp_path / "requests.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with _pool(path) as pool:
+            recovery = pool.stats()["journal"]["recovery"]
+            restored = pool.result("head-00000000", timeout=1.0)
+        assert (recovery["restored"], recovery["replayed"]) == (1, 0)
+        assert recovery["dropped"] == 0
+        payload = json.loads(completed)["result"]
+        del payload["trace_id"]
+        assert restored.to_dict() == payload
+        assert result_digest(restored.to_dict()) == "47dfac740d908a11"
 
     def test_restart_over_http_restores_replays_and_dedupes(self, tmp_path):
         """Both lives behind a real server: the restarted one restores the

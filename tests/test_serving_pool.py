@@ -34,9 +34,14 @@ TILE = 1 << 9
 TERMINAL = ("ok", "retried", "degraded", "fallback", "failed")
 
 
+#: The shared pool's seed: no other test interns it, so the round trips
+#: below miss the priced memo and reach a shard.
+POOL_SEED = 4314
+
+
 @pytest.fixture(scope="module")
 def pool():
-    with CrossbarPool(shards=2, tile_elements=TILE) as running:
+    with CrossbarPool(shards=2, tile_elements=TILE, seed=POOL_SEED) as running:
         yield running
 
 
@@ -44,7 +49,9 @@ class TestRoundTrip:
     def test_result_matches_direct_pricing(self, pool):
         result = Client(pool, tenant="rt").call("Robert", relax_bits=8)
         assert result.status == "ok"
-        direct = ComparisonHarness(tile_elements=TILE).compare(
+        direct = ComparisonHarness(
+            tile_elements=TILE, rng_seed=POOL_SEED
+        ).compare(
             workload_by_name("Robert"), 64 * MIB,
             __import__("repro.core.approximation", fromlist=["ApproxSpec"])
             .ApproxSpec.last_stage(8),
@@ -145,8 +152,9 @@ class TestChaosResilience:
 
     def test_tripped_shard_sheds_load_to_healthy_one(self):
         """Force shard 0's breaker open: requests still complete, served
-        by shard 1, and healthz reports degraded."""
-        with CrossbarPool(shards=2, tile_elements=TILE,
+        by shard 1, and healthz reports degraded.  The pool's seed is its
+        own, so its requests miss the priced memo and reach a shard."""
+        with CrossbarPool(shards=2, tile_elements=TILE, seed=4301,
                           shard_cooldown_s=60.0) as pool:
             sick = pool.shards[0]
             for _ in range(sick.breaker.failure_threshold):
@@ -242,14 +250,16 @@ class TestInjectedClock:
 
     def test_admission_reads_the_one_serving_config(self):
         """The pool admits against the config its scheduler runs: the
-        default priority, queue bound and retry hint all come from it."""
+        default priority, queue bound and retry hint all come from it.
+        The pool's seed is its own, so its request misses the priced memo
+        and takes the queue slot."""
         config = ServingConfig(
             priorities=1, default_priority=0, queue_capacity=1,
             retry_after_s=1.5,
         )
         pool = CrossbarPool(
             shards=1, tile_elements=TILE, serving_config=config,
-            clock=ManualClock(),
+            clock=ManualClock(), seed=4302,
         )
         pool._started = True  # keep admission from starting workers
         try:
@@ -263,11 +273,15 @@ class TestInjectedClock:
 
 class TestTerminalAccounting:
     """Every terminal path — executed, expired, aborted — goes through
-    one accounting step, and a request's queue wait is measured once."""
+    one accounting step, and a request's queue wait is measured once.
+    The pools' seed prices nothing, so every request misses the priced
+    memo and queues."""
 
     @staticmethod
     def _queued_pool(clock):
-        pool = CrossbarPool(shards=1, tile_elements=TILE, clock=clock)
+        pool = CrossbarPool(
+            shards=1, tile_elements=TILE, clock=clock, seed=4303
+        )
         pool._started = True  # queue without starting any worker
         return pool
 
@@ -355,12 +369,13 @@ class TestTerminalAccounting:
 class TestAdmissionLadder:
     """Every refusal is decided before the commit step opens a trace,
     mints an id or registers a result: a refused submit leaves nothing
-    behind, not even in a full trace store."""
+    behind, not even in a full trace store.  The pools' seed prices
+    nothing, so an admitted request misses the priced memo and queues."""
 
     @staticmethod
     def _idle_pool(**kwargs):
         pool = CrossbarPool(
-            shards=2, tile_elements=TILE, shard_cooldown_s=60.0,
+            shards=2, tile_elements=TILE, shard_cooldown_s=60.0, seed=4304,
             trace_store=TraceStore(capacity=4), **kwargs,
         )
         pool._started = True  # queue without starting any worker

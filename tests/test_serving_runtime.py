@@ -154,7 +154,7 @@ class TestCrashRecovery:
                 "Robert", relax_bits=8, dataset_bytes=1 << 20
             )
             lifecycle = pool.runtime.lifecycle()
-            record = pool.traces.get(result.trace_id)
+            record = pool.traces.get(result.id)
         assert result.status == "ok"
         assert lifecycle["deaths"] == 1
         assert lifecycle["respawns"] == 1
@@ -186,7 +186,7 @@ class TestCrashRecovery:
                 "Robert", relax_bits=8, dataset_bytes=1 << 20
             )
             lifecycle = pool.runtime.lifecycle()
-            record = pool.traces.get(result.trace_id)
+            record = pool.traces.get(result.id)
         assert result.status == "ok"
         # initial attempt + max_redrives re-drives, all murdered
         assert lifecycle["deaths"] == 1 + pool.runtime.max_redrives
@@ -197,9 +197,10 @@ class TestCrashRecovery:
     def test_idle_worker_death_is_reaped_and_respawned(self):
         """A worker that dies *between* requests (OOM killer, operator
         kill) is noticed by the driver's reap pass and replaced before
-        the next request."""
+        the next request.  The pool's seed is its own, so both requests
+        miss the parent's priced memo and reach a worker."""
         pool = CrossbarPool(
-            shards=1, tile_elements=TILE, seed=11, runtime="subprocess"
+            shards=1, tile_elements=TILE, seed=4307, runtime="subprocess"
         )
         with pool:
             client = Client(pool, tenant="reap")

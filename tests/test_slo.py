@@ -244,7 +244,6 @@ class TestCLI:
             client.call("Robert", relax_bits=8)  # spills the first trace
         assert store.spilled == 1
         capsys.readouterr()
-        assert result.trace_id == result.id
         assert main(["trace", result.id, "--file", path]) == 0
         out = capsys.readouterr().out
         assert f"trace {result.id}" in out

@@ -213,7 +213,7 @@ def test_subprocess_worker_starts_from_the_table():
     with CrossbarPool(shards=1, runtime="subprocess") as pool:
         result = Client(pool).call("Sobel", relax_bits=8,
                                    dataset_bytes=64 * MIB)
-        record = pool.traces.get(result.trace_id)
+        record = pool.traces.get(result.id)
     assert result.status == "ok"
     layers = {(event.layer, event.kind) for event in record.events}
     assert ("comparison", "tile") not in layers

@@ -252,8 +252,7 @@ class TestPoolTracing:
         ) as pool:
             result = Client(pool, tenant="tr").call("Robert", relax_bits=8)
         assert result.status == "ok"
-        assert result.trace_id == result.id
-        record = store.get(result.trace_id)
+        record = store.get(result.id)
         layers = {event.layer for event in record.events}
         assert REQUIRED_LAYERS <= layers
         kinds = [event.kind for event in record.events]
@@ -267,22 +266,25 @@ class TestPoolTracing:
         assert record.to_dict()["baggage"]["workload"] == "Robert"
 
     def test_result_id_resolves_the_same_trace(self):
+        """The pool's seed is its own, so the request misses the priced
+        memo and its trace runs from admission to a shard's completion."""
         store = TraceStore(id_prefix="t")
         with CrossbarPool(
-            shards=1, tile_elements=TILE, trace_store=store
+            shards=1, tile_elements=TILE, trace_store=store, seed=4315
         ) as pool:
             request_id = pool.submit(workload="Robert", relax_bits=8)
             admitted = store.get(request_id)
             result = pool.result(request_id, timeout=120.0)
-        assert result.trace_id == request_id
+        assert result.id == request_id
         assert store.get(request_id) is admitted
         assert admitted.events[-1].kind == "complete"
 
     def test_request_ids_and_store_ids_never_collide(self, cold_memos):
         """A store-named trace (an autoscaler decision) and requests of
         a tenant named like the store's prefix share one store: every
-        result's trace id resolves to its own request's trace, and the
-        store-named trace to itself."""
+        result's id resolves to its own request's trace, and the
+        store-named trace to itself.  The repeated Sobel is answered at
+        admission, so its trace ends in the hit."""
         store = TraceStore(id_prefix="t")
         decision = store.new_trace(workload="fleet", tenant="-")
         with CrossbarPool(
@@ -294,14 +296,16 @@ class TestPoolTracing:
                 client.call(workload, relax_bits=8)
                 for workload in ("Robert", "Sobel", "Sobel")
             ]
-        records = [store.get(result.trace_id) for result in results]
+        records = [store.get(result.id) for result in results]
         assert [record.baggage["workload"] for record in records] == [
             "Robert", "Sobel", "Sobel",
         ]
         assert len({id(record) for record in records}) == 3
         for result, record in zip(results, records):
-            assert result.trace_id == result.id == record.trace_id
-            assert record.events[-1].kind == "complete"
+            assert result.id == record.trace_id
+        assert [record.events[-1].kind for record in records] == [
+            "complete", "complete", "hit",
+        ]
         assert store.get(decision.trace_id).baggage["workload"] == "fleet"
 
     def test_replay_reopens_its_id_in_the_same_store(self, tmp_path):
@@ -322,7 +326,7 @@ class TestPoolTracing:
             trace_store=store,
         ) as pool:
             result = pool.result(request_id, timeout=60.0)
-        assert (result.status, result.trace_id) == ("ok", request_id)
+        assert (result.status, result.id) == ("ok", request_id)
         record = store.get(request_id)
         assert "life" not in record.baggage
         assert (record.events[0].layer, record.events[0].kind) == (
@@ -349,7 +353,7 @@ class TestPoolTracing:
         kinds = {
             event.kind
             for result in results
-            for event in store.get(result.trace_id).events
+            for event in store.get(result.id).events
         }
         assert kinds & {"retry", "degrade_rung", "rescue", "cpu_fallback"}, (
             kinds
@@ -383,7 +387,7 @@ class TestPoolTracing:
             pool.stop()
             set_default_registry(previous)
         assert outcomes == {"admitted": 1.0, "rejected_unavailable": 1.0}
-        assert store.get(done.id).trace_id == done.trace_id
+        assert store.get(done.id).trace_id == done.id
         assert store.evicted == 0
 
     def test_reroute_off_a_sick_shard_is_traced(self):
@@ -418,7 +422,6 @@ class TestPoolTracing:
         pool._run_request(pool.shards[0], request, batch_size=1)
         result = pool.results.get(request.id)
         assert result.status == "expired"
-        assert result.trace_id == ctx.trace_id
         (event,) = store.get(ctx.trace_id).events
         assert (event.layer, event.kind) == ("pool", "expired")
 

@@ -1,14 +1,15 @@
 """Behaviour pin for one warm served request.
 
-The warm path (admission, scheduler, priced-memo hit, publish) is tuned
-for per-request cost; this pins what it must keep doing while it gets
+The warm path (admission, priced-memo hit, publish) is tuned for
+per-request cost; this pins what it must keep doing while it gets
 cheaper.  One warm inline request, in the full-store regime the serving
 benchmark runs in (the result and trace stores evict on every request),
 must record the same timeline — ``(layer, kind, detail, sorted attr
-keys)`` in order, timestamps dropped — append exactly five trace events
-and touch the same metric series.  A warm request is a priced-memo hit:
-it skips supervision, so its one pricing event is ``campaign`` ``hit``
-(the warm tag) and it writes no supervisor series.
+keys)`` in order, timestamps dropped — append exactly two trace events
+and touch the same metric series.  A warm request is a priced-memo hit
+answered at admission: it never queues, is never dispatched and touches
+no shard, so its one pricing event is ``campaign`` ``hit`` (the warm
+tag) and it writes no scheduler, shard or supervisor series.
 """
 
 from __future__ import annotations
@@ -21,22 +22,15 @@ from repro.serving import Client, CrossbarPool
 
 WARM_TIMELINE = [
     ("frontend", "admitted", "", ["priority"]),
-    ("scheduler", "queue_enter", "", ["depth", "priority"]),
-    ("pool", "dispatch", "", ["batch_size", "queue_wait_s", "shard"]),
     ("campaign", "hit", "", []),
-    ("pool", "complete", "", ["attempts", "service_s", "status"]),
 ]
 
 WARM_SERIES = [
     ("repro_request_duration_seconds", []),
     ("repro_serving_admission_total", [("outcome", "admitted")]),
-    ("repro_serving_batch_size", []),
-    ("repro_serving_queue_depth", [("priority", "1")]),
     ("repro_serving_queue_wait_seconds", []),
     ("repro_serving_requests_total", [("status", "ok"), ("tenant", "pin")]),
     ("repro_serving_result_evictions_total", [("reason", "capacity")]),
-    ("repro_serving_shard_busy_seconds_total", [("shard", "0")]),
-    ("repro_serving_shard_requests_total", [("shard", "0"), ("status", "ok")]),
 ]
 
 
@@ -101,7 +95,8 @@ def _pinned_request(warmups: int, seed: int) -> tuple:
 
 @pytest.fixture(scope="module")
 def warm_request():
-    """The third identical request: both shards are warm."""
+    """The third identical request: its point is priced and both
+    stores are full."""
     return _pinned_request(warmups=2, seed=2017)
 
 
@@ -116,9 +111,9 @@ def test_warm_timeline_is_pinned(warm_request):
     assert timeline == WARM_TIMELINE
 
 
-def test_warm_request_appends_five_events(warm_request):
+def test_warm_request_appends_two_events(warm_request):
     _, appends, _ = warm_request
-    assert len(appends) == 5
+    assert len(appends) == 2
 
 
 def test_warm_request_touches_the_pinned_series(warm_request):
