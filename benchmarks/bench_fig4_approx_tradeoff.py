@@ -8,18 +8,13 @@ below first-stage.
 
 from __future__ import annotations
 
-from repro.analysis.experiments import run_figure4
+from repro.analysis.experiments import FIGURE4_SAMPLES, run_figure4
 from repro.analysis.tables import render_figure4
-
-SAMPLES = 20000
 
 
 def test_fig4_error_vs_edp(benchmark, bench_rounds):
     result = benchmark.pedantic(
-        run_figure4,
-        kwargs={"samples": SAMPLES},
-        rounds=bench_rounds,
-        iterations=1,
+        run_figure4, rounds=bench_rounds, iterations=1
     )
     print()
     print(render_figure4(result))
@@ -42,7 +37,7 @@ def test_fig4_first_stage_propagates_error(benchmark, bench_rounds):
     result = benchmark.pedantic(
         run_figure4,
         kwargs={
-            "samples": SAMPLES // 2,
+            "samples": FIGURE4_SAMPLES // 2,
             "first_stage_bits": (16,),
             "last_stage_bits": (16,),
         },

@@ -9,19 +9,14 @@ energy, 4.8x speed for the stencil workloads).
 
 from __future__ import annotations
 
-from repro.analysis.experiments import FIGURE5_SIZES, run_figure5
+from repro.analysis.experiments import run_figure5
 from repro.analysis.tables import render_figure5
 from repro.units import GIB, MIB
-
-TILE = 1 << 13
 
 
 def test_fig5_energy_and_speedup_vs_dataset(benchmark, bench_rounds):
     result = benchmark.pedantic(
-        run_figure5,
-        kwargs={"sizes": FIGURE5_SIZES, "tile_elements": TILE},
-        rounds=bench_rounds,
-        iterations=1,
+        run_figure5, rounds=bench_rounds, iterations=1
     )
     print()
     print(render_figure5(result))
@@ -51,7 +46,7 @@ def test_fig5_gpu_per_element_cost_grows(benchmark, bench_rounds):
     dataset footprint (cache/TLB/row-locality), APIM's stays flat."""
     result = benchmark.pedantic(
         run_figure5,
-        kwargs={"sizes": (32 * MIB, GIB), "tile_elements": TILE},
+        kwargs={"sizes": (32 * MIB, GIB)},
         rounds=bench_rounds,
         iterations=1,
     )

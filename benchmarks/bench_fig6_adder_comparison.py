@@ -16,15 +16,10 @@ from repro.analysis.tables import render_figure6
 from repro.core.adder import APIMAdder
 from repro.core.config import APIMConfig
 
-OPERAND_COUNTS = (4, 8, 16, 32, 64)
-
 
 def test_fig6_latency_comparison(benchmark, bench_rounds):
     result = benchmark.pedantic(
-        run_figure6,
-        kwargs={"operand_counts": OPERAND_COUNTS},
-        rounds=bench_rounds,
-        iterations=1,
+        run_figure6, rounds=bench_rounds, iterations=1
     )
     print()
     print(render_figure6(result))

@@ -12,18 +12,13 @@ bits and then runs the paper's adaptive controller, asserting:
 
 from __future__ import annotations
 
-from repro.analysis.experiments import TABLE1_LEVELS, run_adaptive, run_table1
+from repro.analysis.experiments import run_adaptive, run_table1
 from repro.analysis.tables import render_adaptive, render_table1
-
-TILE = 1 << 13
 
 
 def test_table1_grid(benchmark, bench_rounds):
     result = benchmark.pedantic(
-        run_table1,
-        kwargs={"levels": TABLE1_LEVELS, "tile_elements": TILE},
-        rounds=bench_rounds,
-        iterations=1,
+        run_table1, rounds=bench_rounds, iterations=1
     )
     print()
     print(render_table1(result))
@@ -50,10 +45,7 @@ def test_table1_grid(benchmark, bench_rounds):
 
 def test_table1_adaptive_headline(benchmark, bench_rounds):
     result = benchmark.pedantic(
-        run_adaptive,
-        kwargs={"tile_elements": TILE},
-        rounds=bench_rounds,
-        iterations=1,
+        run_adaptive, rounds=bench_rounds, iterations=1
     )
     print()
     print(render_adaptive(result))

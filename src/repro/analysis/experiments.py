@@ -49,9 +49,18 @@ __all__ = [
     "run_table1",
     "AdaptiveResult",
     "run_adaptive",
+    "FIGURE4_SAMPLES",
     "FIGURE5_SIZES",
+    "FIGURE6_OPERAND_COUNTS",
+    "PAPER_TILE",
     "TABLE1_LEVELS",
 ]
+
+# The paper-scale parameters: the drivers' defaults, read (never restated)
+# by the CLI, the report and the benches.  EXPERIMENTS.md quotes them.
+
+#: Random 32x32 multiplications of Figure 4's Monte-Carlo sweep.
+FIGURE4_SAMPLES = 20000
 
 #: Dataset sizes of Figure 5's x-axis (the paper runs 32 MB .. 1 GB).
 FIGURE5_SIZES = (
@@ -63,8 +72,14 @@ FIGURE5_SIZES = (
     GIB,
 )
 
+#: Operand counts N of Figure 6's rows (N operands of N bits).
+FIGURE6_OPERAND_COUNTS = (4, 8, 16, 32, 64)
+
 #: Approximation levels of Table 1's columns.
 TABLE1_LEVELS = (0, 4, 8, 16, 24, 32)
+
+#: Elements per executed tile in Figure 5, Table 1 and the adaptive run.
+PAPER_TILE = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +153,7 @@ class Figure4Result:
 
 def run_figure4(
     config: APIMConfig | None = None,
-    samples: int = 20000,
+    samples: int = FIGURE4_SAMPLES,
     seed: int = 2017,
     first_stage_bits: tuple[int, ...] = (0, 4, 8, 12, 16, 20, 24, 28),
     last_stage_bits: tuple[int, ...] = (0, 8, 16, 24, 32, 40, 48, 56, 60),
@@ -215,7 +230,7 @@ def run_figure5(
     workloads: list[Workload] | None = None,
     sizes: tuple[int, ...] = FIGURE5_SIZES,
     config: APIMConfig | None = None,
-    tile_elements: int = 1 << 14,
+    tile_elements: int = PAPER_TILE,
 ) -> Figure5Result:
     """Sweep exact APIM against the GPU baseline over dataset sizes.
 
@@ -278,7 +293,7 @@ FIG6_EXACT_MSBS = 8
 
 
 def run_figure6(
-    operand_counts: tuple[int, ...] = (4, 8, 16, 32),
+    operand_counts: tuple[int, ...] = FIGURE6_OPERAND_COUNTS,
     config: APIMConfig | None = None,
 ) -> Figure6Result:
     """Latency of N-operand, N-bit addition for APIM and both baselines.
@@ -351,7 +366,7 @@ def run_table1(
     levels: tuple[int, ...] = TABLE1_LEVELS,
     dataset_bytes: float = GIB,
     config: APIMConfig | None = None,
-    tile_elements: int = 1 << 13,
+    tile_elements: int = PAPER_TILE,
 ) -> Table1Result:
     """QoL / EDP-improvement grid over the six applications.
 
@@ -402,7 +417,7 @@ def run_adaptive(
     workloads: list[Workload] | None = None,
     dataset_bytes: float = GIB,
     config: APIMConfig | None = None,
-    tile_elements: int = 1 << 13,
+    tile_elements: int = PAPER_TILE,
 ) -> AdaptiveResult:
     """Run the adaptive tuner per application and price the chosen setting.
 

@@ -104,8 +104,10 @@ def render_table1(result: Table1Result) -> str:
         f"{'':<12}" + "".join(f"{'EDP | QoL':>20}" for _ in result.levels),
     ]
     for name, row in result.cells.items():
+        # Past 100 % the error outgrew the output: the QoL says nothing more.
         cells = "".join(
-            f"{format_improvement(c.edp_improvement):>10} |{c.qol_percent:>7.2f}%"
+            f"{format_improvement(c.edp_improvement):>10} | "
+            + ("(saturated)" if c.qol_percent > 100 else f"{c.qol_percent:>6.2f}%")
             for c in row
         )
         lines.append(f"{name:<12}{cells}")

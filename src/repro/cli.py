@@ -49,6 +49,8 @@ import time
 import numpy as np
 
 from repro.analysis.experiments import (
+    FIGURE4_SAMPLES,
+    PAPER_TILE,
     run_adaptive,
     run_figure4,
     run_figure5,
@@ -91,23 +93,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fig4", help="error vs EDP of both approximations")
-    p.add_argument("--samples", type=int, default=20000)
+    p.add_argument("--samples", type=int, default=FIGURE4_SAMPLES)
 
     p = sub.add_parser("fig5", help="APIM vs GPU over dataset sizes")
-    p.add_argument("--tile", type=int, default=1 << 13)
+    p.add_argument("--tile", type=int, default=PAPER_TILE)
 
     sub.add_parser("fig6", help="multi-operand adder comparison")
 
     p = sub.add_parser("table1", help="QoL/EDP grid over six applications")
-    p.add_argument("--tile", type=int, default=1 << 13)
+    p.add_argument("--tile", type=int, default=PAPER_TILE)
 
     p = sub.add_parser("adaptive", help="adaptive tuner per application")
-    p.add_argument("--tile", type=int, default=1 << 13)
+    p.add_argument("--tile", type=int, default=PAPER_TILE)
 
     p = sub.add_parser("report", help="full markdown reproduction report")
     p.add_argument("-o", "--output", default=None, help="write to a file")
-    p.add_argument("--samples", type=int, default=20000)
-    p.add_argument("--tile", type=int, default=1 << 13)
+    p.add_argument("--samples", type=int, default=FIGURE4_SAMPLES)
+    p.add_argument("--tile", type=int, default=PAPER_TILE)
 
     p = sub.add_parser("run", help="run one workload at a relax level")
     p.add_argument("workload")

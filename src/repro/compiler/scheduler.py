@@ -86,12 +86,6 @@ class Schedule:
         available = self.makespan * self.lanes
         return busy / available if available else 1.0
 
-    @property
-    def speedup_vs_serial(self) -> float:
-        """Makespan improvement over a single-lane execution."""
-        busy = sum(p.end - p.start for p in self.placements)
-        return busy / self.makespan if self.makespan else 1.0
-
 
 class ListScheduler:
     """Critical-path list scheduling onto a fixed lane count."""

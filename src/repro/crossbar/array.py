@@ -71,10 +71,6 @@ class CrossbarArray:
         if not 0 <= row < self.rows:
             raise CrossbarError(f"row {row} outside {self.name} ({self.rows} rows)")
 
-    def _check_col(self, col: int) -> None:
-        if not 0 <= col < self.cols:
-            raise CrossbarError(f"col {col} outside {self.name} ({self.cols} cols)")
-
     # -- cell access ----------------------------------------------------------
 
     def value(self, row: int, col: int) -> int:

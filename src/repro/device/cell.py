@@ -93,7 +93,7 @@ class MemristorCell:
         return energy
 
     def apply_pulse(self, voltage: float, duration: float) -> float:
-        """Apply an arbitrary pulse (used by the MAGIC engine); returns energy.
+        """Apply an arbitrary pulse; returns energy.
 
         Unlike :meth:`write`, the outcome depends on the device dynamics: a
         sub-threshold voltage only dissipates read energy, a super-threshold

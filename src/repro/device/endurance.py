@@ -100,10 +100,6 @@ class WearTracker:
             return 1.0
         return float(self._writes.max() / mean)
 
-    def writes_per_row(self) -> np.ndarray:
-        """Copy of the per-row counter vector."""
-        return self._writes.copy()
-
 
 class RotatingAllocator:
     """Wear-levelling scratch-row allocator.

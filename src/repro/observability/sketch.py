@@ -167,10 +167,6 @@ class QuantileSketch:
         """
         return self._rank_error
 
-    def rank_error_fraction(self) -> float:
-        """The certificate as a fraction of the observed count."""
-        return self._rank_error / self._count if self._count else 0.0
-
     def _weighted(self) -> list[tuple[float, int]]:
         items: list[tuple[float, int]] = []
         for level, buf in enumerate(self._levels):

@@ -211,9 +211,6 @@ def run_point(
     harness,
     supervisor: "Supervisor | None" = None,
     chaos: "ChaosInjector | None" = None,
-    qos: QoSPolicy | None = None,
-    max_relax_bits: int = 32,
-    degradation_step: int = 4,
     key_prefix: str = "",
     trace=None,
 ) -> CampaignPoint:
@@ -234,8 +231,9 @@ def run_point(
     and fallback transitions are recorded explicitly.
 
     A point priced clean on its first supervised attempt builds no
-    closure and no QoS policy: the supervisor calls a module function
-    with the point's arguments, and only the rescue ladder reads ``qos``.
+    closure: the supervisor calls a module function with the point's
+    arguments.  Only the rescue ladder builds a QoS policy, and walks its
+    default degradation rungs.
 
     A point already in the harness's priced memo skips the ladder
     (:func:`memo_hit`): it neither counts a supervisor attempt nor
@@ -273,9 +271,7 @@ def run_point(
                 trace, "rescue", f"{type(exc).__name__}: {exc}",
                 requested_m=level,
             )
-            for rung in (qos or QoSPolicy()).degradation_rungs(
-                level, max_relax_bits, degradation_step
-            ):
+            for rung in QoSPolicy().degradation_rungs(level):
                 try:
                     _ladder_event(trace, "degrade_rung", rung_m=rung)
                     fn, args = _pricing(
@@ -384,9 +380,6 @@ def run_campaign(
     resume: bool = False,
     chaos: "ChaosInjector | None" = None,
     seed: int = 2017,
-    qos: QoSPolicy | None = None,
-    max_relax_bits: int = 32,
-    degradation_step: int = 4,
     harness: ComparisonHarness | None = None,
 ) -> CampaignResult:
     """Run the full (workload x relax-bits) grid at one dataset size.
@@ -414,7 +407,6 @@ def run_campaign(
     harness = harness or ComparisonHarness(
         config=config, tile_elements=tile_elements, rng_seed=seed
     )
-    qos = qos or QoSPolicy()
 
     completed: dict[str, CampaignPoint] = {}
     journal: CheckpointJournal | None = None
@@ -453,8 +445,7 @@ def run_campaign(
                 with timed_event("campaign", "point", key=key):
                     point = run_point(
                         workload, level, dataset_bytes, harness, supervisor,
-                        chaos, qos, max_relax_bits, degradation_step,
-                        trace=current_trace(),
+                        chaos, trace=current_trace(),
                     )
                 record_campaign_point(point.status)
                 if journal is not None:

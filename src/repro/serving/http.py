@@ -374,26 +374,27 @@ class JsonHttpServer:
         self._closing = False
         self._closed = threading.Event()
 
-    def _serve_connection(self, connection: socket.socket) -> None:
-        """Answer requests on one connection until either side ends it."""
+    def _serve_connection(self, connection: socket.socket) -> bytes:
+        """Answer requests on one connection until either side ends it;
+        return the closing reply unsent (``b""`` if the peer ended it)."""
         # Replies are one write each, but a pipelined reply or one after
         # a 100 Continue would otherwise wait out Nagle plus delayed ACK.
         connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         buffer = b""
-        keep_alive = True
-        while keep_alive:
+        while True:
             try:
                 head, buffer = _read_head(connection, buffer)
                 if not head:
-                    return
+                    return b""
                 request = _parse_head(head)
             except _Refusal as refusal:
                 error = {"error": refusal.error}
-                _send(connection, _render(refusal.status, error, close=True))
-                return
+                return _render(refusal.status, error, close=True)
             reply, keep_alive, buffer = self._answer(
                 connection, buffer, *request
             )
+            if not keep_alive:
+                return reply
             _send(connection, reply)
 
     def _answer(
@@ -536,21 +537,25 @@ class JsonHttpServer:
             elif not self._idle:
                 self._spawn_locked()
             self._connections.add(connection)
+        closing = b""
         try:
-            self._serve_connection(connection)
+            closing = self._serve_connection(connection)
         except OSError:
             pass  # the peer went away mid-exchange
         except BaseException:
             self._release(connection, rejoin=False)
             raise
-        return self._release(connection, rejoin=True)
+        return self._release(connection, rejoin=True, closing=closing)
 
-    def _release(self, connection: socket.socket, rejoin: bool) -> bool:
-        """Leave or rejoin the idle set, then close the connection.
+    def _release(
+        self, connection: socket.socket, rejoin: bool, closing: bytes = b""
+    ) -> bool:
+        """Leave or rejoin the idle set, then send the ``closing`` reply
+        and close the connection.
 
-        Rejoining first means a client that saw this connection close
-        and reconnects finds the acceptor already counted idle, so a
-        sequential client never makes the pool start a thread.
+        Rejoining before that reply leaves means a client that reads it
+        and reconnects at once finds the acceptor already counted idle,
+        so a sequential client never makes the pool start a thread.
         """
         with self._lock:
             self._connections.discard(connection)
@@ -561,6 +566,11 @@ class JsonHttpServer:
             )
             if rejoin:
                 self._idle += 1
+        if closing:
+            try:
+                _send(connection, closing)
+            except OSError:
+                pass  # the peer went away before its reply
         _shutdown(connection, socket.SHUT_WR)
         connection.close()
         return rejoin

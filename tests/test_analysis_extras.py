@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import inspect
 import os
 import re
 
 import pytest
 
 from repro.analysis.area import AreaModel
+from repro.analysis.experiments import (
+    run_adaptive,
+    run_figure4,
+    run_figure5,
+    run_table1,
+)
+from repro.analysis.report import generate_report
 from repro.analysis.sensitivity import SWEEPABLE, sweep_parameter
 from repro.cli import build_parser, main
 from repro.core.config import default_config
@@ -17,6 +25,13 @@ from repro.units import GIB, MIB
 EXPERIMENTS_MD = os.path.join(
     os.path.dirname(__file__), os.pardir, "EXPERIMENTS.md"
 )
+
+
+def _experiments_md_block(test) -> list[str]:
+    """The lines of the first EXPERIMENTS.md code block ``test`` accepts."""
+    with open(EXPERIMENTS_MD, encoding="utf-8") as handle:
+        blocks = handle.read().split("```")[1::2]
+    return next(b for b in blocks if test(b)).strip().splitlines()
 
 
 class TestAreaModel:
@@ -125,14 +140,34 @@ class TestCLI:
         assert parsed.batch_size == config.max_batch_size
         assert parsed.queue_capacity == config.queue_capacity
 
+    @pytest.mark.parametrize("command, option, driver, parameter", [
+        ("fig4", "samples", run_figure4, "samples"),
+        ("fig5", "tile", run_figure5, "tile_elements"),
+        ("table1", "tile", run_table1, "tile_elements"),
+        ("adaptive", "tile", run_adaptive, "tile_elements"),
+        ("report", "samples", generate_report, "samples"),
+        ("report", "tile", generate_report, "tile_elements"),
+    ])
+    def test_experiment_defaults_are_the_driver_defaults(
+        self, command, option, driver, parameter
+    ):
+        parsed = build_parser().parse_args([command])
+        default = inspect.signature(driver).parameters[parameter].default
+        assert getattr(parsed, option) == default
+
     def test_workloads_command(self, capsys):
         assert main(["workloads"]) == 0
         out = capsys.readouterr().out
         assert "Sobel" in out and "GEMM" in out
 
     def test_fig6_command(self, capsys):
+        """At its defaults ``repro fig6`` prints EXPERIMENTS.md's Figure 6
+        block, N = 64 row included."""
         assert main(["fig6"]) == 0
-        assert "Figure 6" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "Figure 6" in out
+        for line in _experiments_md_block(lambda b: "APIM-approx" in b):
+            assert line in out
 
     def test_run_command(self, capsys):
         assert main(["run", "Robert", "-m", "16", "--elements", "1024"]) == 0
@@ -164,9 +199,11 @@ class TestCLI:
 
 
 class TestReport:
-    def test_generate_report_small_scale(self):
-        from repro.analysis.report import generate_report
+    @pytest.fixture(scope="class")
+    def default_report(self):
+        return generate_report()
 
+    def test_generate_report_small_scale(self):
         report = generate_report(
             samples=500,
             tile_elements=1 << 9,
@@ -177,29 +214,33 @@ class TestReport:
             assert heading in report
         assert "480x" in report  # the paper headline is cited
 
-    def test_defaults_reproduce_experiments_md(self):
+    def test_defaults_reproduce_experiments_md(self, default_report):
         """At its defaults the report prints EXPERIMENTS.md's Figure 6
         block and every EDP / QoL cell of its Table 1 block."""
-        from repro.analysis.report import generate_report
-
-        report = generate_report()
-        with open(EXPERIMENTS_MD, encoding="utf-8") as handle:
-            blocks = handle.read().split("```")[1::2]
-        figure6 = next(b for b in blocks if "APIM-approx" in b)
-        for line in figure6.strip().splitlines():
-            assert line in report
-        table1 = next(b for b in blocks if b.lstrip().startswith("Application"))
-        section = report.split("## Table 1")[1].split("##")[0]
-        for line in table1.strip().splitlines()[1:]:
+        for line in _experiments_md_block(lambda b: "APIM-approx" in b):
+            assert line in default_report
+        table1 = _experiments_md_block(
+            lambda b: b.lstrip().startswith("Application")
+        )
+        section = default_report.split("## Table 1")[1].split("##")[0]
+        for line in table1[1:]:
             name = line.split()[0]
             quoted = re.findall(r"(\d+) \|\s*(\(saturated\)|[\d.]+)", line)
             assert len(quoted) == 6, line
             row = next(r for r in section.splitlines() if r.startswith(name + " "))
-            printed = [
-                (edp, "(saturated)" if float(qol) > 100 else qol)
-                for edp, qol in re.findall(r"(\d+)x \|\s*([\d.]+)%", row)
-            ]
+            printed = re.findall(r"(\d+)x \|\s*(\(saturated\)|[\d.]+)", row)
             assert printed == quoted, name
+
+    @pytest.mark.parametrize(
+        "command", ["fig4", "fig5", "fig6", "table1", "adaptive"]
+    )
+    def test_subcommand_defaults_print_the_report_block(
+        self, command, default_report, capsys
+    ):
+        """Each experiment subcommand at its defaults prints exactly the
+        block the report at its defaults prints for that figure."""
+        assert main([command]) == 0
+        assert f"```\n{capsys.readouterr().out}```\n" in default_report
 
     def test_campaign_command(self, capsys, tmp_path):
         out_path = str(tmp_path / "grid.csv")

@@ -44,7 +44,7 @@ DRIVERS = {
         sizes=(32 * MIB, 256 * MIB, GIB),
         tile_elements=TILE,
     ),
-    "fig6": lambda: run_figure6(),
+    "fig6": lambda: run_figure6(operand_counts=(4, 8, 16, 32)),
     "table1": lambda: run_table1(
         workloads=[workload_by_name("Sobel"), workload_by_name("Robert")],
         tile_elements=TILE,
