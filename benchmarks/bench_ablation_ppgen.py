@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.core.config import default_config
 from repro.core.cost import Cost
-from repro.core.timing import NOR_OPS_PER_FA, cost_ppgen
+from repro.core.timing import cost_ppgen
 
 
 def _ppgen_naive_and(n: int) -> Cost:

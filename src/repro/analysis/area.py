@@ -119,9 +119,3 @@ class AreaModel:
         transistors = periphery.periphery_transistors(shared=False)
         transistors += num_blocks * cfg.block_cols * SA_TRANSISTORS
         return self._f2_to_mm2(transistors * TRANSISTOR_F2)
-
-    def density_gib_per_mm2(self, num_blocks: int) -> float:
-        """Storage density of the unit in GiB per mm^2."""
-        report = self.unit_area(num_blocks)
-        bytes_total = num_blocks * self.config.block_bytes
-        return bytes_total / (1 << 30) / report.total_mm2

@@ -11,11 +11,10 @@ E3 = Figure 6, E4 = Table 1, E5 = the headline scalars.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.gpu import GPUModel
 from repro.baselines.pc_adder import PCAdderModel
 from repro.baselines.talati import TalatiAdderModel
 from repro.core.approximation import EXACT, ApproxSpec

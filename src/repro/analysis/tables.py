@@ -15,7 +15,7 @@ from repro.analysis.experiments import (
     Figure6Result,
     Table1Result,
 )
-from repro.units import format_bytes, format_improvement, format_si
+from repro.units import format_bytes, format_improvement
 
 __all__ = [
     "render_figure4",

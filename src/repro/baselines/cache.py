@@ -57,11 +57,6 @@ class CacheStats:
         """Total accesses observed."""
         return self.hits + self.misses
 
-    @property
-    def miss_rate(self) -> float:
-        """Misses per access (0 when idle)."""
-        return self.misses / self.accesses if self.accesses else 0.0
-
 
 class Cache:
     """A set-associative LRU cache.
@@ -147,10 +142,6 @@ class Cache:
         for ways in self._sets:
             ways.clear()
         return dirty
-
-    def reset_stats(self) -> None:
-        """Zero the counters without touching contents."""
-        self.stats = CacheStats()
 
 
 class _LockstepLRU:
@@ -320,12 +311,6 @@ class CacheHierarchy:
             self.dram_accesses += served[2]
         return served[0], served[1], served[2]
 
-    def reset_stats(self) -> None:
-        """Zero all counters."""
-        self.l1.reset_stats()
-        self.l2.reset_stats()
-        self.dram_accesses = 0
-
 
 class TLB:
     """Fully-associative LRU translation look-aside buffer.
@@ -347,11 +332,6 @@ class TLB:
         self.misses = 0
         self._pages: OrderedDict[int, None] = OrderedDict()
 
-    @property
-    def coverage_bytes(self) -> int:
-        """Footprint fully covered by the TLB."""
-        return self.entries * self.page_bytes
-
     def access(self, addr: int) -> bool:
         """Translate one address; returns True on TLB hit."""
         if addr < 0:
@@ -366,12 +346,6 @@ class TLB:
             self._pages.popitem(last=False)
         self._pages[page] = None
         return False
-
-    @property
-    def miss_rate(self) -> float:
-        """Misses per translation (0 when idle)."""
-        total = self.hits + self.misses
-        return self.misses / total if total else 0.0
 
     @staticmethod
     def walk_references(footprint_bytes: float, page_bytes: int = 4096) -> int:

@@ -20,7 +20,6 @@ MAGIC adder everywhere, and APIM's tree beats PC-Adder by >= 2x.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.core.config import APIMConfig, default_config
@@ -112,14 +111,6 @@ class PCAdderModel:
                     nor_ops=2 * moved * pairs,
                 )
         return total
-
-    def multi_add_time(self, operands: int, width: int) -> float:
-        """Wall-clock seconds of the tree reduction."""
-        return self.multi_add_cost(operands, width).time(self.config)
-
-    def multi_add_energy(self, operands: int, width: int) -> float:
-        """Joules of the tree reduction."""
-        return self.multi_add_cost(operands, width).energy(self.config)
 
     # -- area ---------------------------------------------------------------
 

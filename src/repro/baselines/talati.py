@@ -78,13 +78,3 @@ class TalatiAdderModel:
                 # Bit-serial alignment of the next operand: 2 cycles/bit.
                 total += Cost(cycles=2 * grown, nor_ops=2 * grown)
         return total
-
-    # -- pricing -----------------------------------------------------------------
-
-    def multi_add_time(self, operands: int, width: int) -> float:
-        """Wall-clock seconds of the multi-operand addition."""
-        return self.multi_add_cost(operands, width).time(self.config)
-
-    def multi_add_energy(self, operands: int, width: int) -> float:
-        """Joules of the multi-operand addition."""
-        return self.multi_add_cost(operands, width).energy(self.config)

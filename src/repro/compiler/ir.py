@@ -107,13 +107,6 @@ class Kernel:
                 out[operand].append(node.id)
         return {k: tuple(v) for k, v in out.items()}
 
-    def op_counts(self) -> dict[OpKind, int]:
-        """Histogram of node kinds."""
-        counts: dict[OpKind, int] = {}
-        for node in self.nodes:
-            counts[node.kind] = counts.get(node.kind, 0) + 1
-        return counts
-
     def arithmetic_ops(self) -> int:
         """Number of cycle-consuming operations."""
         return sum(1 for n in self.nodes if n.kind.is_arithmetic)

@@ -72,13 +72,6 @@ class Schedule:
     makespan: int
     critical_path: int
 
-    def placement(self, node_id: int) -> ScheduledNode:
-        """Placement of one node (free nodes have zero-length intervals)."""
-        for item in self.placements:
-            if item.node_id == node_id:
-                return item
-        raise ConfigurationError(f"node {node_id} not in schedule")
-
     @property
     def utilization(self) -> float:
         """Busy lane-cycles over available lane-cycles."""

@@ -88,11 +88,6 @@ class ApproxSpec:
             return ApproxMode.LAST_STAGE
         return ApproxMode.EXACT
 
-    @property
-    def is_exact(self) -> bool:
-        """True when no approximation is applied."""
-        return self.masked_bits == 0 and self.relax_bits == 0
-
     def validate_for(self, word_bits: int) -> None:
         """Check the spec against an operand width (product is 2x wider)."""
         if self.masked_bits > word_bits:

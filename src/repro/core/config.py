@@ -36,7 +36,7 @@ Energy derivations (order-of-magnitude, documented per field):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.errors import ConfigurationError
 from repro.units import FJ, NS, KILO_OHM, MEGA_OHM

@@ -13,7 +13,7 @@ energy corners (useful for the ablation benches).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.config import APIMConfig
 from repro.errors import ConfigurationError
@@ -126,17 +126,6 @@ class Cost:
         """Energy-delay product in joule-seconds."""
         return self.energy(config, lanes, active_blocks) * self.time(config, lanes)
 
-    def is_zero(self) -> bool:
-        """True when the cost records no work at all."""
-        return (
-            self.cycles == 0
-            and self.nor_ops == 0
-            and self.cell_writes == 0
-            and self.sa_reads == 0
-            and self.maj_ops == 0
-            and self.interconnect_bits == 0
-        )
-
 
 class CostLedger:
     """Mutable accumulator of :class:`Cost` objects with named entries.
@@ -169,10 +158,6 @@ class CostLedger:
     def reset(self) -> None:
         """Drop all recorded entries."""
         self._entries.clear()
-
-    def as_dict(self) -> dict[str, Cost]:
-        """Snapshot of the ledger contents."""
-        return dict(self._entries)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = ", ".join(

@@ -45,8 +45,6 @@ __all__ = [
     "reduction_sequence",
     "reduction_stages",
     "fast_multi_add_cycles",
-    "ppgen_cycles",
-    "cost_serial_add",
     "cost_hybrid_final_add",
     "cost_csa_step",
     "cost_wallace_reduce",
@@ -137,26 +135,9 @@ def fast_multi_add_cycles(operands: int, n: int) -> int:
     return FULL_ADDER_CYCLES * stages + serial_add_cycles(final_width)
 
 
-def ppgen_cycles(set_bits: int) -> int:
-    """Cycles to generate partial products for a multiplier with ``set_bits``
-    ones: one shared NOT of the multiplicand plus one gated copy per set bit
-    (worst case ``N + 1``; zero set bits produce the zero product for free).
-    """
-    if set_bits < 0:
-        raise ConfigurationError(f"set_bits must be non-negative: {set_bits}")
-    if set_bits == 0:
-        return 0
-    return set_bits + 1
-
-
 # ---------------------------------------------------------------------------
 # cost builders (cycles + micro-events)
 # ---------------------------------------------------------------------------
-
-
-def cost_serial_add(n: int) -> Cost:
-    """Exact serial addition of two N-bit operands."""
-    return Cost(cycles=serial_add_cycles(n), nor_ops=NOR_OPS_PER_FA * n)
 
 
 def cost_hybrid_final_add(width: int, relax_bits: int) -> Cost:

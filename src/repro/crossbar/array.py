@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.device.cell import LOGIC_THRESHOLD
-from repro.device.vteam import VTEAMModel
+from repro.device.vteam import LOGIC_THRESHOLD, VTEAMModel
 from repro.errors import CrossbarError
 
 __all__ = ["CrossbarArray"]
@@ -115,18 +114,13 @@ class CrossbarArray:
         """Freeze one cell at ``level`` (stuck-at fault).
 
         All subsequent writes through any path (driver, MAGIC, bulk clear,
-        restore) leave the cell at ``level`` until :meth:`unpin_cell`.
+        restore) leave the cell at ``level``: real faults are forever.
         """
         if not 0.0 <= level <= 1.0:
             raise CrossbarError(f"stuck level {level} outside [0, 1]")
         self._check(row, col)
         self._pinned[(row, col)] = float(level)
         self._state[row, col] = float(level)
-
-    def unpin_cell(self, row: int, col: int) -> None:
-        """Release a pinned cell (repair-lab use; real faults are forever)."""
-        self._check(row, col)
-        self._pinned.pop((row, col), None)
 
     def is_pinned(self, row: int, col: int) -> bool:
         """Whether the cell is frozen by a stuck-at fault."""
@@ -142,12 +136,6 @@ class CrossbarArray:
             self._state[row, col] = level
 
     # -- word access -----------------------------------------------------------
-
-    def row_bits(self, row: int, cols: range | None = None) -> list[int]:
-        """Logical values of a row segment, LSB first in column order."""
-        self._check_row(row)
-        cols = cols if cols is not None else range(self.cols)
-        return [self.value(row, c) for c in cols]
 
     def write_row_bits(self, row: int, bits: list[int], start_col: int = 0) -> None:
         """Driver write of consecutive cells in a row (LSB at ``start_col``)."""
@@ -193,17 +181,6 @@ class CrossbarArray:
         self.write_count += self.rows * self.cols
         self._reassert_pins()
 
-    def fill(self, bit: int) -> None:
-        """Bulk driver write of every cell to one logic level.
-
-        Used by the BIST march patterns; costs one write pulse per cell.
-        """
-        if bit not in (0, 1):
-            raise CrossbarError(f"bit must be 0 or 1, got {bit!r}")
-        self._state[:, :] = 1.0 if bit else 0.0
-        self.write_count += self.rows * self.cols
-        self._reassert_pins()
-
     def fill_row(self, row: int, bit: int) -> None:
         """Bulk driver write of one row to a logic level (BIST row scans)."""
         if bit not in (0, 1):
@@ -221,7 +198,7 @@ class CrossbarArray:
         return self.model.resistance(self._state[row, col])
 
     def snapshot(self) -> np.ndarray:
-        """Copy of the raw state matrix (for tests and checkpointing)."""
+        """Copy of the raw state matrix (BIST reads and restores it)."""
         return self._state.copy()
 
     def restore(self, snapshot: np.ndarray) -> None:

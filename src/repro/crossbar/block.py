@@ -351,40 +351,6 @@ class BlockedCrossbar:
         icn.record_transfer(width)
         self._fire_post_op_hooks()
 
-    # -- checkpointing -----------------------------------------------------------
-
-    def save_checkpoint(self, path: str) -> None:
-        """Persist every block's cell state and the global clock to ``path``
-        (NumPy ``.npz``), so long structural runs can resume mid-stream."""
-        import numpy as np
-
-        arrays = {
-            f"block_{i}": block.snapshot()
-            for i, block in enumerate(self.blocks)
-        }
-        arrays["clock"] = np.array([self.cycles], dtype=np.int64)
-        np.savez_compressed(path, **arrays)
-
-    def load_checkpoint(self, path: str) -> None:
-        """Restore a :meth:`save_checkpoint` snapshot (state + clock).
-
-        Cost counters are NOT restored — a resumed run accounts only the
-        work it performs; merge ledgers externally when cumulative cost is
-        needed.
-        """
-        import numpy as np
-
-        with np.load(path) as data:
-            for i, block in enumerate(self.blocks):
-                key = f"block_{i}"
-                if key not in data:
-                    raise CrossbarError(
-                        f"checkpoint lacks {key}; fabric has "
-                        f"{len(self.blocks)} blocks"
-                    )
-                block.restore(data[key])
-            self.advance_clock(max(0, int(data["clock"][0]) - self.cycles))
-
     # -- spare rows and repair ----------------------------------------------
 
     def reserve_spares(self, fraction: float) -> int:

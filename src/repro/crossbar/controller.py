@@ -28,7 +28,7 @@ replayed — the repository uses this for golden-trace tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.core.cost import Cost

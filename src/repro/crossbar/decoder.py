@@ -26,11 +26,6 @@ class LineDecoder:
         self.kind = kind
         self.activations = 0
 
-    @property
-    def address_bits(self) -> int:
-        """Width of the address input."""
-        return max(1, (self.lines - 1).bit_length())
-
     def select(self, address: int) -> list[int]:
         """One-hot output vector for ``address``."""
         if not 0 <= address < self.lines:
@@ -39,21 +34,6 @@ class LineDecoder:
             )
         self.activations += 1
         return [1 if i == address else 0 for i in range(self.lines)]
-
-    def select_many(self, addresses: list[int]) -> list[int]:
-        """Multi-line activation (MAGIC SIMD / MAJ sensing drive several
-        lines at once); returns the OR of the one-hot vectors."""
-        if not addresses:
-            raise CrossbarError("select_many needs at least one address")
-        out = [0] * self.lines
-        for address in addresses:
-            if not 0 <= address < self.lines:
-                raise CrossbarError(
-                    f"{self.kind} address {address} outside [0, {self.lines})"
-                )
-            out[address] = 1
-        self.activations += 1
-        return out
 
 
 class SharedPeriphery:

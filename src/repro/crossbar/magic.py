@@ -14,12 +14,12 @@ The engine advances a cycle counter — **every NOR evaluation is one cycle**
   priced later against an :class:`~repro.core.config.APIMConfig`; and
 - an *electrical* energy estimate integrated from the actual cell
   resistances along the V0 current path, used to sanity-check the abstract
-  per-op constants (see ``tests/test_structural_energy.py``).
+  per-op constants (see ``tests/test_misc_coverage.py``).
 
-SIMD: a column-direction NOR drives all selected bitlines simultaneously, so
-one cycle evaluates the same NOR across any number of columns (this is what
-makes the 3:2 carry-save step width-independent).  Symmetrically for
-row-direction NORs across multiple rows.
+SIMD: the execution voltage drives every selected line at once, so one
+cycle evaluates any number of independent NORs
+(:meth:`MagicEngine.nor_parallel`; this is what makes the 3:2 carry-save
+step width-independent).
 """
 
 from __future__ import annotations
@@ -109,12 +109,6 @@ class MagicEngine:
             raise CrossbarError("init_cells called with no cells")
         self._tick(Cost(cycles=1 if charge_cycle else 0))
 
-    def init_row_segment(
-        self, row: int, cols: Sequence[int], charge_cycle: bool = True
-    ) -> None:
-        """Initialise a contiguous row segment to '1' in one cycle."""
-        self.init_cells(((row, c) for c in cols), charge_cycle=charge_cycle)
-
     # -- NOR primitives -----------------------------------------------------------
 
     def nor_in_row(self, row: int, in_cols: Sequence[int], out_col: int) -> int:
@@ -134,35 +128,6 @@ class MagicEngine:
         self.array.set_value(row, out_col, result)
         self._tick(Cost(cycles=1, nor_ops=1))
         return result
-
-    def nor_across_rows(
-        self,
-        in_rows: Sequence[int],
-        out_row: int,
-        cols: Sequence[int],
-    ) -> list[int]:
-        """Column-direction NOR applied to every column in ``cols`` at once.
-
-        For each column ``c``: ``out[out_row, c] = NOR(in[r, c] ...)``.
-        One cycle regardless of ``len(cols)`` — the SIMD execution that
-        makes carry-save steps width-independent.
-        """
-        if not in_rows:
-            raise CrossbarError("NOR needs at least one input row")
-        if out_row in in_rows:
-            raise CrossbarError("output row collides with an input row")
-        if not cols:
-            raise CrossbarError("NOR needs at least one column")
-        results = []
-        for col in cols:
-            self._check_initialised(out_row, col)
-            inputs = [self.array.value(r, col) for r in in_rows]
-            result = int(not any(inputs))
-            self._charge_electrical(inputs)
-            self.array.set_value(out_row, col, result)
-            results.append(result)
-        self._tick(Cost(cycles=1, nor_ops=len(cols)))
-        return results
 
     def nor_cells(
         self,
@@ -221,34 +186,6 @@ class MagicEngine:
             results.append(result)
         self._tick(Cost(cycles=1, nor_ops=len(operations)))
         return results
-
-    # -- derived micro-ops -----------------------------------------------------------
-
-    def not_across_rows(self, in_row: int, out_row: int, cols: Sequence[int]) -> None:
-        """Row-parallel NOT (1-input NOR): ``out = NOT(in)`` per column."""
-        self.nor_across_rows([in_row], out_row, cols)
-
-    def copy_row(
-        self,
-        src_row: int,
-        inverted_row: int,
-        dst_row: int,
-        cols: Sequence[int],
-        inverted_ready: bool = False,
-    ) -> None:
-        """Copy a row segment as two successive NOTs via ``inverted_row``.
-
-        When ``inverted_ready`` is true, the intermediate inversion already
-        exists (produced by a previous copy of the same source) and only the
-        second NOT fires — the sharing that caps partial-product generation
-        at N+1 cycles.  Scratch initialisation is bulk/pre-staged (no
-        cycles), so a fresh copy costs exactly 2 cycles and a shared one 1.
-        """
-        if not inverted_ready:
-            self.init_row_segment(inverted_row, cols, charge_cycle=False)
-            self.not_across_rows(src_row, inverted_row, cols)
-        self.init_row_segment(dst_row, cols, charge_cycle=False)
-        self.not_across_rows(inverted_row, dst_row, cols)
 
     # -- electrical model -----------------------------------------------------------
 

@@ -46,14 +46,6 @@ class SenseAmplifier:
         self.read_count += 1
         return value
 
-    def read_row(self, row: int, width: int, start_col: int = 0) -> int:
-        """Sense ``width`` cells of a row in parallel (one SA per bitline,
-        still a single 0.3 ns access; counted as ``width`` bit reads for
-        energy)."""
-        word = self.array.read_word(row, width, start_col)
-        self.read_count += width
-        return word
-
     # -- majority mode ---------------------------------------------------------
 
     def majority(self, col: int, rows: tuple[int, int, int]) -> int:
@@ -74,11 +66,3 @@ class SenseAmplifier:
         threshold = 1.5 * g_on
         self.maj_count += 1
         return int(g_total > threshold)
-
-    def majority_values(self, a: int, b: int, c: int) -> int:
-        """Logic-level MAJ (used where operands are SA latches, not cells)."""
-        for name, bit in (("a", a), ("b", b), ("c", c)):
-            if bit not in (0, 1):
-                raise CrossbarError(f"{name} must be 0 or 1, got {bit!r}")
-        self.maj_count += 1
-        return int(a + b + c >= 2)

@@ -5,15 +5,12 @@ This subpackage models the RRAM bit cell used by APIM:
 - :mod:`repro.device.vteam` — the VTEAM voltage-controlled memristor model
   (Kvatinsky et al., TCAS-II 2015), the same device model the paper uses for
   its Virtuoso simulations, with RON = 10 kOhm and ROFF = 10 MOhm.
-- :mod:`repro.device.cell` — a logical bit cell wrapping a VTEAM device:
-  write/read semantics, pulse application with energy integration.
 """
 
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "vteam": ("VTEAMModel", "VTEAMParameters", "default_parameters"),
-    "cell": ("MemristorCell",),
     "variation": ("FaultInjector", "VariationModel", "nor_margin"),
     "endurance": ("EnduranceModel", "WearTracker", "RotatingAllocator"),
 })
@@ -22,7 +19,6 @@ __all__ = [
     "VTEAMModel",
     "VTEAMParameters",
     "default_parameters",
-    "MemristorCell",
     "VariationModel",
     "FaultInjector",
     "nor_margin",

@@ -7,9 +7,8 @@ trades "increased energy consumption and number of writes in memory" for
 latency; this module quantifies the consequence:
 
 - :class:`EnduranceModel` — lifetime estimation from a per-cell write
-  budget and a measured write rate.
-- :class:`WearTracker` — per-row write accounting over a block, with
-  hottest-row statistics.
+  budget and the writes each operation costs.
+- :class:`WearTracker` — per-row write accounting over a block.
 - :class:`RotatingAllocator` — the mitigation: a wear-levelling row
   allocator for processing-block scratch space that rotates allocations
   round-robin, flattening the per-row write distribution (the classic
@@ -44,14 +43,6 @@ class EnduranceModel:
         if self.write_budget <= 0:
             raise DeviceError("write_budget must be positive")
 
-    def lifetime_seconds(self, writes_per_second: float) -> float:
-        """Time until the budget is exhausted at a constant write rate."""
-        if writes_per_second < 0:
-            raise DeviceError("write rate must be non-negative")
-        if writes_per_second == 0:
-            return float("inf")
-        return self.write_budget / writes_per_second
-
     def lifetime_operations(self, writes_per_operation: float) -> float:
         """Operations (e.g. multiplications) until the hottest cell dies."""
         if writes_per_operation < 0:
@@ -82,23 +73,6 @@ class WearTracker:
     def total_writes(self) -> int:
         """All writes recorded."""
         return int(self._writes.sum())
-
-    @property
-    def hottest_row(self) -> tuple[int, int]:
-        """(row, writes) of the most-written row."""
-        row = int(np.argmax(self._writes))
-        return row, int(self._writes[row])
-
-    def imbalance(self) -> float:
-        """Hottest-row writes over the per-row mean (1.0 = perfectly flat).
-
-        This is the factor wear levelling buys back: lifetime scales with
-        ``1 / imbalance``.
-        """
-        mean = self._writes.mean()
-        if mean == 0:
-            return 1.0
-        return float(self._writes.max() / mean)
 
 
 class RotatingAllocator:

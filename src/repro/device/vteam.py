@@ -41,12 +41,18 @@ the latency of one MAGIC NOR operation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, DeviceError
-from repro.units import KILO_OHM, MEGA_OHM, NS
+from repro.units import KILO_OHM, MEGA_OHM
 
-__all__ = ["VTEAMParameters", "VTEAMModel", "default_parameters"]
+__all__ = [
+    "VTEAMParameters", "VTEAMModel", "default_parameters", "LOGIC_THRESHOLD",
+]
+
+#: Internal-state threshold above which a cell reads as logic '1' (MAGIC
+#: convention: low resistance is '1').
+LOGIC_THRESHOLD = 0.5
 
 #: Supported window-function names.
 WINDOWS = ("rectangular", "joglekar")
@@ -107,10 +113,6 @@ class VTEAMParameters:
                 f"unknown window {self.window!r}; expected one of {WINDOWS}"
             )
 
-    def with_resistances(self, r_on: float, r_off: float) -> "VTEAMParameters":
-        """Return a copy with different resistance bounds."""
-        return replace(self, r_on=r_on, r_off=r_off)
-
 
 def default_parameters() -> VTEAMParameters:
     """The paper's device corner: RON = 10 kOhm, ROFF = 10 MOhm.
@@ -124,10 +126,9 @@ def default_parameters() -> VTEAMParameters:
 class VTEAMModel:
     """Stateless evaluator of the VTEAM equations for a given parameter set.
 
-    The model itself holds no device state; state lives in
-    :class:`~repro.device.cell.MemristorCell` (or in bulk arrays inside the
-    crossbar simulator).  This separation lets one model instance serve an
-    entire crossbar.
+    The model itself holds no device state; state lives in bulk arrays
+    inside the crossbar simulator.  This separation lets one model instance
+    serve an entire crossbar.
     """
 
     def __init__(self, params: VTEAMParameters | None = None) -> None:
@@ -141,10 +142,6 @@ class VTEAMModel:
         self._check_state(state)
         p = self.params
         return p.r_off + state * (p.r_on - p.r_off)
-
-    def conductance(self, state: float) -> float:
-        """Device conductance (1/ohm) at internal state ``state``."""
-        return 1.0 / self.resistance(state)
 
     def current(self, state: float, voltage: float) -> float:
         """Ohmic device current at the given state and applied voltage."""
@@ -175,50 +172,6 @@ class VTEAMModel:
             raise DeviceError(f"negative timestep {dt}")
         new_state = state + self.derivative(state, voltage) * dt
         return min(1.0, max(0.0, new_state))
-
-    def simulate_pulse(
-        self,
-        state: float,
-        voltage: float,
-        duration: float,
-        steps: int = 64,
-    ) -> tuple[float, float]:
-        """Apply a constant-voltage pulse; return ``(final_state, energy)``.
-
-        Energy is the Joule heating integral ``sum(v^2 / R(s) * dt)`` over the
-        pulse, evaluated with the same Euler discretisation as the state.
-        """
-        if steps <= 0:
-            raise DeviceError("steps must be positive")
-        dt = duration / steps
-        energy = 0.0
-        s = state
-        for _ in range(steps):
-            energy += voltage * voltage / self.resistance(s) * dt
-            s = self.step(s, voltage, dt)
-        return s, energy
-
-    def switching_time(
-        self, voltage: float, from_state: float = 0.0, to_state: float = 1.0
-    ) -> float:
-        """Closed-form time to move between states under a constant voltage.
-
-        Only defined for the rectangular window (constant ``ds/dt``); raises
-        :class:`DeviceError` when the voltage cannot move the state in the
-        requested direction.
-        """
-        if self.params.window != "rectangular":
-            raise DeviceError("closed-form switching time needs rectangular window")
-        rate = self.derivative(min(max(from_state, 1e-9), 1 - 1e-9), voltage)
-        delta = to_state - from_state
-        if delta == 0:
-            return 0.0
-        if rate == 0 or (rate > 0) != (delta > 0):
-            raise DeviceError(
-                f"voltage {voltage} V cannot drive state from {from_state} "
-                f"to {to_state}"
-            )
-        return delta / rate
 
     # -- internals ---------------------------------------------------------
 

@@ -38,7 +38,7 @@ draining shard can be correlated with the resize that moved it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import FleetError, ScaleRejectedError
 from repro.observability.instruments import (

@@ -11,7 +11,7 @@ The subsystem's parts:
   per-request :class:`TraceContext` in a bounded :class:`TraceStore`
   (JSONL spill, ``GET /trace/<id>``), a subprocess worker's buffer, or a
   :class:`~repro.runtime.trace.ChromeTraceWriter` file;
-- :mod:`repro.observability.sketch` — mergeable streaming quantile
+- :mod:`repro.observability.sketch` — bounded streaming quantile
   sketches (:class:`QuantileSketch`, :class:`LatencyAnalytics`) for
   p50/p95/p99/p999 tail reporting;
 - :mod:`repro.observability.slo` — :class:`SLOPolicy` objectives and

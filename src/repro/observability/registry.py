@@ -209,10 +209,6 @@ class _GaugeChild:
         with self._lock:
             self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value -= amount
-
 
 class Gauge(_Family):
     """A value that goes both ways (breaker state, in-flight points)."""
@@ -227,9 +223,6 @@ class Gauge(_Family):
 
     def inc(self, amount: float = 1.0) -> None:
         self._default_child.inc(amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._default_child.dec(amount)
 
     @property
     def value(self) -> float:

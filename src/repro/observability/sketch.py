@@ -5,8 +5,8 @@ Fixed-bucket histograms (:mod:`repro.observability.registry`) answer
 dashboards, but tail reporting (p99, p999) degenerates into bucket
 interpolation: the answer is whatever bound the bucket grid happened to
 place near the tail.  :class:`QuantileSketch` replaces that guess with a
-mergeable, bounded-memory summary whose quantile estimates carry a
-*self-certified* rank-error bound.
+bounded-memory summary whose quantile estimates carry a *self-certified*
+rank-error bound.
 
 The structure is a deterministic KLL-style compactor: level ``l`` holds
 raw values of weight ``2**l`` in a bounded buffer; a full buffer is
@@ -18,10 +18,6 @@ exactly that into :meth:`rank_error`: the reported quantiles are
 guaranteed within ``rank_error`` ranks of the truth, and the property
 tests assert against the sketch's own certificate rather than a folklore
 constant.  Until the first compaction the sketch is exact.
-
-Merging two sketches concatenates buffers level-by-level and recompacts;
-the error certificates add.  That makes per-shard sketches cheap to keep
-and fold into a pool-wide tail view on demand.
 
 :class:`LatencyAnalytics` is the serving-layer convenience: one named
 sketch per pipeline layer (queue wait, service, end-to-end), thread-safe,
@@ -43,7 +39,7 @@ TAIL_QUANTILES = {"p50": 0.50, "p95": 0.95, "p99": 0.99, "p999": 0.999}
 
 
 class QuantileSketch:
-    """A mergeable, bounded-memory quantile summary (see module doc).
+    """A bounded-memory quantile summary (see module doc).
 
     ``capacity`` bounds each level's buffer; total memory is
     ``O(capacity * log(n / capacity))`` values.  Estimates are exact while
@@ -104,36 +100,6 @@ class QuantileSketch:
         self._rank_error += 1 << level
         if len(self._levels[level + 1]) > self.capacity:
             self._compact(level + 1)
-
-    def merge(self, other: "QuantileSketch") -> "QuantileSketch":
-        """Fold ``other`` into this sketch (returns ``self``).
-
-        Equivalent — within the summed error certificates — to having
-        ingested the concatenation of both observation streams.
-        """
-        if other is self:
-            raise ObservabilityError("cannot merge a sketch with itself")
-        with other._lock:
-            other_levels = [list(buf) for buf in other._levels]
-            other_stats = (
-                other._count, other._sum, other._min, other._max,
-                other._rank_error,
-            )
-        with self._lock:
-            count, total, lo, hi, err = other_stats
-            self._count += count
-            self._sum += total
-            self._min = min(self._min, lo)
-            self._max = max(self._max, hi)
-            self._rank_error += err
-            for level, buf in enumerate(other_levels):
-                while level >= len(self._levels):
-                    self._levels.append([])
-                self._levels[level].extend(buf)
-            for level in range(len(self._levels)):
-                if len(self._levels[level]) > self.capacity:
-                    self._compact(level)
-        return self
 
     # -- queries --------------------------------------------------------------
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.cost import Cost
-from repro.device.cell import LOGIC_THRESHOLD
+from repro.device.vteam import LOGIC_THRESHOLD
 from repro.errors import CrossbarError
 
 if TYPE_CHECKING:
@@ -48,11 +48,6 @@ class BISTResult:
 
     faults: tuple[tuple, ...]
     cost: Cost
-
-    @property
-    def faulty_rows(self) -> frozenset[int]:
-        """Rows containing at least one stuck cell (block-scan results)."""
-        return frozenset(site[-3] for site in self.faults)
 
     def faulty_rows_by_block(self) -> dict[int, set[int]]:
         """Block -> faulty-row sets (fabric-scan results)."""

@@ -110,17 +110,6 @@ class CampaignResult:
 
     points: tuple[CampaignPoint, ...]
 
-    def best_within_qos(self, workload: str) -> CampaignPoint:
-        """The highest-EDP-improvement point of a workload that meets QoS."""
-        eligible = [
-            p for p in self.points if p.workload == workload and p.qos_ok
-        ]
-        if not eligible:
-            raise ConfigurationError(
-                f"no QoS-meeting campaign point for {workload!r}"
-            )
-        return max(eligible, key=lambda p: p.edp_improvement)
-
     def status_counts(self) -> dict[str, int]:
         """How many points ended in each terminal status."""
         counts = {status: 0 for status in TERMINAL_STATUSES}

@@ -12,9 +12,7 @@ point's pricing callable and, per call, injects one of
 - **unmaskable output corruption** — :class:`~repro.errors.FaultError`,
   exactly the type the PR-1 residue checker escalates when corruption
   survives its bounded repair loop, so supervision treats simulated
-  fabric corruption and injected corruption identically.  For
-  fabric-level corruption through the real PR-1 hooks, see
-  :func:`faulty_resilience_context`.
+  fabric corruption and injected corruption identically.
 
 Every decision is a pure function of ``(seed, point key, call index)``
 via :func:`~repro.workloads.datagen.seeded_stream`: rerunning a chaos
@@ -49,7 +47,6 @@ __all__ = [
     "ChaosOutcome",
     "ChaosPolicy",
     "chaos_table",
-    "faulty_resilience_context",
     "run_chaos_campaign",
 ]
 
@@ -183,40 +180,6 @@ class ChaosInjector:
         return sum(self.injected.values())
 
 
-def faulty_resilience_context(
-    policy: ChaosPolicy,
-    blocks: int = 2,
-    rows: int = 64,
-    cols: int = 64,
-    stuck_rate: float = 0.002,
-    spare_fraction: float = 0.15,
-):
-    """A :class:`~repro.resilience.engine.ResilienceContext` whose fabric
-    carries chaos-seeded stuck cells — corruption injected through the
-    PR-1 hooks (:meth:`BlockedCrossbar.attach_fault_injector`) rather than
-    as an exception, for tests that want the full detect/repair loop to
-    chew on chaos-controlled faults."""
-    from repro.crossbar.block import BlockedCrossbar
-    from repro.device.variation import FaultInjector, VariationModel
-    from repro.resilience.engine import ResilienceContext
-    from repro.resilience.policy import ResiliencePolicy
-
-    fabric = BlockedCrossbar(blocks, rows, cols)
-    model = VariationModel(
-        stuck_on_rate=stuck_rate / 2, stuck_off_rate=stuck_rate / 2
-    )
-    for block in range(blocks):
-        block_seed = int(
-            seeded_stream(policy.seed, "fabric", block).integers(0, 2**31)
-        )
-        fabric.attach_fault_injector(
-            block, FaultInjector(model, seed=block_seed)
-        )
-    return ResilienceContext(
-        fabric, ResiliencePolicy(spare_fraction=spare_fraction)
-    )
-
-
 @dataclass(frozen=True)
 class ChaosOutcome:
     """One chaos campaign: the policy it ran under and what survived."""
@@ -232,10 +195,6 @@ class ChaosOutcome:
     @property
     def completion_yield(self) -> float:
         return self.result.completion_yield
-
-    @property
-    def total_attempts(self) -> int:
-        return sum(p.attempts for p in self.result.points)
 
     @property
     def total_retries(self) -> int:

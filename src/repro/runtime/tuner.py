@@ -55,10 +55,6 @@ class TuningResult:
                 return trial
         raise QoSError(f"selected rung {self.selected_relax_bits} not in trials")
 
-    def edp_gain_vs_exact(self, exact_edp: float) -> float:
-        """EDP improvement of the selected setting over exact mode."""
-        return exact_edp / self.selected_trial.edp
-
 
 class AdaptiveTuner:
     """Walks the relax-bit ladder against a QoS policy."""

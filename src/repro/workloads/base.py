@@ -103,16 +103,6 @@ class Workload(abc.ABC):
         if elements <= 0:
             raise WorkloadError(f"element count must be positive: {elements}")
 
-    def ops_per_element(self) -> tuple[float, float]:
-        """(multiplies, additions) per element per pass, from the profile.
-
-        Used by the comparison harness to extrapolate APIM cost measured on
-        a tile to the full dataset.
-        """
-        profile = self.profile()
-        # flops = muls + adds; subclasses override when the split matters.
-        return profile.flops_per_element / 2, profile.flops_per_element / 2
-
     @staticmethod
     def _strided_trace(
         base: int,

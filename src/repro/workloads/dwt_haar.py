@@ -100,9 +100,6 @@ class DwtHaar1DWorkload(Workload):
             trace=self._trace,
         )
 
-    def ops_per_element(self) -> tuple[float, float]:
-        return 1.0, 1.0
-
     def _trace(self, elements: int):
         """Cache-measurement trace over a beyond-L2 tile: at the paper's
         dataset sizes every level that matters streams from memory, so the

@@ -146,9 +146,6 @@ class FFTWorkload(Workload):
             trace=self._trace,
         )
 
-    def ops_per_element(self) -> tuple[float, float]:
-        return 2.0, 3.0  # per element per pass
-
     def _trace(self, elements: int):
         """Cache-measurement trace: representative passes over a tile that
         exceeds L2, since at the paper's dataset sizes (32 MB+) every pass

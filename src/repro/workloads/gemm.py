@@ -77,10 +77,6 @@ class GEMMWorkload(Workload):
             trace=self._trace,
         )
 
-    def ops_per_element(self) -> tuple[float, float]:
-        side = self.matrix_side(self.default_elements)
-        return float(side), float(side)
-
     def _trace(self, elements: int):
         side = self.matrix_side(elements)
         b_base = 1 << 27

@@ -138,10 +138,6 @@ class NeuralWorkload(Workload):
             trace=self._trace,
         )
 
-    def ops_per_element(self) -> tuple[float, float]:
-        macs = float(INPUT_DIM * HIDDEN_DIM + HIDDEN_DIM * CLASSES)
-        return macs, macs
-
     def _trace(self, elements: int):
         weight_base = 1 << 27
         out_base = 1 << 28

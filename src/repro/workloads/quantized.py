@@ -159,10 +159,6 @@ class QuantizedLayerWorkload(Workload):
             trace=self._trace,
         )
 
-    def ops_per_element(self) -> tuple[float, float]:
-        macs = float(CHANNELS * TAPS * CONV_OUT + CHANNELS * CLASSES)
-        return macs, macs + CHANNELS * (CONV_OUT - 1)
-
     def _trace(self, elements: int):
         weight_base = 1 << 27
         out_base = 1 << 28

@@ -99,10 +99,6 @@ class QuasiRandomWorkload(Workload):
             trace=self._trace,
         )
 
-    def ops_per_element(self) -> tuple[float, float]:
-        k = float(DIGITS * len(BASES))
-        return k, k
-
     def _trace(self, elements: int):
         out_base = 1 << 28
         for i in range(elements):

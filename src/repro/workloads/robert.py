@@ -65,9 +65,6 @@ class RobertWorkload(Workload):
             trace=self._trace,
         )
 
-    def ops_per_element(self) -> tuple[float, float]:
-        return 4.0, 5.0
-
     def _trace(self, elements: int):
         rows, cols = image_shape_for(elements)
         offsets = [0, 1, cols, cols + 1]

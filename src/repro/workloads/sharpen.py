@@ -62,9 +62,6 @@ class SharpenWorkload(Workload):
             trace=self._trace,
         )
 
-    def ops_per_element(self) -> tuple[float, float]:
-        return 5.0, 4.0
-
     def _trace(self, elements: int):
         rows, cols = image_shape_for(elements)
         offsets = [-cols, -1, 0, 1, cols]

@@ -160,10 +160,6 @@ class SimilarityWorkload(Workload):
             trace=self._trace,
         )
 
-    def ops_per_element(self) -> tuple[float, float]:
-        words = float(DIM // 64)
-        return QUERIES * words, QUERIES * words
-
     def _trace(self, elements: int):
         out_base = 1 << 28
         for i in range(min(elements, 1 << 16)):

@@ -68,9 +68,6 @@ class SobelWorkload(Workload):
             trace=self._trace,
         )
 
-    def ops_per_element(self) -> tuple[float, float]:
-        return 12.0, 11.0
-
     def _trace(self, elements: int):
         rows, cols = image_shape_for(elements)
         offsets = [dy * cols + dx for dy in (-1, 0, 1) for dx in (-1, 0, 1)]

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.adder import APIMAdder
 from repro.core.config import APIMConfig
+from repro.core.cost import Cost
 from repro.core.timing import (
     cost_hybrid_final_add,
     cost_wallace_reduce,
@@ -94,7 +95,7 @@ class TestMultiOperandAdd:
         values = np.array([4, 5, 6], dtype=np.uint64)
         result = adder.add_many([values])
         assert np.array_equal(result.sums, values)
-        assert result.cost.is_zero()
+        assert result.cost == Cost()
 
     def test_cost_includes_reduction_and_final(self, adder):
         operands = [np.uint64(v) for v in range(9)]

@@ -63,7 +63,8 @@ class TestAreaModel:
     def test_density_order_of_magnitude(self, model):
         # A 4F^2 crosspoint at 45 nm stores ~15 GiB/cm^2; per mm^2 that is
         # ~0.15 GiB — accept a generous band around it.
-        density = model.density_gib_per_mm2(1024)
+        gib = 1024 * model.config.block_bytes / GIB
+        density = gib / model.unit_area(1024).total_mm2
         assert 0.01 < density < 2.0
 
     def test_validation(self, model):

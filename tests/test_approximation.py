@@ -20,7 +20,7 @@ from repro.errors import ApproximationError
 
 class TestApproxSpec:
     def test_exact_constant(self):
-        assert EXACT.is_exact
+        assert (EXACT.masked_bits, EXACT.relax_bits) == (0, 0)
         assert EXACT.mode is ApproxMode.EXACT
 
     def test_first_stage_factory(self):
@@ -37,7 +37,6 @@ class TestApproxSpec:
     def test_both_mode(self):
         spec = ApproxSpec(masked_bits=4, relax_bits=8)
         assert spec.mode is ApproxMode.BOTH
-        assert not spec.is_exact
 
     @pytest.mark.parametrize("field", ["masked_bits", "relax_bits"])
     def test_negative_values_rejected(self, field):

@@ -145,45 +145,3 @@ class TestCostAggregation:
         assert fabric.total_cost.sa_reads == 1
         assert fabric.total_cost.maj_ops == 1
 
-
-class TestCheckpointing:
-    def test_round_trip_state_and_clock(self, fabric, tmp_path):
-        fabric.write_word(0, 2, 0xAB, 8)
-        fabric.write_word(2, 5, 0x3C, 8)
-        fabric.advance_clock(17)
-        path = str(tmp_path / "fabric.npz")
-        fabric.save_checkpoint(path)
-
-        from repro.crossbar.block import BlockedCrossbar
-
-        restored = BlockedCrossbar(3, 16, 16, fabric.model)
-        restored.load_checkpoint(path)
-        assert restored.read_word(0, 2, 8) == 0xAB
-        assert restored.read_word(2, 5, 8) == 0x3C
-        assert restored.cycles == 17
-
-    def test_resume_continues_computation(self, vteam, tmp_path):
-        """Checkpoint mid-way through an addition setup, resume on a fresh
-        fabric, and complete the operation there."""
-        from repro.crossbar.block import BlockedCrossbar
-        from repro.crossbar.structural_adder import RowPool, StructuralAdder
-
-        first = BlockedCrossbar(2, 64, 20, vteam)
-        first.write_word(0, 0, 0x5A, 8)
-        first.write_word(0, 1, 0x2B, 8)
-        path = str(tmp_path / "mid.npz")
-        first.save_checkpoint(path)
-
-        resumed = BlockedCrossbar(2, 64, 20, vteam)
-        resumed.load_checkpoint(path)
-        adder = StructuralAdder(resumed)
-        adder.serial_add(0, 0, 1, 2, 8, RowPool(64, reserved=[0, 1, 2]))
-        assert resumed.read_word(0, 2, 9) == 0x5A + 0x2B
-
-    def test_block_count_mismatch_rejected(self, fabric, vteam, tmp_path):
-        from repro.crossbar.block import BlockedCrossbar
-
-        path = str(tmp_path / "two.npz")
-        BlockedCrossbar(2, 16, 16, vteam).save_checkpoint(path)
-        with pytest.raises(CrossbarError):
-            fabric.load_checkpoint(path)  # fabric has three blocks

@@ -43,19 +43,6 @@ class TestGrid:
             ]
             assert edps == sorted(edps)
 
-    def test_best_within_qos(self, campaign):
-        best = campaign.best_within_qos("Sobel")
-        assert best.qos_ok
-        exact = next(
-            p for p in campaign.points
-            if p.workload == "Sobel" and p.relax_bits == 0
-        )
-        assert best.edp_improvement >= exact.edp_improvement
-
-    def test_best_within_qos_unknown_workload(self, campaign):
-        with pytest.raises(ConfigurationError):
-            campaign.best_within_qos("Ghost")
-
 
 class TestExport:
     def test_csv_round_trip(self, campaign):

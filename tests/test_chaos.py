@@ -12,10 +12,35 @@ from repro.runtime.chaos import (
     ChaosInjector,
     ChaosPolicy,
     chaos_table,
-    faulty_resilience_context,
     run_chaos_campaign,
 )
 from repro.runtime.supervisor import ManualClock
+from repro.workloads.datagen import seeded_stream
+
+
+def faulty_resilience_context(policy: ChaosPolicy, stuck_rate: float):
+    """A :class:`~repro.resilience.engine.ResilienceContext` whose
+    two-block fabric carries chaos-seeded stuck cells: corruption injected
+    through :meth:`BlockedCrossbar.attach_fault_injector` rather than as an
+    exception, so the full detect/repair loop chews on chaos-controlled
+    faults."""
+    from repro.crossbar.block import BlockedCrossbar
+    from repro.device.variation import FaultInjector, VariationModel
+    from repro.resilience.engine import ResilienceContext
+    from repro.resilience.policy import ResiliencePolicy
+
+    fabric = BlockedCrossbar(2, 64, 64)
+    model = VariationModel(
+        stuck_on_rate=stuck_rate / 2, stuck_off_rate=stuck_rate / 2
+    )
+    for block in range(2):
+        block_seed = int(
+            seeded_stream(policy.seed, "fabric", block).integers(0, 2**31)
+        )
+        fabric.attach_fault_injector(
+            block, FaultInjector(model, seed=block_seed)
+        )
+    return ResilienceContext(fabric, ResiliencePolicy(spare_fraction=0.15))
 
 
 class TestChaosPolicy:

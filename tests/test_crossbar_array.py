@@ -70,7 +70,7 @@ class TestWordAccess:
 
     def test_word_lsb_first_layout(self, array):
         array.write_word(2, 0b101, 3)
-        assert array.row_bits(2, range(3)) == [1, 0, 1]
+        assert [array.value(2, col) for col in range(3)] == [1, 0, 1]
 
     def test_word_with_column_offset(self, array):
         array.write_word(1, 0x5, 4, start_col=10)

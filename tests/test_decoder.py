@@ -14,31 +14,16 @@ class TestLineDecoder:
         out = decoder.select(3)
         assert out == [0, 0, 0, 1, 0, 0, 0, 0]
 
-    def test_address_bits(self):
-        assert LineDecoder(1024).address_bits == 10
-        assert LineDecoder(1000).address_bits == 10
-        assert LineDecoder(1).address_bits == 1
-
     def test_activation_counting(self):
         decoder = LineDecoder(4)
         decoder.select(0)
-        decoder.select_many([1, 2])
+        decoder.select(2)
         assert decoder.activations == 2
-
-    def test_select_many_or_of_one_hots(self):
-        decoder = LineDecoder(4)
-        assert decoder.select_many([0, 3]) == [1, 0, 0, 1]
 
     def test_out_of_range_rejected(self):
         decoder = LineDecoder(4)
         with pytest.raises(CrossbarError):
             decoder.select(4)
-        with pytest.raises(CrossbarError):
-            decoder.select_many([0, 9])
-
-    def test_empty_multi_select_rejected(self):
-        with pytest.raises(CrossbarError):
-            LineDecoder(4).select_many([])
 
     def test_invalid_construction(self):
         with pytest.raises(CrossbarError):

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.approximation import ApproxSpec
 from repro.core.config import APIMConfig
+from repro.core.cost import Cost
 from repro.core.engine import APIMEngine
 from repro.errors import ConfigurationError
 
@@ -104,7 +105,7 @@ class TestShifts:
 
     def test_zero_shift_free(self, engine):
         engine.shift_right(np.arange(10), 0)
-        assert engine.total_cost.is_zero()
+        assert engine.total_cost == Cost()
 
     def test_shift_charges_energy_not_cycles(self, engine):
         engine.shift_right(np.arange(10), 3)
@@ -135,7 +136,7 @@ class TestLedgerAndCounters:
     def test_reset_clears_everything(self, engine):
         engine.mul(np.arange(10), np.arange(10))
         engine.reset()
-        assert engine.total_cost.is_zero()
+        assert engine.total_cost == Cost()
         assert engine.mul_count == 0
         assert engine.add_count == 0
 

@@ -16,7 +16,7 @@ from repro.core.engine import APIMEngine
 from repro.runtime.comparison import ComparisonHarness
 from repro.runtime.executor import APIMExecutor
 from repro.runtime.tuner import AdaptiveTuner
-from repro.units import GIB, MIB
+from repro.units import GIB
 from repro.workloads import workload_by_name
 
 

@@ -78,36 +78,6 @@ class TestNorInRow:
         assert fabric.cycles - before == 2
 
 
-class TestNorAcrossRows:
-    def test_simd_truth(self, fabric):
-        _set_row(fabric, 0, [1, 0, 1, 0])
-        _set_row(fabric, 1, [1, 1, 0, 0])
-        fabric.init_row_segment(5, range(4))
-        results = fabric.nor_across_rows([0, 1], 5, range(4))
-        assert results == [0, 0, 0, 1]
-
-    def test_simd_is_one_cycle_any_width(self, fabric):
-        fabric.init_row_segment(5, range(16))
-        before = fabric.cycles
-        fabric.nor_across_rows([0], 5, range(16))
-        assert fabric.cycles - before == 1
-
-    def test_cost_counts_per_column_nor(self, fabric):
-        fabric.init_row_segment(5, range(8))
-        before = fabric.cost.nor_ops
-        fabric.nor_across_rows([0], 5, range(8))
-        assert fabric.cost.nor_ops - before == 8
-
-    def test_requires_initialised_outputs(self, fabric):
-        with pytest.raises(CrossbarError):
-            fabric.nor_across_rows([0], 5, range(4))
-
-    def test_output_row_cannot_be_input(self, fabric):
-        fabric.init_row_segment(1, range(2))
-        with pytest.raises(CrossbarError):
-            fabric.nor_across_rows([0, 1], 1, range(2))
-
-
 class TestNorCells:
     def test_arbitrary_positions(self, fabric):
         fabric.array.set_value(2, 3, 1)
@@ -157,27 +127,6 @@ class TestNorParallel:
     def test_empty_batch_rejected(self, fabric):
         with pytest.raises(CrossbarError):
             fabric.nor_parallel([])
-
-
-class TestCopyRow:
-    def test_copy_preserves_bits(self, fabric):
-        _set_row(fabric, 0, [1, 0, 1, 1])
-        fabric.copy_row(0, 8, 9, range(4))
-        assert [fabric.array.value(9, c) for c in range(4)] == [1, 0, 1, 1]
-
-    def test_fresh_copy_is_two_cycles(self, fabric):
-        _set_row(fabric, 0, [1, 0])
-        before = fabric.cycles
-        fabric.copy_row(0, 8, 9, range(2))
-        assert fabric.cycles - before == 2
-
-    def test_shared_copy_is_one_cycle(self, fabric):
-        _set_row(fabric, 0, [1, 0])
-        fabric.copy_row(0, 8, 9, range(2))
-        before = fabric.cycles
-        fabric.copy_row(0, 8, 10, range(2), inverted_ready=True)
-        assert fabric.cycles - before == 1
-        assert [fabric.array.value(10, c) for c in range(2)] == [1, 0]
 
 
 class TestElectricalModel:

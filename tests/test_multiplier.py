@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.approximation import EXACT, ApproxSpec
+from repro.core.approximation import ApproxSpec
 from repro.core.config import APIMConfig
 from repro.core.multiplier import APIMMultiplier, popcount
 from repro.core.timing import cost_multiply

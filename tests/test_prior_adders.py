@@ -6,6 +6,7 @@ import pytest
 
 from repro.baselines.pc_adder import PCAdderModel
 from repro.baselines.talati import TalatiAdderModel
+from repro.core.cost import Cost
 from repro.core.timing import fast_multi_add_cycles, serial_add_cycles
 from repro.errors import ConfigurationError
 
@@ -33,12 +34,13 @@ class TestTalatiModel:
         assert with_shift.cycles > without.cycles
 
     def test_single_operand_free(self):
-        assert TalatiAdderModel().multi_add_cost(1, 8).is_zero()
+        assert TalatiAdderModel().multi_add_cost(1, 8) == Cost()
 
     def test_time_and_energy_positive(self):
         model = TalatiAdderModel()
-        assert model.multi_add_time(4, 8) > 0
-        assert model.multi_add_energy(4, 8) > 0
+        cost = model.multi_add_cost(4, 8)
+        assert cost.time(model.config) > 0
+        assert cost.energy(model.config) > 0
 
     @pytest.mark.parametrize("operands,width", [(0, 8), (4, 0)])
     def test_validation(self, operands, width):
@@ -73,7 +75,7 @@ class TestPCAdderModel:
             PCAdderModel(crs_step_factor=0)
 
     def test_single_operand_free(self):
-        assert PCAdderModel().multi_add_cost(1, 8).is_zero()
+        assert PCAdderModel().multi_add_cost(1, 8) == Cost()
 
 
 class TestFigure6Claims:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.approximation import EXACT, ApproxSpec
-from repro.core.config import APIMConfig
 from repro.errors import ConfigurationError, QoSError
 from repro.quality.qos import QoSPolicy
 from repro.runtime.comparison import ComparisonHarness
@@ -135,7 +134,7 @@ class TestAdaptiveTuner:
         w = workload_by_name("Sharpen")
         result = tuner.tune(w, elements=TILE)
         exact = APIMExecutor().run(w, elements=TILE)
-        assert result.edp_gain_vs_exact(exact.edp) > 1.0
+        assert exact.edp / result.selected_trial.edp > 1.0
 
     def test_invalid_construction(self):
         with pytest.raises(QoSError):

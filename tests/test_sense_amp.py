@@ -28,11 +28,6 @@ class TestBitwiseMode:
         sa.read_bit(0, 1)
         assert sa.read_count == 2
 
-    def test_read_row_word(self, sa):
-        sa.array.write_word(1, 0b1011, 4)
-        assert sa.read_row(1, 4) == 0b1011
-        assert sa.read_count == 4
-
 
 class TestMajorityMode:
     @pytest.mark.parametrize(
@@ -57,13 +52,3 @@ class TestMajorityMode:
     def test_majority_validates_cells(self, sa):
         with pytest.raises(CrossbarError):
             sa.majority(99, (0, 1, 2))
-
-    @pytest.mark.parametrize(
-        "bits", list(itertools.product((0, 1), repeat=3))
-    )
-    def test_logic_level_majority(self, sa, bits):
-        assert sa.majority_values(*bits) == int(sum(bits) >= 2)
-
-    def test_logic_level_validates_bits(self, sa):
-        with pytest.raises(CrossbarError):
-            sa.majority_values(0, 1, 2)

@@ -125,30 +125,6 @@ class TestRankErrorCertificate:
             assert sketch.quantile(q) == ordered[rank]
 
 
-class TestMerge:
-    @given(left=latencies, right=latencies)
-    @settings(max_examples=60, deadline=None)
-    def test_merge_approximates_concatenation(self, left, right):
-        """merge(a, b) answers like a sketch of a+b, within the merged
-        sketch's own (summed) certificate."""
-        merged = QuantileSketch(capacity=32)
-        for value in left:
-            merged.observe(value)
-        other = QuantileSketch(capacity=32)
-        for value in right:
-            other.observe(value)
-        certificates_before = merged.rank_error() + other.rank_error()
-        merged.merge(other)
-        assert merged.count == len(left) + len(right)
-        assert merged.rank_error() >= certificates_before
-        _assert_within_certificate(merged, left + right)
-
-    def test_merge_with_self_raises(self):
-        sketch = QuantileSketch()
-        with pytest.raises(ObservabilityError):
-            sketch.merge(sketch)
-
-
 class TestEdges:
     def test_empty_sketch_answers_nan(self):
         sketch = QuantileSketch()

@@ -6,11 +6,7 @@ import random
 
 import pytest
 
-from repro.core.timing import (
-    cost_hybrid_final_add,
-    hybrid_final_add_cycles,
-    serial_add_cycles,
-)
+from repro.core.timing import hybrid_final_add_cycles, serial_add_cycles
 from repro.crossbar.block import BlockedCrossbar
 from repro.crossbar.structural_adder import (
     FACells,

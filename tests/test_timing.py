@@ -10,6 +10,7 @@ from dataclasses import astuple
 
 import pytest
 
+from repro.baselines.talati import TalatiAdderModel
 from repro.core.cost import Cost
 from repro.core.multiplier import _cost_matrix
 from repro.core.timing import (
@@ -20,11 +21,9 @@ from repro.core.timing import (
     cost_hybrid_final_add,
     cost_multiply,
     cost_ppgen,
-    cost_serial_add,
     cost_wallace_reduce,
     fast_multi_add_cycles,
     hybrid_final_add_cycles,
-    ppgen_cycles,
     reduction_sequence,
     reduction_stages,
     serial_add_cycles,
@@ -48,7 +47,7 @@ class TestSerialAdd:
             serial_add_cycles(bad)
 
     def test_cost_counts_12_nors_per_bit(self):
-        cost = cost_serial_add(8)
+        cost = TalatiAdderModel().add_cost(8)
         assert cost.cycles == 97
         assert cost.nor_ops == NOR_OPS_PER_FA * 8
 
@@ -157,14 +156,14 @@ class TestPartialProductGeneration:
     def test_worst_case_n_plus_1(self):
         # Paper Section 3.3: "limiting the worst case delay of copying to
         # N + 1 cycles".
-        assert ppgen_cycles(32) == 33
+        assert cost_ppgen(32, 32).cycles == 33
 
     def test_zero_set_bits_is_free(self):
-        assert ppgen_cycles(0) == 0
+        assert cost_ppgen(32, 0).cycles == 0
 
     def test_first_copy_pays_shared_inversion(self):
-        assert ppgen_cycles(1) == 2
-        assert ppgen_cycles(2) == 3
+        assert cost_ppgen(32, 1).cycles == 2
+        assert cost_ppgen(32, 2).cycles == 3
 
     def test_cost_reads_all_multiplier_bits(self):
         cost = cost_ppgen(32, 5)
@@ -238,7 +237,7 @@ class TestMultiplyCost:
         # "only 16 additions on average for 32x32 multiplication".
         cost = cost_multiply(32, 16)
         expected = (
-            ppgen_cycles(16)
+            cost_ppgen(32, 16).cycles
             + reduction_stages(16) * 13
             + hybrid_final_add_cycles(64, 0)
         )

