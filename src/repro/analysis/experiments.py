@@ -18,7 +18,7 @@ import numpy as np
 from repro.baselines.pc_adder import PCAdderModel
 from repro.baselines.talati import TalatiAdderModel
 from repro.core.approximation import EXACT, ApproxSpec
-from repro.core.config import APIMConfig, default_config
+from repro.core.config import default_config
 from repro.core.multiplier import APIMMultiplier
 from repro.core.timing import (
     FULL_ADDER_CYCLES,
@@ -151,18 +151,16 @@ class Figure4Result:
 
 
 def run_figure4(
-    config: APIMConfig | None = None,
     samples: int = FIGURE4_SAMPLES,
-    seed: int = 2017,
     first_stage_bits: tuple[int, ...] = (0, 4, 8, 12, 16, 20, 24, 28),
     last_stage_bits: tuple[int, ...] = (0, 8, 16, 24, 32, 40, 48, 56, 60),
 ) -> Figure4Result:
     """Monte-Carlo sweep of both approximation modes on random operands."""
-    config = config or default_config()
+    config = default_config()
     if samples <= 0:
         raise ConfigurationError("samples must be positive")
     multiplier = APIMMultiplier(config)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(2017)
     bits = config.word_bits
     a = rng.integers(0, 1 << bits, samples, dtype=np.uint64)
     b = rng.integers(0, 1 << bits, samples, dtype=np.uint64)
@@ -228,7 +226,6 @@ class Figure5Result:
 def run_figure5(
     workloads: list[Workload] | None = None,
     sizes: tuple[int, ...] = FIGURE5_SIZES,
-    config: APIMConfig | None = None,
     tile_elements: int = PAPER_TILE,
 ) -> Figure5Result:
     """Sweep exact APIM against the GPU baseline over dataset sizes.
@@ -242,7 +239,7 @@ def run_figure5(
             for w in all_workloads()
             if w.name in ("Sobel", "Robert", "FFT", "DwtHaar1D")
         ]
-    harness = ComparisonHarness(config=config, tile_elements=tile_elements)
+    harness = ComparisonHarness(tile_elements=tile_elements)
     curves = {
         w.name: tuple(harness.sweep_sizes(w, list(sizes))) for w in workloads
     }
@@ -293,7 +290,6 @@ FIG6_EXACT_MSBS = 8
 
 def run_figure6(
     operand_counts: tuple[int, ...] = FIGURE6_OPERAND_COUNTS,
-    config: APIMConfig | None = None,
 ) -> Figure6Result:
     """Latency of N-operand, N-bit addition for APIM and both baselines.
 
@@ -302,7 +298,7 @@ def run_figure6(
     :data:`FIG6_EXACT_MSBS` bits of the final addition — the '99.9 %
     accuracy' point the paper quotes as 'at least 6x faster'.
     """
-    config = config or default_config()
+    config = default_config()
     talati = TalatiAdderModel(config=config)
     pc = PCAdderModel(config=config)
     rows = []
@@ -363,23 +359,21 @@ class Table1Result:
 def run_table1(
     workloads: list[Workload] | None = None,
     levels: tuple[int, ...] = TABLE1_LEVELS,
-    dataset_bytes: float = GIB,
-    config: APIMConfig | None = None,
     tile_elements: int = PAPER_TILE,
 ) -> Table1Result:
     """QoL / EDP-improvement grid over the six applications.
 
-    EDP improvement is measured against the GPU at ``dataset_bytes`` (the
-    paper's large-dataset regime); QoL comes from the tile execution.
+    EDP improvement is measured against the GPU at 1 GiB (the paper's
+    large-dataset regime); QoL comes from the tile execution.
     """
     workloads = workloads or all_workloads()
-    harness = ComparisonHarness(config=config, tile_elements=tile_elements)
+    harness = ComparisonHarness(tile_elements=tile_elements)
     cells: dict[str, tuple[Table1Cell, ...]] = {}
     for workload in workloads:
         row = []
         for level in levels:
             spec = ApproxSpec.last_stage(level) if level else EXACT
-            point = harness.compare(workload, dataset_bytes, spec)
+            point = harness.compare(workload, GIB, spec)
             row.append(
                 Table1Cell(
                     workload=workload.name,
@@ -392,7 +386,7 @@ def run_table1(
         cells[workload.name] = tuple(row)
     return Table1Result(
         levels=tuple(levels),
-        dataset_bytes=int(dataset_bytes),
+        dataset_bytes=GIB,
         cells=cells,
     )
 
@@ -414,8 +408,6 @@ class AdaptiveResult:
 
 def run_adaptive(
     workloads: list[Workload] | None = None,
-    dataset_bytes: float = GIB,
-    config: APIMConfig | None = None,
     tile_elements: int = PAPER_TILE,
 ) -> AdaptiveResult:
     """Run the adaptive tuner per application and price the chosen setting.
@@ -425,10 +417,8 @@ def run_adaptive(
     ensuring acceptable quality of service".
     """
     workloads = workloads or all_workloads()
-    config = config or default_config()
-    executor = APIMExecutor(config)
-    tuner = AdaptiveTuner(executor)
-    harness = ComparisonHarness(config=config, tile_elements=tile_elements)
+    tuner = AdaptiveTuner(APIMExecutor(default_config()))
+    harness = ComparisonHarness(tile_elements=tile_elements)
     tunings: dict[str, TuningResult] = {}
     improvements: dict[str, float] = {}
     for workload in workloads:
@@ -439,7 +429,7 @@ def run_adaptive(
             if tuning.selected_relax_bits
             else EXACT
         )
-        point = harness.compare(workload, dataset_bytes, spec)
+        point = harness.compare(workload, GIB, spec)
         improvements[workload.name] = point.edp_improvement
     values = list(improvements.values())
     return AdaptiveResult(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.config import APIMConfig, default_config
+from repro.core.config import default_config
 from repro.errors import ConfigurationError
 from repro.runtime.comparison import ComparisonHarness
 from repro.units import GIB
@@ -61,7 +61,6 @@ def sweep_parameter(
     values: list[float],
     workload: Workload | str = "Sobel",
     dataset_bytes: float = GIB,
-    base_config: APIMConfig | None = None,
     tile_elements: int = 1 << 12,
 ) -> SensitivityResult:
     """Sweep one config field and price the workload at each setting."""
@@ -74,7 +73,7 @@ def sweep_parameter(
         raise ConfigurationError("sweep needs at least one value")
     if isinstance(workload, str):
         workload = workload_by_name(workload)
-    base = base_config or default_config()
+    base = default_config()
     points = []
     for value in values:
         cast = int(value) if parameter in ("mult_rows_per_lane", "block_rows") else value

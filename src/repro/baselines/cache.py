@@ -133,16 +133,6 @@ class Cache:
         ways[tag] = write
         return False
 
-    def flush(self) -> int:
-        """Drop all lines; returns the number of dirty lines written back."""
-        dirty = sum(
-            1 for ways in self._sets for is_dirty in ways.values() if is_dirty
-        )
-        self.stats.writebacks += dirty
-        for ways in self._sets:
-            ways.clear()
-        return dirty
-
 
 class _LockstepLRU:
     """A :class:`Cache`'s contents as ``[sets, ways]`` arrays, for batches.

@@ -78,8 +78,8 @@ class CPUModel:
 
     DEFAULT_TILE_ELEMENTS = 1 << 16
 
-    def __init__(self, config: CPUConfig | None = None) -> None:
-        self.config = config or CPUConfig()
+    def __init__(self) -> None:
+        self.config = CPUConfig()
 
     #: The GPU model's lookup in the process-wide locality memo, which
     #: keys it by this model's config.

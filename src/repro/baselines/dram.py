@@ -26,6 +26,10 @@ from repro.units import PJ
 
 __all__ = ["DRAMModel"]
 
+#: Concurrent sequential streams (a GPU kernel's wavefronts) sharing the
+#: open rows.
+STREAMS = 4
+
 
 @dataclass(frozen=True)
 class DRAMModel:
@@ -71,14 +75,14 @@ class DRAMModel:
 
     # -- locality ------------------------------------------------------------
 
-    def row_hit_rate(self, footprint_bytes: float, streams: int = 4) -> float:
+    def row_hit_rate(self, footprint_bytes: float) -> float:
         """Fraction of accesses served by an open row.
 
-        With ``streams`` concurrent sequential streams (a GPU kernel's
-        wavefronts), the open rows cover ``banks * row_buffer_bytes`` of
-        footprint; beyond that, the chance that a stream's next access
-        stays in its open row decays toward the streaming floor given by
-        one row's worth of consecutive accesses per activation.
+        With :data:`STREAMS` concurrent sequential streams, the open rows
+        cover ``banks * row_buffer_bytes`` of footprint; beyond that, the
+        chance that a stream's next access stays in its open row decays
+        toward the streaming floor given by one row's worth of consecutive
+        accesses per activation.
         """
         if footprint_bytes <= 0:
             raise ConfigurationError("footprint must be positive")
@@ -88,7 +92,7 @@ class DRAMModel:
         # Streaming floor: one activation per row of strided interleaved
         # streams; interference grows with the footprint/bank ratio.
         pressure = footprint_bytes / open_coverage
-        floor = max(0.5, 1.0 - 0.08 * (pressure ** 0.25) * streams ** 0.5)
+        floor = max(0.5, 1.0 - 0.08 * (pressure ** 0.25) * STREAMS ** 0.5)
         return max(floor, open_coverage / footprint_bytes)
 
     # -- pricing ------------------------------------------------------------

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 from repro.core.config import APIMConfig, default_config
 from repro.core.cost import Cost
-from repro.crossbar.decoder import SharedPeriphery
 from repro.errors import ConfigurationError
 
 __all__ = ["PCAdderModel"]
@@ -111,16 +110,3 @@ class PCAdderModel:
                     nor_ops=2 * moved * pairs,
                 )
         return total
-
-    # -- area ---------------------------------------------------------------
-
-    def periphery_transistors(self, operands: int, width: int) -> int:
-        """Controller-transistor estimate of the arrayed organisation.
-
-        Each concurrent array carries its own wordline/bitline controllers
-        — the overhead the paper contrasts with APIM's shared periphery.
-        """
-        arrays = max(1, operands // 2)
-        rows = 4 * width  # operand, partial terms, result
-        periphery = SharedPeriphery(rows, 2 * width, 1)
-        return periphery.periphery_transistors(shared=True) * arrays

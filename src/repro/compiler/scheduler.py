@@ -86,13 +86,12 @@ class ListScheduler:
     def __init__(
         self,
         lanes: int,
-        config: APIMConfig | None = None,
         spec: ApproxSpec = EXACT,
     ) -> None:
         if lanes <= 0:
             raise ConfigurationError(f"lanes must be positive: {lanes}")
         self.lanes = lanes
-        self.config = config or default_config()
+        self.config = default_config()
         self.spec = spec
 
     # -- analysis ----------------------------------------------------------

@@ -122,9 +122,9 @@ class Cost:
         """Total energy in joules."""
         return sum(self.energy_breakdown(config, lanes, active_blocks).values())
 
-    def edp(self, config: APIMConfig, lanes: int = 1, active_blocks: int = 1) -> float:
+    def edp(self, config: APIMConfig, lanes: int = 1) -> float:
         """Energy-delay product in joule-seconds."""
-        return self.energy(config, lanes, active_blocks) * self.time(config, lanes)
+        return self.energy(config, lanes) * self.time(config, lanes)
 
 
 class CostLedger:

@@ -126,11 +126,10 @@ class APIMEngine:
         a: np.ndarray | int,
         b: np.ndarray | int,
         width: int | None = None,
-        spec: ApproxSpec | None = None,
     ) -> np.ndarray:
         """Signed subtraction ``a - b`` (addition of the two's complement)."""
         b_arr = np.asarray(b, dtype=np.int64)
-        return self.add(a, -b_arr, width=width, spec=spec)
+        return self.add(a, -b_arr, width=width)
 
     def sum_many(
         self,

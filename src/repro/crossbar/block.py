@@ -62,11 +62,6 @@ class SpareRowPool:
         return self._free.pop(0)
 
     @property
-    def available(self) -> int:
-        """Spares still unused."""
-        return len(self._free)
-
-    @property
     def used(self) -> int:
         """Spares already consumed by retirements."""
         return self.capacity - len(self._free)
@@ -288,24 +283,24 @@ class BlockedCrossbar:
         dst_block: int,
         dst_row: int,
         width: int,
-        src_col: int = 0,
         shift: int = 0,
         inverted_row: int | None = None,
         inverted_ready: bool = False,
     ) -> None:
-        """Copy a row segment to an adjacent block, shifted by ``shift``.
+        """Copy a row's first ``width`` columns to an adjacent block,
+        shifted by ``shift``.
 
         Implements the two-NOT copy through the interconnect: the first NOT
         produces the inverted source (in ``inverted_row`` of the source
         block, reusable across copies), the second NOT lands directly in the
-        destination block at ``src_col + shift``.  Latency: 2 cycles, or 1
+        destination block at column ``shift``.  Latency: 2 cycles, or 1
         when ``inverted_ready``.  Scratch initialisation is covered by the
         bulk pre-initialisation of processing-block scratch space and adds
         no cycles (see module docstring).
         """
         icn = self._interconnect_between(src_block, dst_block)
         icn.configure(shift)
-        dst_cols = icn.route_segment(src_col, width)
+        dst_cols = icn.route_segment(0, width)
         src = self.blocks[src_block]
         dst = self.blocks[dst_block]
         if dst_row < 0 or dst_row >= dst.rows:
@@ -314,7 +309,7 @@ class BlockedCrossbar:
         cycles = 1 if inverted_ready else 2
         # Logical effect: dst[dst_row, c+shift] = src[src_row, c].
         for offset in range(width):
-            bit = src.value(src_row, src_col + offset)
+            bit = src.value(src_row, offset)
             dst.set_value(dst_row, dst_cols.start + offset, bit)
         icn.record_transfer(width)  # interconnect traffic (energy)
         self.advance_clock(cycles)
@@ -328,10 +323,10 @@ class BlockedCrossbar:
         dst_block: int,
         dst_row: int,
         width: int,
-        src_col: int = 0,
         shift: int = 0,
     ) -> None:
-        """Relocate a row with zero added cycles (arranged write-back).
+        """Relocate a row's first ``width`` columns with zero added cycles
+        (arranged write-back).
 
         Models the paper's overlap: a reduction stage's outputs are written
         through the interconnect into their arranged destination, so only
@@ -340,11 +335,11 @@ class BlockedCrossbar:
         """
         icn = self._interconnect_between(src_block, dst_block)
         icn.configure(shift)
-        dst_cols = icn.route_segment(src_col, width)
+        dst_cols = icn.route_segment(0, width)
         src = self.blocks[src_block]
         dst = self.blocks[dst_block]
         for offset in range(width):
-            bit = src.value(src_row, src_col + offset)
+            bit = src.value(src_row, offset)
             # Bypass write statistics: physically this write already
             # happened inside the producing NOR.
             dst.set_state(dst_row, dst_cols.start + offset, 1.0 if bit else 0.0)

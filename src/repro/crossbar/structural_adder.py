@@ -63,11 +63,6 @@ class RowPool:
         """Return rows to the pool."""
         self._free.extend(rows)
 
-    @property
-    def available(self) -> int:
-        """Rows currently free."""
-        return len(self._free)
-
 
 @dataclass(frozen=True)
 class FACells:
@@ -137,15 +132,14 @@ class StructuralAdder:
         row_sum: int,
         width: int,
         pool: RowPool,
-        start_col: int = 0,
     ) -> None:
         """Exact serial addition: ``12*width + 1`` cycles.
 
-        Operands sit LSB-first in ``row_a``/``row_b`` at ``start_col``; the
+        Operands sit LSB-first in ``row_a``/``row_b`` from column 0; the
         ``width + 1``-bit result (carry-out included) lands in ``row_sum``.
         One bulk initialisation cycle precedes 12 NORs per bit.
         """
-        self._check_span(block, start_col, width + 1)
+        self._check_span(block, width + 1)
         self.fabric.sync_clocks()  # lock-step: catch up with global time
         engine = self.fabric.engine(block)
         array = self.fabric.block(block)
@@ -154,9 +148,9 @@ class StructuralAdder:
         try:
             adders = []
             for j in range(width):
-                col = start_col + j
+                col = j
                 cout_cell = (
-                    (row_sum, start_col + width)
+                    (row_sum, width)
                     if j == width - 1
                     else (carry_row, col + 1)
                 )
@@ -172,7 +166,7 @@ class StructuralAdder:
                 )
             init_cells = [cell for fa in adders for cell in fa.output_cells()]
             engine.init_cells(init_cells)  # 1 cycle, bulk
-            array.set_value(carry_row, start_col, 0)  # carry-in = 0 (setup)
+            array.set_value(carry_row, 0, 0)  # carry-in = 0 (setup)
             for fa in adders:  # ripple: carry dependency forces serial order
                 for inputs, output in full_adder_schedule(fa):
                     engine.nor_cells(inputs, output)
@@ -188,7 +182,6 @@ class StructuralAdder:
         out_rows: Sequence[tuple[int, int]],
         width: int,
         pool: RowPool,
-        start_col: int = 0,
     ) -> None:
         """One 3:2 reduction over any number of same-stage groups: 13 cycles.
 
@@ -204,7 +197,7 @@ class StructuralAdder:
             raise CrossbarError("triples and out_rows must pair up")
         if not triples:
             raise CrossbarError("csa_step needs at least one group")
-        self._check_span(block, start_col, width)
+        self._check_span(block, width)
         self.fabric.sync_clocks()  # lock-step: catch up with global time
         engine = self.fabric.engine(block)
         scratch_rows = pool.alloc(FA_SCRATCH_CELLS * len(triples))
@@ -213,7 +206,7 @@ class StructuralAdder:
             for g, ((ra, rb, rc), (rs, rcy)) in enumerate(zip(triples, out_rows)):
                 rows_t = scratch_rows[g * FA_SCRATCH_CELLS : (g + 1) * FA_SCRATCH_CELLS]
                 for j in range(width):
-                    col = start_col + j
+                    col = j
                     adders.append(
                         FACells(
                             a=(ra, col),
@@ -244,7 +237,6 @@ class StructuralAdder:
         width: int,
         relax_bits: int,
         pool: RowPool,
-        start_col: int = 0,
         skip_lsb: bool = False,
     ) -> None:
         """Final product stage: ``13k + 2m + 1`` cycles (paper Section 3.4).
@@ -269,7 +261,7 @@ class StructuralAdder:
             raise CrossbarError(
                 f"relax_bits {relax_bits} outside [0, {positions}]"
             )
-        self._check_span(block, start_col, width + 1)
+        self._check_span(block, width + 1)
         self.fabric.sync_clocks()  # lock-step: catch up with global time
         engine = self.fabric.engine(block)
         array = self.fabric.block(block)
@@ -278,19 +270,19 @@ class StructuralAdder:
         carry_row = scratch_rows[-1]
         try:
             if skip_lsb:
-                if array.value(row_b, start_col) != 0:
+                if array.value(row_b, 0) != 0:
                     raise CrossbarError(
                         "skip_lsb requires a zero LSB in the carry operand"
                     )
                 # Pass-through of A's LSB, pre-staged with the scratch init.
                 array.set_state(
-                    row_out, start_col,
-                    1.0 if array.value(row_a, start_col) else 0.0,
+                    row_out, 0,
+                    1.0 if array.value(row_a, 0) else 0.0,
                 )
-            array.set_value(carry_row, start_col + lsb, 0)  # carry-in = 0
+            array.set_value(carry_row, lsb, 0)  # carry-in = 0
             # -- approximate low positions: MAJ carry chain, 2 cycles/bit ----
             for j in range(lsb, lsb + relax_bits):
-                col = start_col + j
+                col = j
                 carry = sense.majority(col, (row_a, row_b, carry_row))
                 self.fabric.advance_clock(1)  # sense + MAJ (< 1 cycle)
                 array.set_value(carry_row, col + 1, carry)
@@ -298,9 +290,9 @@ class StructuralAdder:
                 self.fabric.charge_writes(1)
             # -- exact high positions: 13-cycle full adders -------------------
             for j in range(lsb + relax_bits, width):
-                col = start_col + j
+                col = j
                 cout_cell = (
-                    (row_out, start_col + width)
+                    (row_out, width)
                     if j == width - 1
                     else (carry_row, col + 1)
                 )
@@ -319,15 +311,15 @@ class StructuralAdder:
                 # Whole result approximated: expose the final carry as MSB.
                 array.set_state(
                     row_out,
-                    start_col + width,
-                    1.0 if array.value(carry_row, start_col + width) else 0.0,
+                    width,
+                    1.0 if array.value(carry_row, width) else 0.0,
                 )
             if relax_bits:
                 # One parallel inversion produces all approximate sum bits:
                 # S_j = NOT(carry_{j+1}).
                 engine.init_cells(
                     [
-                        (row_out, start_col + j)
+                        (row_out, j)
                         for j in range(lsb, lsb + relax_bits)
                     ],
                     charge_cycle=False,
@@ -335,8 +327,8 @@ class StructuralAdder:
                 engine.nor_parallel(
                     [
                         (
-                            [(carry_row, start_col + j + 1)],
-                            (row_out, start_col + j),
+                            [(carry_row, j + 1)],
+                            (row_out, j),
                         )
                         for j in range(lsb, lsb + relax_bits)
                     ]
@@ -355,7 +347,6 @@ class StructuralAdder:
         operand_rows: Sequence[int],
         width: int,
         pools: dict[int, RowPool],
-        start_col: int = 0,
         relax_bits: int = 0,
         max_width: int | None = None,
     ) -> tuple[int, int]:
@@ -388,7 +379,6 @@ class StructuralAdder:
                 out_pairs,
                 stage_width,
                 pool,
-                start_col,
             )
             survivors: list[tuple[int, int]] = []  # (row, shift)
             for rs, rcy in out_pairs:
@@ -410,7 +400,7 @@ class StructuralAdder:
                 self.fabric.block(other_block).clear_row(dst_row)  # pre-staged
                 self.fabric.move_row_free(
                     current_block, row, other_block, dst_row,
-                    move_width, start_col, shift,
+                    move_width, shift,
                 )
                 next_rows.append(dst_row)
                 pools[current_block].free([row])
@@ -428,7 +418,7 @@ class StructuralAdder:
         effective_positions = stage_width - 1 if skip_lsb else stage_width
         self.hybrid_final_add(
             current_block, current_rows[0], current_rows[1], row_sum,
-            stage_width, min(relax_bits, effective_positions), pool, start_col,
+            stage_width, min(relax_bits, effective_positions), pool,
             skip_lsb=skip_lsb,
         )
         pool.free(current_rows)
@@ -436,10 +426,9 @@ class StructuralAdder:
 
     # -- helpers -----------------------------------------------------------------
 
-    def _check_span(self, block: int, start_col: int, width: int) -> None:
+    def _check_span(self, block: int, width: int) -> None:
         array = self.fabric.block(block)
-        if start_col < 0 or start_col + width > array.cols:
+        if width > array.cols:
             raise CrossbarError(
-                f"operand span [{start_col}, {start_col + width}) exceeds "
-                f"{array.cols} bitlines"
+                f"operand span [0, {width}) exceeds {array.cols} bitlines"
             )

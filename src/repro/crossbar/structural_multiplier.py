@@ -26,7 +26,6 @@ from repro.core.approximation import EXACT, ApproxSpec, mask_multiplier
 from repro.core.cost import Cost
 from repro.crossbar.block import BlockedCrossbar
 from repro.crossbar.structural_adder import RowPool, StructuralAdder
-from repro.device.vteam import VTEAMModel
 from repro.errors import CrossbarError, RecoveryError
 
 __all__ = ["StructuralMultiplier"]
@@ -49,15 +48,12 @@ class StructuralMultiplier:
     rows:
         Rows per block; must accommodate N partial products plus CSA
         scratch (about 12 rows per concurrent group).
-    model:
-        Optional shared VTEAM model.
     """
 
     def __init__(
         self,
         word_bits: int,
         rows: int | None = None,
-        model: VTEAMModel | None = None,
     ) -> None:
         if not 2 <= word_bits <= 16:
             raise CrossbarError(
@@ -69,7 +65,7 @@ class StructuralMultiplier:
         # rows + outputs, plus margin for the serial final addition.
         self.rows = rows or max(64, word_bits * 14)
         cols = product_bits + 2  # product + carry-out + margin
-        self.fabric = BlockedCrossbar(3, self.rows, cols, model)
+        self.fabric = BlockedCrossbar(3, self.rows, cols)
         self.adder = StructuralAdder(self.fabric)
         # Rows condemned by BIST, per block: data-row selection and the
         # scratch pools of every multiply skip them (compute-level repair,

@@ -9,10 +9,8 @@ latency; this module quantifies the consequence:
 - :class:`EnduranceModel` — lifetime estimation from a per-cell write
   budget and the writes each operation costs.
 - :class:`WearTracker` — per-row write accounting over a block.
-- :class:`RotatingAllocator` — the mitigation: a wear-levelling row
-  allocator for processing-block scratch space that rotates allocations
-  round-robin, flattening the per-row write distribution (the classic
-  start-gap-style levelling, adapted to row granularity).
+- :class:`RotatingAllocator` — a round-robin row allocator that takes
+  worn-out or faulty rows out of its rotation for good.
 """
 
 from __future__ import annotations
@@ -76,12 +74,12 @@ class WearTracker:
 
 
 class RotatingAllocator:
-    """Wear-levelling scratch-row allocator.
+    """Round-robin row allocator.
 
-    A drop-in alternative to the LIFO free list of
-    :class:`~repro.crossbar.structural_adder.RowPool`: allocations walk the
-    row space round-robin so scratch-heavy operations spread their writes
-    across the whole block instead of hammering the lowest-numbered rows.
+    Allocations walk the row space from a rotation cursor, skipping rows
+    already taken; :meth:`retire` removes a dead row from the rotation.
+    The resilience layer draws each block's element slots and relocation
+    rows from one.
     """
 
     def __init__(self, rows: int, reserved: tuple[int, ...] = ()) -> None:
@@ -116,13 +114,6 @@ class RotatingAllocator:
                 raise DeviceError("allocator cursor failed to progress")
         return taken
 
-    def free(self, rows: list[int]) -> None:
-        """Return rows to the pool (they re-enter at their rotation slot)."""
-        for row in rows:
-            if row not in set(self._eligible):
-                raise DeviceError(f"row {row} was never allocatable")
-            self._free.add(row)
-
     def retire(self, row: int) -> None:
         """Permanently remove a worn-out or faulty row from the rotation.
 
@@ -143,8 +134,3 @@ class RotatingAllocator:
     def retired(self) -> frozenset[int]:
         """Rows permanently removed from the rotation."""
         return frozenset(self._retired)
-
-    @property
-    def available(self) -> int:
-        """Rows currently free."""
-        return len(self._free)

@@ -121,7 +121,6 @@ def nor_margin(
     inputs_on: int,
     inputs_off: int,
     devices: list[SampledDevice],
-    v0: float = 1.0,
 ) -> float:
     """Worst-case MAGIC NOR discrimination margin under sampled devices.
 
@@ -129,8 +128,8 @@ def nor_margin(
     output: with at least one '1' input the path conductance is RON-scale;
     with all-'0' inputs it is ROFF-scale.  The margin is the ratio of the
     weakest "must switch" current to the strongest "must not switch"
-    current; MAGIC functions correctly while it stays well above 1
-    (nominally ~1000, the RON/ROFF ratio).
+    current (both per volt of drive); MAGIC functions correctly while it
+    stays well above 1 (nominally ~1000, the RON/ROFF ratio).
 
     ``devices`` supplies one sampled device per input position (the first
     ``inputs_on`` play the '1' role).
@@ -145,9 +144,9 @@ def nor_margin(
     if inputs_on == 0:
         return float("inf")  # nothing must switch; no misfire possible
     # Weakest switching drive: the single ON device with the highest RON.
-    weakest_on = min(v0 / d.r_on for d in devices[:inputs_on])
+    weakest_on = min(1.0 / d.r_on for d in devices[:inputs_on])
     # Strongest leakage: all OFF devices conducting in parallel.
-    leakage = sum(v0 / d.r_off for d in devices[inputs_on:total])
+    leakage = sum(1.0 / d.r_off for d in devices[inputs_on:total])
     if inputs_off == 0:
         return float("inf")
     if leakage == 0:

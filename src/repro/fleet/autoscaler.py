@@ -92,8 +92,8 @@ class Autoscaler:
 
     ``tenant_priorities`` maps tenant name to scheduler priority class
     (0 most urgent) and ranks shed victims; tenants the map does not
-    name are assumed to run at the pool's default priority.  The clock
-    defaults to the pool scheduler's, so a
+    name are assumed to run at the pool's default priority.  Decisions
+    read the pool scheduler's clock, so a
     :class:`~repro.runtime.supervisor.ManualClock` injected there drives
     admission, SLO windows and scaling decisions coherently.
     """
@@ -103,13 +103,12 @@ class Autoscaler:
         pool,
         policy: FleetPolicy | None = None,
         tenant_priorities: dict[str, int] | None = None,
-        clock=None,
         verdict_source=None,
     ) -> None:
         self.pool = pool
         self.policy = policy or FleetPolicy()
         self.tenant_priorities = dict(tenant_priorities or {})
-        self.clock = clock if clock is not None else pool.scheduler.clock
+        self.clock = pool.scheduler.clock
         # An optional early-warning escalator (canonically the telemetry
         # pipeline's SlopeVerdictSource): consulted with the live SLO
         # evaluation each step, it may escalate an ``ok`` verdict — grow

@@ -48,6 +48,8 @@ __all__ = [
     "write_fleet_config",
 ]
 
+#: Dataset size every design point's requests are priced at.
+_DATASET_BYTES = 4 * MIB
 #: Warm-tile cost as a fraction of a cold execution (batch amortisation).
 _WARM_FRACTION = 0.25
 #: Static power of one provisioned shard, as a fraction of its full-rate
@@ -93,7 +95,6 @@ def _measure_point(
     point: DesignPoint,
     workloads: tuple[str, ...],
     requests_per_point: int,
-    dataset_bytes: float,
     tile_elements: int,
     seed: int,
 ) -> tuple[float, float, int]:
@@ -129,7 +130,7 @@ def _measure_point(
         for i in range(requests_per_point):
             workload = workloads[i % len(workloads)]
             result = client.call(
-                workload, dataset_bytes=dataset_bytes, timeout=120.0
+                workload, dataset_bytes=_DATASET_BYTES, timeout=120.0
             )
             if result.point is not None and result.completed:
                 times.append(result.point.apim_time_s)
@@ -188,7 +189,6 @@ def run_dse(
     tenants: dict[str, dict] | None = None,
     offered_rps: float = 200.0,
     requests_per_point: int = 3,
-    dataset_bytes: float = 4 * MIB,
     tile_elements: int = 1 << 8,
     seed: int = 2017,
 ) -> DSEResult:
@@ -217,8 +217,7 @@ def run_dse(
         hardware = (rows, scale)
         if hardware not in measured:
             measured[hardware] = _measure_point(
-                point, workloads, requests_per_point, dataset_bytes,
-                tile_elements, seed,
+                point, workloads, requests_per_point, tile_elements, seed,
             )
         service_s, energy_j, completed = measured[hardware]
         model = _serving_model(point, service_s, energy_j, offered_rps)

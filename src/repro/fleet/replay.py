@@ -36,6 +36,10 @@ from repro.units import MIB
 
 __all__ = ["ArrivalEvent", "generate_trace", "replay"]
 
+#: Outstanding acknowledged ids above which :func:`replay` harvests the
+#: oldest half.
+_HARVEST_WATERMARK = 1024
+
 
 @dataclass(frozen=True)
 class ArrivalEvent:
@@ -113,8 +117,6 @@ def replay(
     decide_every: int = 50,
     phase_verdicts: bool = False,
     headroom_run_s: float = 0.0,
-    result_timeout_s: float = 120.0,
-    harvest_watermark: int = 1024,
     on_result=None,
 ) -> dict:
     """Drive a trace through a live pool, resizing as it goes.
@@ -128,7 +130,7 @@ def replay(
     part of the exercised path.
 
     Acknowledged ids are harvested *streamingly* — whenever more than
-    ``harvest_watermark`` are outstanding, the oldest are waited to their
+    :data:`_HARVEST_WATERMARK` are outstanding, the oldest are waited to their
     terminal results and tallied (``on_result(id, result)`` sees each
     one) — so a trace far longer than the pool's result-store capacity
     replays without ever outrunning it.  The report's ``lost`` counts
@@ -149,7 +151,7 @@ def replay(
         while len(outstanding) > down_to:
             request_id = outstanding.popleft()
             try:
-                result = pool.result(request_id, timeout=result_timeout_s)
+                result = pool.result(request_id, timeout=120.0)
             except ReproError as exc:
                 if "evicted" in str(exc):
                     # Only terminal results are ever evicted: the
@@ -194,8 +196,8 @@ def replay(
             continue
         acknowledged += 1
         outstanding.append(request_id)
-        if len(outstanding) > harvest_watermark:
-            harvest(harvest_watermark // 2)
+        if len(outstanding) > _HARVEST_WATERMARK:
+            harvest(_HARVEST_WATERMARK // 2)
     if autoscaler is not None and headroom_run_s > 0:
         # The storm has passed: replay enough quiet verdicts for the
         # shrink path (hysteresis + cooldown both on the pool's clock).

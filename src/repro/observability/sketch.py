@@ -166,12 +166,9 @@ class QuantileSketch:
                     return value
             return items[-1][0]
 
-    def quantiles(
-        self, named: dict[str, float] | None = None
-    ) -> dict[str, float]:
-        """A dict of named quantiles (defaults to :data:`TAIL_QUANTILES`)."""
-        named = named or TAIL_QUANTILES
-        return {name: self.quantile(q) for name, q in named.items()}
+    def quantiles(self) -> dict[str, float]:
+        """The :data:`TAIL_QUANTILES`, by name."""
+        return {name: self.quantile(q) for name, q in TAIL_QUANTILES.items()}
 
     def summary(self) -> dict:
         """JSON-able roll-up: count, mean, extremes, tail quantiles and

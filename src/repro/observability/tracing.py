@@ -307,10 +307,10 @@ class BufferedTraceContext:
     buffer the same way :class:`TraceStore` bounds a record's event list.
     """
 
-    def __init__(self, trace_id: str = "", max_events: int = 512) -> None:
+    def __init__(self, max_events: int = 512) -> None:
         if max_events < 1:
             raise TracingError(f"max_events must be positive: {max_events}")
-        self.trace_id = trace_id
+        self.trace_id = ""
         self.max_events = max_events
         self.dropped_events = 0
         self._events: list[dict] = []

@@ -78,10 +78,9 @@ class QoSPolicy:
             return value >= self.min_psnr_db
         return value <= self.max_relative_error
 
-    def degradation_rungs(
-        self, current: int, max_relax_bits: int = 32, step: int = 4
-    ) -> tuple[int, ...]:
-        """Relax levels above ``current``, nearest first.
+    def degradation_rungs(self, current: int) -> tuple[int, ...]:
+        """Rungs of the default :func:`relax_ladder` above ``current``,
+        nearest first.
 
         The supervisor walks these when a point exhausts its retries or
         deadline: each rung relaxes more product bits (cheaper, faster,
@@ -94,6 +93,6 @@ class QoSPolicy:
             )
         return tuple(
             rung
-            for rung in sorted(relax_ladder(max_relax_bits, step))
+            for rung in sorted(relax_ladder())
             if rung > current
         )

@@ -118,23 +118,14 @@ class MarchTester:
             fabric.charge(result.cost)
         return result
 
-    def scan_fabric(
-        self,
-        fabric: "BlockedCrossbar",
-        blocks: Sequence[int] | None = None,
-        rows: Sequence[int] | None = None,
-        charge: bool = True,
-    ) -> BISTResult:
-        """Scan several blocks; fault sites carry the block index."""
-        indices = (
-            list(range(len(fabric.blocks))) if blocks is None else list(blocks)
-        )
+    def scan_fabric(self, fabric: "BlockedCrossbar") -> BISTResult:
+        """Scan every block, charging the scan to the fabric's ledger;
+        fault sites carry the block index."""
         faults: list[tuple[int, int, int, str]] = []
         total = Cost()
-        for index in indices:
-            partial = self.scan_block(fabric, index, rows, charge=False)
+        for index in range(len(fabric.blocks)):
+            partial = self.scan_block(fabric, index, charge=False)
             faults.extend((index, r, c, kind) for r, c, kind in partial.faults)
             total += partial.cost
-        if charge:
-            fabric.charge(total)
+        fabric.charge(total)
         return BISTResult(faults=tuple(faults), cost=total)

@@ -86,8 +86,6 @@ def run_fault_campaign(
     word_bits: int = 8,
     ops_per_trial: int = 3,
     seed: int = 2017,
-    config: APIMConfig | None = None,
-    policy: ResiliencePolicy | None = None,
 ) -> list[ResilienceCampaignPoint]:
     """Run the grid; one fresh die (fabric + fault draw) per trial.
 
@@ -96,8 +94,8 @@ def run_fault_campaign(
     as a loss, exactly as a customer would score it) and as *recovered*
     when survival involved retiring at least one row.
     """
-    config = config or default_config()
-    base_policy = policy or ResiliencePolicy()
+    config = default_config()
+    base_policy = ResiliencePolicy()
     points: list[ResilienceCampaignPoint] = []
     clean_mult = _trial_multiplier(word_bits)
     limit = 1 << word_bits

@@ -58,7 +58,7 @@ class FabricHealth:
     """Element-to-row placement and repair state for one faulty fabric.
 
     Reserves the policy's spare fraction on the fabric, spreads element
-    slots round-robin over the blocks through wear-levelling
+    slots round-robin over the blocks through
     :class:`~repro.device.endurance.RotatingAllocator` instances (leaving
     :data:`RELOCATION_HEADROOM` of the data rows unallocated so relocation
     has somewhere to go), and tracks which physical rows the last BIST
@@ -489,10 +489,9 @@ class ResilienceContext:
         self,
         fabric: BlockedCrossbar,
         policy: ResiliencePolicy | None = None,
-        tester: MarchTester | None = None,
     ) -> None:
         self.policy = policy or ResiliencePolicy()
-        self.tester = tester or MarchTester()
+        self.tester = MarchTester()
         self.health = FabricHealth(fabric, self.policy, self.tester)
 
     @property

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.core.approximation import EXACT, ApproxSpec
 from repro.core.cost import Cost
 from repro.crossbar.structural_multiplier import StructuralMultiplier
 from repro.errors import CrossbarError, FaultError, RecoveryError
@@ -65,10 +64,9 @@ class ResilienceManager:
     def __init__(
         self,
         policy: ResiliencePolicy | None = None,
-        tester: MarchTester | None = None,
     ) -> None:
         self.policy = policy or ResiliencePolicy()
-        self.tester = tester or MarchTester()
+        self.tester = MarchTester()
         self.events: list[ReliabilityEvent] = []
         self.faults_detected = 0
         self.repairs = 0
@@ -129,22 +127,13 @@ class ResilienceManager:
         mult: StructuralMultiplier,
         a: int,
         b: int,
-        spec: ApproxSpec = EXACT,
     ) -> GuardedProduct:
-        """Multiply with the full detect/retire/re-execute loop.
-
-        The residue check only guards exact products (an approximate final
-        stage legitimately changes the residue); approximate runs still
-        benefit from detection of structural violations and from rows
-        retired by earlier scans.
-        """
+        """Exact multiply with the full detect/retire/re-execute loop: a
+        structural violation or (under ``policy.residue_checks``) a residue
+        mismatch retires the faulty rows and re-executes."""
         fabric = mult.fabric
         start = fabric.total_cost
-        check_residue = (
-            self.policy.residue_checks
-            and spec.relax_bits == 0
-            and spec.masked_bits == 0
-        )
+        check_residue = self.policy.residue_checks
         retries = 0
         detected = 0
         repairs_before = self.repairs
@@ -152,7 +141,7 @@ class ResilienceManager:
             failure: str | None = None
             product = None
             try:
-                product, _ = mult.multiply(a, b, spec)
+                product, _ = mult.multiply(a, b)
             except CrossbarError as exc:
                 failure = f"structural violation: {exc}"
             if failure is None and check_residue:

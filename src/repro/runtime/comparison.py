@@ -331,7 +331,7 @@ class ComparisonHarness:
         return entry.comparison
 
     def sweep_sizes(
-        self, workload, sizes: list[float], spec: ApproxSpec = EXACT
+        self, workload, sizes: list[float]
     ) -> list[ComparisonResult]:
-        """The Figure 5 sweep: one comparison per dataset size."""
-        return [self.compare(workload, size, spec) for size in sizes]
+        """The Figure 5 sweep: one exact comparison per dataset size."""
+        return [self.compare(workload, size) for size in sizes]

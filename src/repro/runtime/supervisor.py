@@ -61,8 +61,8 @@ class ManualClock:
     explicitly, so supervised runs are instant and reproducible.
     """
 
-    def __init__(self, start: float = 0.0) -> None:
-        self.now = float(start)
+    def __init__(self) -> None:
+        self.now = 0.0
 
     def __call__(self) -> float:
         return self.now

@@ -36,6 +36,12 @@ __all__ = [
     "recall_at_k",
 ]
 
+#: Bits flipped in each planted query of :func:`build_planted_index`.
+PLANTED_FLIP_BITS = 6
+#: Shape of the serving codebook: entries, and bits per entry.
+CODEBOOK_ENTRIES = 512
+CODEBOOK_DIM = 256
+
 
 def distance_shift(relax_bits: int) -> int:
     """Distance bits dropped at a QoS rung: one per 4 relax bits."""
@@ -123,13 +129,12 @@ def build_planted_index(
     entries: int = 256,
     dim: int = 256,
     queries: int = 16,
-    flip_bits: int = 6,
     seed: int = 2017,
 ) -> tuple[SearchIndex, np.ndarray, np.ndarray]:
     """A seeded index with planted near-neighbours.
 
-    Each query is a codeword with ``flip_bits`` random bits flipped, so
-    its true nearest neighbour sits at distance ``<= flip_bits`` while
+    Each query is a codeword with :data:`PLANTED_FLIP_BITS` random bits
+    flipped, so its true nearest neighbour sits that close while
     the random background concentrates around ``dim / 2`` — the
     separation that keeps recall@k high through the first relax rungs
     and makes degradation curves well-behaved in tests and benches.
@@ -143,24 +148,23 @@ def build_planted_index(
             f"planted index needs entries >= 2 and dim >= 8, "
             f"got {entries}, {dim}"
         )
-    if not 0 <= flip_bits < dim // 2:
+    if PLANTED_FLIP_BITS >= dim // 2:
         raise SearchError(
-            f"flip_bits must be in [0, dim/2), got {flip_bits}"
+            f"dim must exceed {2 * PLANTED_FLIP_BITS + 1}, got {dim}"
         )
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, (entries, dim), dtype=np.uint8)
     planted = rng.integers(0, entries, queries)
     query_bits = bits[planted].copy()
     for i in range(queries):
-        flips = rng.choice(dim, size=flip_bits, replace=False)
+        flips = rng.choice(dim, size=PLANTED_FLIP_BITS, replace=False)
         query_bits[i, flips] ^= 1
     return SearchIndex(BinaryCodebook.from_bits(bits)), query_bits, planted
 
 
-def default_search_index(
-    seed: int = 2017, entries: int = 512, dim: int = 256
-) -> SearchIndex:
-    """The serving tier's codebook: a seeded random index.
+def default_search_index(seed: int = 2017) -> SearchIndex:
+    """The serving tier's codebook: a seeded random index of
+    :data:`CODEBOOK_ENTRIES` entries of :data:`CODEBOOK_DIM` bits.
 
     Deterministic in ``seed`` alone, so every shard, every restart, and
     every client that knows the pool's seed reconstructs the *same*
@@ -168,11 +172,6 @@ def default_search_index(
     results against a client-side numpy brute force, and what keeps
     journal replays bit-identical across process lives.
     """
-    if entries < 2 or dim < 8:
-        raise SearchError(
-            f"search index needs entries >= 2 and dim >= 8, "
-            f"got {entries}, {dim}"
-        )
     rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, (entries, dim), dtype=np.uint8)
+    bits = rng.integers(0, 2, (CODEBOOK_ENTRIES, CODEBOOK_DIM), dtype=np.uint8)
     return SearchIndex(BinaryCodebook.from_bits(bits))

@@ -329,15 +329,9 @@ def build_server(
     pool: CrossbarPool,
     host: str = "127.0.0.1",
     port: int = 0,
-    max_body_bytes: int = 1 << 20,
 ) -> JsonHttpServer:
     """An HTTP server exposing ``pool`` (not yet started)."""
-    return JsonHttpServer(
-        build_routes(pool),
-        host=host,
-        port=port,
-        max_body_bytes=max_body_bytes,
-    )
+    return JsonHttpServer(build_routes(pool), host=host, port=port)
 
 
 def _http_json(url: str, payload: dict | None = None, timeout: float = 10.0):

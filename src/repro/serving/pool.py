@@ -249,11 +249,11 @@ class CrossbarPool:
     ) -> None:
         if shards < 1:
             raise ServingError("pool needs at least one shard")
-        # ``clock`` drives admission, queue wait, deadlines and the SLO
-        # windows, so a ManualClock-driven test controls them all.
+        # ``clock`` drives admission, queue wait, deadlines, result expiry
+        # and the SLO windows, so a ManualClock-driven test controls them all.
         self.scheduler = BatchingScheduler(serving_config, clock=clock)
         self.results = ResultStore(
-            capacity=result_capacity, ttl_s=result_ttl_s
+            capacity=result_capacity, ttl_s=result_ttl_s, clock=clock
         )
         # Explicit None test: an empty TraceStore is falsy (len 0), and
         # ``or`` would silently discard a caller-provided store.

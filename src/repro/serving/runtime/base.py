@@ -98,9 +98,9 @@ class ShardRuntime(ABC):
         no-op.
         """
 
-    def _count(self, field: str, amount: int = 1) -> None:
+    def _count(self, field: str) -> None:
         with self._lifecycle_lock:
-            setattr(self, field, getattr(self, field) + amount)
+            setattr(self, field, getattr(self, field) + 1)
 
     def lifecycle(self) -> dict:
         """Aggregated worker lifecycle counts for /stats and /healthz."""

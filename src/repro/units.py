@@ -52,8 +52,8 @@ _SI_PREFIXES = (
 )
 
 
-def format_si(value: float, unit: str, digits: int = 3) -> str:
-    """Format *value* with an engineering prefix.
+def format_si(value: float, unit: str) -> str:
+    """Format *value* with an engineering prefix, to 3 significant digits.
 
     >>> format_si(1.1e-9, "s")
     '1.1 ns'
@@ -65,9 +65,9 @@ def format_si(value: float, unit: str, digits: int = 3) -> str:
     magnitude = abs(value)
     for scale, prefix in _SI_PREFIXES:
         if magnitude >= scale:
-            return f"{value / scale:.{digits}g} {prefix}{unit}"
+            return f"{value / scale:.3g} {prefix}{unit}"
     scale, prefix = _SI_PREFIXES[-1]
-    return f"{value / scale:.{digits}g} {prefix}{unit}"
+    return f"{value / scale:.3g} {prefix}{unit}"
 
 
 def format_bytes(num_bytes: float) -> str:

@@ -109,11 +109,10 @@ class Workload(abc.ABC):
         offsets: Iterable[int],
         elements: int,
         element_bytes: int,
-        out_base: int | None = None,
     ) -> Iterable[tuple[int, bool]]:
         """Row-scan stencil trace helper: per element, read at each offset
-        then write one output element."""
-        out_base = out_base if out_base is not None else base + (1 << 30)
+        then write one output element 1 GiB above ``base``."""
+        out_base = base + (1 << 30)
         offs = list(offsets)
         for i in range(elements):
             addr = base + i * element_bytes

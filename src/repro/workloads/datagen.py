@@ -50,13 +50,11 @@ def seeded_stream(seed: int, *key: int | str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, *words]))
 
 
-def power_of_two_length(elements: int, minimum_log2: int = 3) -> int:
-    """The smallest power of two >= ``elements`` (and >= 2^minimum_log2)."""
+def power_of_two_length(elements: int) -> int:
+    """The smallest power of two >= ``elements`` (and >= 8)."""
     if elements <= 0:
         raise WorkloadError(f"element count must be positive: {elements}")
-    if minimum_log2 < 0:
-        raise WorkloadError("minimum_log2 must be non-negative")
-    return 1 << max(minimum_log2, (elements - 1).bit_length())
+    return 1 << max(3, (elements - 1).bit_length())
 
 
 def uniform_samples(
@@ -70,33 +68,24 @@ def uniform_samples(
     return rng.integers(0, 1 << bits, n).astype(np.int64)
 
 
-def smooth_noisy_signal(
-    n: int,
-    rng: np.random.Generator,
-    periods: float = 4.0,
-    amplitude: float = 100.0,
-    noise_sigma: float = 12.0,
-    peak: int = 255,
-) -> np.ndarray:
-    """A sinusoidal base with Gaussian sensor noise, clipped to [0, peak].
+def smooth_noisy_signal(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Four periods of a sinusoid of amplitude 100 around 100, with
+    Gaussian sensor noise (sigma 12), clipped to [0, 255].
 
     The piecewise-smooth statistics wavelet transforms are designed for;
     returned as int64 sample values.
     """
     if n <= 0:
         raise WorkloadError(f"sample count must be positive: {n}")
-    if amplitude <= 0 or peak <= 0:
-        raise WorkloadError("amplitude and peak must be positive")
-    t = np.linspace(0.0, 2.0 * np.pi * periods, n)
-    base = (np.sin(t) + 1.0) * amplitude
-    noisy = base + rng.normal(0.0, noise_sigma, n)
-    return np.clip(noisy, 0, peak).astype(np.int64)
+    t = np.linspace(0.0, 2.0 * np.pi * 4.0, n)
+    base = (np.sin(t) + 1.0) * 100.0
+    noisy = base + rng.normal(0.0, 12.0, n)
+    return np.clip(noisy, 0, 255).astype(np.int64)
 
 
-def halton_indices(
-    n: int, rng: np.random.Generator, max_offset: int = 1 << 16
-) -> np.ndarray:
-    """Sequence indices ``offset .. offset + n`` with a random start.
+def halton_indices(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Sequence indices ``offset .. offset + n`` with a random start in
+    ``[1, 2**16]``.
 
     Low-discrepancy generators are evaluated from arbitrary stream
     positions; randomising the offset keeps QoL runs from always probing
@@ -104,7 +93,5 @@ def halton_indices(
     """
     if n <= 0:
         raise WorkloadError(f"index count must be positive: {n}")
-    if max_offset < 1:
-        raise WorkloadError("max_offset must be at least 1")
-    start = int(rng.integers(1, max_offset + 1))
+    start = int(rng.integers(1, (1 << 16) + 1))
     return np.arange(start, start + n, dtype=np.int64)

@@ -88,9 +88,10 @@ def _add_objects(
 
 
 def synthetic_image(
-    shape: tuple[int, int], rng: np.random.Generator, objects: int = 6
+    shape: tuple[int, int], rng: np.random.Generator
 ) -> np.ndarray:
-    """An 8-bit grayscale image with natural-image statistics.
+    """An 8-bit grayscale image with natural-image statistics: six ellipse
+    objects stamped onto a 1/f base.
 
     Parameters
     ----------
@@ -98,14 +99,12 @@ def synthetic_image(
         (rows, cols); both must be at least 8.
     rng:
         Source of randomness (pass a seeded generator for reproducibility).
-    objects:
-        Number of ellipse objects stamped onto the 1/f base.
     """
     rows, cols = shape
     if rows < 8 or cols < 8:
         raise WorkloadError(f"image shape {shape} too small (min 8x8)")
     base = _pink_noise(shape, rng)
-    _add_objects(base, rng, objects)
+    _add_objects(base, rng, 6)
     base += 0.15 * rng.standard_normal(shape)  # sensor-grain texture
     lo, hi = percentiles(base, [1, 99])
     if hi <= lo:

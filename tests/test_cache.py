@@ -80,13 +80,9 @@ class TestLruReplacement:
         cache = Cache(128, line_bytes=64, ways=2)
         cache.access(0)
         cache.access(0, write=True)
-        assert cache.flush() == 1
-
-    def test_flush_clears_contents(self):
-        cache = Cache(128, line_bytes=64, ways=2)
-        cache.access(0)
-        cache.flush()
-        assert not cache.access(0)
+        cache.access(64)
+        cache.access(128)  # evicts line 0, dirtied by the write hit
+        assert cache.stats.writebacks == 1
 
     def test_working_set_within_capacity_all_hits(self):
         cache = Cache(4096, line_bytes=64, ways=4)

@@ -136,21 +136,41 @@ class TestLiveResize:
         """Grow a running subprocess pool, serve on the new shard, then
         shrink it with requests queued: nothing is lost and the removed
         shard's worker process has exited.  The pool's seed is its own,
-        so no request is a priced-memo hit answered at admission."""
+        so no request is a priced-memo hit answered at admission.
+
+        Each round's submits carry distinct batch keys, so no driver can
+        take a round as one batch, and shard 0 holds its batch until the
+        new shard has served one: both shards serve in the first round."""
         with _pool(shards=1, runtime="subprocess", seed=4311) as pool:
             client = Client(pool, tenant="resize")
             new = pool.add_shard()
+            run_batch = pool._run_batch
+            new_served = threading.Event()
+
+            def gated(shard, batch, execute=None):
+                if shard.index == 0:
+                    new_served.wait(60.0)
+                try:
+                    return run_batch(shard, batch, execute=execute)
+                finally:
+                    if shard.index == new.index:
+                        new_served.set()
+
+            pool._run_batch = gated
             served_on = set()
             for _ in range(40):
                 ids = [
-                    client.submit("Sobel", dataset_bytes=1 << 20)
-                    for _ in range(4)
+                    client.submit(
+                        "Sobel", relax_bits=4 * i, dataset_bytes=1 << 20
+                    )
+                    for i in range(4)
                 ]
                 results = [client.result(i, timeout=120.0) for i in ids]
                 assert all(r.completed for r in results)
                 served_on.update(r.shard for r in results)
                 if served_on == {0, new.index}:
                     break
+            pool._run_batch = run_batch
             assert served_on == {0, new.index}
             pid = pool.runtime.stats()["shards"][str(new.index)]["pid"]
             ids = [

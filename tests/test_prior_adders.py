@@ -64,12 +64,6 @@ class TestPCAdderModel:
         e16 = model.multi_add_cost(16, 32).nor_ops
         assert e16 > 3 * e4
 
-    def test_periphery_grows_with_arrays(self):
-        model = PCAdderModel()
-        assert model.periphery_transistors(16, 32) > model.periphery_transistors(
-            4, 32
-        )
-
     def test_crs_factors_validated(self):
         with pytest.raises(ConfigurationError):
             PCAdderModel(crs_step_factor=0)

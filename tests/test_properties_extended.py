@@ -7,11 +7,13 @@ assembler, arbitrary allocation patterns through the row allocator.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crossbar.controller import Command, assemble, format_command
 from repro.device.endurance import RotatingAllocator
+from repro.errors import DeviceError
 
 
 # ---------------------------------------------------------------------------
@@ -80,11 +82,10 @@ class TestAllocatorProperties:
         allocator = RotatingAllocator(rows)
         outstanding: set[int] = set()
         for size in sizes:
-            if size > allocator.available:
+            if size > rows - len(outstanding):
+                with pytest.raises(DeviceError):
+                    allocator.alloc(size)
                 continue
             taken = allocator.alloc(size)
             assert not (set(taken) & outstanding)
             outstanding.update(taken)
-            if len(outstanding) > rows // 2:
-                allocator.free(sorted(outstanding))
-                outstanding.clear()

@@ -220,7 +220,7 @@ class TestSpareRepair:
         pool = SpareRowPool([10, 11])
         assert pool.take() == 10
         assert pool.take() == 11
-        assert pool.available == 0 and pool.used == 2
+        assert pool.used == 2
         with pytest.raises(RecoveryError):
             pool.take()
 

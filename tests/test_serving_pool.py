@@ -227,6 +227,20 @@ class TestInjectedClock:
         assert result.status == "ok"
         assert result.queue_wait_s == 0.0
 
+    def test_result_ttl_reads_the_pool_clock(self):
+        """Results age on the pool's one clock: stepping a manual clock
+        past ``result_ttl_s`` expires a finished result at once."""
+        clock = ManualClock()
+        pool = CrossbarPool(
+            shards=1, tile_elements=TILE, clock=clock, runtime="inline",
+            result_ttl_s=5,
+        )
+        with pool:
+            result = Client(pool, tenant="ttl").call("Robert", relax_bits=8)
+            assert pool.results.lookup(result.id)[0] == "done"
+            clock.advance(6.0)
+            assert pool.results.lookup(result.id) == ("evicted", "ttl")
+
     def test_deadline_counts_from_after_a_lazy_start(self):
         """The first submit starts the pool; a slow start-up must not eat
         the request's deadline slack."""

@@ -38,14 +38,16 @@ class TestRowPool:
         pool = RowPool(8)
         rows = pool.alloc(3)
         assert len(rows) == 3
-        assert pool.available == 5
+        with pytest.raises(CrossbarError):
+            pool.alloc(6)  # 5 rows left
         pool.free(rows)
-        assert pool.available == 8
+        assert sorted(pool.alloc(8)) == list(range(8))
 
     def test_reserved_rows_excluded(self):
         pool = RowPool(8, reserved=[0, 1])
-        assert pool.available == 6
         assert 0 not in pool.alloc(6)
+        with pytest.raises(CrossbarError):
+            pool.alloc(1)
 
     def test_exhaustion_raises(self):
         pool = RowPool(4)
