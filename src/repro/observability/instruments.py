@@ -6,10 +6,13 @@ writes through (``SERVING_ADMISSION.inc(outcome="admitted")``).  A handle
 binds its family once per :data:`~repro.observability.registry.binding`:
 swapping the default registry, clearing it or toggling observability
 re-binds every handle on its next write, and a write returns at once
-while observability is disabled.  The first write into a registry
-registers every declared family, so a scrape lists them all.  A hot call
-site whose labels never change writes through a :class:`Series` from
-:meth:`Instrument.series`, which follows the same re-binding rules.
+while observability is disabled.  A family's first write into a registry
+registers that family and leaves the rest of the table owed to the
+registry's next listing (:meth:`~repro.observability.registry.MetricsRegistry.bind`),
+so a scrape lists them all.  A hot call site whose labels never change
+writes through a :class:`Series` from :meth:`Instrument.series`, which
+follows the same re-binding rules; one whose label values are strings
+known only per call writes through :meth:`Instrument.child`.
 
 The helpers after the table are the writes that carry a rule or feed
 several families.  ``docs/observability.md`` documents every family.
@@ -19,10 +22,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.errors import ObservabilityError
 from repro.observability import registry as _registry
 from repro.observability.registry import (
     DEFAULT_ENERGY_BUCKETS,
     DEFAULT_LATENCY_BUCKETS,
+    Counter,
+    Gauge,
+    Histogram,
     MetricsRegistry,
     active_registry,
 )
@@ -69,8 +76,8 @@ class Instrument:
         FAMILIES.append(self)
 
     def _bind(self) -> tuple:
-        """Bind against the current registry binding (declaring every
-        family on the registry's first use)."""
+        """Bind against the current registry binding (registering this
+        family on its first write into the registry)."""
         binding = _registry.binding
         registry = binding[0]
         if registry is None:
@@ -78,8 +85,13 @@ class Instrument:
         else:
             family = registry.get(self.name)
             if family is None:
-                _declare(registry)
-                family = registry.get(self.name)
+                args = (self.buckets,) if self.kind == "histogram" else ()
+                family = registry.bind(
+                    _KINDS[self.kind](
+                        self.name, self.help, self.labelnames, *args
+                    ),
+                    _declare,
+                )
             bound = (binding, {}, family)
         self._bound = bound
         return bound
@@ -93,11 +105,10 @@ class Instrument:
         if children is None:
             return None
         key = tuple(labels.items())
-        try:
-            return children[key]
-        except KeyError:
+        child = children.get(key)
+        if child is None:
             child = children[key] = bound[2].labels(**labels)
-            return child
+        return child
 
     def inc(self, amount: float = 1.0, /, **labels) -> None:
         child = self._child(labels)
@@ -114,6 +125,16 @@ class Instrument:
         if child is not None:
             child.observe(value)
 
+    def child(self, *values):
+        """The child series for label ``values`` in label-name order, or
+        ``None`` while disabled: the family's own child cache, hit with
+        the argument tuple, so string values build no dict or key."""
+        bound = self._bound
+        if bound[0] is not _registry.binding:
+            bound = self._bind()
+        family = bound[2]
+        return None if family is None else family.child(values)
+
     def series(self, **labels) -> "Series":
         """A handle on one series of this family, for a call site whose
         labels never change."""
@@ -125,23 +146,33 @@ class Series:
     labels (``ADMITTED = SERVING_ADMISSION.series(outcome="admitted")``).
 
     The handle keeps one ``(binding, child)`` tuple and re-resolves it
-    through its :class:`Instrument` when the binding changes, so a write
+    through :meth:`Instrument.child` when the binding changes, so a write
     builds no label dict or key and costs about half an ``Instrument``
     write.  ``child`` is ``None`` while observability is disabled.
     """
 
-    __slots__ = ("instrument", "labels", "_bound")
+    __slots__ = ("instrument", "values", "_bound")
 
     def __init__(self, instrument: Instrument, labels: dict) -> None:
+        if labels.keys() != set(instrument.labelnames):
+            raise ObservabilityError(
+                f"{instrument.name}: got labels {sorted(labels)}, "
+                f"schema is {sorted(instrument.labelnames)}"
+            )
         self.instrument = instrument
-        self.labels = labels
+        #: The label values in label-name order, rendered as the family
+        #: renders them.
+        self.values = tuple(
+            str(labels[name]) for name in instrument.labelnames
+        )
         self._bound = _UNBOUND
 
     def _resolve(self) -> tuple:
         # The binding is read before the child resolves: a swap in
         # between leaves a stale binding here, which re-resolves next write.
+        binding = _registry.binding
         bound = self._bound = (
-            _registry.binding, self.instrument._child(self.labels)
+            binding, self.instrument.child(*self.values)
         )
         return bound
 
@@ -170,6 +201,9 @@ class Series:
             bound = self._resolve()
         if bound[1] is not None:
             bound[1].observe(value, exemplar)
+
+
+_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 
 def _declare(registry: MetricsRegistry) -> None:
@@ -413,20 +447,48 @@ _ROW_ACTIVATIONS = {
 # -- writes with a rule, or into several families --------------------------------
 
 
+#: Per ``(workload, status)``: the registry binding and the seven child
+#: series one execution always writes, resolved together once per binding.
+_EXECUTIONS: dict[tuple[str, str], tuple] = {}
+
+
 def record_execution(result: "ExecutionResult") -> None:
     """Roll one :class:`~repro.runtime.executor.ExecutionResult` into the
     executor families (ops, cycles, energy, faults, latency/energy
-    distributions)."""
-    if active_registry() is None:
+    distributions).
+
+    The seven fixed-label writes are bound as one group per workload and
+    status: a single binding check covers all seven children, where
+    seven :class:`Series` handles would each check and re-resolve.  A
+    registry installed per execution (the overhead benchmark's arms) pays
+    that re-resolution on every run."""
+    binding = _registry.binding
+    if binding[0] is None:
         return
     w = result.workload
-    EXECUTOR_RUNS.inc(workload=w, status=result.status)
-    EXECUTOR_OPS.inc(result.mul_count, workload=w, op="mul")
-    EXECUTOR_OPS.inc(result.add_count, workload=w, op="add")
-    EXECUTOR_CYCLES.inc(result.cost.cycles, workload=w)
-    EXECUTOR_ENERGY.inc(result.energy, workload=w)
-    EXECUTOR_TIME.observe(result.time, workload=w)
-    EXECUTOR_ENERGY_HIST.observe(result.energy, workload=w)
+    key = (w, result.status)
+    bound = _EXECUTIONS.get(key)
+    if bound is None or bound[0] is not binding:
+        children = (
+            EXECUTOR_RUNS.child(w, result.status),
+            EXECUTOR_OPS.child(w, "mul"),
+            EXECUTOR_OPS.child(w, "add"),
+            EXECUTOR_CYCLES.child(w),
+            EXECUTOR_ENERGY.child(w),
+            EXECUTOR_TIME.child(w),
+            EXECUTOR_ENERGY_HIST.child(w),
+        )
+        if None in children:  # disabled while the group resolved
+            return
+        bound = _EXECUTIONS[key] = (binding, children)
+    runs, muls, adds, cycles, energy, time_hist, energy_hist = bound[1]
+    runs.inc()
+    muls.inc(result.mul_count)
+    adds.inc(result.add_count)
+    cycles.inc(result.cost.cycles)
+    energy.inc(result.energy)
+    time_hist.observe(result.time)
+    energy_hist.observe(result.energy)
     for kind, count in (
         ("detected", result.faults_detected),
         ("repaired", result.repairs),

@@ -37,6 +37,7 @@ import re
 import threading
 import time
 from bisect import bisect_left
+from functools import lru_cache
 from typing import Callable, Iterable
 
 from repro.errors import ObservabilityError
@@ -88,20 +89,20 @@ DEFAULT_LATENCY_BUCKETS = exponential_buckets(1e-6, 4.0, 15)
 DEFAULT_ENERGY_BUCKETS = exponential_buckets(1e-12, 10.0, 14)
 
 
-def _validate_name(name: str) -> str:
+@lru_cache(maxsize=None)
+def _schema(
+    name: str, names: tuple[str, ...]
+) -> tuple[str, tuple[str, ...], frozenset]:
+    """A family's checked name, label names and label set (checked once
+    per schema: a fresh registry re-creates the declared families)."""
     if not _NAME_RE.match(name):
         raise ObservabilityError(f"invalid metric name {name!r}")
-    return name
-
-
-def _validate_labels(labelnames: Iterable[str]) -> tuple[str, ...]:
-    names = tuple(labelnames)
     for label in names:
         if not _LABEL_RE.match(label):
             raise ObservabilityError(f"invalid label name {label!r}")
     if len(set(names)) != len(names):
         raise ObservabilityError(f"duplicate label names in {names}")
-    return names
+    return name, names, frozenset(names)
 
 
 class _Family:
@@ -110,12 +111,11 @@ class _Family:
     kind = "untyped"
 
     def __init__(self, name: str, help: str, labelnames: tuple[str, ...]):
-        self.name = _validate_name(name)
+        self.name, self.labelnames, self._labelset = _schema(
+            name, tuple(labelnames)
+        )
         self.help = help
-        self.labelnames = _validate_labels(labelnames)
-        self._labelset = frozenset(self.labelnames)
         self._children: dict[tuple[str, ...], object] = {}
-        self._lock = threading.Lock()
 
     def _make_child(self):  # pragma: no cover - overridden
         raise NotImplementedError
@@ -128,10 +128,28 @@ class _Family:
                 f"{self.name}: got labels {sorted(labels)}, "
                 f"schema is {sorted(self.labelnames)}"
             )
-        key = tuple([str(labels[name]) for name in self.labelnames])
-        child = self._children.get(key)
+        return self.child(
+            tuple([str(labels[name]) for name in self.labelnames])
+        )
+
+    def child(self, values: tuple):
+        """The child for the label ``values`` tuple, in label-name order.
+
+        Values that are already strings hit the child cache with the
+        tuple itself, so a hot write builds no label dict or key; others
+        are rendered with ``str`` as :meth:`labels` does.
+        """
+        child = self._children.get(values)
         if child is None:
-            with self._lock:
+            if len(values) != len(self.labelnames):
+                raise ObservabilityError(
+                    f"{self.name}: got {len(values)} label values, "
+                    f"schema is {list(self.labelnames)}"
+                )
+            key = tuple(map(str, values))
+            child = self._children.get(key)
+            if child is None:
+                # One atomic setdefault: racing creators all get the winner.
                 child = self._children.setdefault(key, self._make_child())
         return child
 
@@ -160,8 +178,10 @@ class _Family:
 class _CounterChild:
     # Each child carries its own lock: ``value += amount`` is a
     # read-modify-write, and the serving pool's shards increment shared
-    # families concurrently.  Uncontended acquisition is ~100 ns — noise
-    # next to the pricing work being counted.
+    # families concurrently.  The children take it with acquire/release
+    # rather than ``with``: on CPython 3.11 that halves an uncontended
+    # round trip (~80 ns against ~170 ns), and a warm served request
+    # makes five metric writes.
     __slots__ = ("value", "_lock")
 
     def __init__(self) -> None:
@@ -173,8 +193,12 @@ class _CounterChild:
             raise ObservabilityError(
                 f"counters are monotonic; cannot add {amount}"
             )
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             self.value += amount
+        finally:
+            lock.release()
 
 
 class Counter(_Family):
@@ -206,8 +230,12 @@ class _GaugeChild:
         self.value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             self.value += amount
+        finally:
+            lock.release()
 
 
 class Gauge(_Family):
@@ -237,22 +265,27 @@ class _HistogramChild:
         self.counts = [0] * (len(bounds) + 1)  # last slot is +Inf
         self.sum = 0.0
         # bucket index -> (value, exemplar labels); latest wins.  Lazy so
-        # untraced histograms pay nothing.
+        # untraced histograms pay nothing.  The exemplar dict is kept as
+        # passed, not copied: writers hand over a fresh one per call.
         self.exemplars: dict[int, tuple[float, dict]] | None = None
         self._lock = threading.Lock()
 
     def observe(self, value: float, exemplar: dict | None = None) -> None:
         value = float(value)
-        if math.isnan(value):
+        if value != value:  # NaN
             raise ObservabilityError("cannot observe NaN")
-        with self._lock:
-            index = bisect_left(self.bounds, value)
+        index = bisect_left(self.bounds, value)  # bounds never change
+        lock = self._lock
+        lock.acquire()
+        try:
             self.counts[index] += 1
             self.sum += value
             if exemplar:
                 if self.exemplars is None:
                     self.exemplars = {}
-                self.exemplars[index] = (value, dict(exemplar))
+                self.exemplars[index] = (value, exemplar)
+        finally:
+            lock.release()
 
     @property
     def count(self) -> int:
@@ -268,6 +301,24 @@ class _HistogramChild:
         return out
 
 
+@lru_cache(maxsize=None)
+def _validate_buckets(name: str, buckets: tuple) -> tuple[float, ...]:
+    """``buckets`` as checked float bounds (once per family schema: a
+    fresh registry re-creates the declared histograms)."""
+    bounds = tuple(float(b) for b in buckets)
+    if not bounds:
+        raise ObservabilityError(f"{name}: need at least one bucket")
+    if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
+        raise ObservabilityError(
+            f"{name}: bucket bounds must increase strictly: {bounds}"
+        )
+    if any(not math.isfinite(b) for b in bounds):
+        raise ObservabilityError(
+            f"{name}: bounds must be finite (+Inf is implicit)"
+        )
+    return bounds
+
+
 class Histogram(_Family):
     """A fixed-bucket distribution (``le`` upper-bound semantics)."""
 
@@ -281,18 +332,7 @@ class Histogram(_Family):
         buckets: tuple[float, ...],
     ) -> None:
         super().__init__(name, help, labelnames)
-        bounds = tuple(float(b) for b in buckets)
-        if not bounds:
-            raise ObservabilityError(f"{name}: need at least one bucket")
-        if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-            raise ObservabilityError(
-                f"{name}: bucket bounds must increase strictly: {bounds}"
-            )
-        if any(not math.isfinite(b) for b in bounds):
-            raise ObservabilityError(
-                f"{name}: bounds must be finite (+Inf is implicit)"
-            )
-        self.buckets = bounds
+        self.buckets = _validate_buckets(name, tuple(buckets))
 
     def _make_child(self) -> _HistogramChild:
         return _HistogramChild(self.buckets)
@@ -304,6 +344,7 @@ class Histogram(_Family):
         ``{"trace_id": ...}`` — is attached to the bucket the value
         lands in (latest wins) and rendered in the exposition, linking
         the aggregate distribution back to a concrete traced request.
+        The histogram keeps the dict itself, so do not mutate it after.
         """
         self._default_child.observe(value, exemplar)
 
@@ -316,19 +357,41 @@ class MetricsRegistry:
 
     ``clock`` stamps exported snapshots; inject a
     :class:`~repro.runtime.supervisor.ManualClock` for deterministic tests.
+
+    A declared family (:mod:`repro.observability.instruments`) is
+    registered by its first write through :meth:`bind`, which also leaves
+    the rest of its declaration table *owed*: the next listing or public
+    registration declares it, so a scrape still shows every family while
+    a fresh registry's first writes cost only what they write.
     """
 
     def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
         self.clock = clock
         self._families: dict[str, _Family] = {}
-        self._lock = threading.Lock()
+        #: Declares the families a :meth:`bind` left owed, or None.
+        self._owed: Callable[["MetricsRegistry"], None] | None = None
+
+    def _settle(self) -> None:
+        """Declare what a :meth:`bind` left owed (once)."""
+        owed = self._owed
+        if owed is not None:
+            self._owed = None
+            owed(self)
+
+    def bind(
+        self, family: _Family, owed: Callable[["MetricsRegistry"], None]
+    ) -> _Family:
+        """Register one declared ``family`` on its first write (idempotent)
+        and leave ``owed`` — which declares the rest of its table — for
+        the next listing or public registration."""
+        self._owed = owed
+        return self._register(family)
 
     def _register(self, family: _Family) -> _Family:
-        with self._lock:
-            existing = self._families.get(family.name)
-            if existing is None:
-                self._families[family.name] = family
-                return family
+        # One atomic setdefault: racing registrations all get the winner.
+        existing = self._families.setdefault(family.name, family)
+        if existing is family:
+            return family
         if existing.signature() != family.signature():
             raise ObservabilityError(
                 f"{family.name} already registered with signature "
@@ -341,12 +404,14 @@ class MetricsRegistry:
         self, name: str, help: str = "", labelnames: Iterable[str] = ()
     ) -> Counter:
         """Get-or-create a counter family (idempotent)."""
+        self._settle()
         return self._register(Counter(name, help, tuple(labelnames)))
 
     def gauge(
         self, name: str, help: str = "", labelnames: Iterable[str] = ()
     ) -> Gauge:
         """Get-or-create a gauge family (idempotent)."""
+        self._settle()
         return self._register(Gauge(name, help, tuple(labelnames)))
 
     def histogram(
@@ -357,16 +422,19 @@ class MetricsRegistry:
         buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
     ) -> Histogram:
         """Get-or-create a histogram family (idempotent)."""
+        self._settle()
         return self._register(
             Histogram(name, help, tuple(labelnames), tuple(buckets))
         )
 
     def get(self, name: str) -> _Family | None:
-        """The family registered under ``name``, if any."""
+        """The family registered under ``name``, if any (an owed family
+        is not registered yet)."""
         return self._families.get(name)
 
     def families(self) -> tuple[_Family, ...]:
         """All families, sorted by name (the exposition order)."""
+        self._settle()
         return tuple(
             self._families[name] for name in sorted(self._families)
         )
@@ -374,8 +442,8 @@ class MetricsRegistry:
     def clear(self) -> None:
         """Drop every family and series (tests / fresh CLI runs); handles
         bound to the dropped families re-bind on their next write."""
-        with self._lock:
-            self._families.clear()
+        self._families.clear()
+        self._owed = None
         _rebind()
 
 

@@ -20,9 +20,9 @@ tests assert against the sketch's own certificate rather than a folklore
 constant.  Until the first compaction the sketch is exact.
 
 :class:`LatencyAnalytics` is the serving-layer convenience: one named
-sketch per pipeline layer (queue wait, service, end-to-end), thread-safe,
-with a ``summary()`` rendering p50/p95/p99/p999 for ``/stats`` and the
-``repro slo`` CLI.
+sketch per pipeline layer (queue wait, service, end-to-end), thread-safe
+under one lock they share, with a ``summary()`` rendering
+p50/p95/p99/p999 for ``/stats`` and the ``repro slo`` CLI.
 """
 
 from __future__ import annotations
@@ -36,6 +36,13 @@ __all__ = ["LatencyAnalytics", "QuantileSketch", "TAIL_QUANTILES"]
 
 #: The quantiles every summary reports, tail-first naming.
 TAIL_QUANTILES = {"p50": 0.50, "p95": 0.95, "p99": 0.99, "p999": 0.999}
+
+
+def _checked(value: float) -> float:
+    value = float(value)
+    if math.isnan(value):
+        raise ObservabilityError("cannot observe NaN")
+    return value
 
 
 class QuantileSketch:
@@ -65,19 +72,22 @@ class QuantileSketch:
 
     def observe(self, value: float) -> None:
         """Ingest one value (weight 1)."""
-        value = float(value)
-        if math.isnan(value):
-            raise ObservabilityError("cannot observe NaN")
+        value = _checked(value)
         with self._lock:
-            self._count += 1
-            self._sum += value
-            if value < self._min:
-                self._min = value
-            if value > self._max:
-                self._max = value
-            self._levels[0].append(value)
-            if len(self._levels[0]) > self.capacity:
-                self._compact(0)
+            self._ingest(value)
+
+    def _ingest(self, value: float) -> None:
+        """Ingest one checked value (lock held)."""
+        self._count += 1
+        self._sum += value
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
+        level = self._levels[0]
+        level.append(value)
+        if len(level) > self.capacity:
+            self._compact(0)
 
     def _compact(self, level: int) -> None:
         """Promote half of a full level, doubling weights (lock held).
@@ -185,26 +195,48 @@ class QuantileSketch:
 
 
 class LatencyAnalytics:
-    """Named per-layer sketches: the serving stack's tail-latency ledger."""
+    """Named per-layer sketches: the serving stack's tail-latency ledger.
+
+    Every sketch shares the analytics' one lock, so :meth:`observe_request`
+    ingests a request's three layers in one critical section.
+    """
 
     def __init__(self, capacity: int = 512) -> None:
         self.capacity = capacity
         self._sketches: dict[str, QuantileSketch] = {}
         self._lock = threading.Lock()
 
+    def _sketch_locked(self, layer: str) -> QuantileSketch:
+        sketch = self._sketches.get(layer)
+        if sketch is None:
+            sketch = self._sketches[layer] = QuantileSketch(self.capacity)
+            sketch._lock = self._lock  # one lock for every layer
+        return sketch
+
     def sketch(self, layer: str) -> QuantileSketch:
         """The sketch for one layer (created on first use)."""
         sketch = self._sketches.get(layer)
         if sketch is None:
             with self._lock:
-                sketch = self._sketches.setdefault(
-                    layer, QuantileSketch(self.capacity)
-                )
+                sketch = self._sketch_locked(layer)
         return sketch
 
     def observe(self, layer: str, seconds: float) -> None:
         """Record one latency sample against a layer."""
         self.sketch(layer).observe(seconds)
+
+    def observe_request(
+        self, queue_wait_s: float, service_s: float, e2e_s: float
+    ) -> None:
+        """Record one served request's ``queue_wait``, ``service`` and
+        ``e2e`` samples under one lock acquisition."""
+        queue_wait_s = _checked(queue_wait_s)
+        service_s = _checked(service_s)
+        e2e_s = _checked(e2e_s)
+        with self._lock:
+            self._sketch_locked("queue_wait")._ingest(queue_wait_s)
+            self._sketch_locked("service")._ingest(service_s)
+            self._sketch_locked("e2e")._ingest(e2e_s)
 
     def layers(self) -> tuple[str, ...]:
         with self._lock:

@@ -42,7 +42,7 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -67,8 +67,7 @@ __all__ = [
 
 @dataclass(slots=True)
 class TraceEvent:
-    """One structured hop in a request's journey (a slotted record: a
-    warm request appends six of them)."""
+    """One structured hop in a request's journey (a slotted record)."""
 
     ts: float     #: store-clock timestamp (seconds)
     layer: str    #: frontend / scheduler / pool / supervisor / executor / ...
@@ -176,13 +175,17 @@ class TraceStore:
     # -- creation -------------------------------------------------------------
 
     def new_trace(
-        self, trace_id: str | None = None, **baggage
+        self, trace_id: str | None = None, events=(), **baggage
     ) -> "TraceContext":
         """Open a trace under ``trace_id`` (a store-made id without one);
         returns its :class:`TraceContext`.
 
-        A resident trace with the same id is replaced, and spilled like
-        an eviction.
+        ``events`` are the trace's opening events, ``(layer, kind,
+        detail, attrs)`` tuples: they go in with the record, under the
+        same lock and stamped with its clock read, as if appended at
+        once (the store keeps each ``attrs`` itself).  The context shares
+        the record's baggage dict; nothing mutates it.  A resident trace
+        with the same id is replaced, and spilled like an eviction.
         """
         evicted: list[TraceRecord] = []
         with self._lock:
@@ -193,16 +196,24 @@ class TraceStore:
                 if replaced is not None:
                     self.evicted += 1
                     evicted.append(replaced)
-            self._records[trace_id] = TraceRecord(
-                trace_id, self.clock(), baggage
+            now = self.clock()
+            record = self._records[trace_id] = TraceRecord(
+                trace_id, now, baggage
             )
+            if events:
+                record.events = [
+                    TraceEvent(now, *event)
+                    for event in events[: self.max_events]
+                ]
+                record.dropped_events = max(0, len(events) - self.max_events)
             while len(self._records) > self.capacity:
                 self.evicted += 1
                 evicted.append(self._records.popitem(last=False)[1])
         # Spilled after the lock is released: an evicted record is out
         # of the store, so nothing appends to it any more.
-        self._spill_batch(evicted)
-        return TraceContext(trace_id, dict(baggage), self)
+        if evicted:
+            self._spill_batch(evicted)
+        return TraceContext(trace_id, baggage, self)
 
     def _spill_batch(self, records: list[TraceRecord]) -> None:
         """Append ``records`` to the spill file: one write, then fsync.
@@ -211,7 +222,7 @@ class TraceStore:
         :func:`load_spilled` skips — the same discipline as the request
         journal's record log.
         """
-        if self.spill_path is None or not records:
+        if self.spill_path is None:
             return
         payload = "".join(
             json.dumps(
@@ -243,8 +254,12 @@ class TraceStore:
         attrs: dict | None = None,
     ) -> None:
         """Append one event (no-op for evicted/unknown traces).  The store
-        keeps ``attrs`` itself, not a copy."""
-        with self._lock:
+        keeps ``attrs`` itself, not a copy.  The lock is taken with
+        acquire/release, as a metric child takes its own: on CPython 3.11
+        that halves an uncontended round trip."""
+        lock = self._lock
+        lock.acquire()
+        try:
             record = self._records.get(trace_id)
             if record is None:
                 return
@@ -258,6 +273,8 @@ class TraceStore:
                     {} if attrs is None else attrs,
                 )
             )
+        finally:
+            lock.release()
 
     # -- reads ----------------------------------------------------------------
 
@@ -407,10 +424,17 @@ def trace_event(layer: str, kind: str, detail: str = "", **attrs) -> None:
     """Append an event to the thread's current trace; no-op without one.
 
     The deep layers' single instrumentation call: cost is one
-    thread-local read when no trace is active.
+    thread-local read when no trace is active.  A store-backed
+    :class:`TraceContext` gets ``attrs`` straight into
+    :meth:`TraceStore.append`, without its ``event`` re-collecting them
+    into a second dict; any other sink goes through its ``event``.
     """
     ctx = getattr(_local, "trace", None)
-    if ctx is not None:
+    if ctx is None:
+        return
+    if type(ctx) is TraceContext:
+        ctx.store.append(ctx.trace_id, layer, kind, detail, attrs)
+    else:
         ctx.event(layer, kind, detail, **attrs)
 
 
@@ -429,18 +453,30 @@ def timed_event(layer: str, kind: str, **attrs):
     """
     if getattr(_local, "trace", None) is None and active_registry() is None:
         return _NULL_EVENT
-    return _timed(layer, kind, attrs)
+    return _Timed(layer, kind, attrs)
 
 
-@contextmanager
-def _timed(layer: str, kind: str, attrs: dict) -> Iterator[None]:
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        duration_s = time.perf_counter() - start
-        SPAN_DURATION.observe(duration_s, name=f"{layer}.{kind}")
-        trace_event(layer, kind, duration_s=duration_s, **attrs)
+class _Timed:
+    """One :func:`timed_event` region: times the block, then writes the
+    span histogram and the event on exit (the exception propagates)."""
+
+    __slots__ = ("layer", "kind", "attrs", "_start")
+
+    def __init__(self, layer: str, kind: str, attrs: dict) -> None:
+        self.layer = layer
+        self.kind = kind
+        self.attrs = attrs
+
+    def __enter__(self) -> None:
+        self._start = time.perf_counter()
+
+    def __exit__(self, *exc_info) -> None:
+        duration_s = time.perf_counter() - self._start
+        layer, kind = self.layer, self.kind
+        span = SPAN_DURATION.child(f"{layer}.{kind}")
+        if span is not None:
+            span.observe(duration_s)
+        trace_event(layer, kind, duration_s=duration_s, **self.attrs)
 
 
 # -- rendering ----------------------------------------------------------------

@@ -528,9 +528,9 @@ class CrossbarPool:
                     request_id=request_id,
                 )
                 self._enqueue(
-                    request, True, "journal", "replayed",
-                    "re-admitted after crash recovery",
-                    prior_dispatches=entry.dispatches,
+                    request, True,
+                    ("journal", "replayed", "re-admitted after crash recovery",
+                     {"prior_dispatches": entry.dispatches}),
                 )
             except ServingError:
                 dropped += 1
@@ -558,14 +558,19 @@ class CrossbarPool:
             # still executes, the gap is counted and visible in /stats.
             self._journal_failures += 1
 
-    def _complete(self, result: ServeResult) -> None:
-        """The single terminal path: journal first, then publish."""
+    def _complete(self, result: ServeResult, registered: bool) -> None:
+        """The single terminal path: journal first, then publish.  A
+        ``registered`` id completes; a hit answered at admission was never
+        registered and is published in one register-and-complete step."""
         if self.journal is not None:
             try:
                 self.journal.completed(result)
             except JournalError:
                 self._journal_failures += 1
-        self.results.complete(result)
+        if registered:
+            self.results.complete(result)
+        else:
+            self.results.restore(result)
 
     def stop(self, drain: bool = True, timeout: float = 30.0) -> None:
         """Shut the pool down.
@@ -910,8 +915,9 @@ class CrossbarPool:
                 "deadline_s": deadline_s,
             }
         self._enqueue(
-            request, block, "frontend", "admitted", journaled=journaled,
-            priority=request.priority,
+            request, block,
+            ("frontend", "admitted", "", {"priority": request.priority}),
+            journaled,
         )
         self.runtime.after_submit()
         return request.id
@@ -920,9 +926,8 @@ class CrossbarPool:
         self,
         request: ServeRequest,
         block: bool,
-        *event,
+        event: tuple,
         journaled: dict | None = None,
-        **attrs,
     ) -> None:
         """Submit ``request`` to the scheduler with the ladder's one commit
         step, shared by new admissions and journal replays.
@@ -930,47 +935,52 @@ class CrossbarPool:
         The scheduler runs the step only once its own refusals have
         passed: mint the id (a replay keeps its journaled one), append
         the ``admitted`` record when ``journaled`` carries its fields,
-        open the trace under the id with its first event (``event`` is
-        its layer, kind and optional detail), register the id with the
-        result store, and answer a priced-memo hit on the spot
-        (:meth:`_answer_hit`).  The record is written before the push, so
-        no worker record of the id can precede it in the journal, and a
-        ``JournalError`` refuses the request with nothing queued or
-        traced (a 500: the id was never handed out).  It is written
-        without a barrier; :meth:`_acknowledge` syncs it (and a hit's
-        ``completed`` record with it).  Replays pass no ``journaled``:
-        their record is already on file.
+        open the trace under the id with its opening events (``event``,
+        a ``(layer, kind, detail, attrs)`` tuple, then ``journal``
+        ``admitted`` when journaled), answer a priced-memo hit on the
+        spot (:meth:`_answer_hit`, which publishes it in one result-store
+        step), and otherwise register the id with the result store.  The
+        record is written before the push, so no worker record of the id
+        can precede it in the journal, and a ``JournalError`` refuses the
+        request with nothing queued or traced (a 500: the id was never
+        handed out).  It is written without a barrier;
+        :meth:`_acknowledge` syncs it (and a hit's ``completed`` record
+        with it).  Replays pass no ``journaled``: their record is already
+        on file.
         """
         def commit(request: ServeRequest) -> bool:
             if not request.id:
                 request.id = self.scheduler.next_id(request.tenant)
+            opening = (event,)
             if journaled is not None:
                 self.journal.admitted(request, **journaled)
-            trace = request.trace = self.traces.new_trace(
+                opening = (event, ("journal", "admitted", "", {}))
+            request.trace = self.traces.new_trace(
                 request.id,
+                opening,
                 workload=request.workload,
                 tenant=request.tenant,
                 relax_bits=request.relax_bits,
             )
-            trace.event(*event, **attrs)
-            if journaled is not None:
-                trace.event("journal", "admitted")
+            if request.search is None and self._answer_hit(request):
+                return True
             self.results.register(request.id)
-            return request.search is None and self._answer_hit(request)
+            return False
 
         self.scheduler.submit(request, block, commit)
 
     def _answer_hit(self, request: ServeRequest) -> bool:
-        """Finish a registered request at admission if its point is
-        already priced; True when it did.
+        """Finish a request at admission if its point is already priced;
+        True when it did.
 
         The lookup is :func:`~repro.runtime.campaign.memo_hit`, the one
         ``run_point`` makes, on any shard's harness (every shard shares
         one harness identity) and under its chaos injector, so a pool
         with a chaos policy never answers here.  A hit uses no shard and
-        no queue slot: it ends through :meth:`_finish` with shard -1, no
-        queue wait and the entry's one shared point, and its service time
-        runs from the lookup to the publish.
+        no queue slot and is never registered: it ends through
+        :meth:`_finish` with shard -1, no queue wait and the entry's one
+        shared point, published in one register-and-complete step, and
+        its service time runs from the lookup to the publish.
         """
         start = time.monotonic()
         shard = self.shards[0]
@@ -986,7 +996,7 @@ class CrossbarPool:
             return False
         self._finish(
             request, 0.0, point.status, attempts=point.attempts, point=point,
-            service_s=time.monotonic() - start,
+            service_s=time.monotonic() - start, registered=False,
         )
         return True
 
@@ -1310,10 +1320,12 @@ class CrossbarPool:
         point: CampaignPoint | None = None,
         error: str | None = None,
         search: dict | None = None,
+        registered: bool = True,
     ) -> None:
         """The one terminal step of every request: executed, expired,
         answered at admission or aborted by ``stop(drain=False)`` (the
-        last two with no ``shard``).
+        last two with no ``shard``; a hit answered at admission is the
+        one request not ``registered``).
 
         Builds the request's :class:`ServeResult`, journals and publishes
         it through :meth:`_complete`, then derives every aggregate from
@@ -1339,8 +1351,11 @@ class CrossbarPool:
             error=error,
             search=search,
         )
-        self._complete(result)
-        SERVING_REQUESTS.inc(tenant=request.tenant, status=status)
+        self._complete(result, registered)
+        # One series per (tenant, status): the family's own child cache.
+        requests = SERVING_REQUESTS.child(request.tenant, status)
+        if requests is not None:
+            requests.inc()
         if shard is not None:
             shard.count_request(status, result.service_s)
             if service_s is not None:
@@ -1349,9 +1364,7 @@ class CrossbarPool:
                 self.scheduler.note_service_time(service_s)
         e2e_s = queue_wait_s + result.service_s
         _QUEUE_WAIT.observe(queue_wait_s)
-        self.latency.observe("queue_wait", queue_wait_s)
-        self.latency.observe("service", result.service_s)
-        self.latency.observe("e2e", e2e_s)
+        self.latency.observe_request(queue_wait_s, result.service_s, e2e_s)
         self.slo.record(e2e_s, ok=result.completed)
         record_request_duration(e2e_s, request.id)
 
@@ -1387,14 +1400,15 @@ class Client:
         timeout: float | None = 60.0,
     ) -> ServeResult:
         """Submit one request and block for its terminal result."""
-        request_id = self.submit(
+        request_id, _ = self.pool.admit(
             workload,
             relax_bits=relax_bits,
             dataset_bytes=dataset_bytes,
+            tenant=self.tenant,
             priority=priority,
             deadline_s=deadline_s,
         )
-        return self.result(request_id, timeout=timeout)
+        return self.pool.result(request_id, timeout=timeout)
 
     def search(
         self,

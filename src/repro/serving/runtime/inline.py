@@ -62,7 +62,11 @@ class InlineRuntime(ShardRuntime):
         return executed
 
     def after_submit(self) -> None:
-        self.pump()
+        # A hit answered at admission queues nothing: no pump, no lock.
+        # A queued request is seen here by its own submitter, or was
+        # already taken by a pump that runs it.
+        if self.pool.scheduler.queued:
+            self.pump()
 
     def stop(self, drain: bool = True, timeout: float = 30.0) -> None:
         if drain:

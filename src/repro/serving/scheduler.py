@@ -25,8 +25,10 @@ Admission control runs at :meth:`submit` time and never over-admits:
 Each refusal is decided before the submitter's commit step runs, so a
 refused request leaves nothing behind.  Every admitted request is
 registered in a :class:`ResultStore` before it becomes visible to
-workers, and every terminal path writes exactly one result — the
-no-lost/no-duplicated invariant the property tests pin.
+workers (a hit answered in the commit step is never visible: it is
+registered and completed in one step), and every terminal path writes
+exactly one result — the no-lost/no-duplicated invariant the property
+tests pin.
 """
 
 from __future__ import annotations
@@ -154,9 +156,14 @@ class ServeRequest:
             self.trace.event(layer, kind, detail, **attrs)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ServeResult:
-    """Terminal outcome of one request (exactly one per admitted id)."""
+    """Terminal outcome of one request (exactly one per admitted id).
+
+    Frozen: assignment raises ``FrozenInstanceError``.  ``__init__`` is
+    written out so it stores each field through its slot descriptor, one
+    C call a field, where the generated one pays ``object.__setattr__``.
+    """
 
     id: str
     tenant: str
@@ -175,11 +182,47 @@ class ServeResult:
     #: `/search` requests, or None for campaign pricing requests.
     search: dict | None = None
 
-    def __post_init__(self) -> None:
-        if self.status not in RESULT_STATUSES:
+    def __init__(
+        self,
+        id: str,
+        tenant: str,
+        workload: str,
+        relax_bits: int,
+        dataset_bytes: int,
+        status: str,
+        shard: int = -1,
+        attempts: int = 0,
+        queue_wait_s: float = 0.0,
+        service_s: float = 0.0,
+        batch_size: int = 0,
+        point: "CampaignPoint | None" = None,
+        error: str | None = None,
+        search: dict | None = None,
+    ) -> None:
+        if status not in RESULT_STATUSES:
             raise ConfigurationError(
-                f"status {self.status!r} not in {RESULT_STATUSES}"
+                f"status {status!r} not in {RESULT_STATUSES}"
             )
+        (
+            set_id, set_tenant, set_workload, set_relax_bits,
+            set_dataset_bytes, set_status, set_shard, set_attempts,
+            set_queue_wait_s, set_service_s, set_batch_size, set_point,
+            set_error, set_search,
+        ) = _RESULT_SLOTS
+        set_id(self, id)
+        set_tenant(self, tenant)
+        set_workload(self, workload)
+        set_relax_bits(self, relax_bits)
+        set_dataset_bytes(self, dataset_bytes)
+        set_status(self, status)
+        set_shard(self, shard)
+        set_attempts(self, attempts)
+        set_queue_wait_s(self, queue_wait_s)
+        set_service_s(self, service_s)
+        set_batch_size(self, batch_size)
+        set_point(self, point)
+        set_error(self, error)
+        set_search(self, search)
 
     @property
     def completed(self) -> bool:
@@ -208,6 +251,12 @@ class ServeResult:
 @lru_cache(maxsize=None)
 def _field_names(cls: type) -> tuple[str, ...]:
     return tuple(field.name for field in dataclasses.fields(cls))
+
+
+#: Each ServeResult field's slot setter, in field order.
+_RESULT_SLOTS = tuple(
+    getattr(ServeResult, name).__set__ for name in _field_names(ServeResult)
+)
 
 
 class _TenantRing:
@@ -600,8 +649,10 @@ class BatchingScheduler:
 class ResultStore:
     """Terminal results by request id, with completion waiting.
 
-    Every admitted request is :meth:`register`-ed before workers can see
-    it and :meth:`complete`-d exactly once; duplicate completions raise
+    Every queued request is :meth:`register`-ed before workers can see
+    it and :meth:`complete`-d exactly once; a result no worker ever sees
+    (a hit answered at admission, a journaled result after a restart) is
+    published by :meth:`restore` alone.  Duplicate completions raise
     (the double-execution tripwire).  Memory is bounded two ways:
     finished results are kept up to ``capacity`` then evicted
     oldest-first, and — when ``ttl_s`` is set — results older than the
@@ -686,10 +737,13 @@ class ResultStore:
             self._store_locked(result)
 
     def restore(self, result: ServeResult) -> None:
-        """Re-publish a journaled terminal result after a restart.
+        """Publish the result of an id never registered: register and
+        complete it in one locked step.
 
-        Register-and-complete in one step; the tripwire contract still
-        holds — restoring an id the store already knows raises."""
+        The one publish step of a hit answered at admission and of a
+        journaled terminal result re-published after a restart.  The
+        tripwire still holds: an id the store knows (pending, done or
+        tombstoned) raises :class:`~repro.errors.ServingError`."""
         with self._lock:
             if (
                 result.id in self._results

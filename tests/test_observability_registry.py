@@ -332,6 +332,44 @@ class TestBoundHandles:
             assert landed == writes[slot] > 0
 
 
+class TestLazyDeclaration:
+    """A family's first write registers that family alone; the registry's
+    next listing declares the rest, so a scrape lists every family."""
+
+    def test_first_write_registers_only_its_family_until_listed(self):
+        from repro.observability.instruments import (
+            EXECUTOR_RUNS,
+            FAMILIES,
+            SERVING_SHARD_BUSY,
+        )
+
+        registry = MetricsRegistry()
+        previous = set_default_registry(registry)
+        try:
+            SERVING_SHARD_BUSY.inc(1.0, shard=0)
+        finally:
+            set_default_registry(previous)
+        assert registry.get(SERVING_SHARD_BUSY.name) is not None
+        assert registry.get(EXECUTOR_RUNS.name) is None
+        assert [f.name for f in registry.families()] == sorted(
+            inst.name for inst in FAMILIES
+        )
+        assert registry.get(EXECUTOR_RUNS.name) is not None
+
+    def test_an_unwritten_or_cleared_registry_lists_nothing(self):
+        from repro.observability.instruments import SERVING_SHARD_BUSY
+
+        registry = MetricsRegistry()
+        assert registry.families() == ()
+        previous = set_default_registry(registry)
+        try:
+            SERVING_SHARD_BUSY.inc(1.0, shard=0)
+            registry.clear()
+        finally:
+            set_default_registry(previous)
+        assert registry.families() == ()
+
+
 class TestSeriesHandles:
     """A :class:`Series` handle (one fixed-label series of a declared
     family) re-resolves its child on every binding change, as its
@@ -392,6 +430,38 @@ class TestSeriesHandles:
         assert [ex for _, ex in child.exemplars.values()] == [
             {"trace_id": "t-1"}
         ]
+
+    def test_child_reads_the_familys_cache_by_value_tuple(self):
+        """``Instrument.child(*values)`` resolves the same series as a
+        keyword write, renders non-string values with ``str`` and checks
+        the value count."""
+        from repro.observability.instruments import SERVING_REQUESTS
+
+        registry = MetricsRegistry()
+        previous = set_default_registry(registry)
+        try:
+            SERVING_REQUESTS.child("a", "ok").inc()
+            SERVING_REQUESTS.inc(2.0, tenant="a", status="ok")
+            SERVING_REQUESTS.child(7, "ok").inc()
+            with pytest.raises(ObservabilityError):
+                SERVING_REQUESTS.child("a")
+            disable()
+            try:
+                assert SERVING_REQUESTS.child("a", "ok") is None
+            finally:
+                enable()
+        finally:
+            set_default_registry(previous)
+        family = registry.get(SERVING_REQUESTS.name)
+        assert family.labels(tenant="a", status="ok").value == 3.0
+        assert family.labels(tenant="7", status="ok").value == 1.0
+        assert len(family.samples()) == 2
+
+    def test_series_rejects_labels_outside_the_schema(self):
+        from repro.observability.instruments import SERVING_SHARD_BUSY
+
+        with pytest.raises(ObservabilityError):
+            SERVING_SHARD_BUSY.series(tenant="a")
 
     def test_touch_materialises_once_per_binding(self):
         from repro.observability.instruments import SUPERVISOR_RETRIES

@@ -27,6 +27,7 @@ from repro.runtime.chaos import ChaosInjector, ChaosPolicy
 from repro.runtime.comparison import ComparisonHarness
 from repro.runtime.supervisor import ManualClock
 from repro.serving import Client, CrossbarPool, ServingConfig
+from repro.serving.scheduler import ServeResult
 from repro.units import GIB, MIB
 from repro.workloads import workload_by_name
 
@@ -467,6 +468,39 @@ class TestAdmissionLadder:
             assert self._footprint(pool, earlier) == before
         finally:
             pool.stop(drain=False)
+
+    @pytest.mark.parametrize("state", ["pending", "done", "tombstoned"])
+    def test_a_hit_on_a_known_id_trips_its_publish(self, state):
+        """A hit answered at admission is published in one result-store
+        step that keeps the tripwire: an id the store already knows
+        (pending, done or tombstoned) refuses the request."""
+        pool = CrossbarPool(
+            shards=1, tile_elements=TILE, runtime="inline", result_capacity=1,
+        )
+
+        def result(request_id, status="failed"):
+            return ServeResult(
+                id=request_id, tenant="t", workload="Robert", relax_bits=8,
+                dataset_bytes=1, status=status,
+            )
+
+        with pool:
+            Client(pool).call("Robert", relax_bits=8)  # prices the key
+            results = pool.results
+            results.register("t-dup")
+            if state != "pending":
+                results.complete(result("t-dup"))
+            if state == "tombstoned":
+                results.restore(result("t-other"))
+            pool.scheduler.next_id = lambda tenant: "t-dup"
+            with pytest.raises(ServingError, match="already known"):
+                pool.submit("Robert", relax_bits=8)
+            assert results.lookup("t-dup")[0] == {
+                "pending": "pending", "done": "done",
+                "tombstoned": "evicted",
+            }[state]
+            if state == "pending":
+                results.complete(result("t-dup"))  # let stop() drain
 
     def test_a_stopped_pool_cannot_start_again(self):
         pool = CrossbarPool(shards=1, tile_elements=TILE, runtime="inline")

@@ -412,6 +412,54 @@ class TestResultStore:
         with pytest.raises(ConfigurationError):
             self.make_result("r-1", status="vanished")
 
+    def test_result_stays_frozen(self):
+        import dataclasses
+
+        result = self.make_result("r-1")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.status = "failed"
+        assert dataclasses.replace(result, status="failed").status == "failed"
+
+    def test_restore_publishes_an_unregistered_id(self):
+        """The one publish step of a hit answered at admission and of a
+        journal restore: register and complete together."""
+        store = ResultStore()
+        store.restore(self.make_result("r-1"))
+        assert store.status("r-1") == "done"
+        assert store.pending == 0
+        assert store.wait("r-1", timeout=0.0).status == "ok"
+
+    @staticmethod
+    def _journaled(result):
+        from repro.serving.journal import serve_result_from_dict
+
+        return serve_result_from_dict(result.to_dict())
+
+    @pytest.mark.parametrize("state", ["pending", "done", "tombstoned"])
+    @pytest.mark.parametrize("kind", ["hit", "journal"])
+    def test_restore_tripwire_fires_on_a_known_id(self, state, kind):
+        """A hit or a journal restore of an id the store already knows
+        (pending, done or tombstoned) raises and changes nothing."""
+        store = ResultStore(capacity=1)
+        store.register("r-1")
+        if state != "pending":
+            store.complete(self.make_result("r-1", "failed"))
+        if state == "tombstoned":
+            store.restore(self.make_result("r-2"))
+        assert store.status("r-1") == {
+            "pending": "pending", "done": "done", "tombstoned": "evicted",
+        }[state]
+        result = self.make_result("r-1")
+        if kind == "journal":
+            result = self._journaled(result)
+        with pytest.raises(ServingError):
+            store.restore(result)
+        after = store.lookup("r-1")
+        if state == "done":
+            assert after[1].status == "failed"
+        else:
+            assert after[0] == ("pending" if state == "pending" else "evicted")
+
     def test_completed_property_matches_campaign_semantics(self):
         for status in ("ok", "retried", "degraded", "fallback"):
             assert self.make_result("a", status).completed

@@ -168,3 +168,34 @@ class TestLatencyAnalytics:
     def test_sketch_identity_is_stable_per_layer(self):
         analytics = LatencyAnalytics()
         assert analytics.sketch("e2e") is analytics.sketch("e2e")
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.floats(0.0, 1.0, allow_nan=False),
+            st.floats(0.0, 1.0, allow_nan=False),
+        ),
+        max_size=1500,
+    ))
+    def test_observe_request_matches_three_observes(self, requests):
+        """One locked ingest of a request's three layers leaves every
+        sketch exactly as three separate observes do."""
+        together, apart = LatencyAnalytics(capacity=16), LatencyAnalytics(
+            capacity=16
+        )
+        for wait, service in requests:
+            together.observe_request(wait, service, wait + service)
+            apart.observe("queue_wait", wait)
+            apart.observe("service", service)
+            apart.observe("e2e", wait + service)
+        assert together.layers() == apart.layers()
+        for layer in apart.layers():
+            mine, theirs = together.sketch(layer), apart.sketch(layer)
+            assert mine._levels == theirs._levels
+            assert mine.summary() == theirs.summary()
+
+    def test_observe_request_rejects_nan_before_ingesting(self):
+        analytics = LatencyAnalytics()
+        with pytest.raises(ObservabilityError):
+            analytics.observe_request(0.0, math.nan, 0.0)
+        assert analytics.layers() == ()

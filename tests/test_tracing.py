@@ -97,6 +97,34 @@ class TestTraceStore:
         assert record.dropped_events == 2
         assert "2 event(s) dropped" in format_timeline(record)
 
+    def test_opening_events_land_with_the_record(self):
+        """A trace opened with its first events holds them as if they
+        were appended at once, stamped with the record's clock read,
+        and its context shares the record's baggage."""
+        clock = ManualClock()
+        store = _store(clock=clock)
+        clock.advance(2.5)
+        ctx = store.new_trace(
+            "r-1",
+            (("frontend", "admitted", "", {"priority": 1}),
+             ("journal", "admitted", "", {})),
+            tenant="a",
+        )
+        record = store.get("r-1")
+        assert [(e.ts, e.layer, e.kind, e.attrs) for e in record.events] == [
+            (2.5, "frontend", "admitted", {"priority": 1}),
+            (2.5, "journal", "admitted", {}),
+        ]
+        assert record.created_ts == 2.5
+        assert ctx.baggage is record.baggage == {"tenant": "a"}
+
+    def test_opening_events_respect_max_events(self):
+        store = _store(max_events=1)
+        store.new_trace("r-1", (("a", "b", "", {}), ("c", "d", "", {})))
+        record = store.get("r-1")
+        assert [(e.layer, e.kind) for e in record.events] == [("a", "b")]
+        assert record.dropped_events == 1
+
     def test_append_to_unknown_trace_is_a_noop(self):
         store = _store()
         store.append("no-such-trace", "pool", "dispatch")
