@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left
+from itertools import accumulate
 
 from repro.errors import ObservabilityError
 
@@ -151,6 +153,31 @@ class QuantileSketch:
         items.sort(key=lambda pair: pair[0])
         return items
 
+    def _quantiles_locked(self, qs) -> list[float]:
+        """The value at rank ``q * count`` for each ``q`` (lock held).
+
+        One sort of the weighted samples serves every ``q``: the answer
+        is the first value whose cumulative weight reaches the rank.
+        """
+        count = self._count
+        if count == 0:
+            return [math.nan] * len(qs)
+        items = cumulative = None
+        out = []
+        for q in qs:
+            if q == 0.0:
+                value = self._min
+            elif q == 1.0:
+                value = self._max
+            else:
+                if items is None:
+                    items = self._weighted()
+                    cumulative = list(accumulate(w for _, w in items))
+                index = bisect_left(cumulative, q * count)
+                value = items[min(index, len(items) - 1)][0]
+            out.append(value)
+        return out
+
     def quantile(self, q: float) -> float:
         """The value whose rank is (approximately) ``q * count``.
 
@@ -161,36 +188,25 @@ class QuantileSketch:
         if not 0.0 <= q <= 1.0:
             raise ObservabilityError(f"quantile must be in [0, 1]: {q}")
         with self._lock:
-            if self._count == 0:
-                return math.nan
-            if q == 0.0:
-                return self._min
-            if q == 1.0:
-                return self._max
-            target = q * self._count
-            cumulative = 0
-            items = self._weighted()
-            for value, weight in items:
-                cumulative += weight
-                if cumulative >= target:
-                    return value
-            return items[-1][0]
-
-    def quantiles(self) -> dict[str, float]:
-        """The :data:`TAIL_QUANTILES`, by name."""
-        return {name: self.quantile(q) for name, q in TAIL_QUANTILES.items()}
+            return self._quantiles_locked((q,))[0]
 
     def summary(self) -> dict:
         """JSON-able roll-up: count, mean, extremes, tail quantiles and
-        the error certificate (so consumers can judge p999 credibility)."""
-        out: dict = {
-            "count": self._count,
-            "mean": self.mean,
-            "min": self.min,
-            "max": self.max,
-            "rank_error": self._rank_error,
-        }
-        out.update(self.quantiles())
+        the error certificate (so consumers can judge p999 credibility).
+
+        One snapshot under the lock, with one sort for every quantile, so
+        a concurrent writer cannot tear it."""
+        with self._lock:
+            count = self._count
+            out: dict = {
+                "count": count,
+                "mean": self._sum / count if count else math.nan,
+                "min": self._min if count else math.nan,
+                "max": self._max if count else math.nan,
+                "rank_error": self._rank_error,
+            }
+            values = self._quantiles_locked(TAIL_QUANTILES.values())
+        out.update(zip(TAIL_QUANTILES, values))
         return out
 
 
@@ -205,6 +221,9 @@ class LatencyAnalytics:
         self.capacity = capacity
         self._sketches: dict[str, QuantileSketch] = {}
         self._lock = threading.Lock()
+        #: The ``queue_wait``, ``service`` and ``e2e`` sketches' ingest
+        #: methods, bound by the first :meth:`observe_request`.
+        self._request_ingest = None
 
     def _sketch_locked(self, layer: str) -> QuantileSketch:
         sketch = self._sketches.get(layer)
@@ -229,14 +248,35 @@ class LatencyAnalytics:
         self, queue_wait_s: float, service_s: float, e2e_s: float
     ) -> None:
         """Record one served request's ``queue_wait``, ``service`` and
-        ``e2e`` samples under one lock acquisition."""
-        queue_wait_s = _checked(queue_wait_s)
-        service_s = _checked(service_s)
-        e2e_s = _checked(e2e_s)
-        with self._lock:
-            self._sketch_locked("queue_wait")._ingest(queue_wait_s)
-            self._sketch_locked("service")._ingest(service_s)
-            self._sketch_locked("e2e")._ingest(e2e_s)
+        ``e2e`` samples under one lock acquisition.
+
+        A NaN among them refuses all three before any is ingested.  The
+        three sketches are looked up once, by the first call, and their
+        ``_ingest`` methods kept bound."""
+        queue_wait_s = float(queue_wait_s)
+        service_s = float(service_s)
+        e2e_s = float(e2e_s)
+        if (  # NaN is the one value unequal to itself
+            queue_wait_s != queue_wait_s
+            or service_s != service_s
+            or e2e_s != e2e_s
+        ):
+            raise ObservabilityError("cannot observe NaN")
+        lock = self._lock
+        lock.acquire()
+        try:
+            ingest = self._request_ingest
+            if ingest is None:
+                ingest = self._request_ingest = tuple(
+                    self._sketch_locked(layer)._ingest
+                    for layer in ("queue_wait", "service", "e2e")
+                )
+            queue_wait, service, e2e = ingest
+            queue_wait(queue_wait_s)
+            service(service_s)
+            e2e(e2e_s)
+        finally:
+            lock.release()
 
     def layers(self) -> tuple[str, ...]:
         with self._lock:

@@ -116,14 +116,17 @@ class BurnRateEvaluator:
 
     Outcomes are counted in :data:`BUCKET_S`-wide buckets, a deque of
     ``[second, count, bad]`` lists (``second`` is ``floor(t /
-    BUCKET_S)``); buckets older than the long window are pruned on record
-    and on evaluation.  Memory is therefore at most one bucket per second
-    of the long window (plus one) whatever the traffic, and
+    BUCKET_S)``); buckets older than the long window are pruned when a
+    record opens a new bucket and on every read (:meth:`burn_rate`,
+    :meth:`evaluate`).  A record that lands in the newest bucket adds no
+    bucket, so it has nothing to prune.  Memory is therefore at most
+    ``ceil(long_window_s / BUCKET_S) + 1`` buckets (one per second of
+    the long window, plus one) whatever the traffic, and
     :meth:`evaluate` is linear in buckets, not requests.  Window edges
-    round down to whole buckets: a
-    window of ``w`` seconds at time ``t`` counts every bucket from the
-    one holding ``t - w``, so it may reach up to one bucket further back
-    than ``w`` (exactly ``w`` on a whole-second clock).
+    round down to whole buckets: a window of ``w`` seconds at time ``t``
+    counts every bucket from the one holding ``t - w``, so it may reach
+    up to one bucket further back than ``w`` (exactly ``w`` on a
+    whole-second clock).
     """
 
     def __init__(
@@ -145,22 +148,28 @@ class BurnRateEvaluator:
         return good
 
     def record_outcome(self, good: bool) -> None:
-        """Record a pre-judged outcome (tests, offline replay)."""
+        """Record a pre-judged outcome (tests, offline replay): one locked
+        step, taken with acquire/release as a metric child takes its
+        lock.  Only a record that opens a new bucket prunes."""
         now = self.clock()
         second = math.floor(now / BUCKET_S)
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             events = self._events
             if events and events[-1][0] >= second:
                 bucket = events[-1]
             else:
                 bucket = [second, 0, 0]
                 events.append(bucket)
+                self._prune(now)
             bucket[1] += 1
             self.total += 1
             if not good:
                 bucket[2] += 1
                 self.total_bad += 1
-            self._prune(now)
+        finally:
+            lock.release()
 
     def _prune(self, now: float) -> None:
         horizon = math.floor((now - self.policy.long_window_s) / BUCKET_S)

@@ -210,8 +210,10 @@ class TraceStore:
                 self.evicted += 1
                 evicted.append(self._records.popitem(last=False)[1])
         # Spilled after the lock is released: an evicted record is out
-        # of the store, so nothing appends to it any more.
-        if evicted:
+        # of the store, so nothing appends to it any more.  A store with
+        # no spill path evicts on every request once full: it calls
+        # nothing.
+        if evicted and self.spill_path is not None:
             self._spill_batch(evicted)
         return TraceContext(trace_id, baggage, self)
 
@@ -222,8 +224,6 @@ class TraceStore:
         :func:`load_spilled` skips — the same discipline as the request
         journal's record log.
         """
-        if self.spill_path is None:
-            return
         payload = "".join(
             json.dumps(
                 record.to_dict(), separators=(",", ":"), sort_keys=True

@@ -152,7 +152,7 @@ def _admission_handler(pool: CrossbarPool, endpoint: str):
         if unknown:
             return 400, {"error": f"unknown fields {sorted(unknown)}"}
         try:
-            request_id, duplicate = admit(pool, body)
+            request_id, duplicate, _ = admit(pool, body)
         except DuplicateRequestError as exc:
             return 409, {
                 "error": str(exc),

@@ -646,7 +646,7 @@ class CrossbarPool:
         """Admit one request; returns its id (or raises
         :class:`~repro.errors.AdmissionRejectedError` /
         :class:`~repro.errors.ServingError`)."""
-        request_id, _ = self.admit(
+        request_id, _, _ = self.admit(
             workload,
             relax_bits=relax_bits,
             dataset_bytes=dataset_bytes,
@@ -668,8 +668,15 @@ class CrossbarPool:
         deadline_s: float | None = None,
         block: bool = False,
         idempotency_key: str | None = None,
-    ) -> tuple[str, bool]:
-        """Admit one request; returns ``(request_id, duplicate)``.
+    ) -> tuple[str, bool, ServeResult | None]:
+        """Admit one request; returns ``(request_id, duplicate, result)``.
+
+        ``result`` is the terminal :class:`ServeResult` of a request that
+        finished inside its admission (a priced-memo hit,
+        :meth:`_answer_hit`), handed back once the acknowledgement's
+        group commit covers its ``completed`` record; it is None for a
+        queued request and for a duplicate.  Either way the id answers
+        :meth:`result` and ``GET /result/<id>``.
 
         With an ``idempotency_key``, resubmitting the identical payload
         returns the original id with ``duplicate=True`` (the safe-retry
@@ -712,8 +719,10 @@ class CrossbarPool:
         deadline_s: float | None = None,
         block: bool = False,
         idempotency_key: str | None = None,
-    ) -> tuple[str, bool]:
-        """Admit one `/search` retrieval; returns ``(request_id, duplicate)``.
+    ) -> tuple[str, bool, ServeResult | None]:
+        """Admit one `/search` retrieval; returns ``(request_id, duplicate,
+        result)`` as :meth:`admit` does (a search is never finished inside
+        its admission, so ``result`` is None).
 
         ``query`` is a dim-length 0/1 bit-vector.  Validation happens at
         the door (a bad query or ``k`` raises
@@ -755,7 +764,7 @@ class CrossbarPool:
         idempotency_key: str | None,
         search: dict | None = None,
         extra: dict | None = None,
-    ) -> tuple[str, bool]:
+    ) -> tuple[str, bool, ServeResult | None]:
         """The admission both request kinds share, from the field checks
         to the acknowledged id; a keyed request reserves its
         idempotency key around it.  ``extra`` folds kind-specific content
@@ -765,8 +774,8 @@ class CrossbarPool:
             deadline_s, search,
         )
         if idempotency_key is None:
-            request_id = self._admit_new(request, block, deadline_s)
-            return self._acknowledge(request_id, False)
+            result = self._admit_new(request, block, deadline_s)
+            return self._acknowledge(request.id, False, result)
         idempotency_key = str(idempotency_key)
         if not idempotency_key or len(idempotency_key) > 256:
             raise ServingError(
@@ -795,16 +804,16 @@ class CrossbarPool:
                         request_id=known_id,
                     )
                 SERVING_IDEMPOTENCY.inc(outcome="hit")
-                request_id, duplicate = known_id, True
+                request_id, duplicate, result = known_id, True, None
             else:
-                request_id = self._admit_new(
+                result = self._admit_new(
                     request, block, deadline_s, idempotency_key, fingerprint,
                 )
+                request_id, duplicate = request.id, False
                 self._idempotency[idempotency_key] = (
                     request_id, fingerprint,
                 )
-                duplicate = False
-        return self._acknowledge(request_id, duplicate)
+        return self._acknowledge(request_id, duplicate, result)
 
     def _build_request(
         self,
@@ -853,18 +862,21 @@ class CrossbarPool:
         )
 
     def _acknowledge(
-        self, request_id: str, duplicate: bool
-    ) -> tuple[str, bool]:
-        """Make the id's ``admitted`` record durable, then hand it out.
+        self, request_id: str, duplicate: bool, result: ServeResult | None
+    ) -> tuple[str, bool, ServeResult | None]:
+        """Make the id's ``admitted`` record durable, then hand it out,
+        with the ``result`` of a request finished inside its admission.
 
         One group commit outside ``_idem_lock``: concurrent submitters
         share fsyncs, and a duplicate hit waits for the original's record
-        too (it may still be in flight on another thread).  A
-        JournalError here is the client's 500 — the id was never promised.
+        too (it may still be in flight on another thread).  The same
+        barrier covers a hit's ``completed`` record, so its result never
+        leaves before it is durable.  A JournalError here is the client's
+        500 — the id was never promised.
         """
         if self.journal is not None:
             self.journal.sync()
-        return request_id, duplicate
+        return request_id, duplicate, result
 
     def _admit_new(
         self,
@@ -873,8 +885,10 @@ class CrossbarPool:
         deadline_s: float | None,
         idempotency_key: str | None = None,
         fingerprint: str | None = None,
-    ) -> str:
-        """Queue one field-checked request; returns the acknowledged id.
+    ) -> ServeResult | None:
+        """Queue one field-checked request under a freshly minted
+        ``request.id``; returns its terminal result when the commit step
+        finished it (a priced-memo hit), else None.
 
         The pool's refusals come next on the ladder and are counted in
         ``repro_serving_admission_total``; then the scheduler's refusals
@@ -899,7 +913,10 @@ class CrossbarPool:
             )
         if not self._started:
             self.ensure_started()
-        if not any(shard.healthy for shard in self.shards):
+        for shard in self.shards:  # a plain loop: any() adds two frames
+            if shard.healthy:
+                break
+        else:
             SERVING_ADMISSION.inc(outcome="rejected_unavailable")
             raise ShardUnavailableError(
                 "every shard's breaker is open; retry after cooldown"
@@ -914,13 +931,13 @@ class CrossbarPool:
                 "fingerprint": fingerprint,
                 "deadline_s": deadline_s,
             }
-        self._enqueue(
+        result = self._enqueue(
             request, block,
             ("frontend", "admitted", "", {"priority": request.priority}),
             journaled,
         )
         self.runtime.after_submit()
-        return request.id
+        return result
 
     def _enqueue(
         self,
@@ -928,9 +945,10 @@ class CrossbarPool:
         block: bool,
         event: tuple,
         journaled: dict | None = None,
-    ) -> None:
+    ) -> ServeResult | None:
         """Submit ``request`` to the scheduler with the ladder's one commit
-        step, shared by new admissions and journal replays.
+        step, shared by new admissions and journal replays; returns the
+        result of a request the step finished, else None.
 
         The scheduler runs the step only once its own refusals have
         passed: mint the id (a replay keeps its journaled one), append
@@ -948,7 +966,7 @@ class CrossbarPool:
         with it).  Replays pass no ``journaled``: their record is already
         on file.
         """
-        def commit(request: ServeRequest) -> bool:
+        def commit(request: ServeRequest) -> ServeResult | None:
             if not request.id:
                 request.id = self.scheduler.next_id(request.tenant)
             opening = (event,)
@@ -962,16 +980,18 @@ class CrossbarPool:
                 tenant=request.tenant,
                 relax_bits=request.relax_bits,
             )
-            if request.search is None and self._answer_hit(request):
-                return True
+            if request.search is None:
+                result = self._answer_hit(request)
+                if result is not None:
+                    return result
             self.results.register(request.id)
-            return False
+            return None
 
-        self.scheduler.submit(request, block, commit)
+        return self.scheduler.submit(request, block, commit)
 
-    def _answer_hit(self, request: ServeRequest) -> bool:
+    def _answer_hit(self, request: ServeRequest) -> ServeResult | None:
         """Finish a request at admission if its point is already priced;
-        True when it did.
+        returns its terminal result when it did, else None.
 
         The lookup is :func:`~repro.runtime.campaign.memo_hit`, the one
         ``run_point`` makes, on any shard's harness (every shard shares
@@ -993,12 +1013,11 @@ class CrossbarPool:
             request.trace,
         )
         if point is None:
-            return False
-        self._finish(
+            return None
+        return self._finish(
             request, 0.0, point.status, attempts=point.attempts, point=point,
             service_s=time.monotonic() - start, registered=False,
         )
-        return True
 
     def result(
         self, request_id: str, timeout: float | None = None
@@ -1321,7 +1340,7 @@ class CrossbarPool:
         error: str | None = None,
         search: dict | None = None,
         registered: bool = True,
-    ) -> None:
+    ) -> ServeResult:
         """The one terminal step of every request: executed, expired,
         answered at admission or aborted by ``stop(drain=False)`` (the
         last two with no ``shard``; a hit answered at admission is the
@@ -1333,7 +1352,7 @@ class CrossbarPool:
         and request-duration histograms, the three latency sketches and
         the SLO window.  An executed request (a ``shard`` and
         ``service_s`` given) also feeds the service-time EMA and its
-        shard's totals.
+        shard's totals.  Returns the published result.
         """
         result = ServeResult(
             id=request.id,
@@ -1367,6 +1386,7 @@ class CrossbarPool:
         self.latency.observe_request(queue_wait_s, result.service_s, e2e_s)
         self.slo.record(e2e_s, ok=result.completed)
         record_request_duration(e2e_s, request.id)
+        return result
 
 
 class Client:
@@ -1399,8 +1419,12 @@ class Client:
         deadline_s: float | None = None,
         timeout: float | None = 60.0,
     ) -> ServeResult:
-        """Submit one request and block for its terminal result."""
-        request_id, _ = self.pool.admit(
+        """Submit one request and block for its terminal result.
+
+        A request finished inside its admission (a priced-memo hit) comes
+        back with its acknowledgement; only a queued one waits on the
+        result store."""
+        request_id, _, result = self.pool.admit(
             workload,
             relax_bits=relax_bits,
             dataset_bytes=dataset_bytes,
@@ -1408,6 +1432,8 @@ class Client:
             priority=priority,
             deadline_s=deadline_s,
         )
+        if result is not None:
+            return result
         return self.pool.result(request_id, timeout=timeout)
 
     def search(
@@ -1420,7 +1446,7 @@ class Client:
     ) -> ServeResult:
         """Submit one similarity search and block for its result."""
         kwargs.setdefault("tenant", self.tenant)
-        request_id, _ = self.pool.admit_search(
+        request_id, _, _ = self.pool.admit_search(
             query, k=k, relax_bits=relax_bits, **kwargs
         )
         return self.result(request_id, timeout=timeout)

@@ -427,8 +427,8 @@ class BatchingScheduler:
         self,
         request: ServeRequest,
         block: bool,
-        commit: Callable[[ServeRequest], bool],
-    ) -> None:
+        commit: Callable[[ServeRequest], "ServeResult | None"],
+    ) -> "ServeResult | None":
         """Admit ``request`` or raise :class:`AdmissionRejectedError`.
 
         Every refusal (closed, queue full, unmeetable deadline) is decided
@@ -438,9 +438,10 @@ class BatchingScheduler:
         reserved slot in its class while ``commit(request)`` runs outside
         the lock (the pool's step that mints the id and opens the trace,
         so its spill I/O never stalls a worker), and is pushed after it:
-        the class never over-admits.  A ``commit`` that returns True has
-        already finished the request (a priced-memo hit answered at
-        admission): its slot is given back and nothing is pushed.  A
+        the class never over-admits.  A ``commit`` that returns a
+        :class:`ServeResult` has already finished the request (a
+        priced-memo hit answered at admission): its slot is given back,
+        nothing is pushed, and the result is returned (None otherwise).  A
         ``commit`` that raises gives the slot back and queues nothing.
         :meth:`close` waits for every reserved slot, so a commit in flight
         lands before it returns.
@@ -485,7 +486,7 @@ class BatchingScheduler:
             ring.reserved += 1
             self._reserved += 1
         try:
-            terminal = commit(request)
+            result = commit(request)
         except BaseException:
             with self._lock:
                 self._release_locked(ring)
@@ -494,8 +495,8 @@ class BatchingScheduler:
             self._release_locked(ring)
             self.admitted += 1
             _ADMITTED.inc()
-            if terminal:
-                return
+            if result is not None:
+                return result
             request.submitted_at = self.clock()
             ring.push(request)
             self.queued += 1

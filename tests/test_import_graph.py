@@ -31,7 +31,7 @@ with tempfile.TemporaryDirectory() as tmp:
     with CrossbarPool(shards=1, tile_elements=512, runtime="thread",
                       journal=journal) as pool:
         priced = pool.submit("Sobel", relax_bits=8, dataset_bytes=64 << 20)
-        searched, _ = pool.admit_search([0, 1] * 128, k=5)
+        searched, _, _ = pool.admit_search([0, 1] * 128, k=5)
         for request_id in (priced, searched):
             assert pool.result(request_id, timeout=60.0).status == "ok"
 import repro.serving.frontend

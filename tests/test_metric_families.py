@@ -97,8 +97,8 @@ def _scenario(journal_dir: str) -> None:
         journal=os.path.join(journal_dir, "serve.jsonl"),
     ) as pool:
         first = pool.submit("Robert", relax_bits=8)
-        keyed, _ = pool.admit("Robert", relax_bits=16, idempotency_key="k")
-        again, duplicate = pool.admit(
+        keyed, _, _ = pool.admit("Robert", relax_bits=16, idempotency_key="k")
+        again, duplicate, _ = pool.admit(
             "Robert", relax_bits=16, idempotency_key="k"
         )
         assert again == keyed and duplicate
@@ -107,7 +107,7 @@ def _scenario(journal_dir: str) -> None:
         query = np.random.default_rng(7).integers(
             0, 2, pool.search_index().dim, dtype=np.uint8
         )
-        searched, _ = pool.admit_search(query, k=5, relax_bits=8)
+        searched, _, _ = pool.admit_search(query, k=5, relax_bits=8)
         for request_id in (first, keyed, searched):
             assert pool.result(request_id, timeout=30.0) is not None
 

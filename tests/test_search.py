@@ -219,10 +219,10 @@ class TestServedSearch:
             query = np.random.default_rng(7).integers(
                 0, 2, pool.search_index().dim, dtype=np.uint8
             )
-            first, dup1 = pool.admit_search(
+            first, dup1, _ = pool.admit_search(
                 query, k=5, idempotency_key="key"
             )
-            again, dup2 = pool.admit_search(
+            again, dup2, _ = pool.admit_search(
                 query, k=5, idempotency_key="key"
             )
             assert first == again and not dup1 and dup2
@@ -264,7 +264,7 @@ class TestServedSearch:
             query = np.random.default_rng(8).integers(
                 0, 2, pool.search_index().dim, dtype=np.uint8
             )
-            request_id, _ = pool.admit_search(query, k=7, relax_bits=4)
+            request_id, _, _ = pool.admit_search(query, k=7, relax_bits=4)
             first = pool.result(request_id, timeout=30)
         # Strip the terminal record: the SIGKILL-between-dispatch-and-
         # completion case the journal exists for.

@@ -424,7 +424,7 @@ class TestRecordOrder:
 
         def client():
             try:
-                outcome["id"], _ = pool.admit(WORKLOAD, dataset_bytes=DATASET)
+                outcome["id"], _, _ = pool.admit(WORKLOAD, dataset_bytes=DATASET)
             except Exception as exc:  # the assertion below reports it
                 outcome["error"] = exc
 
@@ -480,11 +480,11 @@ def test_thread_pool_journals_admitted_first(
                 query = np.random.default_rng(n).integers(
                     0, 2, pool.search_index().dim, dtype=np.uint8
                 )
-                request_id, _ = pool.admit_search(
+                request_id, _, _ = pool.admit_search(
                     query, k=3, relax_bits=4 * n, idempotency_key=key
                 )
             else:
-                request_id, _ = pool.admit(
+                request_id, _, _ = pool.admit(
                     WORKLOAD, relax_bits=8 * (n % 2), dataset_bytes=DATASET,
                     idempotency_key=key,
                 )
@@ -663,7 +663,7 @@ class TestGroupCommit:
             def submit(index):
                 key = "shared" if shared_key else f"k{index}"
                 barrier.wait()
-                request_id, _ = pool.admit(
+                request_id, _, _ = pool.admit(
                     WORKLOAD, relax_bits=8, dataset_bytes=DATASET,
                     idempotency_key=key,
                 )
@@ -759,7 +759,7 @@ class TestCrashModel:
                     )
                 else:
                     assert result == original
-            again, duplicate = pool.admit(
+            again, duplicate, _ = pool.admit(
                 WORKLOAD, relax_bits=12, dataset_bytes=DATASET,
                 idempotency_key="late",
             )
@@ -769,12 +769,12 @@ class TestCrashModel:
 class TestIdempotentSubmission:
     def test_duplicate_key_returns_original_id(self, tmp_path):
         with _pool(tmp_path / "requests.jsonl") as pool:
-            first, duplicate = pool.admit(
+            first, duplicate, _ = pool.admit(
                 WORKLOAD, relax_bits=8, dataset_bytes=DATASET,
                 idempotency_key="k",
             )
             assert duplicate is False
-            again, duplicate = pool.admit(
+            again, duplicate, _ = pool.admit(
                 WORKLOAD, relax_bits=8, dataset_bytes=DATASET,
                 idempotency_key="k",
             )
@@ -784,7 +784,7 @@ class TestIdempotentSubmission:
 
     def test_conflicting_payload_raises(self, tmp_path):
         with _pool(tmp_path / "requests.jsonl") as pool:
-            first, _ = pool.admit(
+            first, _, _ = pool.admit(
                 WORKLOAD, relax_bits=8, dataset_bytes=DATASET,
                 idempotency_key="k",
             )
@@ -823,7 +823,7 @@ class TestCrashSafeRestart:
             # path republishes the journaled payload, no recompute.
             assert second_life == first_life
             # The idempotency index survives the restart too.
-            again, duplicate = pool.admit(
+            again, duplicate, _ = pool.admit(
                 WORKLOAD, relax_bits=8, dataset_bytes=DATASET,
                 idempotency_key="k",
             )

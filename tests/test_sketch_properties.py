@@ -12,6 +12,7 @@ before the first compaction).
 from __future__ import annotations
 
 import math
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -152,6 +153,96 @@ class TestEdges:
         assert set(TAIL_QUANTILES) <= set(summary)
         assert summary["count"] == 100
         assert summary["rank_error"] == 0
+
+
+def _walk(sketch: QuantileSketch, q: float) -> float:
+    """The reference quantile: walk the sorted weighted samples until the
+    cumulative weight reaches ``q * count``."""
+    if q == 0.0:
+        return sketch.min
+    if q == 1.0:
+        return sketch.max
+    items = sketch._weighted()
+    cumulative = 0
+    for value, weight in items:
+        cumulative += weight
+        if cumulative >= q * sketch.count:
+            return value
+    return items[-1][0]
+
+
+class CountingLock:
+    """A lock that counts how often it is entered and runs
+    ``after_release``, if set, each time it is left."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.entered = 0
+        self.after_release = None
+
+    def __enter__(self):
+        self.entered += 1
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc):
+        self.lock.__exit__(*exc)
+        if self.after_release is not None:
+            self.after_release()
+
+
+class TestSummary:
+    @given(values=latencies)
+    @settings(max_examples=80, deadline=None)
+    def test_summary_equals_the_quantiles(self, values):
+        """Every tail quantile of ``summary()`` is ``quantile(q)``, and
+        both are the reference walk over the weighted samples."""
+        sketch = QuantileSketch(capacity=8)
+        for value in values:
+            sketch.observe(value)
+        summary = sketch.summary()
+        for name, q in TAIL_QUANTILES.items():
+            assert summary[name] == sketch.quantile(q) == _walk(sketch, q)
+        assert (summary["count"], summary["min"], summary["max"]) == (
+            sketch.count, sketch.min, sketch.max,
+        )
+        assert summary["mean"] == sketch.mean
+        assert summary["rank_error"] == sketch.rank_error()
+
+    def test_summary_takes_one_lock_and_one_sort(self):
+        sketch = QuantileSketch(capacity=8)
+        for index in range(100):
+            sketch.observe(float(index))
+        lock = sketch._lock = CountingLock()
+        sorts = []
+        weighted = sketch._weighted
+
+        def counted():
+            sorts.append(1)
+            return weighted()
+
+        sketch._weighted = counted
+        sketch.summary()
+        assert (lock.entered, len(sorts)) == (1, 1)
+
+    def test_a_writer_between_lock_sections_cannot_tear_a_summary(self):
+        """A writer lands after every release of the sketch's lock: each
+        summary field must still come from one snapshot, so no tail
+        quantile exceeds the max and the mean matches the count."""
+        sketch = QuantileSketch(capacity=64)
+        for index in range(100):
+            sketch.observe(float(index))
+        lock = sketch._lock = CountingLock()
+
+        def write() -> None:  # the next value, as a writer would add it
+            with lock.lock:
+                sketch._ingest(float(sketch._count))
+
+        lock.after_release = write
+        summary = sketch.summary()
+        count = summary["count"]
+        assert summary["max"] == count - 1
+        assert summary["mean"] == (count - 1) / 2
+        assert max(summary[name] for name in TAIL_QUANTILES) <= summary["max"]
 
 
 class TestLatencyAnalytics:

@@ -12,16 +12,26 @@ event is ``campaign`` ``hit`` (the warm tag) and it writes no scheduler,
 shard or supervisor series.  Each store is entered once: the trace opens
 with its ``frontend`` ``admitted`` event, so the hit is the one event
 appended after it, and the result is published in one register-and-
-complete step, so ``ResultStore.register`` is never called.
+complete step, so ``ResultStore.register`` is never called.  Admission
+hands the published result back to ``Client.call``, so the client never
+enters ``ResultStore.wait`` for a hit; the id still answers
+``pool.result`` and ``GET /result/<id>``.  A profile of 1,000 warm calls
+pins how many Python-level calls into ``repro`` one of them makes.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+
 import pytest
 
+import repro
 from repro.observability import MetricsRegistry, set_default_registry
 from repro.observability.tracing import TraceStore
+from repro.runtime.supervisor import ManualClock
 from repro.serving import Client, CrossbarPool
+from repro.serving.frontend import _http_json, build_server
 
 WARM_TIMELINE = [
     ("frontend", "admitted", "", ["priority"]),
@@ -156,3 +166,160 @@ def test_cold_request_runs_the_supervised_ladder(cold_request):
               if event[0] not in ("executor", "comparison", "locality")]
     assert ladder == COLD_LADDER
     assert all(entry in series for entry in SUPERVISOR_SERIES)
+
+
+#: Python-level calls into ``repro`` frames per warm ``Client.call`` in a
+#: full two-shard inline pool, rounded to one decimal (sketch compactions
+#: and the SLO window's once-a-second prune add a few thousandths).  It
+#: was 61.0 while the client waited on the result store for a hit, the
+#: SLO window pruned on every record and the sketches were looked up and
+#: checked one by one per request.
+WARM_CALLS_PER_REQUEST = 49.0
+
+
+def _counted(owner, name: str, log: list, tag=None) -> None:
+    """Shadow ``owner.name`` with a wrapper that appends ``tag`` (the
+    first argument without one) to ``log``; ``del owner.name`` undoes it."""
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        log.append(args[0] if tag is None else tag)
+        return original(*args, **kwargs)
+
+    setattr(owner, name, counted)
+
+
+@pytest.fixture(scope="module")
+def served():
+    """A two-shard inline pool at the default identity behind a server."""
+    pool = CrossbarPool(
+        shards=2, tile_elements=1 << 9, runtime="inline", seed=2017
+    ).start()
+    server = build_server(pool)
+    server.start()
+    try:
+        yield pool, server
+    finally:
+        server.close()
+        pool.stop()
+
+
+def test_a_warm_call_never_waits_on_the_result_store(served):
+    pool, _ = served
+    client = Client(pool, tenant="handoff")
+    client.call("Sobel", relax_bits=8)  # prices the key
+    waits: list = []
+    _counted(pool.results, "wait", waits)
+    try:
+        result = client.call("Sobel", relax_bits=8)
+    finally:
+        del pool.results.wait
+    assert waits == []
+    assert (result.status, result.shard) == ("ok", -1)
+
+
+def test_a_handed_back_hit_still_answers_by_id(served):
+    """The hit stays in the result store: ``pool.result`` returns the
+    very result the call got, and ``GET /result/<id>`` renders it."""
+    pool, server = served
+    client = Client(pool, tenant="handoff")
+    client.call("Robert", relax_bits=8)
+    result = client.call("Robert", relax_bits=8)
+    assert result.shard == -1
+    assert pool.result(result.id, timeout=0.0) is result
+    status, body = _http_json(f"{server.url}/result/{result.id}")
+    assert status == 200
+    assert (body["id"], body["status"], body["shard"]) == (
+        result.id, "ok", -1,
+    )
+    assert body["point"] == {
+        name: getattr(result.point, name) for name in body["point"]
+    }
+
+
+def test_a_journaled_hit_returns_after_its_group_commit(tmp_path):
+    """On a journaled pool the hit's ``completed`` record is written in
+    the commit step and made durable by the acknowledgement's sync
+    before ``Client.call`` returns the result."""
+    pool = CrossbarPool(
+        shards=2, tile_elements=1 << 9, runtime="inline", seed=2017,
+        journal=str(tmp_path / "journal.jsonl"),
+    )
+    client = Client(pool, tenant="handoff")
+    with pool:
+        client.call("Sharpen", relax_bits=8)
+        order: list = []
+        _counted(pool.journal, "completed", order, "completed")
+        _counted(pool.journal, "sync", order, "sync")
+        try:
+            result = client.call("Sharpen", relax_bits=8)
+            order.append("returned")
+        finally:
+            del pool.journal.completed
+            del pool.journal.sync
+    assert result.shard == -1
+    assert order == ["completed", "sync", "returned"]
+
+
+def test_a_cold_call_still_waits():
+    """A miss is queued: the client waits for it once."""
+    pool = CrossbarPool(
+        shards=2, tile_elements=1 << 9, runtime="inline", seed=4330
+    )
+    client = Client(pool, tenant="handoff")
+    waits: list = []
+    with pool:
+        _counted(pool.results, "wait", waits)
+        try:
+            result = client.call("Sobel", relax_bits=8)
+        finally:
+            del pool.results.wait
+    assert result.shard >= 0
+    assert waits == [result.id]
+
+
+def test_warm_call_cost_is_pinned():
+    """Count the Python-level calls into ``repro`` frames that 1,000
+    warm calls make (``sys.setprofile``; deterministic, not a timing)."""
+    pool = CrossbarPool(
+        shards=2, tile_elements=1 << 9, runtime="inline", seed=2017,
+        result_capacity=2, trace_store=TraceStore(capacity=2),
+    )
+    client = Client(pool, tenant="pin")
+    root = os.path.dirname(repro.__file__) + os.sep
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            calls += 1
+
+    requests = 1000
+    with pool:
+        for _ in range(3):  # prices the key and fills both stores
+            client.call("Sobel", relax_bits=8)
+        sys.setprofile(profile)
+        try:
+            for _ in range(requests):
+                client.call("Sobel", relax_bits=8)
+        finally:
+            sys.setprofile(None)
+    assert round(calls / requests, 1) <= WARM_CALLS_PER_REQUEST
+
+
+def test_a_manual_clock_pool_keeps_its_slo_window_on_that_clock():
+    """Warm requests on a ``ManualClock`` pool land in the SLO bucket of
+    the clock's second, however much wall time passes."""
+    clock = ManualClock()
+    pool = CrossbarPool(
+        shards=2, tile_elements=1 << 9, runtime="inline", seed=2017,
+        clock=clock,
+    )
+    client = Client(pool, tenant="pin")
+    with pool:
+        for _ in range(3):
+            client.call("Sobel", relax_bits=8)
+        clock.advance(5.0)
+        for _ in range(3):
+            client.call("Sobel", relax_bits=8)
+    assert [bucket[:2] for bucket in pool.slo._events] == [[0, 3], [5, 3]]
