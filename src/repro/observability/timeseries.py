@@ -604,20 +604,23 @@ class TelemetryPipeline:
         if analytics is None:
             return 0
         for layer in analytics.layers():
-            sketch = analytics.sketch(layer)
-            if sketch.count == 0:
+            # One snapshot per layer: one lock entry and one sort serve
+            # the four quantile gauges and the count, so a concurrent
+            # writer cannot pair the count with later quantiles.
+            summary = analytics.sketch(layer).summary()
+            if summary["count"] == 0:
                 continue
-            for name, q in TAIL_QUANTILES.items():
+            for name in TAIL_QUANTILES:
                 self.store.series(
                     QUANTILE_SERIES,
                     {"layer": layer, "quantile": name},
                     kind="gauge",
-                ).append(now, sketch.quantile(q))
+                ).append(now, summary[name])
                 samples += 1
             self.store.series(
                 "repro_latency_events_total", {"layer": layer},
                 kind="counter",
-            ).append(now, sketch.count)
+            ).append(now, summary["count"])
             samples += 1
         return samples
 

@@ -180,40 +180,54 @@ class TraceStore:
         """Open a trace under ``trace_id`` (a store-made id without one);
         returns its :class:`TraceContext`.
 
-        ``events`` are the trace's opening events, ``(layer, kind,
-        detail, attrs)`` tuples: they go in with the record, under the
+        ``events`` are the trace's opening events, ``(layer, kind[,
+        detail[, attrs]])`` tuples: they go in with the record, under the
         same lock and stamped with its clock read, as if appended at
-        once (the store keeps each ``attrs`` itself).  The context shares
-        the record's baggage dict; nothing mutates it.  A resident trace
-        with the same id is replaced, and spilled like an eviction.
+        once (the store keeps each ``attrs`` itself; a tuple without one
+        gets a fresh dict).  The serving pool's commit step opens a
+        request's trace this way with every event known at admission,
+        a priced-memo hit's ``campaign`` ``hit`` included, so a hit
+        enters the store once.  The context shares the record's baggage
+        dict; nothing mutates it.  A resident trace with the same id is
+        replaced, and spilled like an eviction.
         """
-        evicted: list[TraceRecord] = []
-        with self._lock:
+        spill = self.spill_path is not None
+        evicted: list[TraceRecord] | None = [] if spill else None
+        records = self._records
+        max_events = self.max_events
+        lock = self._lock
+        lock.acquire()  # as in append: cheaper than ``with`` on 3.11
+        try:
             if trace_id is None:
                 trace_id = f"{self._id_prefix}.{next(self._seq):x}"
             else:
-                replaced = self._records.pop(trace_id, None)
+                replaced = records.pop(trace_id, None)
                 if replaced is not None:
                     self.evicted += 1
-                    evicted.append(replaced)
+                    if spill:
+                        evicted.append(replaced)
             now = self.clock()
-            record = self._records[trace_id] = TraceRecord(
-                trace_id, now, baggage
+            opened: list[TraceEvent] = []
+            record = records[trace_id] = TraceRecord(
+                trace_id, now, baggage, opened
             )
-            if events:
-                record.events = [
-                    TraceEvent(now, *event)
-                    for event in events[: self.max_events]
-                ]
-                record.dropped_events = max(0, len(events) - self.max_events)
-            while len(self._records) > self.capacity:
+            if len(events) > max_events:
+                record.dropped_events = len(events) - max_events
+                events = events[:max_events]
+            for event in events:  # a comprehension would add a frame
+                opened.append(TraceEvent(now, *event))
+            while len(records) > self.capacity:
                 self.evicted += 1
-                evicted.append(self._records.popitem(last=False)[1])
+                oldest = records.popitem(last=False)
+                if spill:
+                    evicted.append(oldest[1])
+        finally:
+            lock.release()
         # Spilled after the lock is released: an evicted record is out
         # of the store, so nothing appends to it any more.  A store with
-        # no spill path evicts on every request once full: it calls
-        # nothing.
-        if evicted and self.spill_path is not None:
+        # no spill path evicts on every request once full: it keeps no
+        # list of what it evicted and calls nothing.
+        if evicted:
             self._spill_batch(evicted)
         return TraceContext(trace_id, baggage, self)
 

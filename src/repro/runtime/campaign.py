@@ -63,6 +63,11 @@ __all__ = [
 #: Every grid point ends in exactly one of these.
 TERMINAL_STATUSES = ("ok", "retried", "degraded", "fallback", "failed")
 
+#: The warm tag, ``(layer, kind)``: the one trace event a priced-memo
+#: hit records, by :func:`memo_hit` on its ``trace`` or, in the serving
+#: pool, among the opening events of the request's trace.
+HIT_EVENT = ("campaign", "hit")
+
 
 def point_key(workload: str, relax_bits: int, dataset_bytes: int) -> str:
     """The stable journal/breaker identity of one grid point."""
@@ -311,10 +316,13 @@ def memo_hit(
     faults a call before it reaches the harness), a point already in the
     harness's priced memo needs no ladder: pricing is deterministic and a
     raising tile stays raising, so a priced key is one whose first
-    supervised attempt is clean.  A hit records one ``campaign`` ``hit``
-    event (the warm tag) on ``trace`` and returns the entry's one shared
-    ``ok`` point.  A negative level is a miss, left to the ladder, which
-    raises it inside supervision like any other bad level.
+    supervised attempt is clean.  A hit records :data:`HIT_EVENT` (the
+    warm tag) on ``trace`` and returns the entry's one shared ``ok``
+    point.  The pool passes no ``trace``: it looks the point up before
+    the request's trace opens and opens it with :data:`HIT_EVENT` among
+    its opening events, so the hit costs the trace store no second step.
+    A negative level is a miss, left to the ladder, which raises it
+    inside supervision like any other bad level.
     """
     if chaos is not None or level < 0:
         return None
@@ -328,7 +336,7 @@ def memo_hit(
             entry.comparison, level, "ok", 1, level
         )
     if trace is not None:
-        trace.event("campaign", "hit")
+        trace.event(*HIT_EVENT)
     return point
 
 

@@ -11,8 +11,8 @@ runtime's whole rescue ladder: retry with jittered backoff, degrade up the
 relax rungs, fall back to the CPU baseline — every admitted request ends
 in exactly one terminal :class:`~repro.serving.scheduler.ServeResult`.
 A request whose point is already priced never reaches a shard: without a
-chaos policy, admission answers it from the priced memo
-(:meth:`CrossbarPool._answer_hit`).
+chaos policy, admission's commit step answers it from the priced memo
+(:meth:`CrossbarPool._enqueue`).
 
 Shard health is a per-shard :class:`CircuitBreaker`: requests that end
 ``failed``/``error`` count as consecutive failures, and a tripped shard
@@ -84,7 +84,12 @@ from repro.observability.instruments import (
 from repro.observability.sketch import LatencyAnalytics
 from repro.observability.slo import BurnRateEvaluator, SLOPolicy
 from repro.observability.tracing import TraceStore, use_trace
-from repro.runtime.campaign import CampaignPoint, memo_hit, run_point
+from repro.runtime.campaign import (
+    HIT_EVENT,
+    CampaignPoint,
+    memo_hit,
+    run_point,
+)
 from repro.runtime.comparison import ComparisonHarness
 from repro.runtime.supervisor import CircuitBreaker, RetryPolicy, Supervisor
 from repro.serving.journal import (
@@ -672,11 +677,11 @@ class CrossbarPool:
         """Admit one request; returns ``(request_id, duplicate, result)``.
 
         ``result`` is the terminal :class:`ServeResult` of a request that
-        finished inside its admission (a priced-memo hit,
-        :meth:`_answer_hit`), handed back once the acknowledgement's
-        group commit covers its ``completed`` record; it is None for a
-        queued request and for a duplicate.  Either way the id answers
-        :meth:`result` and ``GET /result/<id>``.
+        finished inside its admission (a priced-memo hit, answered by
+        the commit step of :meth:`_enqueue`), handed back once the
+        acknowledgement's group commit covers its ``completed`` record;
+        it is None for a queued request and for a duplicate.  Either way
+        the id answers :meth:`result` and ``GET /result/<id>``.
 
         With an ``idempotency_key``, resubmitting the identical payload
         returns the original id with ``duplicate=True`` (the safe-retry
@@ -830,13 +835,28 @@ class CrossbarPool:
         request, touching nothing.  A new request's id stays empty until
         the commit step mints it, and its deadline starts counting once
         the pool's refusals pass (:meth:`_admit_new`)."""
-        numbers = {"relax_bits": relax_bits, "dataset_bytes": dataset_bytes,
-                   "priority": priority, "deadline_s": deadline_s}
-        for name, value in numbers.items():
-            # NaN passes every check below and int(inf) overflows;
-            # math.isfinite itself overflows on an int beyond float range.
-            if value is not None and (value != value or abs(value) == math.inf):
-                raise ServingError(f"{name} must be finite: {value}")
+        # Finite first, field by field: NaN passes every check below and
+        # int(inf) overflows; math.isfinite itself overflows on an int
+        # beyond float range.  Straight-line: no per-call dict of fields.
+        inf = math.inf
+        if relax_bits is not None and (
+            relax_bits != relax_bits or abs(relax_bits) == inf
+        ):
+            raise ServingError(f"relax_bits must be finite: {relax_bits}")
+        if dataset_bytes is not None and (
+            dataset_bytes != dataset_bytes or abs(dataset_bytes) == inf
+        ):
+            raise ServingError(
+                f"dataset_bytes must be finite: {dataset_bytes}"
+            )
+        if priority is not None and (
+            priority != priority or abs(priority) == inf
+        ):
+            raise ServingError(f"priority must be finite: {priority}")
+        if deadline_s is not None and (
+            deadline_s != deadline_s or abs(deadline_s) == inf
+        ):
+            raise ServingError(f"deadline_s must be finite: {deadline_s}")
         if relax_bits < 0:
             raise ServingError(f"relax_bits must be non-negative: {relax_bits}")
         if dataset_bytes <= 0:
@@ -953,18 +973,23 @@ class CrossbarPool:
         The scheduler runs the step only once its own refusals have
         passed: mint the id (a replay keeps its journaled one), append
         the ``admitted`` record when ``journaled`` carries its fields,
-        open the trace under the id with its opening events (``event``,
-        a ``(layer, kind, detail, attrs)`` tuple, then ``journal``
-        ``admitted`` when journaled), answer a priced-memo hit on the
-        spot (:meth:`_answer_hit`, which publishes it in one result-store
-        step), and otherwise register the id with the result store.  The
-        record is written before the push, so no worker record of the id
-        can precede it in the journal, and a ``JournalError`` refuses the
-        request with nothing queued or traced (a 500: the id was never
-        handed out).  It is written without a barrier;
-        :meth:`_acknowledge` syncs it (and a hit's ``completed`` record
-        with it).  Replays pass no ``journaled``: their record is already
-        on file.
+        look a non-search request's point up in the priced memo
+        (:func:`~repro.runtime.campaign.memo_hit`, the one check
+        ``run_point`` makes), then open the trace under the id with every
+        opening event in one store step (``event``, a ``(layer, kind,
+        detail, attrs)`` tuple, then ``journal`` ``admitted`` when
+        journaled, then :data:`~repro.runtime.campaign.HIT_EVENT` on a
+        hit).  A hit is finished on the spot through :meth:`_finish`;
+        any other request is registered with the result store.  The
+        lookup runs on any shard's harness (every shard shares one
+        harness identity) under its chaos injector, so a pool with a
+        chaos policy never answers here.  The record is written before
+        the push, so no worker record of the id can precede it in the
+        journal, and a ``JournalError`` refuses the request with nothing
+        queued or traced (a 500: the id was never handed out).  It is
+        written without a barrier; :meth:`_acknowledge` syncs it (and a
+        hit's ``completed`` record with it).  Replays pass no
+        ``journaled``: their record is already on file.
         """
         def commit(request: ServeRequest) -> ServeResult | None:
             if not request.id:
@@ -972,7 +997,20 @@ class CrossbarPool:
             opening = (event,)
             if journaled is not None:
                 self.journal.admitted(request, **journaled)
-                opening = (event, ("journal", "admitted", "", {}))
+                opening = (event, ("journal", "admitted"))
+            point = None
+            if request.search is None:
+                start = time.monotonic()
+                shard = self.shards[0]
+                point = memo_hit(
+                    shard.workload(request.workload),
+                    request.relax_bits,
+                    float(request.dataset_bytes),
+                    shard.harness,
+                    shard.chaos,
+                )
+                if point is not None:
+                    opening += (HIT_EVENT,)
             request.trace = self.traces.new_trace(
                 request.id,
                 opening,
@@ -980,44 +1018,20 @@ class CrossbarPool:
                 tenant=request.tenant,
                 relax_bits=request.relax_bits,
             )
-            if request.search is None:
-                result = self._answer_hit(request)
-                if result is not None:
-                    return result
+            if point is not None:
+                # A hit uses no shard and no queue slot and is never
+                # registered: shard -1, no queue wait, the entry's one
+                # shared point, published in one register-and-complete
+                # step, served from the lookup to the publish.
+                return self._finish(
+                    request, 0.0, point.status, attempts=point.attempts,
+                    point=point, service_s=time.monotonic() - start,
+                    registered=False,
+                )
             self.results.register(request.id)
             return None
 
         return self.scheduler.submit(request, block, commit)
-
-    def _answer_hit(self, request: ServeRequest) -> ServeResult | None:
-        """Finish a request at admission if its point is already priced;
-        returns its terminal result when it did, else None.
-
-        The lookup is :func:`~repro.runtime.campaign.memo_hit`, the one
-        ``run_point`` makes, on any shard's harness (every shard shares
-        one harness identity) and under its chaos injector, so a pool
-        with a chaos policy never answers here.  A hit uses no shard and
-        no queue slot and is never registered: it ends through
-        :meth:`_finish` with shard -1, no queue wait and the entry's one
-        shared point, published in one register-and-complete step, and
-        its service time runs from the lookup to the publish.
-        """
-        start = time.monotonic()
-        shard = self.shards[0]
-        point = memo_hit(
-            shard.workload(request.workload),
-            request.relax_bits,
-            float(request.dataset_bytes),
-            shard.harness,
-            shard.chaos,
-            request.trace,
-        )
-        if point is None:
-            return None
-        return self._finish(
-            request, 0.0, point.status, attempts=point.attempts, point=point,
-            service_s=time.monotonic() - start, registered=False,
-        )
 
     def result(
         self, request_id: str, timeout: float | None = None

@@ -689,8 +689,10 @@ class ResultStore:
         self.evicted_by_reason = {"capacity": 0, "ttl": 0}
 
     def _evict_locked(self, request_id: str, reason: str) -> None:
-        """Tombstone an id already removed from ``_results``."""
-        self._completed_at.pop(request_id, None)
+        """Tombstone an id already removed from ``_results`` (its
+        completion time is kept, and dropped here, only under a TTL)."""
+        if self.ttl_s is not None:
+            self._completed_at.pop(request_id, None)
         self._tombstones[request_id] = reason
         if len(self._tombstones) > _TOMBSTONES:
             self._tombstones.popitem(last=False)

@@ -33,6 +33,7 @@ from repro.observability.timeseries import (
     slope,
 )
 from repro.runtime.supervisor import ManualClock
+from tests.test_sketch_properties import CountingLock
 
 
 class TestRingSeries:
@@ -341,6 +342,56 @@ class TestTelemetryPipeline:
         )
         pipeline.tick()
         assert pipeline.store.keys() == ("ordinary_total",)
+
+    def test_tick_reads_each_sketch_once(self, monkeypatch):
+        """A tick takes one snapshot per layer: one lock entry and one
+        sort serve the four quantile gauges and the count.  A writer
+        landing after every release of a sketch's lock cannot pair the
+        recorded count with quantiles of a later state."""
+        analytics = LatencyAnalytics()
+        layers = ("e2e", "queue_wait", "service")
+        for layer in layers:
+            for value in range(1, 21):
+                analytics.observe(layer, value / 100)
+        expected = {layer: analytics.sketch(layer).summary()
+                    for layer in layers}
+        locks, sorts = {}, {layer: 0 for layer in layers}
+        for layer in layers:
+            sketch = analytics.sketch(layer)
+            lock = locks[layer] = sketch._lock = CountingLock()
+
+            def write(lock=lock, sketch=sketch) -> None:
+                with lock.lock:  # a burst of slow requests lands
+                    for _ in range(100):
+                        sketch._ingest(10.0)
+
+            def counted(weighted=sketch._weighted, layer=layer):
+                sorts[layer] += 1
+                return weighted()
+
+            lock.after_release = write
+            monkeypatch.setattr(sketch, "_weighted", counted)
+        pipeline = TelemetryPipeline(
+            analytics=analytics, clock=ManualClock(), sample_process=False
+        )
+        pipeline.tick()
+        for layer in layers:
+            assert locks[layer].entered == 1
+            assert sorts[layer] == 1
+            assert analytics.sketch(layer).count > 20  # the writer landed
+            recorded = {
+                name: pipeline.store.get(series_key(
+                    QUANTILE_SERIES, {"layer": layer, "quantile": name}
+                )).latest()[1]
+                for name in TAIL_QUANTILES
+            }
+            recorded["count"] = pipeline.store.get(series_key(
+                "repro_latency_events_total", {"layer": layer}
+            )).latest()[1]
+            assert recorded == {
+                name: expected[layer][name]
+                for name in (*TAIL_QUANTILES, "count")
+            }
 
     def test_process_gauges_are_sampled(self):
         pipeline = TelemetryPipeline(

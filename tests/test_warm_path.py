@@ -9,10 +9,13 @@ keys)`` in order, timestamps dropped — and touch the same metric series.
 A warm request is a priced-memo hit answered at admission: it never
 queues, is never dispatched and touches no shard, so its one pricing
 event is ``campaign`` ``hit`` (the warm tag) and it writes no scheduler,
-shard or supervisor series.  Each store is entered once: the trace opens
-with its ``frontend`` ``admitted`` event, so the hit is the one event
-appended after it, and the result is published in one register-and-
-complete step, so ``ResultStore.register`` is never called.  Admission
+shard or supervisor series.  Each store is entered once: the hit is
+looked up before the trace opens, so the trace opens with both its
+``frontend`` ``admitted`` and ``campaign`` ``hit`` events and nothing is
+appended after, and the result is published in one register-and-
+complete step, so ``ResultStore.register`` is never called.  A cold
+request, and any request on a chaos pool, opens with its admission event
+alone.  Admission
 hands the published result back to ``Client.call``, so the client never
 enters ``ResultStore.wait`` for a hit; the id still answers
 ``pool.result`` and ``GET /result/<id>``.  A profile of 1,000 warm calls
@@ -21,6 +24,7 @@ pins how many Python-level calls into ``repro`` one of them makes.
 
 from __future__ import annotations
 
+import itertools
 import os
 import sys
 
@@ -29,6 +33,7 @@ import pytest
 import repro
 from repro.observability import MetricsRegistry, set_default_registry
 from repro.observability.tracing import TraceStore
+from repro.runtime.chaos import ChaosPolicy
 from repro.runtime.supervisor import ManualClock
 from repro.serving import Client, CrossbarPool
 from repro.serving.frontend import _http_json, build_server
@@ -132,13 +137,53 @@ def test_warm_timeline_is_pinned(warm_request):
     assert timeline == WARM_TIMELINE
 
 
-def test_warm_request_appends_one_event(warm_request):
-    """The trace opens with its admission event; only the hit is
-    appended after."""
-    _, appends, _, _ = warm_request
-    assert [(layer, kind) for _, layer, kind, *_ in appends] == [
-        ("campaign", "hit")
+def test_warm_hit_appends_nothing(warm_request):
+    """The hit is known before the trace opens: the trace opens with
+    both events and nothing is appended after."""
+    timeline, appends, _, _ = warm_request
+    assert appends == []
+    assert [event[:2] for event in timeline] == [
+        ("frontend", "admitted"), ("campaign", "hit"),
     ]
+
+
+def _opening(pool: CrossbarPool) -> list:
+    """``(layer, kind)`` of the events each resident trace opened with,
+    by trace, in admission order: on a store whose clock counts its
+    reads, the events that share the record's one read."""
+    openings = []
+    for trace_id in list(pool.traces._records):
+        events = pool.traces.get(trace_id).events
+        openings.append([(e.layer, e.kind) for e in events
+                         if e.ts == events[0].ts])
+    return openings
+
+
+def test_cold_and_chaos_requests_open_with_admission_alone():
+    """A miss opens its trace with ``frontend.admitted`` alone and never
+    records a hit; so does every request on a chaos pool, even one whose
+    point is priced (chaos turns the lookup off)."""
+    pool = CrossbarPool(
+        shards=2, tile_elements=1 << 9, runtime="inline", seed=4331,
+        trace_store=TraceStore(clock=itertools.count().__next__),
+    )
+    with pool:
+        cold = Client(pool, tenant="pin").call("Sobel", relax_bits=8)
+    assert cold.shard >= 0
+    assert _opening(pool) == [[("frontend", "admitted")]]
+    chaos = CrossbarPool(
+        shards=2, tile_elements=1 << 9, runtime="inline", seed=2017,
+        chaos_policy=ChaosPolicy(),
+        trace_store=TraceStore(clock=itertools.count().__next__),
+    )
+    client = Client(chaos, tenant="pin")
+    with chaos:
+        results = [client.call("Sobel", relax_bits=8) for _ in range(3)]
+    assert all(result.shard >= 0 for result in results)
+    assert _opening(chaos) == [[("frontend", "admitted")]] * 3
+    for trace_id in chaos.traces._records:
+        kinds = [(e.layer, e.kind) for e in chaos.traces.get(trace_id).events]
+        assert ("campaign", "hit") not in kinds
 
 
 def test_warm_request_touches_the_pinned_series(warm_request):
@@ -173,8 +218,11 @@ def test_cold_request_runs_the_supervised_ladder(cold_request):
 #: and the SLO window's once-a-second prune add a few thousandths).  It
 #: was 61.0 while the client waited on the result store for a hit, the
 #: SLO window pruned on every record and the sketches were looked up and
-#: checked one by one per request.
-WARM_CALLS_PER_REQUEST = 49.0
+#: checked one by one per request, and 49.0 while the hit was appended to
+#: its trace after the trace opened (``TraceContext.event`` and
+#: ``TraceStore.append``) and the opening events were built by a
+#: comprehension.
+WARM_CALLS_PER_REQUEST = 45.0
 
 
 def _counted(owner, name: str, log: list, tag=None) -> None:
